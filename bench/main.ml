@@ -672,7 +672,7 @@ let e15 () =
   in
   row "  chase under chase.triggers=200: %s in %.1fms (%d rounds, %d triggers, +%d facts)\n" why
     (chase_s *. 1000.) stats.Tgd_chase.Chase.rounds stats.Tgd_chase.Chase.triggers_fired
-    stats.Tgd_chase.Chase.new_facts;
+    stats.Tgd_chase.Chase.derived;
   check "divergent chase truncates gracefully under trigger budget" ~expected:"yes"
     ~got:(if truncated && stats.Tgd_chase.Chase.triggers_fired <= 200 then "yes" else "no");
   records := G.report_json ~run:"chase:trigger-budget" gov :: !records;
@@ -1096,7 +1096,7 @@ let e18 () =
 (* E19: incremental maintenance — delta-apply vs cold chase restart.    *)
 
 (* Mirrors what the server's add-facts path does: a live materialization
-   is extended by Delta_chase.apply (copy-on-write model copy included in
+   is extended by a batch run of Chase.run (copy-on-write model copy included in
    the timing), versus throwing the model away and re-chasing the merged
    instance from scratch (also from a copy). The program is a chain of
    three datalog steps plus one existential step, so the delta both joins
@@ -1151,7 +1151,7 @@ let e19 () =
   let delta_wall =
     time_median ~k:5 (fun () ->
         let m = Tgd_db.Instance.copy model in
-        let stats = Tgd_chase.Delta_chase.apply ~null_floor:floor program m batch in
+        let stats = Tgd_chase.Chase.run ~null_floor:floor ~batch program m in
         last_delta := Some (m, stats))
   in
   let cold_wall =
@@ -1178,9 +1178,9 @@ let e19 () =
   row "  cold restart: %.1f ms   delta-apply: %.1f ms   speedup: %.1fx\n" (cold_wall *. 1000.)
     (delta_wall *. 1000.) speedup;
   row "  delta stats: %d inserted, %d derived, %d nulls, %d triggers, %d rounds\n"
-    delta_stats.Tgd_chase.Delta_chase.inserted delta_stats.Tgd_chase.Delta_chase.derived
-    delta_stats.Tgd_chase.Delta_chase.nulls delta_stats.Tgd_chase.Delta_chase.triggers_fired
-    delta_stats.Tgd_chase.Delta_chase.rounds;
+    delta_stats.Tgd_chase.Chase.inserted delta_stats.Tgd_chase.Chase.derived
+    delta_stats.Tgd_chase.Chase.nulls delta_stats.Tgd_chase.Chase.triggers_fired
+    delta_stats.Tgd_chase.Chase.rounds;
   check "delta-apply agrees with cold restart on null-free facts" ~expected:"yes"
     ~got:(if agree then "yes" else "no");
   check "delta-apply at least 5x faster than cold restart" ~expected:"yes"
@@ -1200,9 +1200,9 @@ let e19 () =
      \"rounds\": %d}\n\
      }\n"
     n_base model_facts n_batch (cold_wall *. 1000.) (delta_wall *. 1000.) speedup agree
-    delta_stats.Tgd_chase.Delta_chase.inserted delta_stats.Tgd_chase.Delta_chase.derived
-    delta_stats.Tgd_chase.Delta_chase.nulls delta_stats.Tgd_chase.Delta_chase.triggers_fired
-    delta_stats.Tgd_chase.Delta_chase.rounds;
+    delta_stats.Tgd_chase.Chase.inserted delta_stats.Tgd_chase.Chase.derived
+    delta_stats.Tgd_chase.Chase.nulls delta_stats.Tgd_chase.Chase.triggers_fired
+    delta_stats.Tgd_chase.Chase.rounds;
   close_out oc;
   row "  wrote BENCH_incremental.json\n"
 

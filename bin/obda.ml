@@ -435,7 +435,7 @@ let chase_cmd =
       (match stats.Tgd_chase.Chase.outcome with
       | Tgd_chase.Chase.Terminated -> "terminated"
       | Tgd_chase.Chase.Truncated d -> "TRUNCATED (" ^ Tgd_exec.Governor.diag_summary d ^ ")")
-      stats.Tgd_chase.Chase.rounds stats.Tgd_chase.Chase.new_facts stats.Tgd_chase.Chase.nulls
+      stats.Tgd_chase.Chase.rounds stats.Tgd_chase.Chase.derived stats.Tgd_chase.Chase.nulls
       stats.Tgd_chase.Chase.triggers_fired;
     (match stats.Tgd_chase.Chase.outcome with
     | Tgd_chase.Chase.Truncated d -> pp_truncation d

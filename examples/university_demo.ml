@@ -35,7 +35,7 @@ let () =
   in
   let chased_inst, chase_stats = chased in
   Format.printf "@.chase: +%d facts, %d nulls, %d rounds in %.3fs@."
-    chase_stats.Tgd_chase.Chase.new_facts chase_stats.Tgd_chase.Chase.nulls
+    chase_stats.Tgd_chase.Chase.derived chase_stats.Tgd_chase.Chase.nulls
     chase_stats.Tgd_chase.Chase.rounds t_chase;
 
   Format.printf "@.%-22s %9s %9s %10s %10s %8s@." "query" "disjuncts" "answers" "t_rewrite"

@@ -10,13 +10,31 @@ type outcome =
   | Terminated
   | Truncated of Governor.diagnostics
 
+type violation = {
+  egd : Egd.t;
+  v1 : Value.t;
+  v2 : Value.t;
+}
+
+let pp_violation ppf viol =
+  Format.fprintf ppf "EGD %s equates distinct constants %a and %a" viol.egd.Egd.name Value.pp
+    viol.v1 Value.pp viol.v2
+
 type stats = {
   outcome : outcome;
   rounds : int;
-  new_facts : int;
+  inserted : int;
+  derived : int;
   nulls : int;
   triggers_fired : int;
+  merges : int;
+  consistent : bool;
+  violation : violation option;
 }
+
+type keys =
+  | Chase_keys
+  | Datalog_keys
 
 module Key_table = Hashtbl.Make (struct
   type t = string * Tuple.t
@@ -35,66 +53,227 @@ let default_governor ~max_rounds ~max_facts () =
       }
     ()
 
-let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?gov program inst =
-  let gov = match gov with Some g -> g | None -> default_governor ~max_rounds ~max_facts () in
-  let tele = Governor.telemetry gov in
+(* A frontier: per predicate, the tuples the next search joins through.
+   [None] stands for the whole instance. *)
+let push frontier pred t =
+  let existing = Option.value ~default:[] (Symbol.Table.find_opt frontier pred) in
+  Symbol.Table.replace frontier pred (t :: existing)
+
+let is_empty = function None -> false | Some f -> Symbol.Table.length f = 0
+
+exception Hard of violation
+exception Merge of Value.t * Value.t (* from_, to_ *)
+
+(* One EGD step: the first violation whose match uses a frontier fact. When
+   the frontier is seeded, untouched equivalence classes are never
+   revisited — sound because the instance was EGD-stable before the
+   frontier's facts arrived. *)
+let find_egd_step ?gov egds inst frontier =
+  try
+    List.iter
+      (fun (egd : Egd.t) ->
+        Trigger.bindings ?gov inst egd.Egd.body ~delta:frontier (fun env ->
+            let l = Symbol.Map.find egd.Egd.left env and r = Symbol.Map.find egd.Egd.right env in
+            if not (Value.equal l r) then
+              match (l, r) with
+              | Value.Null _, _ -> raise (Merge (l, r))
+              | _, Value.Null _ -> raise (Merge (r, l))
+              | Value.Const _, Value.Const _ -> raise (Hard { egd; v1 = l; v2 = r })))
+      egds;
+    `Stable
+  with
+  | Merge (from_, to_) -> `Merge (from_, to_)
+  | Hard v -> `Hard v
+
+(* The head of a rule without existential variables under a body match. *)
+let instantiate env (a : Atom.t) =
+  Array.map
+    (function Term.Const c -> Value.Const c | Term.Var v -> Symbol.Map.find v env)
+    a.Atom.args
+
+let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?gov ?null_floor
+    ?(egds = []) ?batch ?(keys = Chase_keys) program inst =
+  (* [eval_gov] bounds the join searches; only ungoverned Datalog answering
+     runs them unbounded. *)
+  let gov, eval_gov =
+    match (gov, keys) with
+    | Some g, _ -> (g, Some g)
+    | None, Chase_keys ->
+      let g = default_governor ~max_rounds ~max_facts () in
+      (g, Some g)
+    | None, Datalog_keys -> (Governor.unlimited (), None)
+  in
   (* Start above every null already in the instance: a chase resumed on a
      partly chased instance must not reuse a label, or two unrelated nulls
-     would join and derive facts the program does not entail. *)
-  let gen = Null_gen.create ~start:(Instance.max_null inst) () in
+     would join and derive facts the program does not entail. Scanned only
+     when a null is first needed, so Datalog runs never pay for it. *)
+  let gen =
+    lazy
+      (Null_gen.create
+         ~start:(match null_floor with Some f -> f | None -> Instance.max_null inst)
+         ())
+  in
   let fired : unit Key_table.t = Key_table.create 256 in
-  let new_facts = ref 0 in
+  let inserted = ref 0 in
+  let derived = ref 0 in
   let triggers_fired = ref 0 in
   let rounds = ref 0 in
-  (* Set when a budget stop skipped pending triggers mid-round: the empty
-     final delta then does not mean a fixpoint was reached. *)
+  let merges = ref 0 in
+  let violation = ref None in
+  (* Set when a budget stop skipped pending work mid-round: an empty final
+     frontier then does not mean a fixpoint was reached. *)
   let skipped_work = ref false in
+  let charge_fired, end_round =
+    match (keys, batch) with
+    | Datalog_keys, _ ->
+      (ignore, fun () -> Governor.gauge gov Budget.key_rewrite_datalog_facts !derived)
+    | Chase_keys, None ->
+      ( (fun () -> Governor.charge gov Budget.key_chase_triggers),
+        fun () ->
+          Governor.charge gov Budget.key_chase_rounds;
+          Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst) )
+    | Chase_keys, Some _ ->
+      ( (fun () -> Governor.charge gov Budget.key_chase_delta_triggers),
+        fun () ->
+          Governor.charge gov Budget.key_chase_rounds;
+          Governor.gauge gov Budget.key_chase_delta_facts (!inserted + !derived);
+          Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst) )
+  in
+  let add_fact ~delta_out pred t =
+    let added = Instance.add_fact inst pred t in
+    if added then begin
+      incr derived;
+      push delta_out pred t
+    end;
+    added
+  in
+  let fire_full ~delta_out (r : Tgd.t) env =
+    if Governor.live gov then begin
+      let added =
+        List.fold_left
+          (fun added (a : Atom.t) -> add_fact ~delta_out a.Atom.pred (instantiate env a) || added)
+          false r.Tgd.head
+      in
+      if added then begin
+        incr triggers_fired;
+        charge_fired ()
+      end
+    end
+    else skipped_work := true
+  in
   let apply_trigger ~delta_out tr =
     let k = Trigger.key tr in
     if not (Key_table.mem fired k) then begin
       Key_table.add fired k ();
-      let fire () =
+      if variant = Oblivious || not (Trigger.is_satisfied ?gov:eval_gov tr inst) then begin
         incr triggers_fired;
-        Governor.charge gov Budget.key_chase_triggers;
+        charge_fired ();
         List.iter
-          (fun (pred, t) ->
-            if Instance.add_fact inst pred t then begin
-              incr new_facts;
-              let existing = Option.value ~default:[] (Symbol.Table.find_opt delta_out pred) in
-              Symbol.Table.replace delta_out pred (t :: existing)
-            end)
-          (Trigger.head_facts tr gen)
-      in
-      match variant with
-      | Oblivious -> fire ()
-      | Restricted -> if not (Trigger.is_satisfied ~gov tr inst) then fire ()
+          (fun (pred, t) -> ignore (add_fact ~delta_out pred t))
+          (Trigger.head_facts tr (Lazy.force gen))
+      end
     end
   in
-  let round delta =
+  let rules =
+    List.map
+      (fun r -> (r, Symbol.Set.is_empty (Tgd.existential_head_vars r)))
+      (Tgd_logic.Program.tgds program)
+  in
+  let tgd_round frontier =
     let delta_out : Tuple.t list Symbol.Table.t = Symbol.Table.create 16 in
-    let triggers = Trigger.find_new ~gov program inst ~delta in
+    let triggers = ref [] in
+    List.iter
+      (fun ((r : Tgd.t), full) ->
+        let found =
+          if full then fire_full ~delta_out r
+          else fun env -> triggers := { Trigger.rule = r; env } :: !triggers
+        in
+        Trigger.bindings ?gov:eval_gov inst r.Tgd.body ~delta:frontier found)
+      rules;
     (* Budget checks sit at the trigger loop head, not just between rounds:
-       a single round over a large delta can fire unboundedly many
+       a single round over a large frontier can fire unboundedly many
        triggers. Discovery itself is governed too ([eval.steps]): the
        governor was live when this round began, so a stop observed here
-       means [find_new] was cut short and its trigger list is partial. *)
+       means the search was cut short and the trigger list is partial. *)
     if Governor.stopped gov <> None then skipped_work := true;
     List.iter
-      (fun tr ->
-        if Governor.live gov then apply_trigger ~delta_out tr else skipped_work := true)
-      triggers;
+      (fun tr -> if Governor.live gov then apply_trigger ~delta_out tr else skipped_work := true)
+      (List.rev !triggers);
     incr rounds;
-    Governor.charge gov Budget.key_chase_rounds;
-    Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst);
+    end_round ();
     delta_out
   in
-  let delta = ref (round None) in
-  while Governor.live gov && Symbol.Table.length !delta > 0 do
-    delta := round (Some !delta)
+  (* EGD merges rewrite rows in place, so a frontier can go stale; keep only
+     the tuples the instance still contains. *)
+  let fact_mem pred t =
+    match Instance.relation inst pred with None -> false | Some rel -> Relation.mem rel t
+  in
+  let filter_live tbl =
+    let out = Symbol.Table.create 16 in
+    Symbol.Table.iter
+      (fun pred tuples ->
+        match List.filter (fact_mem pred) tuples with
+        | [] -> ()
+        | live -> Symbol.Table.replace out pred live)
+      tbl;
+    out
+  in
+  let with_facts tbl facts =
+    let out = filter_live tbl in
+    List.iter (fun (pred, t) -> if fact_mem pred t then push out pred t) facts;
+    out
+  in
+  (* Merge until stable, searching from the frontier, and hand back the
+     frontier of the next TGD round: its surviving facts plus every fact
+     the merges rewrote. Each merge substitutes only inside the relations
+     that contain the merged value. *)
+  let egd_pass frontier =
+    if egds = [] || is_empty frontier then frontier
+    else begin
+      let rewritten = ref [] in
+      let cur = ref frontier in
+      let stable = ref false in
+      while (not !stable) && Governor.live gov && !violation = None && not (is_empty !cur) do
+        match find_egd_step ?gov:eval_gov egds inst !cur with
+        | `Stable -> stable := true
+        | `Hard v -> violation := Some v
+        | `Merge (from_, to_) ->
+          incr merges;
+          Governor.charge gov "egd.merges";
+          let fresh = Instance.substitute inst ~from_ ~to_ in
+          rewritten := fresh @ !rewritten;
+          cur := Option.map (fun c -> with_facts c fresh) !cur
+      done;
+      if Governor.stopped gov <> None && !violation = None && not (is_empty !cur) then
+        skipped_work := true;
+      Option.map (fun f -> with_facts f !rewritten) frontier
+    end
+  in
+  (* The first frontier is the only difference between the modes: the
+     whole instance, or the inserted batch. *)
+  let first =
+    match batch with
+    | None -> None
+    | Some facts ->
+      let delta0 = Symbol.Table.create 16 in
+      List.iter
+        (fun (pred, t) ->
+          if Instance.add_fact inst pred t then begin
+            incr inserted;
+            push delta0 pred t
+          end)
+        facts;
+      if keys = Chase_keys then Governor.gauge gov Budget.key_chase_delta_facts !inserted;
+      Some delta0
+  in
+  let frontier = ref (egd_pass first) in
+  while Governor.live gov && !violation = None && not (is_empty !frontier) do
+    frontier := egd_pass (Some (tgd_round !frontier))
   done;
-  Telemetry.gauge tele "chase.nulls" (Null_gen.count gen);
+  let nulls = if Lazy.is_val gen then Null_gen.count (Lazy.force gen) else 0 in
+  if keys = Chase_keys then Telemetry.gauge (Governor.telemetry gov) "chase.nulls" nulls;
   let outcome =
-    if Symbol.Table.length !delta > 0 || !skipped_work then begin
+    if ((not (is_empty !frontier)) && !violation = None) || !skipped_work then begin
       (* The loop only exits with pending work when the governor stopped;
          make sure a reason is latched even on an exotic path. *)
       if Governor.stopped gov = None then
@@ -107,7 +286,11 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
   {
     outcome;
     rounds = !rounds;
-    new_facts = !new_facts;
-    nulls = Null_gen.count gen;
+    inserted = !inserted;
+    derived = !derived;
+    nulls;
     triggers_fired = !triggers_fired;
+    merges = !merges;
+    consistent = !violation = None;
+    violation = !violation;
   }

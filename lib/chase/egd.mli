@@ -10,8 +10,8 @@
 
     In DL-Lite query answering, functionality axioms are {e separable}: when
     the data is consistent they do not affect certain answers, so the
-    FO-rewriting pipeline only needs EGDs for the consistency check — which
-    is how {!check_consistency} is meant to be used. *)
+    FO-rewriting pipeline only needs EGDs for the consistency check: chase
+    with them ({!Chase.run} [~egds]) and read the [consistent] flag. *)
 
 open Tgd_logic
 

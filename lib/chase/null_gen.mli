@@ -5,9 +5,9 @@ type t
 
 val create : ?start:int -> unit -> t
 (** A generator whose first null is [Null (start + 1)]. The default
-    [start = 0] yields [Null 1, Null 2, ...]; incremental maintenance
-    ({!Delta_chase}) passes the highest null id already present in the
-    instance so extension stays monotone and collision-free. *)
+    [start = 0] yields [Null 1, Null 2, ...]; {!Chase.run} passes the
+    highest null id already present in the instance so extension stays
+    monotone and collision-free. *)
 
 val next : t -> Tgd_db.Value.t
 

@@ -48,19 +48,21 @@ let head_facts tr gen =
   in
   List.map (fun (a : Atom.t) -> (a.Atom.pred, Array.map value a.Atom.args)) tr.rule.Tgd.head
 
+let bindings ?gov inst body ~delta k =
+  match delta with
+  | None -> Eval.bindings ?gov inst body k
+  | Some delta ->
+    List.iteri
+      (fun i (a : Atom.t) ->
+        match Symbol.Table.find_opt delta a.Atom.pred with
+        | None | Some [] -> ()
+        | Some tuples -> Eval.bindings ?gov ~forced:(i, tuples) inst body k)
+      body
+
 let find_new ?gov program inst ~delta =
   let triggers = ref [] in
-  let for_rule (r : Tgd.t) =
-    let record env = triggers := { rule = r; env } :: !triggers in
-    match delta with
-    | None -> Eval.bindings ?gov inst r.Tgd.body record
-    | Some delta ->
-      List.iteri
-        (fun i (a : Atom.t) ->
-          match Symbol.Table.find_opt delta a.Atom.pred with
-          | None | Some [] -> ()
-          | Some tuples -> Eval.bindings ?gov ~forced:(i, tuples) inst r.Tgd.body record)
-        r.Tgd.body
-  in
-  List.iter for_rule (Program.tgds program);
+  List.iter
+    (fun (r : Tgd.t) ->
+      bindings ?gov inst r.Tgd.body ~delta (fun env -> triggers := { rule = r; env } :: !triggers))
+    (Program.tgds program);
   List.rev !triggers

@@ -26,6 +26,19 @@ val head_facts : t -> Null_gen.t -> (Symbol.t * Tuple.t) list
     existential head variables by fresh nulls (one per variable, shared
     across the head atoms). *)
 
+val bindings :
+  ?gov:Tgd_exec.Governor.t ->
+  Instance.t ->
+  Atom.t list ->
+  delta:Tuple.t list Symbol.Table.t option ->
+  (Eval.env -> unit) ->
+  unit
+(** [bindings inst body ~delta k] calls [k] on every match of [body]; with
+    [delta], only on matches that use at least one delta fact (semi-naive
+    seeding: one join per body atom forced through the delta tuples of its
+    predicate, so a match using several delta facts is reported once per
+    such atom). TGD bodies and EGD bodies are both searched this way. *)
+
 val find_new :
   ?gov:Tgd_exec.Governor.t ->
   Program.t ->

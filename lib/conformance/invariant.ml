@@ -430,10 +430,10 @@ let check_update_sequence (o : Oracle.t) (case : Case.t) =
           o.Oracle.delta_apply ~max_rounds:us_rounds ~max_facts:us_facts p inc
             (List.map fact_of_atom batch)
         in
-        (match stats.Tgd_chase.Delta_chase.outcome with
+        (match stats.Tgd_chase.Chase.outcome with
         | Tgd_chase.Chase.Truncated _ -> raise (Stop (Skip "incremental chase budget hit"))
         | Tgd_chase.Chase.Terminated -> ());
-        if not stats.Tgd_chase.Delta_chase.consistent then
+        if not stats.Tgd_chase.Chase.consistent then
           (* Generated cases carry no EGDs, so this is unreachable today; a
              corpus case with EGDs skips rather than comparing the
              inconsistent marker states. *)

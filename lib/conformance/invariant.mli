@@ -23,10 +23,10 @@
       truncated rewriting and of a truncated chase are subsets of the
       complete ones;
     - {b update-sequence}: applying 1–8 fuzzed insert batches through the
-      incremental chase ({!Tgd_chase.Delta_chase}) yields, after every
-      batch, the same certain answers, the same null-free facts, and a
-      model hom-equivalent in both directions to a from-scratch chase of
-      the accumulated facts;
+      incremental chase ({!Tgd_chase.Chase.run} [~batch]) yields, after
+      every batch, the same certain answers, the same null-free facts, and
+      a model hom-equivalent in both directions to a from-scratch chase of
+      the accumulated facts (the naive reference chase);
     - {b durability}: persisting through the WAL and/or a snapshot and
       recovering into a fresh server changes no observable — answers,
       epochs, null-free facts, materialization;

@@ -24,7 +24,7 @@ type t = {
     Program.t ->
     Tgd_db.Instance.t ->
     Tgd_db.Instance.fact list ->
-    Tgd_chase.Delta_chase.stats;
+    Tgd_chase.Chase.stats;
   rewrite_datalog :
     config:Tgd_rewrite.Datalog_rw.config -> Program.t -> Cq.t -> Tgd_rewrite.Datalog_rw.result;
   datalog_answers : Tgd_rewrite.Datalog_rw.result -> Tgd_db.Instance.t -> Tgd_db.Tuple.t list;
@@ -74,10 +74,10 @@ let real =
         Tgd_chase.Certain.cq ~gov:(governed ~max_rounds ~max_facts) p inst q);
     chase_run =
       (fun ~max_rounds ~max_facts p inst ->
-        Tgd_chase.Chase.run ~gov:(governed ~max_rounds ~max_facts) p inst);
+        Naive_chase.run ~gov:(governed ~max_rounds ~max_facts) p inst);
     delta_apply =
       (fun ~max_rounds ~max_facts p inst batch ->
-        Tgd_chase.Delta_chase.apply ~gov:(governed ~max_rounds ~max_facts) p inst batch);
+        Tgd_chase.Chase.run ~gov:(governed ~max_rounds ~max_facts) ~batch p inst);
     rewrite_datalog = (fun ~config p q -> Tgd_rewrite.Datalog_rw.rewrite ~config p q);
     datalog_answers = (fun r inst -> Tgd_obda.Target.datalog_answers r inst);
     canon_key = (fun q -> (Tgd_serve.Canon.of_cq q).Tgd_serve.Canon.key);

@@ -32,15 +32,18 @@ type t = {
     Tgd_chase.Certain.result;
   chase_run :
     max_rounds:int -> max_facts:int -> Program.t -> Tgd_db.Instance.t -> Tgd_chase.Chase.stats;
+      (** a from-scratch chase: {!real} runs the naive reference chase
+          ({!Naive_chase}), not the production loop, so comparisons against
+          {!delta_apply} pit two independent implementations *)
   delta_apply :
     max_rounds:int ->
     max_facts:int ->
     Program.t ->
     Tgd_db.Instance.t ->
     Tgd_db.Instance.fact list ->
-    Tgd_chase.Delta_chase.stats;
+    Tgd_chase.Chase.stats;
       (** the incremental chase: extend a previously chased [inst] {e in
-          place} with an insert batch ({!Tgd_chase.Delta_chase.apply}) *)
+          place} with an insert batch ({!Tgd_chase.Chase.run} [~batch]) *)
   rewrite_datalog :
     config:Tgd_rewrite.Datalog_rw.config -> Program.t -> Cq.t -> Tgd_rewrite.Datalog_rw.result;
       (** the shared-pattern Datalog rewriting backend *)

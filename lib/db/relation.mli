@@ -68,9 +68,9 @@ val substitute : t -> from_:Value.t -> to_:Value.t -> Tuple.t list
     per-column indexes) by replacing [from_] with [to_]. Returns the
     rewritten rows that are new to the relation (a rewrite may collide
     with an existing row). Discards every frozen seal artifact — rewriting
-    sealed rows cannot be expressed as an append. The EGD delta path
-    ({!Tgd_chase.Delta_chase}) uses this to replay merges against only the
-    touched equivalence class. *)
+    sealed rows cannot be expressed as an append. The chase's EGD merges
+    ({!Tgd_chase.Chase.run}) use this to rewrite only the touched
+    equivalence class. *)
 
 val partition : t -> (int * Tuple.t array array) option
 (** The partition column and the shards built by the last {!seal}

@@ -12,10 +12,10 @@ type t = {
   chase_facts : int option;  (** total facts in the chased instance (gauge) *)
   chase_triggers : int option;  (** trigger applications fired *)
   chase_delta_triggers : int option;
-      (** delta-restricted trigger applications fired during incremental
-          maintenance ({!Tgd_chase.Delta_chase}) *)
+      (** trigger applications fired while extending a chased instance by
+          an insert batch ({!Tgd_chase.Chase.run} with [batch]) *)
   chase_delta_facts : int option;
-      (** facts added by an incremental delta application (gauge) *)
+      (** facts added by an insert-batch chase run (gauge) *)
   rewrite_cqs : int option;  (** candidate CQs generated by the rewriter *)
   rewrite_expansions : int option;  (** rewrite queue pops (expansions) *)
   rewrite_depth : int option;  (** rewriting depth reached (gauge) *)

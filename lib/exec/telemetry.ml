@@ -66,10 +66,6 @@ let add_span t key s =
       let v = s +. Option.value ~default:0.0 (Hashtbl.find_opt t.phases key) in
       Hashtbl.replace t.phases key v)
 
-let time t key f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> add_span t key (Unix.gettimeofday () -. t0)) f
-
 let sorted xs = List.sort compare xs
 
 let counters t =

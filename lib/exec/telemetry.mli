@@ -41,13 +41,8 @@ val peak : t -> string -> int
 
 (** {1 Phase timings} *)
 
-val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t phase f] runs [f] and adds its wall-clock duration to the
-    accumulated time of [phase]. Re-entrant per phase name (durations just
-    accumulate). *)
-
 val add_span : t -> string -> float -> unit
-(** Add [seconds] to a phase's accumulated time directly. *)
+(** Add [seconds] to a phase's accumulated time. *)
 
 (** {1 Snapshots} *)
 

@@ -31,7 +31,7 @@ val functionality : ?name:string -> role -> Tgd_chase.Egd.t
 (** DL-Lite_F's functionality axiom [funct R] as an EGD:
     [r(x,y), r(x,z) -> y = z] (keyed on the second position for inverse
     roles). Functionality axioms are separable in DL-Lite_F: they are used
-    for consistency checking ({!Tgd_chase.Egd_chase.check_consistency}), not
-    during rewriting. *)
+    for consistency checking (the [consistent] flag of
+    {!Tgd_chase.Chase.run} [~egds]), not during rewriting. *)
 
 val pp_axiom : Format.formatter -> axiom -> unit

@@ -47,7 +47,7 @@ let interval_answers ?max_nodes ?config p inst q =
   (* Upper bound: Datalog saturation of the constant-Skolemized program. *)
   let relaxed = datalog_relaxation p in
   let work = Instance.copy inst in
-  let _ = Datalog.saturate relaxed work in
+  ignore (Tgd_chase.Chase.run ~keys:Tgd_chase.Chase.Datalog_keys relaxed work);
   let upper = null_free (Eval.cq work q) in
   let exact =
     List.length lower = List.length upper && List.for_all2 Tuple.equal lower upper

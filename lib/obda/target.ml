@@ -62,7 +62,7 @@ let null_free = List.filter (fun t -> not (Tuple.has_null t))
 
 let datalog_answers ?gov (r : Datalog_rw.result) inst =
   let work = Instance.copy inst in
-  let _stats = Datalog.saturate ?gov r.Datalog_rw.program work in
+  ignore (Tgd_chase.Chase.run ?gov ~keys:Tgd_chase.Chase.Datalog_keys r.Datalog_rw.program work);
   null_free (Eval.cq ?gov work (Datalog_rw.goal_query r))
 
 let answers ?gov artifact inst =

@@ -61,7 +61,8 @@ val datalog_answers :
   ?gov:Tgd_exec.Governor.t -> Datalog_rw.result -> Instance.t -> Tuple.t list
 (** Certain answers through a Datalog artifact: saturate the rewritten
     program over a copy-on-write copy of the instance
-    ({!Tgd_db.Datalog.saturate} — the input instance is never mutated),
+    ({!Tgd_chase.Chase.run} under [Datalog_keys] — the input instance is
+    never mutated, and an ungoverned run is unbounded),
     read the goal relation back, and drop tuples containing labeled nulls.
     Deduplicated and sorted; a governed run yields a sound subset. *)
 

@@ -36,7 +36,8 @@
     equals the (possibly infinite) union of reachable rewritings, so
     queries with no finite UCQ rewriting — e.g. the paper's example 2 —
     are answered {e exactly} by semi-naive evaluation
-    ({!Tgd_db.Datalog.saturate}) in polynomial data complexity. The
+    ([Tgd_obda.Target.datalog_answers], which saturates with the chase's
+    fixpoint loop) in polynomial data complexity. The
     {!result.nonrecursive} flag reports whether the intensional dependency
     graph is acyclic (a stratified, nonrecursive program in the
     Gottlob–Schwentick sense).

@@ -18,7 +18,7 @@ type entry = {
 type mutation = {
   entry : entry;
   added : int;
-  delta : Tgd_chase.Delta_chase.stats option;
+  delta : Tgd_chase.Chase.stats option;
 }
 
 type t = {
@@ -129,14 +129,14 @@ let add_facts ?gov t ~name facts =
            copy-on-write extension of the model instead of cold-starting. *)
         let model = Tgd_db.Instance.copy m.model in
         let stats =
-          Tgd_chase.Delta_chase.apply ?gov ~null_floor:m.floor entry.program model added
+          Tgd_chase.Chase.run ?gov ~null_floor:m.floor ~batch:added entry.program model
         in
         let complete =
           m.complete
-          && stats.Tgd_chase.Delta_chase.consistent
-          && stats.Tgd_chase.Delta_chase.outcome = Tgd_chase.Chase.Terminated
+          && stats.Tgd_chase.Chase.consistent
+          && stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated
         in
-        ( Some { model; floor = m.floor + stats.Tgd_chase.Delta_chase.nulls; complete },
+        ( Some { model; floor = m.floor + stats.Tgd_chase.Chase.nulls; complete },
           Some stats )
     in
     Ok { entry = install_delta t entry merged materialization; added = List.length added; delta }

@@ -14,8 +14,8 @@
     instead — prepared rewritings stay warm across them, the copy-on-write
     instance shares its frozen columnar blocks with the predecessor
     (re-sealing extends them, {!Tgd_db.Columnar.extend}), and a live chase
-    {b materialization} is maintained incrementally by
-    {!Tgd_chase.Delta_chase} instead of cold-starting.
+    {b materialization} is maintained incrementally by a batch run of
+    {!Tgd_chase.Chase.run} instead of cold-starting.
 
     Both epochs are monotone per name for the lifetime of the registry —
     re-registering a name continues its sequences rather than restarting
@@ -43,8 +43,8 @@ type entry = {
 type mutation = {
   entry : entry;
   added : int;  (** batch facts that were new to the instance *)
-  delta : Tgd_chase.Delta_chase.stats option;
-      (** delta-apply statistics when a materialization was maintained *)
+  delta : Tgd_chase.Chase.stats option;
+      (** batch-run statistics when a materialization was maintained *)
 }
 
 type t
@@ -82,7 +82,7 @@ val add_facts :
   (mutation, string) result
 (** Append a batch of facts to [name]'s instance (copy-on-write; delta
     epoch bump only) and, when a materialization is alive, extend it with
-    {!Tgd_chase.Delta_chase.apply} under [gov] instead of re-chasing. *)
+    {!Tgd_chase.Chase.run} [~batch] under [gov] instead of re-chasing. *)
 
 val materialize :
   ?gov:Tgd_exec.Governor.t -> t -> name:string -> (entry * Tgd_chase.Chase.stats, string) result

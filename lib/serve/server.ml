@@ -277,16 +277,16 @@ let delta_fields t (m : Registry.mutation) =
   | Some stats ->
     ignore
       (Tgd_exec.Telemetry.add t.telemetry "serve.delta.triggers"
-         stats.Tgd_chase.Delta_chase.triggers_fired);
+         stats.Tgd_chase.Chase.triggers_fired);
     ignore
       (Tgd_exec.Telemetry.add t.telemetry "serve.delta.derived"
-         stats.Tgd_chase.Delta_chase.derived);
+         stats.Tgd_chase.Chase.derived);
     fields
     @ [
         ("materialized", Json.Bool true);
-        ("derived", Json.Int stats.Tgd_chase.Delta_chase.derived);
+        ("derived", Json.Int stats.Tgd_chase.Chase.derived);
         ( "delta_complete",
-          Json.Bool (stats.Tgd_chase.Delta_chase.outcome = Tgd_chase.Chase.Terminated) );
+          Json.Bool (stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated) );
       ]
 
 (* Data mutations and materialization run under the server's default

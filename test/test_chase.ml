@@ -80,7 +80,7 @@ let test_restricted_invents_when_needed () =
   let inst = Instance.of_atoms [ atom "project" [ c "apollo" ] ] in
   let stats = Chase.run person_project inst in
   Alcotest.(check int) "one null" 1 stats.Chase.nulls;
-  Alcotest.(check int) "member + person" 2 stats.Chase.new_facts
+  Alcotest.(check int) "member + person" 2 stats.Chase.derived
 
 let test_oblivious_fires_more () =
   let inst =
@@ -103,7 +103,7 @@ let test_chase_budget () =
   let stats = Chase.run ~max_rounds:10 p inst in
   Alcotest.(check bool) "budget exhausted" true
     (match stats.Chase.outcome with Chase.Truncated _ -> true | Chase.Terminated -> false);
-  Alcotest.(check bool) "progress was made" true (stats.Chase.new_facts > 5)
+  Alcotest.(check bool) "progress was made" true (stats.Chase.derived > 5)
 
 let test_chase_weakly_acyclic_terminates () =
   let rng = Tgd_gen.Rng.create 3 in
@@ -130,7 +130,7 @@ let test_chase_multi_head () =
   in
   let inst = Instance.of_atoms [ atom "a" [ c "k" ] ] in
   let stats = Chase.run p inst in
-  Alcotest.(check int) "both head atoms" 2 stats.Chase.new_facts;
+  Alcotest.(check int) "both head atoms" 2 stats.Chase.derived;
   let q =
     Cq.make ~name:"q" ~answer:[] ~body:[ atom "b" [ c "k"; v "Z" ]; atom "c" [ v "Z" ] ]
   in
@@ -153,34 +153,42 @@ let test_egd_functional_shape () =
   Alcotest.check_raises "bad position" (Invalid_argument "Egd.functional: bad determined position")
     (fun () -> ignore (Egd.functional "r" ~arity:2 ~key:[ 1 ] ~determined:5))
 
+let no_tgds = Program.make_exn ~name:"empty" []
+
+(* The chase mutates its instance: run it on a copy and hand both back. *)
+let chase_copy ?(tgds = no_tgds) egds inst =
+  let work = Instance.copy inst in
+  (Chase.run ~egds tgds work, work)
+
 let test_egd_satisfied () =
   let inst = Instance.of_atoms [ atom "r" [ c "a"; c "b" ]; atom "r" [ c "x"; c "b" ] ] in
-  match Egd_chase.saturate [ funct_r ] inst with
-  | Ok (_, merges) -> Alcotest.(check int) "no merges needed" 0 merges
-  | Error _ -> Alcotest.fail "spurious violation"
+  let stats, _ = chase_copy [ funct_r ] inst in
+  Alcotest.(check bool) "consistent" true stats.Chase.consistent;
+  Alcotest.(check int) "no merges needed" 0 stats.Chase.merges
 
 let test_egd_hard_violation () =
   let inst = Instance.of_atoms [ atom "r" [ c "a"; c "b" ]; atom "r" [ c "a"; c "d" ] ] in
-  match Egd_chase.saturate [ funct_r ] inst with
-  | Ok _ -> Alcotest.fail "expected a violation: r(a,b), r(a,d) with funct r"
-  | Error viol ->
+  match chase_copy [ funct_r ] inst with
+  | { Chase.consistent = true; _ }, _ ->
+    Alcotest.fail "expected a violation: r(a,b), r(a,d) with funct r"
+  | { Chase.violation = None; _ }, _ -> Alcotest.fail "inconsistent without a violation"
+  | { Chase.violation = Some viol; _ }, _ ->
     Alcotest.(check bool) "both constants reported" true
-      (Value.is_null viol.Egd_chase.v1 = false && Value.is_null viol.Egd_chase.v2 = false)
+      (Value.is_null viol.Chase.v1 = false && Value.is_null viol.Chase.v2 = false)
 
 let test_egd_merges_nulls () =
   let inst = Instance.create () in
   ignore (Instance.add_fact inst (Symbol.intern "r") [| Value.const "a"; Value.const "b" |]);
   ignore (Instance.add_fact inst (Symbol.intern "r") [| Value.const "a"; Value.Null 1 |]);
   ignore (Instance.add_fact inst (Symbol.intern "q") [| Value.Null 1 |]);
-  match Egd_chase.saturate [ funct_r ] inst with
-  | Error _ -> Alcotest.fail "null merge must not fail"
-  | Ok (merged, merges) ->
-    Alcotest.(check int) "one merge" 1 merges;
-    (* The null was identified with b everywhere: q(b) now holds and the two
-       r-facts collapsed into one. *)
-    let q = Cq.make ~name:"q" ~answer:[] ~body:[ atom "q" [ c "b" ] ] in
-    Alcotest.(check bool) "null renamed in q" true (Eval.cq_exists merged q);
-    Alcotest.(check int) "r collapsed" 2 (Instance.cardinality merged)
+  let stats, merged = chase_copy [ funct_r ] inst in
+  Alcotest.(check bool) "null merge must not fail" true stats.Chase.consistent;
+  Alcotest.(check int) "one merge" 1 stats.Chase.merges;
+  (* The null was identified with b everywhere: q(b) now holds and the two
+     r-facts collapsed into one. *)
+  let q = Cq.make ~name:"q" ~answer:[] ~body:[ atom "q" [ c "b" ] ] in
+  Alcotest.(check bool) "null renamed in q" true (Eval.cq_exists merged q);
+  Alcotest.(check int) "r collapsed" 2 (Instance.cardinality merged)
 
 let test_egd_combined_chase () =
   (* person(X) -> has_mother(X, M) plus functionality of has_mother: the
@@ -196,28 +204,62 @@ let test_egd_combined_chase () =
   let inst =
     Instance.of_atoms [ atom "person" [ c "ada" ]; atom "has_mother" [ c "ada"; c "ida" ] ]
   in
-  let outcome = Egd_chase.run ~tgds ~egds:[ funct_mother ] inst in
-  Alcotest.(check bool) "consistent" true outcome.Egd_chase.consistent;
+  let stats, chased = chase_copy ~tgds [ funct_mother ] inst in
+  Alcotest.(check bool) "consistent" true stats.Chase.consistent;
   (* Either the restricted chase never invented a witness, or the EGD merged
      it with ida; in both cases exactly one mother and no null remains. *)
   let q = Cq.make ~name:"q" ~answer:[ v "M" ] ~body:[ atom "has_mother" [ c "ada"; v "M" ] ] in
-  (match Eval.cq outcome.Egd_chase.instance q with
+  match Eval.cq chased q with
   | [ t ] -> Alcotest.(check bool) "the known mother" true (Value.equal t.(0) (Value.const "ida"))
-  | other -> Alcotest.fail (Printf.sprintf "expected 1 mother, got %d" (List.length other)));
-  Alcotest.(check bool) "input untouched" true (Instance.cardinality inst = 2)
+  | other -> Alcotest.fail (Printf.sprintf "expected 1 mother, got %d" (List.length other))
 
 let test_egd_dl_lite_f_consistency () =
   (* DL-Lite_F: funct(advises-): a student with two advisors is fine for
      funct(advises) keyed on the advisor... keyed on the student it is a
      violation. *)
   let funct_inv = Tgd_gen.Dl_lite.functionality (Tgd_gen.Dl_lite.Inv "advises") in
-  let tgds = Program.make_exn ~name:"empty" [] in
+  let consistent inst = (fst (chase_copy [ funct_inv ] inst)).Chase.consistent in
   let ok = Instance.of_atoms [ atom "advises" [ c "prof1"; c "sam" ]; atom "advises" [ c "prof1"; c "lee" ] ] in
-  Alcotest.(check bool) "one advisor each: consistent" true
-    (Egd_chase.check_consistency ~tgds ~egds:[ funct_inv ] ok);
+  Alcotest.(check bool) "one advisor each: consistent" true (consistent ok);
   let bad = Instance.of_atoms [ atom "advises" [ c "prof1"; c "sam" ]; atom "advises" [ c "prof2"; c "sam" ] ] in
-  Alcotest.(check bool) "two advisors for sam: inconsistent" false
-    (Egd_chase.check_consistency ~tgds ~egds:[ funct_inv ] bad)
+  Alcotest.(check bool) "two advisors for sam: inconsistent" false (consistent bad)
+
+(* A chain where every link needs one EGD merge before the next TGD
+   trigger exists: ok(c_i) invents p(c_{i+1}, Z), t(Z); funct p merges Z
+   into a_{i+1}, which makes t(a_{i+1}) and so ok(c_{i+1}) derivable. The
+   loop must keep alternating until the whole chain is done. *)
+let test_egd_chain_completes () =
+  let links = 25 in
+  let tgds =
+    Program.make_exn
+      [
+        Tgd.make ~name:"step"
+          ~body:[ atom "ok" [ v "X" ]; atom "e" [ v "X"; v "Y" ] ]
+          ~head:[ atom "p" [ v "Y"; v "Z" ]; atom "t" [ v "Z" ] ];
+        Tgd.make ~name:"check"
+          ~body:[ atom "p" [ v "Y"; v "Z" ]; atom "t" [ v "Z" ]; atom "g" [ v "Z" ] ]
+          ~head:[ atom "ok" [ v "Y" ] ];
+      ]
+  in
+  let funct_p = Egd.functional "p" ~arity:2 ~key:[ 1 ] ~determined:2 in
+  let ci i = c (Printf.sprintf "c%d" i) and ai i = c (Printf.sprintf "a%d" i) in
+  let inst =
+    Instance.of_atoms
+      (atom "ok" [ ci 0 ]
+      :: List.concat
+           (List.init links (fun i ->
+                [
+                  atom "e" [ ci i; ci (i + 1) ];
+                  atom "p" [ ci (i + 1); ai (i + 1) ];
+                  atom "g" [ ai (i + 1) ];
+                ])))
+  in
+  let stats = Chase.run ~egds:[ funct_p ] tgds inst in
+  Alcotest.(check bool) "terminated" true (stats.Chase.outcome = Chase.Terminated);
+  Alcotest.(check bool) "consistent" true stats.Chase.consistent;
+  Alcotest.(check int) "one merge per link" links stats.Chase.merges;
+  let q = Cq.make ~name:"q" ~answer:[] ~body:[ atom "ok" [ ci links ] ] in
+  Alcotest.(check bool) "end of the chain reached" true (Eval.cq_exists inst q)
 
 (* ------------------------------------------------------------------ *)
 (* Certain *)
@@ -288,6 +330,7 @@ let () =
           Alcotest.test_case "null merging" `Quick test_egd_merges_nulls;
           Alcotest.test_case "combined chase" `Quick test_egd_combined_chase;
           Alcotest.test_case "dl-lite_f consistency" `Quick test_egd_dl_lite_f_consistency;
+          Alcotest.test_case "merge chain completes" `Quick test_egd_chain_completes;
         ] );
       ( "certain",
         [

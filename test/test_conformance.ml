@@ -216,7 +216,7 @@ let test_mutant_delta_skip () =
               0 batch
           in
           {
-            Tgd_chase.Delta_chase.outcome = Tgd_chase.Chase.Terminated;
+            Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated;
             rounds = 0;
             inserted;
             derived = 0;

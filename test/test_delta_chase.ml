@@ -1,5 +1,6 @@
-(* Property tests for the delta-semi-naive incremental chase (Delta_chase):
-   incremental maintenance must agree with a from-scratch chase on every
+(* Property tests for the incremental chase (Chase.run with a batch):
+   incremental maintenance must agree with a from-scratch chase (the
+   naive reference chase of the conformance harness) on every
    null-free fact (hence on certain answers), an empty delta must be a
    no-op, batches may be split or fused freely, and budget truncation must
    degrade soundly. Plus the boxed parallel evaluator's partition-owned
@@ -94,7 +95,7 @@ let facts_subset small big = List.for_all (fun f -> List.exists (fun g -> fact_c
 let terminated = function Tgd_chase.Chase.Terminated -> true | Tgd_chase.Chase.Truncated _ -> false
 
 (* Chase the base, then delta-apply the batch; in parallel chase base+batch
-   from scratch. Returns [None] when any leg hit its budget (the property
+   from scratch with the naive reference chase. Returns [None] when any leg hit its budget (the property
    is then vacuous — qcheck assume). *)
 let run_both p base batch =
   let inc = base in
@@ -103,9 +104,9 @@ let run_both p base batch =
   else begin
     let scratch = Tgd_db.Instance.copy inc in
     List.iter (fun (pred, t) -> ignore (Tgd_db.Instance.add_fact scratch pred t)) batch;
-    let d = Tgd_chase.Delta_chase.apply ~gov:(bounded_gov ()) p inc batch in
-    let s1 = Tgd_chase.Chase.run ~gov:(bounded_gov ()) p scratch in
-    if terminated d.Tgd_chase.Delta_chase.outcome && terminated s1.Tgd_chase.Chase.outcome then
+    let d = Tgd_chase.Chase.run ~gov:(bounded_gov ()) ~batch p inc in
+    let s1 = Tgd_conformance.Naive_chase.run ~gov:(bounded_gov ()) p scratch in
+    if terminated d.Tgd_chase.Chase.outcome && terminated s1.Tgd_chase.Chase.outcome then
       Some (d, inc, scratch)
     else None
   end
@@ -148,11 +149,11 @@ let prop_empty_delta =
       let s0 = Tgd_chase.Chase.run ~gov:(bounded_gov ()) p base in
       QCheck.assume (terminated s0.Tgd_chase.Chase.outcome);
       let before = all_facts base in
-      let d = Tgd_chase.Delta_chase.apply p base [] in
-      terminated d.Tgd_chase.Delta_chase.outcome
-      && d.Tgd_chase.Delta_chase.inserted = 0
-      && d.Tgd_chase.Delta_chase.derived = 0
-      && d.Tgd_chase.Delta_chase.nulls = 0
+      let d = Tgd_chase.Chase.run ~batch:[] p base in
+      terminated d.Tgd_chase.Chase.outcome
+      && d.Tgd_chase.Chase.inserted = 0
+      && d.Tgd_chase.Chase.derived = 0
+      && d.Tgd_chase.Chase.nulls = 0
       && facts_equal before (all_facts base))
 
 (* ------------------------------------------------------------------ *)
@@ -172,13 +173,13 @@ let prop_batch_split =
       let k = List.length batch / 2 in
       let first = List.filteri (fun i _ -> i < k) batch in
       let second = List.filteri (fun i _ -> i >= k) batch in
-      let df = Tgd_chase.Delta_chase.apply ~gov:(bounded_gov ()) p fused batch in
-      let d1 = Tgd_chase.Delta_chase.apply ~gov:(bounded_gov ()) p split first in
-      let d2 = Tgd_chase.Delta_chase.apply ~gov:(bounded_gov ()) p split second in
+      let df = Tgd_chase.Chase.run ~gov:(bounded_gov ()) ~batch p fused in
+      let d1 = Tgd_chase.Chase.run ~gov:(bounded_gov ()) ~batch:first p split in
+      let d2 = Tgd_chase.Chase.run ~gov:(bounded_gov ()) ~batch:second p split in
       QCheck.assume
-        (terminated df.Tgd_chase.Delta_chase.outcome
-        && terminated d1.Tgd_chase.Delta_chase.outcome
-        && terminated d2.Tgd_chase.Delta_chase.outcome);
+        (terminated df.Tgd_chase.Chase.outcome
+        && terminated d1.Tgd_chase.Chase.outcome
+        && terminated d2.Tgd_chase.Chase.outcome);
       facts_equal (null_free fused) (null_free split))
 
 (* ------------------------------------------------------------------ *)
@@ -210,16 +211,16 @@ let prop_truncation_sound =
       QCheck.assume (terminated s0.Tgd_chase.Chase.outcome);
       let tight = Tgd_db.Instance.copy base in
       let free = Tgd_db.Instance.copy base in
-      let dt = Tgd_chase.Delta_chase.apply ~gov:(tight_gov limit) p tight batch in
-      let df = Tgd_chase.Delta_chase.apply ~gov:(bounded_gov ()) p free batch in
-      QCheck.assume (terminated df.Tgd_chase.Delta_chase.outcome);
+      let dt = Tgd_chase.Chase.run ~gov:(tight_gov limit) ~batch p tight in
+      let df = Tgd_chase.Chase.run ~gov:(bounded_gov ()) ~batch p free in
+      QCheck.assume (terminated df.Tgd_chase.Chase.outcome);
       (* Soundness: whatever the budget allowed is entailed, so the tight
          run's null-free facts embed in the complete run's. Honesty: a
          Terminated claim under a tight budget must mean it really got
          everything. *)
       facts_subset (null_free tight) (null_free free)
       &&
-      if terminated dt.Tgd_chase.Delta_chase.outcome then
+      if terminated dt.Tgd_chase.Chase.outcome then
         facts_equal (null_free tight) (null_free free)
       else true)
 

@@ -195,7 +195,7 @@ let test_truncation_deterministic () =
   let s1, f1, d1 = truncated_run 50 in
   let s2, f2, d2 = truncated_run 50 in
   Alcotest.(check int) "rounds" s1.Tgd_chase.Chase.rounds s2.Tgd_chase.Chase.rounds;
-  Alcotest.(check int) "new facts" s1.Tgd_chase.Chase.new_facts s2.Tgd_chase.Chase.new_facts;
+  Alcotest.(check int) "new facts" s1.Tgd_chase.Chase.derived s2.Tgd_chase.Chase.derived;
   Alcotest.(check int) "triggers" s1.Tgd_chase.Chase.triggers_fired
     s2.Tgd_chase.Chase.triggers_fired;
   Alcotest.(check bool) "instances identical" true (f1 = f2);
@@ -242,7 +242,7 @@ let test_diagnostics_monotone () =
           (List.assoc Budget.key_chase_triggers d.Governor.counters))
     runs;
   let triggers = List.map (fun (_, (s, _, _)) -> s.Tgd_chase.Chase.triggers_fired) runs in
-  let facts = List.map (fun (_, (s, _, _)) -> s.Tgd_chase.Chase.new_facts) runs in
+  let facts = List.map (fun (_, (s, _, _)) -> s.Tgd_chase.Chase.derived) runs in
   let rec nondecreasing = function
     | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
     | _ -> true
