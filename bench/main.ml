@@ -886,7 +886,7 @@ let e16 () =
 (* E18: morsel-driven parallel evaluation — per-core scaling.           *)
 
 type e18_run = {
-  engine : string; (* "boxed" | "columnar" *)
+  engine : string; (* "boxed" (sequential Eval.ucq baseline) | "columnar" *)
   workers : int;
   wall : float; (* seconds *)
   speedup : float; (* vs the boxed 1-worker baseline of the same size *)
@@ -897,16 +897,16 @@ type e18_run = {
 }
 
 let e18 () =
-  section "E18 (parallel eval): columnar vs boxed engines across workers and instance size";
+  section "E18 (parallel eval): columnar engine across workers and instance size vs boxed baseline";
   let v = Term.var in
   let q =
     Cq.make ~name:"q" ~answer:[ v "X" ]
       ~body:[ Atom.of_strings "r" [ v "X"; v "Y" ]; Atom.of_strings "s" [ v "Y" ] ]
   in
   (* r(x_i, y_{i mod keys}) joined with s over a third of the key domain:
-     every answer requires an index probe, the lead relation partitions
-     evenly on its first column, and the answer set is ~n/3 tuples — big
-     enough that the merge phase is exercised too. *)
+     every answer requires an index probe, the lead scan splits evenly
+     into morsels, and the answer set is ~n/3 tuples — big enough that the
+     merge phase is exercised too. *)
   let build n =
     let inst = Tgd_db.Instance.create () in
     let add pred vals =
@@ -940,15 +940,12 @@ let e18 () =
         let inst = build n in
         let reference = Tgd_db.Eval.ucq inst [ q ] in
         let k = if n >= 1_000_000 then 1 else 3 in
-        let timed_leg ~engine ~columnar w =
-          Tgd_db.Instance.seal ~partitions:(w * 4) inst;
+        Tgd_db.Instance.seal inst;
+        let timed_leg ~engine w eval =
           let answers = ref [] in
           let minor0 = Gc.minor_words () in
           let major0 = (Gc.quick_stat ()).Gc.major_words in
-          let wall =
-            time_median ~k (fun () ->
-                answers := Tgd_db.Par_eval.ucq ~workers:w ~columnar inst [ q ])
-          in
+          let wall = time_median ~k (fun () -> answers := eval ()) in
           let gc_minor = (Gc.minor_words () -. minor0) /. float_of_int k in
           let gc_major = ((Gc.quick_stat ()).Gc.major_words -. major0) /. float_of_int k in
           let identical =
@@ -958,11 +955,12 @@ let e18 () =
           { engine; workers = w; wall; speedup = 0.; scaling = 0.; identical; gc_minor; gc_major }
         in
         let legs =
-          List.concat_map
-            (fun w ->
-              [ timed_leg ~engine:"boxed" ~columnar:false w;
-                timed_leg ~engine:"columnar" ~columnar:true w ])
-            workers_list
+          timed_leg ~engine:"boxed" 1 (fun () -> Tgd_db.Eval.ucq inst [ q ])
+          :: List.map
+               (fun w ->
+                 timed_leg ~engine:"columnar" w (fun () ->
+                     Tgd_db.Par_eval.ucq ~workers:w inst [ q ]))
+               workers_list
         in
         let wall_of engine w =
           match List.find_opt (fun r -> r.engine = engine && r.workers = w) legs with
@@ -1037,7 +1035,7 @@ let e18 () =
   let sweep_n = 100_000 in
   let sweep_inst = build sweep_n in
   let sweep_reference = Tgd_db.Eval.ucq sweep_inst [ q ] in
-  Tgd_db.Instance.seal ~partitions:16 sweep_inst;
+  Tgd_db.Instance.seal sweep_inst;
   let sweep_legs =
     List.map
       (fun mt ->
@@ -1059,10 +1057,10 @@ let e18 () =
     ~got:(if List.for_all (fun (_, _, id) -> id) sweep_legs then "yes" else "no");
   let oc = open_out "BENCH_parallel_eval.json" in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"bench_parallel_eval/v2\",\n";
+  out "{\n  \"schema\": \"bench_parallel_eval/v3\",\n";
   out "  \"host_domains\": %d,\n" host_domains;
   out "  \"query\": \"q(X) :- r(X,Y), s(Y)\",\n";
-  out "  \"baseline\": \"boxed engine, 1 worker (pre-columnar default path)\",\n";
+  out "  \"baseline\": \"boxed sequential Eval.ucq (pre-columnar default path)\",\n";
   out "  \"sizes\": [\n";
   List.iteri
     (fun i (n, answers, legs) ->

@@ -325,10 +325,8 @@ let answer_cmd =
       if eval_workers > 1 then Some (Tgd_exec.Pool.create ~workers:eval_workers ()) else None
     in
     (* The instance is fully loaded: seal it so the compiled columnar
-       engine can scan it at any worker count (plus hash shards for the
-       boxed fallback's morsels, when parallel). *)
-    if eval_workers > 1 then Tgd_db.Instance.seal ~partitions:(eval_workers * 4) inst
-    else Tgd_db.Instance.seal inst;
+       engine can scan it at any worker count. *)
+    Tgd_db.Instance.seal inst;
     Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown pool) @@ fun () ->
     (* A supplied governor bypasses the chase's own round/fact defaults, so
        merge them into the budget when the spec leaves them unset. *)
@@ -355,12 +353,8 @@ let answer_cmd =
       let artifact = Tgd_obda.Target.prepare ~gov target p q in
       let gov = Option.get !last_gov in
       let answers =
-        match artifact with
-        | Tgd_obda.Target.Ucq_rewriting r ->
-          Tgd_db.Par_eval.ucq ~gov ?pool ~workers:eval_workers ?partitions:eval_partitions inst
-            r.Tgd_rewrite.Rewrite.ucq
-          |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t))
-        | Tgd_obda.Target.Datalog_rewriting r -> Tgd_obda.Target.datalog_answers ~gov r inst
+        Tgd_obda.Target.answers ~gov ?pool ~workers:eval_workers ?partitions:eval_partitions
+          artifact inst
       in
       record
         (Printf.sprintf "answer.rewriting.%s:%s" (Tgd_obda.Target.artifact_kind artifact)

@@ -19,10 +19,8 @@ let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partition
     in
     (* The chase is over: the materialized instance is now read-only, so
        seal it — building the columnar blocks the compiled evaluator scans
-       (any worker count benefits), plus hash shards for the boxed engine
-       when parallel. *)
-    (if workers <= 1 then Instance.seal work
-     else Instance.seal ~partitions:(workers * 4) work);
+       at any worker count. *)
+    Instance.seal work;
     Par_eval.ucq ?gov ?pool ~workers ?partitions:eval_partitions work disjuncts
     |> List.filter (fun t -> not (Tuple.has_null t))
   in

@@ -20,9 +20,10 @@ type t = {
       (** certain-answer semantics: null-free, deduplicated, sorted *)
   eval_ucq_par :
     workers:int -> partitions:int -> Tgd_db.Instance.t -> Cq.ucq -> Tgd_db.Tuple.t list;
-      (** the morsel-parallel evaluator: seals (and hash-partitions) the
-          instance, then evaluates on [workers] domains with the sequential
-          fallback disabled — must agree byte-for-byte with {!eval_ucq} *)
+      (** the morsel-parallel evaluator: seals the instance, then evaluates
+          on [workers] domains merging into [partitions] answer partitions,
+          with the small-scan sequential fallback disabled — must agree
+          byte-for-byte with {!eval_ucq} *)
   certain_cq :
     max_rounds:int ->
     max_facts:int ->

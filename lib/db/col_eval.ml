@@ -51,7 +51,7 @@ type t = {
 type compiled =
   | Compiled of t
   | Empty (* a body atom can never match: the disjunct has no answers *)
-  | Unsupported (* no columnar block / uncodable constant: use the boxed engine *)
+  | Unsupported (* no columnar block / uncodable constant: use Eval.ucq *)
 
 let out_arity t = Array.length t.out
 

@@ -26,8 +26,10 @@ type compiled =
       (** A body atom can never match (unknown predicate or arity
           mismatch): the disjunct has no answers. *)
   | Unsupported
-      (** A relation has no columnar block, or a constant is uncodable:
-          evaluate this UCQ with the boxed engine instead. *)
+      (** A relation has no current columnar block (the instance is
+          unsealed, a pending tail was appended since the last seal, or a
+          value is uncodable), or a constant is uncodable: {!Par_eval}
+          evaluates this UCQ sequentially with {!Eval.ucq} instead. *)
 
 val compile : Instance.t -> Cq.t -> compiled
 (** Plan (with {!Eval.bindings}'s greedy heuristics, resolved statically)
@@ -61,7 +63,7 @@ val run :
     what they keep (duplicates included: deduplication is the caller's
     partition-owned business). A governed run charges [eval.steps] per
     join node in batches and stops emitting once the governor trips, like
-    the boxed engine. *)
+    {!Eval}. *)
 
 val compare_codes : int array -> int array -> int
 (** Lexicographic order on coded answers (shorter arities first); equals

@@ -3,11 +3,11 @@
     A block holds the relation's tuples as one flat [int array] per
     attribute, each entry the order-preserving {!Value.code} of the value,
     plus a CSR index per column mapping a code to a contiguous range of row
-    ids. Blocks are immutable: {!Relation.seal} builds one, any later
-    insert discards it. Morsel-driven evaluation ({!Par_eval}) scans row
-    ranges of these contiguous arrays instead of boxed tuple lists, and the
-    compiled join machinery ({!Col_eval}) probes the CSR indexes without
-    allocating. *)
+    ids. Blocks are immutable: {!Relation.seal} builds one, and after later
+    inserts the next seal {!extend}s it. Morsel-driven evaluation
+    ({!Par_eval}) scans row ranges of these contiguous arrays instead of
+    boxed tuple lists, and the compiled join machinery ({!Col_eval}) probes
+    the CSR indexes without allocating. *)
 
 type t
 

@@ -133,27 +133,6 @@ let bindings ?gov ?(init = Symbol.Map.empty) ?forced inst atoms k =
   in
   go init tagged
 
-let lead inst atoms =
-  match List.mapi (fun i a -> (i, a, relation_size inst a)) atoms with
-  | [] -> invalid_arg "Eval.lead: empty body"
-  | first :: _ as tagged ->
-    let env = Symbol.Map.empty in
-    let unbound = List.map (fun (i, a, _) -> (i, unbound_vars env a)) tagged in
-    let score (i, a, size) =
-      ( count_bound env a,
-        (if joins_ahead unbound i then 1 else 0),
-        -size )
-    in
-    let _, best =
-      List.fold_left
-        (fun (s, x) y ->
-          let s' = score y in
-          if s' > s then (s', y) else (s, x))
-        (score first, first) tagged
-    in
-    let i, a, _ = best in
-    (i, candidates inst env a)
-
 let answer_tuple env answer =
   let value = function
     | Term.Const c -> Value.Const c

@@ -33,17 +33,6 @@ val bindings :
     list order) ranges over [tuples] instead of its full relation — the hook
     used by semi-naive Datalog evaluation. *)
 
-val lead : Instance.t -> Atom.t list -> int * Tuple.t list
-(** The planner's first choice under the empty environment: the index (in
-    list order) of the atom it would evaluate first and that atom's
-    candidate tuples. Exposed so {!Par_eval} can split exactly the scan the
-    sequential plan would perform into morsels. Raises [Invalid_argument]
-    on an empty body. *)
-
-val answer_tuple : env -> Term.t list -> Tuple.t
-(** Build the answer tuple for the given answer terms under an assignment.
-    Raises [Invalid_argument] if an answer variable is unbound. *)
-
 val cq : ?gov:Tgd_exec.Governor.t -> Instance.t -> Cq.t -> Tuple.t list
 (** All answers, deduplicated and sorted. For a boolean query the answer is
     [[ [||] ]] (one empty tuple) if the body is satisfiable and [[]]

@@ -92,8 +92,7 @@ let max_null inst =
 let build_indexes inst =
   Symbol.Table.iter (fun _ rel -> Relation.build_all_indexes rel) inst.relations
 
-let seal ?partitions inst =
-  Symbol.Table.iter (fun _ rel -> Relation.seal ?partitions rel) inst.relations
+let seal inst = Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
 
 let pp ppf inst =
   let pp_fact ppf (pred, t) = Format.fprintf ppf "%a%a" Symbol.pp pred Tuple.pp t in

@@ -10,10 +10,11 @@ val create : unit -> t
 
 val copy : t -> t
 (** Copy-on-write copy (see {!Relation.copy}): the row sets and indexes are
-    structurally duplicated while frozen seal artifacts (columnar blocks,
-    partitions) are shared, so mutating the copy — chasing it, appending a
-    delta — never disturbs the original, and sealing the copy after an
-    append extends the shared block instead of re-encoding it. *)
+    structurally duplicated while frozen seal artifacts (columnar blocks
+    and their pending tails) are shared, so mutating the copy — chasing
+    it, appending a delta — never disturbs the original, and sealing the
+    copy after an append extends the shared block instead of re-encoding
+    it. *)
 
 val add_fact : t -> Symbol.t -> Tuple.t -> bool
 (** [true] iff the fact is new. Creates the relation on first use; raises
@@ -64,9 +65,9 @@ val build_indexes : t -> unit
     any number of domains is race-free because {!Relation.lookup} no longer
     builds indexes lazily. *)
 
-val seal : ?partitions:int -> t -> unit
-(** {!build_indexes}, plus — when [partitions] is given — hash-partition
-    every relation into that many shards (see {!Relation.seal}) so
-    {!Par_eval} can split scans into morsels. *)
+val seal : t -> unit
+(** {!Relation.seal} every relation: encode its columnar block, which
+    {!Col_eval} and {!Par_eval} scan, or build its boxed indexes when the
+    block cannot be built. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,155 +1,22 @@
 (* Morsel-driven parallel UCQ evaluation.
 
-   Two engines share this entry point.
+   On sealed instances every disjunct is compiled with [Col_eval], the
+   leading scan is split into contiguous row-range morsels, and every
+   worker hashes its coded answers into task-private partition buckets.
+   The merge is then free of locks: a second parallel phase gives each of
+   the P answer partitions to one worker, which deduplicates and sorts its
+   partition alone, and the final k-way concatenation-merge of the
+   (disjoint, sorted) partitions is a linear pass. No mutex is taken
+   anywhere on the answer path.
 
-   The columnar engine (the default on sealed instances) compiles each
-   disjunct with [Col_eval], splits the leading scan into contiguous
-   row-range morsels, and lets every worker hash its coded answers into
-   task-private partition buckets. The merge is then free of locks: a
-   second parallel phase gives each of the P answer partitions to one
-   worker, which deduplicates and sorts its partition alone, and the final
-   k-way concatenation-merge of the (disjoint, sorted) partitions is a
-   linear pass. No mutex is taken anywhere on the answer path.
-
-   The boxed engine is the pre-columnar fallback — kept for instances that
-   are not sealed or hold uncodable values: leading-atom morsels over
-   [Eval.bindings]'s [~forced] hook. Its merge follows the same
-   partition-owned discipline as the columnar engine — tasks hash boxed
-   answers into task-private per-partition buckets, one worker per
-   partition dedups and sorts, and the sorted disjoint partitions fold
-   together in a linear merge — so no mutex is taken here either.
-
-   Both engines poll the one shared governor, so budgets and truncation
-   semantics survive parallelism; both return answers byte-identical to
-   [Eval.ucq]'s (same deduplication, same final order). *)
-
-open Tgd_logic
+   Anything the compiler cannot take — an unsealed instance, a relation
+   with a pending tail, an uncodable value — is evaluated sequentially by
+   [Eval.ucq]. The engine polls the one shared governor, so budgets and
+   truncation semantics survive parallelism, and returns answers
+   byte-identical to [Eval.ucq]'s (same deduplication, same final
+   order). *)
 
 let default_min_tuples = 512
-
-(* ------------------------------------------------------------------ *)
-(* Boxed engine (fallback)                                             *)
-
-(* Aim for a few morsels per worker so the dynamic scheduler can balance
-   uneven morsel costs, but keep morsels big enough to amortize dispatch. *)
-let morsels_of_list ~workers tuples =
-  let len = List.length tuples in
-  let target = workers * 4 in
-  let chunk = max 64 ((len + target - 1) / target) in
-  let rec take n acc rest =
-    match rest with
-    | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
-    | _ -> (List.rev acc, rest)
-  in
-  let rec go acc rest =
-    match rest with
-    | [] -> List.rev acc
-    | _ ->
-      let m, rest = take chunk [] rest in
-      go (m :: acc) rest
-  in
-  Array.of_list (go [] tuples)
-
-let shard_morsels inst (a : Atom.t) =
-  let unconstrained =
-    Array.for_all (function Term.Var _ -> true | Term.Const _ -> false) a.Atom.args
-  in
-  if not unconstrained then None
-  else
-    Option.bind (Instance.relation inst a.Atom.pred) Relation.partition
-    |> Option.map (fun (_pos, shards) ->
-           Array.to_list shards
-           |> List.filter_map (fun s ->
-                  if Array.length s = 0 then None else Some (Array.to_list s))
-           |> Array.of_list)
-
-(* [run_batch n f] runs the morsels [f 0 .. f (n-1)] of one parallel
-   batch; both engines call it only when [workers > 1]. *)
-let boxed_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions inst disjuncts =
-  let parts_n = partitions in
-  let part_of t = Tuple.hash t land max_int mod parts_n in
-  (* Answers land in per-partition list buckets: the sequential paths own
-     [seq_buckets], each parallel morsel owns one slot of its batch's
-     bucket table, and the coordinating thread collects the slots after the
-     batch — no lock is taken anywhere on the answer path. Per-task
-     [Tuple.Table]s dedup within a morsel only; cross-task duplicates are
-     the partition owner's job in phase 2. *)
-  let seq_buckets = Array.make parts_n [] in
-  let all_buckets : Tuple.t list array list ref = ref [] in
-  List.iter
-    (fun (q : Cq.t) ->
-      let collect_seq () =
-        let local = Tuple.Table.create 64 in
-        Eval.bindings ?gov inst q.Cq.body (fun env ->
-            let t = Eval.answer_tuple env q.Cq.answer in
-            if not (Tuple.Table.mem local t) then begin
-              Tuple.Table.add local t ();
-              let p = part_of t in
-              seq_buckets.(p) <- t :: seq_buckets.(p)
-            end)
-      in
-      match q.Cq.body with
-      | [] -> collect_seq ()
-      | body ->
-        let lead_idx, lead_tuples = Eval.lead inst body in
-        if List.length lead_tuples < min_tuples then collect_seq ()
-        else begin
-          let lead_atom = List.nth body lead_idx in
-          let morsels =
-            match shard_morsels inst lead_atom with
-            | Some shards when Array.length shards > 1 -> shards
-            | Some _ | None -> morsels_of_list ~workers lead_tuples
-          in
-          let n = Array.length morsels in
-          (match gov with
-          | Some g -> Tgd_exec.Governor.charge ~n g "eval.morsels"
-          | None -> ());
-          let slots = Array.make n [||] in
-          run_batch n (fun m ->
-              let locals = Array.make parts_n [] in
-              let local = Tuple.Table.create 256 in
-              Eval.bindings ?gov ~forced:(lead_idx, morsels.(m)) inst body (fun env ->
-                  let t = Eval.answer_tuple env q.Cq.answer in
-                  if not (Tuple.Table.mem local t) then begin
-                    Tuple.Table.add local t ();
-                    let p = part_of t in
-                    locals.(p) <- t :: locals.(p)
-                  end);
-              slots.(m) <- locals);
-          Array.iter (fun b -> if Array.length b > 0 then all_buckets := b :: !all_buckets) slots
-        end)
-    disjuncts;
-  (* Phase 2: partition-owned dedup + sort. Partition [p] is touched by
-     exactly one worker, which merges the sequential bucket and every
-     task's bucket for [p] through a private table. *)
-  let merge_t0 = match gov with Some _ -> Unix.gettimeofday () | None -> 0.0 in
-  let buckets = Array.of_list !all_buckets in
-  let parts = Array.make parts_n [] in
-  let merge_partition p =
-    let table = Tuple.Table.create 64 in
-    let add t = if not (Tuple.Table.mem table t) then Tuple.Table.add table t () in
-    List.iter add seq_buckets.(p);
-    Array.iter (fun b -> List.iter add b.(p)) buckets;
-    parts.(p) <- Tuple.Table.fold (fun t () l -> t :: l) table [] |> List.sort Tuple.compare
-  in
-  if workers <= 1 || parts_n = 1 then
-    for p = 0 to parts_n - 1 do
-      merge_partition p
-    done
-  else run_batch parts_n merge_partition;
-  (* Phase 3: equal answers hash to the same partition, so the partitions
-     are disjoint and folding sorted merges reproduces
-     [List.sort Tuple.compare] over the union exactly. *)
-  let result = Array.fold_left (fun acc l -> List.merge Tuple.compare acc l) [] parts in
-  (match gov with
-  | Some g ->
-    Tgd_exec.Telemetry.add_span (Tgd_exec.Governor.telemetry g) "eval.par.merge"
-      (Unix.gettimeofday () -. merge_t0)
-  | None -> ());
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Columnar engine                                                     *)
 
 (* A grow-only flat bucket of fixed-stride coded rows; each one is owned
    by exactly one task (phase 1) or one partition worker (phase 2), so no
@@ -188,7 +55,8 @@ let empty_part = { strides = [||]; flats = [||]; counts = [||]; tuples = [||] }
 
 let default_partitions ~workers = max 1 (workers * 4)
 
-(* Every disjunct compiled, or the reason we must fall back. *)
+(* Every disjunct compiled, or [None] when one of them must fall back to
+   [Eval.ucq]. *)
 let compile_all inst disjuncts =
   let rec go acc = function
     | [] -> Some (List.rev acc)
@@ -201,8 +69,8 @@ let compile_all inst disjuncts =
   go [] disjuncts
 
 let columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans =
-  (* One [eval.steps] charge per disjunct mirrors the boxed engine's
-     join-search root charge, so a 1-step budget trips either engine. *)
+  (* One [eval.steps] charge per disjunct mirrors [Eval]'s join-search
+     root charge, so a 1-step budget trips either evaluator. *)
   (match gov with
   | Some g when plans <> [] ->
     Tgd_exec.Governor.charge ~n:(List.length plans) g Tgd_exec.Budget.key_eval_steps
@@ -357,10 +225,7 @@ let columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans =
   | None -> ());
   Array.to_list result
 
-(* ------------------------------------------------------------------ *)
-
-let ucq ?gov ?pool ?workers ?(min_tuples = default_min_tuples) ?partitions ?(columnar = true)
-    inst disjuncts =
+let ucq ?gov ?pool ?workers ?(min_tuples = default_min_tuples) ?partitions inst disjuncts =
   let workers =
     match (workers, pool) with
     | Some w, _ -> max 1 w
@@ -376,27 +241,23 @@ let ucq ?gov ?pool ?workers ?(min_tuples = default_min_tuples) ?partitions ?(col
     | Some p -> invalid_arg (Printf.sprintf "Par_eval.ucq: partitions must be >= 1, got %d" p)
     | None -> if workers <= 1 then 1 else default_partitions ~workers
   in
-  (* Batches go to the caller's pool, or to a transient one of
-     [workers - 1] helpers (the caller is the last worker) spawned by the
-     first batch that needs it and joined before returning. *)
-  let transient = ref None in
-  let run_batch n f =
-    let p =
-      match pool, !transient with
-      | Some p, _ | None, Some p -> p
-      | None, None ->
-        let p = Tgd_exec.Pool.create ~workers:(workers - 1) () in
-        transient := Some p;
-        p
+  match compile_all inst disjuncts with
+  | None -> Eval.ucq ?gov inst disjuncts
+  | Some plans ->
+    (* Batches go to the caller's pool, or to a transient one of
+       [workers - 1] helpers (the caller is the last worker) spawned by the
+       first batch that needs it and joined before returning. *)
+    let transient = ref None in
+    let run_batch n f =
+      let p =
+        match pool, !transient with
+        | Some p, _ | None, Some p -> p
+        | None, None ->
+          let p = Tgd_exec.Pool.create ~workers:(workers - 1) () in
+          transient := Some p;
+          p
+      in
+      Tgd_exec.Pool.run_morsels p ~n f
     in
-    Tgd_exec.Pool.run_morsels p ~n f
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown !transient) (fun () ->
-      match if columnar then compile_all inst disjuncts else None with
-      | Some plans -> columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans
-      | None ->
-        if workers <= 1 then Eval.ucq ?gov inst disjuncts
-        else boxed_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions inst disjuncts)
-
-let cq ?gov ?pool ?workers ?min_tuples ?partitions ?columnar inst q =
-  ucq ?gov ?pool ?workers ?min_tuples ?partitions ?columnar inst [ q ]
+    Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown !transient) (fun () ->
+        columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans)

@@ -1,5 +1,4 @@
-(** Morsel-driven parallel evaluation of conjunctive queries and unions
-    thereof.
+(** Morsel-driven parallel evaluation of unions of conjunctive queries.
 
     On a sealed instance ({!Instance.seal}) the engine runs compiled
     columnar plans ({!Col_eval}): each disjunct's leading scan is split
@@ -13,12 +12,11 @@
     k-way concatenation-merge of disjoint sorted runs. No mutex is taken
     and no per-answer heap block is allocated on the answer path.
 
-    Instances that are not sealed (or hold values outside the codable
-    range, see {!Value.code}) fall back to the boxed engine: leading-atom
-    morsels through {!Eval.bindings}'s [~forced] hook, with the same
-    partition-owned, lock-free answer merge. Either way results
-    are byte-identical to {!Eval.ucq}'s (same deduplication, same final
-    sort order).
+    Anything the compiler cannot take — an unsealed instance, a relation
+    with a pending tail, a value outside the codable range (see
+    {!Value.code}) — is evaluated sequentially by {!Eval.ucq}, whatever
+    the worker count. Either way results are byte-identical to
+    {!Eval.ucq}'s (same deduplication, same final sort order).
 
     Governance survives parallelism: all workers poll the one shared
     governor (the columnar engine charges [eval.steps] in batches, so the
@@ -43,7 +41,6 @@ val ucq :
   ?workers:int ->
   ?min_tuples:int ->
   ?partitions:int ->
-  ?columnar:bool ->
   Instance.t ->
   Cq.ucq ->
   Tuple.t list
@@ -53,21 +50,8 @@ val ucq :
     [partitions] is the answer-partition count P of the columnar merge
     (default [4 × workers]; raises [Invalid_argument] when [< 1]); more
     partitions balance skewed answer distributions, fewer amortize the
-    per-partition setup. [~columnar:false] forces the boxed engine even on
-    a sealed instance (debugging and differential testing). Morsels are
-    dispatched through {!Tgd_exec.Pool.run_morsels} (the caller
-    participates) on [pool] when given; otherwise a parallel call spawns a
-    transient pool of [workers - 1] domains at its first batch and joins
-    it before returning. *)
-
-val cq :
-  ?gov:Tgd_exec.Governor.t ->
-  ?pool:Tgd_exec.Pool.t ->
-  ?workers:int ->
-  ?min_tuples:int ->
-  ?partitions:int ->
-  ?columnar:bool ->
-  Instance.t ->
-  Cq.t ->
-  Tuple.t list
-(** [ucq] on a single disjunct. *)
+    per-partition setup. Morsels are dispatched through
+    {!Tgd_exec.Pool.run_morsels} (the caller participates) on [pool] when
+    given; otherwise a parallel call spawns a transient pool of
+    [workers - 1] domains at its first batch and joins it before
+    returning. *)

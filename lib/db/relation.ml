@@ -5,16 +5,10 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type partition = {
-  pos : int;
-  shards : Tuple.t array array;
-}
-
 type t = {
   arity : int;
   rows : unit Tuple.Table.t;
   indexes : Tuple.t list Vtbl.t option array; (* one optional index per column *)
-  mutable partition : partition option;
   mutable columnar : Columnar.t option;
   (* The last sealed block. [Some _] with an empty [pending] means the block
      mirrors [rows] exactly; with a non-empty [pending] the block covers a
@@ -40,7 +34,6 @@ let create ~arity =
     arity;
     rows = Tuple.Table.create 64;
     indexes = Array.make (max arity 1) None;
-    partition = None;
     columnar = None;
     pending = [];
     columnar_failed = false;
@@ -49,15 +42,14 @@ let create ~arity =
 
 (* Copy-on-write duplication: the hashtable and index tables are duplicated
    (cheap structural copies — keys and the tuples themselves are shared and
-   never mutated), while the frozen snapshots (columnar block, partition
-   shards, pending tail) are shared outright. Either side can keep
-   inserting without the other observing it. *)
+   never mutated), while the frozen snapshots (columnar block, pending
+   tail) are shared outright. Either side can keep inserting without the
+   other observing it. *)
 let copy r =
   {
     arity = r.arity;
     rows = Tuple.Table.copy r.rows;
     indexes = Array.map (Option.map Vtbl.copy) r.indexes;
-    partition = r.partition;
     columnar = r.columnar;
     pending = r.pending;
     columnar_failed = r.columnar_failed;
@@ -98,11 +90,8 @@ let insert r t =
     Array.iteri
       (fun pos idx -> match idx with None -> () | Some idx -> index_insert idx t pos)
       r.indexes;
-    (* Shards are frozen snapshots of the rows; a grown relation must not
-       serve stale ones to the parallel evaluator. The columnar block is
-       kept alongside a pending tail so the next seal can extend it in
-       place of a full re-encode. *)
-    r.partition <- None;
+    (* The columnar block is kept alongside a pending tail so the next
+       seal can extend it in place of a full re-encode. *)
     (match r.columnar with
     | Some _ -> r.pending <- t :: r.pending
     | None -> r.columnar_failed <- false);
@@ -134,47 +123,6 @@ let lookup r ~pos v =
   let idx = match r.indexes.(pos) with Some idx -> idx | None -> build_index r pos in
   Option.value ~default:[] (Vtbl.find_opt idx v)
 
-(* ------------------------------------------------------------------ *)
-(* Hash partitioning                                                   *)
-
-(* The partition position is the column with the most distinct values: its
-   hash spreads the rows most evenly, so the shards — the scan units handed
-   to parallel workers — stay balanced. *)
-let partition_position r =
-  if r.arity = 0 then 0
-  else begin
-    let best = ref 0 and best_distinct = ref (-1) in
-    for pos = 0 to r.arity - 1 do
-      let distinct =
-        match r.indexes.(pos) with Some idx -> Vtbl.length idx | None -> -1
-      in
-      if distinct > !best_distinct then begin
-        best := pos;
-        best_distinct := distinct
-      end
-    done;
-    !best
-  end
-
-let build_partition r ~parts =
-  if parts <= 0 then invalid_arg "Relation.seal: partitions must be positive";
-  let parts = max 1 (min parts (max 1 (cardinality r))) in
-  let pos = partition_position r in
-  let shard_of t =
-    if r.arity = 0 then 0 else (Value.hash t.(pos) land max_int) mod parts
-  in
-  let counts = Array.make parts 0 in
-  iter (fun t -> counts.(shard_of t) <- counts.(shard_of t) + 1) r;
-  let shards = Array.init parts (fun i -> Array.make counts.(i) [||]) in
-  let fill = Array.make parts 0 in
-  iter
-    (fun t ->
-      let s = shard_of t in
-      shards.(s).(fill.(s)) <- t;
-      fill.(s) <- fill.(s) + 1)
-    r;
-  r.partition <- Some { pos; shards }
-
 let build_columnar r =
   match r.columnar with
   | Some block when r.pending <> [] -> (
@@ -201,25 +149,13 @@ let build_columnar r =
       | None -> r.columnar_failed <- true
     end
 
-let seal ?partitions r =
+let seal r =
   build_columnar r;
   (* With a block covering every row, scans and joins run columnar and the
      boxed per-column indexes stay lazy (built on the first fallback
      lookup) — this is what makes adopting a snapshot block a bulk load.
      Relations without a block are served boxed and keep eager indexes. *)
-  if r.columnar = None then build_all_indexes r;
-  match partitions with
-  | None -> ()
-  | Some parts -> (
-    match r.partition with
-    | Some p when Array.length p.shards = max 1 (min parts (max 1 (cardinality r))) -> ()
-    | Some _ | None ->
-      (* partition_position picks the most selective column from the
-         indexes, so build them before sharding. *)
-      build_all_indexes r;
-      build_partition r ~parts)
-
-let partition r = Option.map (fun p -> (p.pos, p.shards)) r.partition
+  if r.columnar = None then build_all_indexes r
 
 let columnar r =
   (* A block with a pending tail is stale: readers get [None] until the
@@ -284,7 +220,6 @@ let substitute r ~from_ ~to_ =
       affected;
     (* Substitution rewrites sealed rows, so the extend path is invalid:
        drop every frozen snapshot. *)
-    r.partition <- None;
     r.columnar <- None;
     r.pending <- [];
     r.columnar_failed <- false;

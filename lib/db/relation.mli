@@ -1,7 +1,7 @@
 (** A mutable extensional relation: a set of tuples of a fixed arity with
-    per-column hash indexes (built lazily, maintained incrementally) and an
-    optional hash partition into shards, the scan units of morsel-driven
-    parallel evaluation ({!Par_eval}). *)
+    per-column hash indexes (built lazily, maintained incrementally) and,
+    once sealed, a {!Columnar} block — the scan unit of compiled and
+    morsel-parallel evaluation ({!Col_eval}, {!Par_eval}). *)
 
 type t
 
@@ -12,9 +12,9 @@ val cardinality : t -> int
 val copy : t -> t
 (** Copy-on-write duplicate: the row set and indexes are structurally
     copied (the tuples themselves are shared — they are never mutated),
-    and the frozen seal artifacts (columnar block, partition, pending
-    append tail) are shared outright. Inserting into either side leaves
-    the other unchanged. *)
+    and the frozen seal artifacts (columnar block, pending append tail)
+    are shared outright. Inserting into either side leaves the other
+    unchanged. *)
 
 val insert : t -> Tuple.t -> bool
 (** [true] iff the tuple was not already present. Raises [Invalid_argument]
@@ -34,15 +34,12 @@ val build_all_indexes : t -> unit
     longer inserted into can serve {!lookup} from any number of domains
     concurrently — nothing on the read path mutates. *)
 
-val seal : ?partitions:int -> t -> unit
-(** {!build_all_indexes}, encode the {!Columnar} block, and — when
-    [partitions] is given — hash-partition the rows into (at most) that many
-    shards on the column with the most distinct values, so the shards come
-    out balanced. Idempotent for a given shard count; raises
-    [Invalid_argument] when [partitions <= 0]. The partition is a frozen
-    snapshot that any later {!insert} discards; the columnar block instead
-    survives inserts as a stale prefix plus a pending tail, and the next
-    seal {e extends} it ({!Columnar.extend}) — only the appended tuples are
+val seal : t -> unit
+(** Encode the {!Columnar} block; when it cannot be built (a value
+    outside {!Value.code}'s range), {!build_all_indexes} instead, so boxed
+    readers never build an index lazily. Idempotent. The block survives
+    inserts as a stale prefix plus a pending tail, and the next seal
+    {e extends} it ({!Columnar.extend}) — only the appended tuples are
     coded, nothing is re-hashed. *)
 
 val columnar : t -> Columnar.t option
@@ -71,8 +68,3 @@ val substitute : t -> from_:Value.t -> to_:Value.t -> Tuple.t list
     sealed rows cannot be expressed as an append. The chase's EGD merges
     ({!Tgd_chase.Chase.run}) use this to rewrite only the touched
     equivalence class. *)
-
-val partition : t -> (int * Tuple.t array array) option
-(** The partition column and the shards built by the last {!seal}
-    [~partitions], if still valid. Every row appears in exactly one shard;
-    two rows sharing the partition column's value share a shard. *)

@@ -26,4 +26,4 @@ val has_null : t -> bool
 
 module Table : Hashtbl.S with type key = t
 (** Hash tables keyed by tuple value (not physical identity): the
-    deduplication workhorse of {!Eval} and {!Par_eval} answer merging. *)
+    deduplication workhorse of {!Eval}'s answer merging. *)

@@ -35,20 +35,15 @@ type interval = {
   removed_rules : string list;
 }
 
-let null_free = List.filter (fun t -> not (Tuple.has_null t))
-
 let interval_answers ?max_nodes ?config p inst q =
   let subset, removed = wr_subset ?max_nodes p in
   (* Lower bound: exact certain answers under the sound subset. Even if the
      rewriting truncates (it should not on a WR subset, but the budget is a
      budget) the evaluated disjuncts are sound. *)
   let lower_rewriting = Tgd_rewrite.Rewrite.ucq ?config subset q in
-  let lower = null_free (Eval.ucq inst lower_rewriting.Tgd_rewrite.Rewrite.ucq) in
+  let lower = Target.answers ~workers:1 (Target.Ucq_rewriting lower_rewriting) inst in
   (* Upper bound: Datalog saturation of the constant-Skolemized program. *)
-  let relaxed = datalog_relaxation p in
-  let work = Instance.copy inst in
-  ignore (Tgd_chase.Chase.run ~keys:Tgd_chase.Chase.Datalog_keys relaxed work);
-  let upper = null_free (Eval.cq work q) in
+  let upper = Target.saturated_answers (datalog_relaxation p) inst q in
   let exact =
     List.length lower = List.length upper && List.for_all2 Tuple.equal lower upper
   in

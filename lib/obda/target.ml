@@ -60,12 +60,15 @@ let prepare ?ucq_config ?datalog_config ~gov target program q =
 
 let null_free = List.filter (fun t -> not (Tuple.has_null t))
 
-let datalog_answers ?gov (r : Datalog_rw.result) inst =
+let saturated_answers ?gov program inst goal =
   let work = Instance.copy inst in
-  ignore (Tgd_chase.Chase.run ?gov ~keys:Tgd_chase.Chase.Datalog_keys r.Datalog_rw.program work);
-  null_free (Eval.cq ?gov work (Datalog_rw.goal_query r))
+  ignore (Tgd_chase.Chase.run ?gov ~keys:Tgd_chase.Chase.Datalog_keys program work);
+  null_free (Eval.cq ?gov work goal)
 
-let answers ?gov artifact inst =
+let datalog_answers ?gov (r : Datalog_rw.result) inst =
+  saturated_answers ?gov r.Datalog_rw.program inst (Datalog_rw.goal_query r)
+
+let answers ?gov ?pool ?workers ?partitions artifact inst =
   match artifact with
-  | Ucq_rewriting r -> null_free (Eval.ucq ?gov inst r.Rewrite.ucq)
+  | Ucq_rewriting r -> null_free (Par_eval.ucq ?gov ?pool ?workers ?partitions inst r.Rewrite.ucq)
   | Datalog_rewriting r -> datalog_answers ?gov r inst

@@ -57,16 +57,32 @@ val prepare :
     first truncates, keeping the first (sound, truncated) artifact only if
     the fallback also truncates. *)
 
+val saturated_answers :
+  ?gov:Tgd_exec.Governor.t -> Program.t -> Instance.t -> Cq.t -> Tuple.t list
+(** [saturated_answers program inst goal]: saturate the existential-free
+    [program] over a copy-on-write copy of [inst] ({!Tgd_chase.Chase.run}
+    under [Datalog_keys] — the input instance is never mutated, and an
+    ungoverned run is unbounded), evaluate [goal] on the result and drop
+    tuples containing labeled nulls. Deduplicated and sorted; a governed
+    run yields a sound subset. *)
+
 val datalog_answers :
   ?gov:Tgd_exec.Governor.t -> Datalog_rw.result -> Instance.t -> Tuple.t list
-(** Certain answers through a Datalog artifact: saturate the rewritten
-    program over a copy-on-write copy of the instance
-    ({!Tgd_chase.Chase.run} under [Datalog_keys] — the input instance is
-    never mutated, and an ungoverned run is unbounded),
-    read the goal relation back, and drop tuples containing labeled nulls.
-    Deduplicated and sorted; a governed run yields a sound subset. *)
+(** Certain answers through a Datalog artifact: {!saturated_answers} of the
+    rewritten program and its goal query. *)
 
-val answers : ?gov:Tgd_exec.Governor.t -> artifact -> Instance.t -> Tuple.t list
-(** Certain answers through either artifact kind: {!Tgd_db.Eval.ucq} plus
-    null filtering for [Ucq_rewriting], {!datalog_answers} for
-    [Datalog_rewriting]. *)
+val answers :
+  ?gov:Tgd_exec.Governor.t ->
+  ?pool:Tgd_exec.Pool.t ->
+  ?workers:int ->
+  ?partitions:int ->
+  artifact ->
+  Instance.t ->
+  Tuple.t list
+(** Certain answers through either artifact kind — the one
+    artifact-to-answers dispatch of the CLI and the server. A
+    [Ucq_rewriting] is evaluated by {!Tgd_db.Par_eval.ucq} (columnar and
+    morsel-parallel on a sealed instance, sequential {!Tgd_db.Eval.ucq}
+    otherwise; [pool], [workers] and [partitions] are passed through with
+    its defaults) and tuples containing labeled nulls are dropped; a
+    [Datalog_rewriting] goes to {!datalog_answers}. *)

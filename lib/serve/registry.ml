@@ -29,16 +29,14 @@ type t = {
   last_epoch : (string, int) Hashtbl.t;
   (* Highest delta epoch per name, monotone the same way. *)
   last_delta : (string, int) Hashtbl.t;
-  partitions : int option;
 }
 
-let create ?partitions () =
+let create () =
   {
     lock = Mutex.create ();
     entries = Hashtbl.create 8;
     last_epoch = Hashtbl.create 8;
     last_delta = Hashtbl.create 8;
-    partitions;
   }
 
 let locked t f =
@@ -51,7 +49,7 @@ let next_counter tbl name =
   e
 
 let install t name program instance =
-  Tgd_db.Instance.seal ?partitions:t.partitions instance;
+  Tgd_db.Instance.seal instance;
   locked t (fun () ->
       let entry =
         {
@@ -70,9 +68,9 @@ let install t name program instance =
    put, because a rewriting depends only on the TGDs; only the delta epoch
    bumps. *)
 let install_delta t (prev : entry) instance materialization =
-  Tgd_db.Instance.seal ?partitions:t.partitions instance;
+  Tgd_db.Instance.seal instance;
   (match materialization with
-  | Some m -> Tgd_db.Instance.seal ?partitions:t.partitions m.model
+  | Some m -> Tgd_db.Instance.seal m.model
   | None -> ());
   locked t (fun () ->
       let entry =
@@ -90,9 +88,9 @@ let register t ~name ?facts program =
   install t name program instance
 
 let restore t ~name ~epoch ~delta_epoch ?materialization program instance =
-  Tgd_db.Instance.seal ?partitions:t.partitions instance;
+  Tgd_db.Instance.seal instance;
   (match materialization with
-  | Some m -> Tgd_db.Instance.seal ?partitions:t.partitions m.model
+  | Some m -> Tgd_db.Instance.seal m.model
   | None -> ());
   locked t (fun () ->
       (* Epoch counters resume at least where the snapshot left them, so a
@@ -154,7 +152,7 @@ let materialize ?gov t ~name =
         complete = stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated;
       }
     in
-    Tgd_db.Instance.seal ?partitions:t.partitions model;
+    Tgd_db.Instance.seal model;
     let entry =
       locked t (fun () ->
           (* A cache fill, not a mutation: both epochs stay put. Re-read the

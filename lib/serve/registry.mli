@@ -49,10 +49,11 @@ type mutation = {
 
 type t
 
-val create : ?partitions:int -> unit -> t
-(** With [partitions], every installed instance is additionally
-    hash-partitioned into that many shards ({!Tgd_db.Instance.seal}) so the
-    server's parallel evaluator can split scans into morsels. *)
+val create : unit -> t
+(** An empty registry. Every installed instance (and materialized model)
+    is sealed ({!Tgd_db.Instance.seal}) before it becomes visible, so
+    concurrent readers never mutate it: relations get their columnar
+    blocks, and relations without one get their boxed indexes. *)
 
 val register : t -> name:string -> ?facts:Tgd_db.Instance.t -> Program.t -> entry
 (** Install (or replace) an ontology under [name]: a full-epoch bump. The

@@ -33,12 +33,7 @@ let make ?(cache_capacity = 1024) ?(base_budget = default_budget)
   if checkpoint_every < 0 then invalid_arg "Server.create: checkpoint_every must be >= 0";
   let telemetry = Tgd_exec.Telemetry.create () in
   {
-    registry =
-      (* Sealing an installed instance always builds its columnar blocks;
-         a parallel server additionally hash-partitions for the boxed
-         fallback's shard morsels. *)
-      (if eval_workers > 1 then Registry.create ~partitions:(eval_workers * 4) ()
-       else Registry.create ());
+    registry = Registry.create ();
     cache = Prepared.create ~capacity:cache_capacity ~telemetry ();
     telemetry;
     base_budget;
@@ -220,18 +215,13 @@ let handle_query t ~ontology ~query ~budget ~target ~eval =
             in
             let fields =
               if eval then begin
+                (* Registry instances are sealed on install, so a UCQ runs
+                   the compiled columnar engine at any worker count; a
+                   Datalog program saturates a copy-on-write clone and
+                   leaves the registry's sealed columns untouched. *)
                 let answers =
-                  match artifact with
-                  | Tgd_obda.Target.Ucq_rewriting r ->
-                    (* Registry instances are sealed on install, so this runs
-                       the compiled columnar engine at any worker count. *)
-                    Tgd_db.Par_eval.ucq ~gov ?pool:t.eval_pool ~workers:t.eval_workers
-                      ?partitions:t.eval_partitions entry.Registry.instance r.Tgd_rewrite.Rewrite.ucq
-                    |> List.filter (fun tup -> not (Tgd_db.Tuple.has_null tup))
-                  | Tgd_obda.Target.Datalog_rewriting r ->
-                    (* Saturates a copy-on-write clone of the instance; the
-                       registry's sealed columns are shared, untouched. *)
-                    Tgd_obda.Target.datalog_answers ~gov r entry.Registry.instance
+                  Tgd_obda.Target.answers ~gov ?pool:t.eval_pool ~workers:t.eval_workers
+                    ?partitions:t.eval_partitions artifact entry.Registry.instance
                 in
                 let exact = complete && Tgd_exec.Governor.stopped gov = None in
                 fields

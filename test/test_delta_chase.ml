@@ -3,8 +3,8 @@
    naive reference chase of the conformance harness) on every
    null-free fact (hence on certain answers), an empty delta must be a
    no-op, batches may be split or fused freely, and budget truncation must
-   degrade soundly. Plus the boxed parallel evaluator's partition-owned
-   merge on the unsealed/pending fallback path. *)
+   degrade soundly. Plus the parallel evaluator's sequential fallback on
+   unsealed instances and pending tails. *)
 
 open Tgd_logic
 open Tgd_gen
@@ -225,8 +225,8 @@ let prop_truncation_sound =
       else true)
 
 (* ------------------------------------------------------------------ *)
-(* 5. Boxed parallel evaluation (unsealed / pending-append fallback)    *)
-(*    agrees with sequential evaluation.                                *)
+(* 5. Parallel evaluation on unsealed / pending-append instances falls  *)
+(*    back to, and so agrees with, sequential evaluation.               *)
 
 let random_cq rng p =
   let preds = Program.predicates p in
@@ -247,9 +247,9 @@ let random_cq rng p =
 let tuples_equal l1 l2 =
   List.length l1 = List.length l2 && List.for_all2 Tgd_db.Tuple.equal l1 l2
 
-let prop_boxed_par_unsealed =
+let prop_par_unsealed_fallback =
   QCheck.Test.make
-    ~name:"boxed parallel UCQ on an unsealed instance equals sequential evaluation" ~count:80
+    ~name:"parallel UCQ on an unsealed instance falls back to sequential evaluation" ~count:80
     arb_seed (fun seed ->
       let rng = Rng.create seed in
       let p = program_of_seed rng seed in
@@ -259,14 +259,13 @@ let prop_boxed_par_unsealed =
       let seq = Tgd_db.Eval.ucq inst ucq in
       let workers = 2 + Rng.int rng 2 in
       let partitions = 1 + Rng.int rng 7 in
-      (* columnar:false forces the boxed engine even though the instance
-         could be sealed; min_tuples:1 forces the morsel machinery. *)
-      let par =
-        Tgd_db.Par_eval.ucq ~columnar:false ~workers ~min_tuples:1 ~partitions inst ucq
-      in
+      (* The instance was never sealed, so nothing compiles and every
+         worker count must take the sequential [Eval.ucq] path; min_tuples:1
+         would otherwise force the morsel machinery. *)
+      let par = Tgd_db.Par_eval.ucq ~workers ~min_tuples:1 ~partitions inst ucq in
       tuples_equal seq par)
 
-let prop_boxed_par_pending =
+let prop_par_pending_fallback =
   QCheck.Test.make
     ~name:"parallel UCQ after a post-seal append (pending tuples) equals sequential" ~count:80
     arb_seed (fun seed ->
@@ -274,11 +273,11 @@ let prop_boxed_par_pending =
       let p = program_of_seed rng seed in
       QCheck.assume (Program.predicates p <> []);
       let inst = base_instance rng p in
-      Tgd_db.Instance.seal ~partitions:4 inst;
+      Tgd_db.Instance.seal inst;
       (* Appending after seal parks tuples in the relations' pending lists:
          the columnar view goes stale, compilation reports Unsupported, and
-         the dispatcher must fall back to the boxed engine — on exactly the
-         state the delta chase leaves behind between re-seals. *)
+         the dispatcher must fall back to sequential [Eval.ucq] — on exactly
+         the state the delta chase leaves behind between re-seals. *)
       List.iter
         (fun (pred, t) -> ignore (Tgd_db.Instance.add_fact inst pred t))
         (random_batch rng p ~size:(1 + Rng.int rng 5));
@@ -298,5 +297,5 @@ let () =
       ("batch-split", List.map to_alcotest [ prop_batch_split ]);
       ("truncation", List.map to_alcotest [ prop_truncation_sound ]);
       ( "boxed-parallel",
-        List.map to_alcotest [ prop_boxed_par_unsealed; prop_boxed_par_pending ] );
+        List.map to_alcotest [ prop_par_unsealed_fallback; prop_par_pending_fallback ] );
     ]

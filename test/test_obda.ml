@@ -487,6 +487,64 @@ let test_prop_interval_ordered () =
     then Alcotest.fail (Printf.sprintf "iteration %d: exact but bounds differ" i)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Target.answers: the one artifact-to-answers dispatch *)
+
+(* emp(X) -> works(X, Y): a query over works rewrites to a two-disjunct
+   UCQ, and the Datalog target to a small program. The instance holds
+   labeled nulls in the works relation, as a partly chased instance does,
+   and is large enough that the 3-worker run splits its scans into
+   morsels. *)
+let test_target_answers_dispatch () =
+  let p =
+    Program.make_exn ~name:"works"
+      [
+        Tgd.make ~name:"r1" ~body:[ atom "emp" [ v "X" ] ]
+          ~head:[ atom "works" [ v "X"; v "Y" ] ];
+      ]
+  in
+  let inst = Instance.create () in
+  let add pred vals = ignore (Instance.add_fact inst (Symbol.intern pred) (Array.of_list vals)) in
+  for i = 0 to 1_999 do
+    add "works" [ Value.const (Printf.sprintf "x%d" i); Value.const (Printf.sprintf "d%d" (i mod 7)) ];
+    if i mod 3 = 0 then add "works" [ Value.const (Printf.sprintf "y%d" i); Value.Null (i + 1) ];
+    if i mod 5 = 0 then add "emp" [ Value.const (Printf.sprintf "z%d" i) ]
+  done;
+  Instance.seal inst;
+  let queries =
+    [
+      Cq.make ~name:"pairs" ~answer:[ v "X"; v "Y" ] ~body:[ atom "works" [ v "X"; v "Y" ] ];
+      Cq.make ~name:"workers" ~answer:[ v "X" ] ~body:[ atom "works" [ v "X"; v "Y" ] ];
+    ]
+  in
+  List.iter
+    (fun (q : Cq.t) ->
+      let ucq = Tgd_rewrite.Rewrite.ucq p q in
+      let raw = Eval.ucq inst ucq.Tgd_rewrite.Rewrite.ucq in
+      let expected = List.filter (fun t -> not (Tuple.has_null t)) raw in
+      let dl = Tgd_rewrite.Datalog_rw.rewrite p q in
+      let dl_expected = Target.datalog_answers dl inst in
+      Alcotest.(check bool) (q.Cq.name ^ ": datalog agrees with the UCQ") true
+        (tuples_equal dl_expected expected);
+      List.iter
+        (fun workers ->
+          let label kind = Printf.sprintf "%s: %s at %d worker(s)" q.Cq.name kind workers in
+          Alcotest.(check bool) (label "ucq = Eval.ucq minus nulls") true
+            (tuples_equal (Target.answers ~workers (Target.Ucq_rewriting ucq) inst) expected);
+          Alcotest.(check bool) (label "datalog = datalog_answers") true
+            (tuples_equal (Target.answers ~workers (Target.Datalog_rewriting dl) inst) dl_expected))
+        [ 1; 3 ])
+    queries;
+  (* The pairs query actually meets nulls, so the filter is exercised, and
+     the 3-worker run takes the columnar engine's morsel path. *)
+  let pairs = Tgd_rewrite.Rewrite.ucq p (List.hd queries) in
+  Alcotest.(check bool) "raw answers hold nulls" true
+    (List.exists Tuple.has_null (Eval.ucq inst pairs.Tgd_rewrite.Rewrite.ucq));
+  let gov = Tgd_exec.Governor.create () in
+  ignore (Target.answers ~gov ~workers:3 (Target.Ucq_rewriting pairs) inst);
+  Alcotest.(check bool) "3 workers split the scans into morsels" true
+    (Tgd_exec.Telemetry.get (Tgd_exec.Governor.telemetry gov) "eval.morsels" > 1)
+
 let () =
   Alcotest.run "obda"
     [
@@ -519,6 +577,8 @@ let () =
           Alcotest.test_case "interval brackets" `Quick test_interval_brackets_example2;
           Alcotest.test_case "exact on datalog" `Quick test_interval_exact_when_datalog;
         ] );
+      ( "target",
+        [ Alcotest.test_case "answers dispatch" `Quick test_target_answers_dispatch ] );
       ( "system",
         [
           Alcotest.test_case "virtual = materialized" `Quick test_system_answer_vs_materialized;

@@ -1,10 +1,10 @@
-(* The parallel evaluation engine: Pool unit tests, Relation partitioning
-   unit tests, and the qcheck equivalence property — morsel-parallel
-   evaluation must agree with sequential evaluation (answers and truncation
-   flag) across worker counts (1, 2, 4 and the TGDLIB_DOMAINS-derived
-   default), random partition counts, and BOTH engines: the compiled
-   columnar path (default on sealed instances) and the boxed fallback
-   forced via [~columnar:false]. *)
+(* The parallel evaluation engine: Pool unit tests and the qcheck
+   equivalence property — morsel-parallel evaluation must agree with
+   sequential evaluation (answers and truncation flag) across worker counts
+   (1, 2, 4 and the TGDLIB_DOMAINS-derived default), random answer-partition
+   counts, and both legs of the one dispatch: the compiled columnar engine
+   on sealed instances and the sequential [Eval.ucq] fallback on unsealed
+   ones. *)
 
 open Tgd_logic
 open Tgd_db
@@ -150,42 +150,6 @@ let test_pool_core_clamp () =
   Tgd_exec.Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
-(* Relation partitioning *)
-
-let test_partition_covers_rows () =
-  let r = Relation.create ~arity:2 in
-  for i = 0 to 99 do
-    ignore (Relation.insert r [| vc (string_of_int i); vc (string_of_int (i mod 7)) |])
-  done;
-  Alcotest.(check bool) "no partition before seal" true (Relation.partition r = None);
-  Relation.seal ~partitions:4 r;
-  match Relation.partition r with
-  | None -> Alcotest.fail "seal ~partitions built no partition"
-  | Some (pos, shards) ->
-    Alcotest.(check int) "partition on the most-distinct column" 0 pos;
-    Alcotest.(check int) "requested shard count" 4 (Array.length shards);
-    let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 shards in
-    Alcotest.(check int) "shards cover every row exactly once" (Relation.cardinality r) total;
-    Array.iter (Array.iter (fun t -> Alcotest.(check bool) "shard row is a row" true (Relation.mem r t))) shards
-
-let test_partition_invalidated_by_insert () =
-  let r = Relation.create ~arity:1 in
-  for i = 0 to 9 do
-    ignore (Relation.insert r [| vc (string_of_int i) |])
-  done;
-  Relation.seal ~partitions:2 r;
-  Alcotest.(check bool) "partitioned after seal" true (Relation.partition r <> None);
-  ignore (Relation.insert r [| vc "fresh" |]);
-  Alcotest.(check bool) "insert discards the stale partition" true (Relation.partition r = None);
-  (* Re-sealing rebuilds it over the grown relation. *)
-  Relation.seal ~partitions:2 r;
-  match Relation.partition r with
-  | None -> Alcotest.fail "re-seal built no partition"
-  | Some (_, shards) ->
-    Alcotest.(check int) "rebuilt shards cover the new row too" 11
-      (Array.fold_left (fun acc s -> acc + Array.length s) 0 shards)
-
-(* ------------------------------------------------------------------ *)
 (* Deterministic end-to-end equivalence on a non-trivial join *)
 
 let graph_instance n =
@@ -202,27 +166,33 @@ let graph_instance n =
 let join_query =
   Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom "r" [ v "X"; v "Y" ]; atom "s" [ v "Y" ] ]
 
+(* The two legs of the dispatch: a sealed instance runs the columnar
+   engine, an unsealed one the sequential fallback. *)
+let sealed_and_unsealed mk =
+  let sealed = mk () in
+  Instance.seal sealed;
+  [ ("sealed", sealed); ("unsealed", mk ()) ]
+
 let test_par_eval_join_equivalence () =
-  let inst = graph_instance 2_000 in
-  let reference = Eval.ucq inst [ join_query ] in
+  let legs = sealed_and_unsealed (fun () -> graph_instance 2_000) in
+  let reference = Eval.ucq (List.assoc "unsealed" legs) [ join_query ] in
   Alcotest.(check bool) "the join has answers" true (reference <> []);
   List.iter
     (fun (workers, partitions) ->
-      Instance.seal ~partitions inst;
       List.iter
-        (fun columnar ->
-          let par = Par_eval.ucq ~workers ~min_tuples:1 ~columnar inst [ join_query ] in
+        (fun (leg, inst) ->
+          let par = Par_eval.ucq ~workers ~min_tuples:1 ~partitions inst [ join_query ] in
           Alcotest.(check bool)
-            (Printf.sprintf "workers=%d partitions=%d columnar=%b equals sequential" workers
-               partitions columnar)
+            (Printf.sprintf "workers=%d partitions=%d %s equals sequential" workers partitions
+               leg)
             true
             (List.length par = List.length reference && List.for_all2 Tuple.equal par reference))
-        [ true; false ])
+        legs)
     [ (1, 1); (2, 2); (2, 8); (4, 4); (4, 16); (Tgd_exec.Pool.default_workers (), 5) ]
 
 let test_par_eval_shared_pool () =
   let inst = graph_instance 1_000 in
-  Instance.seal ~partitions:8 inst;
+  Instance.seal inst;
   let reference = Eval.ucq inst [ join_query ] in
   let pool = Tgd_exec.Pool.create ~workers:4 () in
   Fun.protect ~finally:(fun () -> Tgd_exec.Pool.shutdown pool) @@ fun () ->
@@ -232,23 +202,23 @@ let test_par_eval_shared_pool () =
       (List.length par = List.length reference && List.for_all2 Tuple.equal par reference)
   done
 
-(* Truncation semantics: a one-step eval budget trips both engines; an
+(* Truncation semantics: a one-step eval budget trips both legs; an
    unlimited governor trips neither and the answers agree. *)
 let test_par_eval_truncation_flag () =
-  let inst = graph_instance 1_000 in
-  Instance.seal ~partitions:4 inst;
+  let legs = sealed_and_unsealed (fun () -> graph_instance 1_000) in
+  let inst = List.assoc "sealed" legs in
   let tiny = { Tgd_exec.Budget.unlimited with Tgd_exec.Budget.eval_steps = Some 1 } in
   let gov_seq = Tgd_exec.Governor.create ~budget:tiny () in
   ignore (Eval.ucq ~gov:gov_seq inst [ join_query ]);
   List.iter
-    (fun columnar ->
+    (fun (leg, inst) ->
       let gov_par = Tgd_exec.Governor.create ~budget:tiny () in
-      ignore (Par_eval.ucq ~gov:gov_par ~workers:4 ~min_tuples:1 ~columnar inst [ join_query ]);
+      ignore (Par_eval.ucq ~gov:gov_par ~workers:4 ~min_tuples:1 inst [ join_query ]);
       Alcotest.(check bool)
-        (Printf.sprintf "parallel (columnar=%b) trips the 1-step budget" columnar)
+        (Printf.sprintf "parallel (%s) trips the 1-step budget" leg)
         true
         (Tgd_exec.Governor.stopped gov_par <> None))
-    [ true; false ];
+    legs;
   Alcotest.(check bool) "sequential trips the 1-step budget" true
     (Tgd_exec.Governor.stopped gov_seq <> None);
   let gov_free = Tgd_exec.Governor.create () in
@@ -313,34 +283,32 @@ let arb_case =
 let prop_par_eval_equals_seq =
   QCheck.Test.make ~name:"parallel evaluation equals sequential (answers)" ~count:60 arb_case
     (fun (facts, ucq, partitions) ->
-      let inst = Instance.of_atoms facts in
-      let reference = Eval.ucq inst ucq in
-      Instance.seal ~partitions inst;
+      let legs = sealed_and_unsealed (fun () -> Instance.of_atoms facts) in
+      let reference = Eval.ucq (List.assoc "unsealed" legs) ucq in
       List.for_all
-        (fun columnar ->
+        (fun (_, inst) ->
           List.for_all
             (fun workers ->
-              let par = Par_eval.ucq ~workers ~min_tuples:1 ~columnar inst ucq in
+              let par = Par_eval.ucq ~workers ~min_tuples:1 ~partitions inst ucq in
               List.length par = List.length reference
               && List.for_all2 Tuple.equal par reference)
             [ 1; 2; 4; Tgd_exec.Pool.default_workers () ])
-        [ true; false ])
+        legs)
 
 let prop_par_eval_truncates_like_seq =
   QCheck.Test.make ~name:"parallel evaluation truncates like sequential (1-step budget)"
     ~count:30 arb_case (fun (facts, ucq, partitions) ->
-      let inst = Instance.of_atoms facts in
-      Instance.seal ~partitions inst;
+      let legs = sealed_and_unsealed (fun () -> Instance.of_atoms facts) in
       let tiny = { Tgd_exec.Budget.unlimited with Tgd_exec.Budget.eval_steps = Some 1 } in
       let gov_seq = Tgd_exec.Governor.create ~budget:tiny () in
-      ignore (Eval.ucq ~gov:gov_seq inst ucq);
+      ignore (Eval.ucq ~gov:gov_seq (List.assoc "unsealed" legs) ucq);
       let seq_stopped = Tgd_exec.Governor.stopped gov_seq <> None in
       List.for_all
-        (fun columnar ->
+        (fun (_, inst) ->
           let gov_par = Tgd_exec.Governor.create ~budget:tiny () in
-          ignore (Par_eval.ucq ~gov:gov_par ~workers:4 ~min_tuples:1 ~columnar inst ucq);
+          ignore (Par_eval.ucq ~gov:gov_par ~workers:4 ~min_tuples:1 ~partitions inst ucq);
           seq_stopped = (Tgd_exec.Governor.stopped gov_par <> None))
-        [ true; false ])
+        legs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -357,11 +325,6 @@ let () =
             test_pool_concurrent_submit_drain;
           Alcotest.test_case "shutdown during drain" `Quick test_pool_shutdown_during_drain;
           Alcotest.test_case "worker clamp to core count" `Quick test_pool_core_clamp;
-        ] );
-      ( "partition",
-        [
-          Alcotest.test_case "shards cover the rows" `Quick test_partition_covers_rows;
-          Alcotest.test_case "insert invalidates" `Quick test_partition_invalidated_by_insert;
         ] );
       ( "equivalence",
         [
