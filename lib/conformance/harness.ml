@@ -23,11 +23,6 @@ let guarded check oracle case =
   try check oracle case
   with e -> Invariant.Fail ("uncaught exception: " ^ Printexc.to_string e)
 
-let check_case ?(oracle = Oracle.real) ?(invariants = Invariant.all) case =
-  List.map
-    (fun (inv : Invariant.t) -> (inv.Invariant.name, guarded inv.Invariant.check oracle case))
-    invariants
-
 (* The reproduction predicate for shrinking: the same invariant still fails
    (with any witness — chasing the exact message would block useful
    reductions). *)

@@ -24,15 +24,6 @@ type summary = {
   failures : failure list;
 }
 
-val check_case :
-  ?oracle:Oracle.t ->
-  ?invariants:Invariant.t list ->
-  Case.t ->
-  (string * Invariant.outcome) list
-(** Apply every invariant to one case, in registry order. An exception
-    escaping a check is converted into a [Fail] naming the exception, so one
-    crashing layer cannot abort the sweep. *)
-
 val run :
   ?oracle:Oracle.t ->
   ?invariants:Invariant.t list ->

@@ -20,7 +20,6 @@ type t = {
   args : term array;
 }
 
-val term_equal : term -> term -> bool
 val term_compare : term -> term -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

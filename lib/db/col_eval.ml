@@ -10,12 +10,9 @@
    what lets morsel workers run at memory bandwidth instead of fighting the
    multicore minor heap (see E18 / BENCH_parallel_eval.json).
 
-   The planner mirrors {!Eval.bindings}'s greedy order (most bound
-   positions first, joined-ahead atoms before isolated cross products,
-   then the smaller relation), but resolves it statically: which variables
-   are bound at step [k] depends only on the atoms chosen before [k], never
-   on candidate values, so the "adaptive" order is in fact a compile-time
-   constant. *)
+   The join order and each step's probe column come from {!Join_plan},
+   the planner {!Eval.bindings} interprets over boxed relations; compiling
+   translates its steps into slots, codes and captured columns. *)
 
 open Tgd_logic
 
@@ -32,7 +29,7 @@ type probe =
   | Probe_slot of int * int (* column index, frame slot *)
 
 type step = {
-  atom : Atom.t;
+  plan : Join_plan.step;
   block : Columnar.t;
   probe : probe;
   checks : check array;
@@ -200,149 +197,55 @@ let block_of inst (a : Atom.t) =
       | Some block -> block
       | None -> raise (Not_compilable Unsupported))
 
-(* Static mirror of [Eval.bindings]'s per-step selection. *)
-let plan_order tagged =
-  let unbound_vars bound (a : Atom.t) =
-    Array.fold_left
-      (fun acc t ->
-        match t with
-        | Term.Var v when not (Symbol.Set.mem v bound) -> v :: acc
-        | Term.Var _ | Term.Const _ -> acc)
-      [] a.Atom.args
-  in
-  let count_bound bound (a : Atom.t) =
-    Array.fold_left
-      (fun acc t ->
-        match t with
-        | Term.Const _ -> acc + 1
-        | Term.Var v -> if Symbol.Set.mem v bound then acc + 1 else acc)
-      0 a.Atom.args
-  in
-  let rec loop bound acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let unbound = List.map (fun (i, a, _) -> (i, unbound_vars bound a)) remaining in
-      let joins_ahead i mine =
-        mine <> []
-        && List.exists
-             (fun (j, theirs) ->
-               j <> i
-               && List.exists
-                    (fun v -> List.exists (fun w -> Symbol.equal v w) theirs)
-                    mine)
-             unbound
-      in
-      let score (i, a, size) =
-        ( count_bound bound a,
-          (if joins_ahead i (List.assoc i unbound) then 1 else 0),
-          -size )
-      in
-      let best =
-        List.fold_left
-          (fun best x ->
-            match best with
-            | None -> Some x
-            | Some y -> if score x > score y then Some x else best)
-          None remaining
-      in
-      (match best with
-      | None -> assert false
-      | Some ((i, a, _) as chosen) ->
-        let bound = Symbol.Set.union bound (Atom.vars a) in
-        loop bound (chosen :: acc) (List.filter (fun (j, _, _) -> j <> i) remaining))
-  in
-  loop Symbol.Set.empty [] tagged
-
 let compile inst (q : Cq.t) =
   try
-    let tagged =
-      List.mapi
-        (fun i a ->
-          let block = block_of inst a in
-          (i, a, Columnar.nrows block))
-        q.Cq.body
+    let blocks = Array.of_list (List.map (block_of inst) q.Cq.body) in
+    let plan = Join_plan.make ~sizes:(Array.map Columnar.nrows blocks) q.Cq.body in
+    let slots = Symbol.Table.create 16 in
+    let step (s : Join_plan.step) =
+      let block = blocks.(s.Join_plan.index) in
+      let probed = Option.value s.Join_plan.probe ~default:(-1) in
+      let probe =
+        match s.Join_plan.probe with
+        | None -> Scan
+        | Some j -> (
+          match s.Join_plan.args.(j) with
+          | Join_plan.Const c -> Probe_const (j, const_code c)
+          | Join_plan.Check v | Join_plan.Bind v -> Probe_slot (j, Symbol.Table.find slots v))
+      in
+      (* One op per column, left to right, except the probed column: it
+         holds the probe value on every candidate row. *)
+      let check k =
+        let j = if probed >= 0 && k >= probed then k + 1 else k in
+        let col = Columnar.col block j in
+        match s.Join_plan.args.(j) with
+        | Join_plan.Const c -> Check_const (col, const_code c)
+        | Join_plan.Check v -> Check_slot (col, Symbol.Table.find slots v)
+        | Join_plan.Bind v ->
+          let slot = Symbol.Table.length slots in
+          Symbol.Table.add slots v slot;
+          Bind (col, slot)
+      in
+      let nchecks = Array.length s.Join_plan.args - if probed >= 0 then 1 else 0 in
+      { plan = s; block; probe; checks = Array.init nchecks check }
     in
-    let ordered = plan_order tagged in
-    let slots : (Symbol.t, int) Hashtbl.t = Hashtbl.create 16 in
-    let nslots = ref 0 in
-    let slot_of v =
-      match Hashtbl.find_opt slots v with
-      | Some s -> Some s
-      | None -> None
-    in
-    let new_slot v =
-      let s = !nslots in
-      Hashtbl.add slots v s;
-      incr nslots;
-      s
-    in
-    let steps =
-      List.map
-        (fun (_, (a : Atom.t), _) ->
-          let block = block_of inst a in
-          let n = Atom.arity a in
-          (* The probe column: first position holding a constant or an
-             already-bound variable — the same choice as
-             [Eval.candidates]. *)
-          let rec find_probe j =
-            if j >= n then Scan
-            else
-              match a.Atom.args.(j) with
-              | Term.Const c -> Probe_const (j, const_code c)
-              | Term.Var v -> (
-                match slot_of v with
-                | Some s -> Probe_slot (j, s)
-                | None -> find_probe (j + 1))
-          in
-          let probe = find_probe 0 in
-          let probed_col = match probe with Scan -> -1 | Probe_const (j, _) | Probe_slot (j, _) -> j in
-          let checks = ref [] in
-          for j = 0 to n - 1 do
-            let col = Columnar.col block j in
-            match a.Atom.args.(j) with
-            | Term.Const c -> if j <> probed_col then checks := Check_const (col, const_code c) :: !checks
-            | Term.Var v -> (
-              match slot_of v with
-              | Some s -> if j <> probed_col then checks := Check_slot (col, s) :: !checks
-              | None ->
-                let s = new_slot v in
-                checks := Bind (col, s) :: !checks)
-          done;
-          { atom = a; block; probe; checks = Array.of_list (List.rev !checks) })
-        ordered
-    in
+    let steps = Array.map step plan in
     let out =
       List.map
         (function
           | Term.Const c -> Out_code (const_code c)
           | Term.Var v -> (
-            match slot_of v with
+            match Symbol.Table.find_opt slots v with
             | Some s -> Out_slot s
             | None -> invalid_arg "Col_eval.compile: unbound answer variable"))
         q.Cq.answer
     in
-    Compiled { steps = Array.of_list steps; nslots = !nslots; out = Array.of_list out }
+    Compiled { steps; nslots = Symbol.Table.length slots; out = Array.of_list out }
   with Not_compilable c -> c
 
-let steps t =
-  Array.to_list
-    (Array.map
-       (fun s ->
-         (s.atom, match s.probe with Scan -> None | Probe_const (j, _) | Probe_slot (j, _) -> Some j))
-       t.steps)
+let steps t = Array.map (fun s -> s.plan) t.steps
 
-let pp ppf t =
-  Array.iteri
-    (fun i s ->
-      let access =
-        match s.probe with
-        | Scan -> "scan"
-        | Probe_const (j, _) | Probe_slot (j, _) -> Printf.sprintf "index probe on c%d" (j + 1)
-      in
-      Format.fprintf ppf "%d. %a  via %s (%d rows)@." (i + 1) Atom.pp s.atom access
-        (Columnar.nrows s.block))
-    t.steps
+let pp ppf t = Join_plan.pp ~rows:(fun k -> Columnar.nrows t.steps.(k).block) ppf (steps t)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

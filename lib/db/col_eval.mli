@@ -32,18 +32,17 @@ type compiled =
           evaluates this UCQ sequentially with {!Eval.ucq} instead. *)
 
 val compile : Instance.t -> Cq.t -> compiled
-(** Plan (with {!Eval.bindings}'s greedy heuristics, resolved statically)
-    and compile one disjunct against a sealed instance. *)
+(** Order one disjunct with {!Join_plan.make} (the plan {!Eval.bindings}
+    interprets) and translate it into slots, codes and captured columns
+    against a sealed instance. *)
 
 val out_arity : t -> int
 
-val steps : t -> (Atom.t * int option) list
-(** The compiled join order: per step its atom and the column whose index
-    it probes ([None]: a full scan of the block). *)
+val steps : t -> Join_plan.step array
+(** The join plan this was compiled from. *)
 
 val pp : Format.formatter -> t -> unit
-(** The compiled plan, one numbered step per line with its access path and
-    the block's row count. *)
+(** The plan ({!Join_plan.pp}) with each step's block row count. *)
 
 val lead_len : t -> int
 (** Number of candidate rows of the leading step — the scan that

@@ -210,16 +210,41 @@ let export t =
     p_rows = Array.map (fun idx -> idx.rows) t.indexes;
   }
 
+(* The CSR arrays of an index are adopted as they are and probed with
+   unchecked loads ([Col_eval]), so an image that breaks their shape must
+   be refused here: one linear pass over arrays already read. *)
+let check_index ~nrows j pairs starts rows =
+  let ngroups = Array.length pairs in
+  let fail what = Error (Printf.sprintf "column %d index: %s" j what) in
+  let rec monotone g = g > ngroups || (starts.(g - 1) <= starts.(g) && monotone (g + 1)) in
+  if Array.length starts <> ngroups + 1 then fail "group offsets do not match the group count"
+  else if starts.(0) <> 0 || starts.(ngroups) <> nrows || not (monotone 1) then
+    fail "group offsets are not a partition of the rows"
+  else if Array.length rows <> nrows then fail "row list length mismatch"
+  else if Array.exists (fun r -> r < 0 || r >= nrows) rows then fail "row id out of range"
+  else if Array.exists (fun (_, g) -> g < 0 || g >= ngroups) pairs then
+    fail "group id out of range"
+  else Ok ()
+
 let import p =
-  let index_of j =
-    { groups = Pairs p.p_groups.(j); starts = p.p_starts.(j); rows = p.p_rows.(j) }
+  let nrows = p.p_nrows in
+  let rec check_indexes j =
+    if j >= p.p_arity then Ok ()
+    else
+      Result.bind
+        (check_index ~nrows j p.p_groups.(j) p.p_starts.(j) p.p_rows.(j))
+        (fun () -> check_indexes (j + 1))
   in
-  {
-    arity = p.p_arity;
-    nrows = p.p_nrows;
-    cols = p.p_cols;
-    indexes = Array.init p.p_arity index_of;
-  }
+  if Array.exists (fun col -> Array.length col <> nrows) p.p_cols then
+    Error "column length mismatch"
+  else
+    Result.map
+      (fun () ->
+        let index_of j =
+          { groups = Pairs p.p_groups.(j); starts = p.p_starts.(j); rows = p.p_rows.(j) }
+        in
+        { arity = p.p_arity; nrows; cols = p.p_cols; indexes = Array.init p.p_arity index_of })
+      (check_indexes 0)
 
 let iter_rows f t =
   for i = 0 to t.nrows - 1 do

@@ -62,8 +62,12 @@ type parts = {
 val export : t -> parts
 (** The block's arrays, shared (not copied) — treat them as read-only. *)
 
-val import : parts -> t
+val import : parts -> (t, string) result
 (** Rebuild a block from {!export}ed (possibly code-remapped) parts without
     re-encoding values or re-grouping rows: only the per-column code->group
     hashtables are refilled, one entry per distinct code. The arrays are
-    adopted, not copied. *)
+    adopted, not copied, after one linear pass checks their shape: column
+    lengths, and per index group offsets that run from 0 to [nrows] without
+    decreasing (one more than there are groups), row ids in [[0, nrows)]
+    and group ids in [[0, ngroups)]. [Error] names the first broken rule.
+    The column and index counts must already match [p_arity]. *)

@@ -64,8 +64,6 @@ let parse_record line =
         ( Symbol.intern (if pred_quoted then pred else String.trim pred),
           Array.of_list values )
 
-let parse_line = parse_record
-
 (* Split a source into records at newlines that fall outside double quotes,
    so quoted fields may contain literal newlines. Escaped quotes ([""])
    toggle the state twice and cancel out. Yields each record with the
@@ -150,8 +148,3 @@ let save_string inst =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let save_file path inst =
-  let oc = open_out_bin path in
-  output_string oc (save_string inst);
-  close_out oc

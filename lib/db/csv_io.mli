@@ -13,12 +13,6 @@
       emp_record,"O'Hara, Ada",cs,prof
     v} *)
 
-open Tgd_logic
-
-val parse_line : string -> (Symbol.t * Tuple.t) option
-(** Parse a single record (no embedded newlines). [None] for blank/comment
-    records. Raises [Failure] on an unterminated quote. *)
-
 val load_string : string -> (Instance.t, string) result
 (** Errors mention the offending 1-based line. *)
 
@@ -28,5 +22,3 @@ val save_string : Instance.t -> string
 (** Deterministic order (sorted facts); nulls are written as [_nK] and
     round-trip as ordinary constants — exporting a chased instance is lossy
     by design. *)
-
-val save_file : string -> Instance.t -> unit

@@ -1,11 +1,12 @@
 (** Conjunctive-query evaluation over an instance.
 
-    The evaluator performs an index-nested-loop join with an adaptive greedy
-    plan: at every step the next atom is the one with the most bound
-    positions, preferring atoms joined to the remaining ones through a
-    still-unbound shared variable over isolated (cross-product) atoms, and
-    breaking remaining ties towards the smaller relation. Bound positions
-    are served from the per-column hash indexes of {!Relation}.
+    The evaluator performs an index-nested-loop join over boxed relations.
+    Each call orders the body once with {!Join_plan.make} (the planner
+    {!Col_eval} compiles too) and interprets that plan: a step's probe
+    column is served from the per-column hash indexes of {!Relation}, its
+    relation is fetched from the live instance at every node (the chase
+    adds facts from inside the join callback), and every argument either
+    matches a constant, binds a variable or checks a bound one.
 
     Every entry point takes an optional {!Tgd_exec.Governor}: a governed
     evaluation charges [eval.steps] per join-search node and stops emitting

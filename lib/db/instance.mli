@@ -21,9 +21,6 @@ val add_fact : t -> Symbol.t -> Tuple.t -> bool
     [Invalid_argument] if the predicate was already used with another
     arity. *)
 
-val add_ground_atom : t -> Atom.t -> bool
-(** The atom must be ground (constants only). *)
-
 val relation : t -> Symbol.t -> Relation.t option
 (** [None] when the predicate has no facts yet. *)
 

@@ -31,10 +31,6 @@
 
 open Tgd_logic
 
-val default_min_tuples : int
-(** Leading-scan size below which a disjunct is evaluated sequentially
-    (still columnar when sealed): 512. *)
-
 val ucq :
   ?gov:Tgd_exec.Governor.t ->
   ?pool:Tgd_exec.Pool.t ->
@@ -50,7 +46,9 @@ val ucq :
     [partitions] is the answer-partition count P of the columnar merge
     (default [4 × workers]; raises [Invalid_argument] when [< 1]); more
     partitions balance skewed answer distributions, fewer amortize the
-    per-partition setup. Morsels are dispatched through
+    per-partition setup. A disjunct whose leading scan has fewer than
+    [min_tuples] rows (default 512) runs on the calling domain, still
+    columnar. Morsels are dispatched through
     {!Tgd_exec.Pool.run_morsels} (the caller participates) on [pool] when
     given; otherwise a parallel call spawns a transient pool of
     [workers - 1] domains at its first batch and joins it before

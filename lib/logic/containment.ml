@@ -86,7 +86,6 @@ let precompute cq =
         cq.Cq.body;
   }
 
-let pre_cq p = p.cq
 let fingerprint p = p.fp
 
 let contained_pre p1 p2 =

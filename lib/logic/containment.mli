@@ -31,12 +31,11 @@ type pre
     once and reused across many checks. *)
 
 val precompute : Cq.t -> pre
-val pre_cq : pre -> Cq.t
 val fingerprint : pre -> Fingerprint.t
 
 val contained_pre : pre -> pre -> bool
-(** [contained_pre p1 p2] = [contained (pre_cq p1) (pre_cq p2)] without
-    rebuilding fingerprints or the target index. Safe to call concurrently
+(** [contained_pre p1 p2] decides [contained] on the two CQs the states
+    were built from, without rebuilding fingerprints or the target index. Safe to call concurrently
     from multiple domains. *)
 
 (** {1 Minimization} *)

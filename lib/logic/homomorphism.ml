@@ -9,7 +9,6 @@ type target = {
   by_pred : Atom.t list Symbol.Table.t;
   by_pred_n : int Symbol.Table.t;
   by_pos : (int, Atom.t list ref) Hashtbl.t;
-  size : int;
 }
 
 (* (pred, position, term) packed into one int key: no tuple allocation and a
@@ -37,9 +36,7 @@ let target_of_atoms atoms =
       a.Atom.args
   in
   List.iter add atoms;
-  { by_pred; by_pred_n; by_pos; size = List.length atoms }
-
-let target_size t = t.size
+  { by_pred; by_pred_n; by_pos }
 
 (* The target-independent half of the atom-ordering heuristic, computed once
    per source body and reused across searches: distinct unbound variables of

@@ -13,7 +13,6 @@ type target
 (** Target atoms indexed by predicate. *)
 
 val target_of_atoms : Atom.t list -> target
-val target_size : target -> int
 
 type source
 (** The target-independent half of the search's atom-ordering heuristic,

@@ -53,9 +53,6 @@ let constants p =
 
 let max_arity p = List.fold_left (fun acc (_, n) -> max acc n) 0 (predicates p)
 
-let max_body_vars p =
-  List.fold_left (fun acc r -> max acc (Symbol.Set.cardinal (Tgd.body_vars r))) 0 p.tgds
-
 let is_simple p = List.for_all Tgd.is_simple p.tgds
 
 let rules_with_head_pred p pred =

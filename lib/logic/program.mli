@@ -22,10 +22,6 @@ val arity_of : t -> Symbol.t -> int option
 val constants : t -> Symbol.Set.t
 val max_arity : t -> int
 
-val max_body_vars : t -> int
-(** Maximum number of distinct variables in a single rule body; bounds the
-    canonical-variable pool of the P-node graph. *)
-
 val is_simple : t -> bool
 (** Every TGD is simple (Section 5). *)
 

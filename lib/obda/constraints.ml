@@ -32,7 +32,7 @@ type verdict = {
   complete : bool;
 }
 
-let check ?config program constraints inst =
+let check ?config ?(unfold = Fun.id) program constraints inst =
   let complete = ref true in
   let violations =
     List.concat_map
@@ -45,7 +45,7 @@ let check ?config program constraints inst =
           (fun disjunct ->
             if Eval.cq_exists inst disjunct then Some { constraint_ = nc; witness = disjunct }
             else None)
-          r.Tgd_rewrite.Rewrite.ucq)
+          (unfold r.Tgd_rewrite.Rewrite.ucq))
       constraints
   in
   { consistent = violations = []; violations; complete = !complete }

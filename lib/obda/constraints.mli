@@ -32,9 +32,16 @@ type verdict = {
 }
 
 val check :
-  ?config:Tgd_rewrite.Rewrite.config -> Program.t -> t list -> Instance.t -> verdict
-(** Rewrite every constraint body under the TGDs and evaluate over the
-    instance. When [complete] is [false] the verdict "consistent" is only a
-    failure to find a violation within the rewriting budget. *)
+  ?config:Tgd_rewrite.Rewrite.config ->
+  ?unfold:(Cq.ucq -> Cq.ucq) ->
+  Program.t ->
+  t list ->
+  Instance.t ->
+  verdict
+(** Rewrite every constraint body under the TGDs, pass the rewriting
+    through [unfold] (default: unchanged; {!Obda_system} unfolds it through
+    its mappings onto the sources) and evaluate over the instance. When
+    [complete] is [false] the verdict "consistent" is only a failure to
+    find a violation within the rewriting budget. *)
 
 val pp : Format.formatter -> t -> unit

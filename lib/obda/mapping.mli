@@ -21,8 +21,6 @@ val make : ?name:string -> source:Atom.t list -> target:Atom.t -> t
 (** Raises [Invalid_argument] if the source is empty or the target mentions
     a variable that does not occur in the source (unsafe mapping). *)
 
-val target_pred : t -> Symbol.t
-
 val for_pred : t list -> Symbol.t -> t list
 (** Mappings whose target has the given predicate. *)
 

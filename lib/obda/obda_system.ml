@@ -47,27 +47,4 @@ let answer_materialized ?max_rounds ?max_facts sys ~source q =
   (answers, stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated)
 
 let consistent ?config sys ~source =
-  (* Rewrite each constraint body over the ontology, unfold through the
-     mappings, and look for a match on the sources. *)
-  let complete = ref true in
-  let violations =
-    List.concat_map
-      (fun nc ->
-        let r = Tgd_rewrite.Rewrite.ucq ?config sys.ontology (Constraints.to_boolean_cq nc) in
-        (match r.Tgd_rewrite.Rewrite.outcome with
-        | Tgd_rewrite.Rewrite.Complete -> ()
-        | Tgd_rewrite.Rewrite.Truncated _ -> complete := false);
-        let unfolded = unfold_if_mapped sys r.Tgd_rewrite.Rewrite.ucq in
-        List.filter_map
-          (fun disjunct ->
-            if Eval.cq_exists source disjunct then
-              Some { Constraints.constraint_ = nc; witness = disjunct }
-            else None)
-          unfolded)
-      sys.constraints
-  in
-  {
-    Constraints.consistent = violations = [];
-    violations;
-    complete = !complete;
-  }
+  Constraints.check ?config ~unfold:(unfold_if_mapped sys) sys.ontology sys.constraints source

@@ -1,6 +1,6 @@
 open Tgd_logic
 
-type materialization = {
+type materialization = Tgd_store.Snapshot.materialization = {
   model : Tgd_db.Instance.t;
   floor : int;
   complete : bool;
@@ -169,19 +169,13 @@ let materialize ?gov t ~name =
     in
     Ok (entry, stats)
 
-let merge_csv ?gov t ~name load =
+let load_csv_string ?gov t ~name src =
   match find t name with
   | None -> Error (Printf.sprintf "unknown ontology %S" name)
   | Some _ -> (
-    match load () with
+    match Tgd_db.Csv_io.load_string src with
     | Error msg -> Error msg
     | Ok extra -> add_facts ?gov t ~name (Tgd_db.Instance.facts extra))
-
-let load_csv_string ?gov t ~name src =
-  merge_csv ?gov t ~name (fun () -> Tgd_db.Csv_io.load_string src)
-
-let load_csv_file ?gov t ~name path =
-  merge_csv ?gov t ~name (fun () -> Tgd_db.Csv_io.load_file path)
 
 let list t =
   locked t (fun () ->

@@ -24,7 +24,9 @@
 
 open Tgd_logic
 
-type materialization = {
+(** The snapshot's record, so checkpoints and recovery pass it through
+    unchanged. *)
+type materialization = Tgd_store.Snapshot.materialization = {
   model : Tgd_db.Instance.t;  (** sealed universal model of the entry *)
   floor : int;  (** null floor for the next delta application *)
   complete : bool;  (** chase reached its fixpoint within budget *)
@@ -94,9 +96,6 @@ val materialize :
 val load_csv_string :
   ?gov:Tgd_exec.Governor.t -> t -> name:string -> string -> (mutation, string) result
 (** Merge CSV facts into [name]'s instance through {!add_facts}. *)
-
-val load_csv_file :
-  ?gov:Tgd_exec.Governor.t -> t -> name:string -> string -> (mutation, string) result
 
 val find : t -> string -> entry option
 (** Snapshot of the current entry; stable even while mutations proceed. *)

@@ -310,15 +310,7 @@ let snapshot_of_entry (entry : Registry.entry) =
     delta_epoch = entry.Registry.delta_epoch;
     program_src = Tgd_parser.Printer.program_to_string entry.Registry.program;
     instance = entry.Registry.instance;
-    materialization =
-      Option.map
-        (fun (m : Registry.materialization) ->
-          {
-            Tgd_store.Snapshot.model = m.Registry.model;
-            floor = m.Registry.floor;
-            complete = m.Registry.complete;
-          })
-        entry.Registry.materialization;
+    materialization = entry.Registry.materialization;
   }
 
 let checkpoint_entry t store (entry : Registry.entry) =
@@ -551,19 +543,10 @@ let recover_store t store =
         | Ok (program, _no_facts) ->
           (* The snapshot instance carries the data; its program text holds
              rules only, so the parse yields no facts to merge. *)
-          let materialization =
-            Option.map
-              (fun (m : Tgd_store.Snapshot.materialization) ->
-                {
-                  Registry.model = m.Tgd_store.Snapshot.model;
-                  floor = m.Tgd_store.Snapshot.floor;
-                  complete = m.Tgd_store.Snapshot.complete;
-                })
-              snap.Tgd_store.Snapshot.materialization
-          in
           ignore
             (Registry.restore t.registry ~name ~epoch:snap.Tgd_store.Snapshot.epoch
-               ~delta_epoch:snap.Tgd_store.Snapshot.delta_epoch ?materialization program
+               ~delta_epoch:snap.Tgd_store.Snapshot.delta_epoch
+               ?materialization:snap.Tgd_store.Snapshot.materialization program
                snap.Tgd_store.Snapshot.instance)));
       List.iter (replay_record t ~name) r.Tgd_store.Store.tail;
       if r.Tgd_store.Store.torn_bytes > 0 then

@@ -191,10 +191,6 @@ let r_relation r remap =
     let ncols = Codec.r_u32 r in
     if ncols <> max arity 1 then raise (Codec.Corrupt "column count does not match arity");
     let cols = Array.init ncols (fun _ -> Codec.r_int_array r) in
-    Array.iter
-      (fun col ->
-        if Array.length col <> nrows then raise (Codec.Corrupt "column length mismatch"))
-      cols;
     (* Remap constant codes in place: the arrays are snapshot-private. *)
     (match remap with
     | None -> ()
@@ -221,15 +217,19 @@ let r_relation r remap =
       rows.(j) <- Codec.r_int_array r
     done;
     let block =
-      Db.Columnar.import
-        {
-          Db.Columnar.p_arity = arity;
-          p_nrows = nrows;
-          p_cols = cols;
-          p_groups = groups;
-          p_starts = starts;
-          p_rows = rows;
-        }
+      match
+        Db.Columnar.import
+          {
+            Db.Columnar.p_arity = arity;
+            p_nrows = nrows;
+            p_cols = cols;
+            p_groups = groups;
+            p_starts = starts;
+            p_rows = rows;
+          }
+      with
+      | Ok block -> block
+      | Error msg -> raise (Codec.Corrupt msg)
     in
     let rel = Db.Relation.of_columnar block in
     let pending = r_boxed_rows r remap ~arity in

@@ -262,6 +262,61 @@ let test_egd_chain_completes () =
   Alcotest.(check bool) "end of the chain reached" true (Eval.cq_exists inst q)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned traces *)
+
+(* Two budgeted runs whose [eval.steps] count and null-labelled facts were
+   recorded under the per-node adaptive join order that {!Join_plan}
+   replaced. Null labels follow trigger discovery order, so a drift in
+   the join order or in where [eval.steps] is charged fails here. *)
+let pinned_run program inst ~rounds =
+  let tel = Tgd_exec.Telemetry.create () in
+  let budget = { Tgd_exec.Budget.unlimited with Tgd_exec.Budget.chase_rounds = Some rounds } in
+  let gov = Tgd_exec.Governor.create ~budget ~telemetry:tel () in
+  ignore (Chase.run ~gov program inst);
+  let show (p, t) = Format.asprintf "%s%a" (Symbol.name p) Tuple.pp t in
+  let facts = Instance.facts inst in
+  let sorted l = List.sort compare (List.map show l) in
+  ( Tgd_exec.Telemetry.get tel "eval.steps",
+    sorted facts,
+    sorted (List.filter (fun (_, t) -> Tuple.has_null t) facts) )
+
+let test_pinned_infinite_chase () =
+  let program =
+    match Tgd_parser.Parser.parse_file "../examples/ontologies/infinite_chase_linear.tgd" with
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Tgd_parser.Parser.pp_error e)
+    | Ok doc -> (
+      match Tgd_parser.Parser.program_of_document doc with
+      | Ok p -> p
+      | Error e -> Alcotest.fail e)
+  in
+  let inst =
+    Instance.of_atoms [ atom "person" [ c "ann" ]; atom "parent_of" [ c "bob"; c "ann" ] ]
+  in
+  let steps, facts, _ = pinned_run program inst ~rounds:8 in
+  Alcotest.(check int) "eval.steps" 24 steps;
+  Alcotest.(check (list string))
+    "facts"
+    [
+      "parent_of(_n1,bob)"; "parent_of(_n2,_n1)"; "parent_of(_n3,_n2)"; "parent_of(_n4,_n3)";
+      "parent_of(bob,ann)"; "person(_n1)"; "person(_n2)"; "person(_n3)"; "person(ann)";
+      "person(bob)";
+    ]
+    facts
+
+let test_pinned_university () =
+  let data = Tgd_gen.University.generate_data (Tgd_gen.Rng.create 5) ~scale:10 in
+  let steps, facts, with_nulls = pinned_run Tgd_gen.University.ontology data ~rounds:2 in
+  Alcotest.(check int) "eval.steps" 218 steps;
+  Alcotest.(check int) "facts" 105 (List.length facts);
+  Alcotest.(check (list string))
+    "null-labelled facts"
+    [
+      "degree_from(student9,_n2)"; "organization(_n1)"; "sub_organization_of(group0,_n1)";
+      "university(_n2)";
+    ]
+    with_nulls
+
+(* ------------------------------------------------------------------ *)
 (* Certain *)
 
 let test_certain_excludes_nulls () =
@@ -320,6 +375,8 @@ let () =
           Alcotest.test_case "weakly acyclic terminates" `Quick test_chase_weakly_acyclic_terminates;
           Alcotest.test_case "result models program" `Quick test_chase_models_program;
           Alcotest.test_case "multi-head nulls" `Quick test_chase_multi_head;
+          Alcotest.test_case "pinned trace: infinite chase" `Quick test_pinned_infinite_chase;
+          Alcotest.test_case "pinned trace: University" `Quick test_pinned_university;
         ] );
       ( "egd",
         [

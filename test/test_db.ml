@@ -352,43 +352,83 @@ let test_csv_multiline_quoted () =
       | _ -> Alcotest.fail "expected one p tuple"))
 
 (* ------------------------------------------------------------------ *)
-(* Plan: the join order Col_eval compiles and runs *)
+(* Plan: the one join order Eval interprets and Col_eval compiles *)
 
-let compiled_plan db q =
-  Instance.seal db;
-  match Col_eval.compile db q with
-  | Col_eval.Compiled t -> t
-  | Col_eval.Empty | Col_eval.Unsupported -> Alcotest.fail "expected a compiled plan"
+let plan ?init ?forced db body =
+  let size (a : Atom.t) =
+    match Instance.relation db a.Atom.pred with None -> 0 | Some rel -> Relation.cardinality rel
+  in
+  Join_plan.make ?init ?forced ~sizes:(Array.of_list (List.map size body)) body
+
+let order steps = Array.to_list (Array.map (fun s -> s.Join_plan.index) steps)
 
 let test_plan_orders_constants_first () =
   let db = sample_db () in
-  let q =
-    Cq.make ~name:"q" ~answer:[ v "X" ]
-      ~body:[ atom "edge" [ v "X"; v "Y" ]; atom "color" [ v "X"; c "red" ] ]
-  in
-  match Col_eval.steps (compiled_plan db q) with
-  | [ (a1, probe1); (_, probe2) ] ->
-    Alcotest.(check string) "selective atom first" "color" (Symbol.name a1.Atom.pred);
-    Alcotest.(check (option int)) "index probe on the constant column" (Some 1) probe1;
-    Alcotest.(check (option int)) "index probe on the join column" (Some 0) probe2
-  | other -> Alcotest.fail (Printf.sprintf "expected 2 steps, got %d" (List.length other))
+  match plan db [ atom "edge" [ v "X"; v "Y" ]; atom "color" [ v "X"; c "red" ] ] with
+  | [| s1; s2 |] ->
+    Alcotest.(check string) "selective atom first" "color" (Symbol.name s1.Join_plan.atom.Atom.pred);
+    Alcotest.(check (option int)) "index probe on the constant column" (Some 1) s1.Join_plan.probe;
+    Alcotest.(check (option int)) "index probe on the join column" (Some 0) s2.Join_plan.probe
+  | steps -> Alcotest.fail (Printf.sprintf "expected 2 steps, got %d" (Array.length steps))
 
 let test_plan_scan_when_unbound () =
   let db = sample_db () in
-  let q = Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom "edge" [ v "X"; v "Y" ] ] in
-  match Col_eval.steps (compiled_plan db q) with
-  | [ (_, probe) ] -> Alcotest.(check (option int)) "scan" None probe
+  match plan db [ atom "edge" [ v "X"; v "Y" ] ] with
+  | [| s |] -> Alcotest.(check (option int)) "scan" None s.Join_plan.probe
   | _ -> Alcotest.fail "expected 1 step"
 
 let test_plan_explain_nonempty () =
   let db = sample_db () in
-  let q =
-    Cq.make ~name:"q" ~answer:[ v "X" ]
-      ~body:[ atom "edge" [ v "X"; v "Y" ]; atom "edge" [ v "Y"; v "Z" ] ]
-  in
-  let text = Format.asprintf "%a" Col_eval.pp (compiled_plan db q) in
+  let body = [ atom "edge" [ v "X"; v "Y" ]; atom "edge" [ v "Y"; v "Z" ] ] in
+  let steps = plan db body in
+  let text = Format.asprintf "%a" (fun ppf -> Join_plan.pp ppf) steps in
   Alcotest.(check bool) "explanation text" true (String.length text > 20);
-  Alcotest.(check bool) "names the probe" true (contains text "index probe on c1")
+  Alcotest.(check bool) "names the probe" true (contains text "index probe on c1");
+  (* Col_eval compiles the same plan and prints it with block row counts. *)
+  Instance.seal db;
+  match Col_eval.compile db (Cq.make ~name:"q" ~answer:[ v "X" ] ~body) with
+  | Col_eval.Compiled t ->
+    Alcotest.(check bool) "compiled from the shared plan" true (Col_eval.steps t = steps);
+    Alcotest.(check string) "printed with row counts"
+      (Format.asprintf "%a" (Join_plan.pp ~rows:(fun _ -> 4)) steps)
+      (Format.asprintf "%a" Col_eval.pp t)
+  | Col_eval.Empty | Col_eval.Unsupported -> Alcotest.fail "expected a compiled plan"
+
+let test_plan_forced_first () =
+  let db = sample_db () in
+  let body = [ atom "edge" [ v "X"; v "Y" ]; atom "color" [ v "X"; c "red" ] ] in
+  Alcotest.(check (list int)) "unforced: constant atom first" [ 1; 0 ] (order (plan db body));
+  Alcotest.(check (list int)) "forced atom first" [ 0; 1 ] (order (plan ~forced:0 db body))
+
+let test_plan_init_bound () =
+  let db = sample_db () in
+  let body = [ atom "edge" [ v "X"; v "Y" ]; atom "edge" [ v "Y"; v "Z" ] ] in
+  let z = Symbol.intern "Z" in
+  match plan ~init:(Symbol.equal z) db body with
+  | [| s1; _ |] ->
+    Alcotest.(check int) "the atom holding the bound variable first" 1 s1.Join_plan.index;
+    Alcotest.(check (option int)) "probes the bound column" (Some 1) s1.Join_plan.probe;
+    Alcotest.(check bool) "checks it, binds the other" true
+      (s1.Join_plan.args = [| Join_plan.Bind (Symbol.intern "Y"); Join_plan.Check z |])
+  | _ -> Alcotest.fail "expected 2 steps"
+
+let test_plan_repeated_variable () =
+  let db = sample_db () in
+  let x = Symbol.intern "X" in
+  match plan db [ atom "edge" [ v "X"; v "X" ] ] with
+  | [| s |] ->
+    Alcotest.(check bool) "bind then check" true
+      (s.Join_plan.args = [| Join_plan.Bind x; Join_plan.Check x |]);
+    Alcotest.(check (option int)) "not bound before the step: scan" None s.Join_plan.probe
+  | _ -> Alcotest.fail "expected 1 step"
+
+let test_plan_isolated_last () =
+  let db = sample_db () in
+  (* color is the smaller relation, but shares no variable with the rest. *)
+  let body =
+    [ atom "color" [ v "Z"; v "W" ]; atom "edge" [ v "X"; v "Y" ]; atom "edge" [ v "Y"; v "Q" ] ]
+  in
+  Alcotest.(check (list int)) "isolated atom last" [ 1; 2; 0 ] (order (plan db body))
 
 (* ------------------------------------------------------------------ *)
 (* Sql *)
@@ -599,6 +639,11 @@ let () =
           Alcotest.test_case "constants first" `Quick test_plan_orders_constants_first;
           Alcotest.test_case "scan when unbound" `Quick test_plan_scan_when_unbound;
           Alcotest.test_case "explain" `Quick test_plan_explain_nonempty;
+          Alcotest.test_case "forced atom first" `Quick test_plan_forced_first;
+          Alcotest.test_case "init variables are bound" `Quick test_plan_init_bound;
+          Alcotest.test_case "repeated variable binds then checks" `Quick
+            test_plan_repeated_variable;
+          Alcotest.test_case "isolated atom last" `Quick test_plan_isolated_last;
         ] );
       ( "sql",
         [

@@ -338,6 +338,74 @@ let test_recover_skips_corrupt_generation () =
       | rs -> Alcotest.failf "expected 1 recovered entry, got %d" (List.length rs));
       Store.close store)
 
+(* A CRC-valid image of one unary relation [p(a)] whose CSR index is
+   written by hand: decode must refuse a broken shape instead of handing
+   out-of-range row or group ids to the columnar evaluator, which reads
+   them without bounds checks. *)
+let image_with_index ~pairs ~starts ~rows =
+  let sym s = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern s) in
+  let body = Buffer.create 128 in
+  Codec.w_u32 body 1 (* epoch *);
+  Codec.w_u32 body 1 (* delta epoch *);
+  Codec.w_string body "";
+  Codec.w_u32 body 2;
+  List.iter
+    (fun s ->
+      Codec.w_int body (sym s);
+      Codec.w_string body s)
+    [ "p"; "a" ];
+  Codec.w_u32 body 1 (* relations *);
+  Codec.w_int body (sym "p");
+  Codec.w_u32 body 1 (* arity *);
+  Codec.w_u8 body 0 (* columnar *);
+  Codec.w_u32 body 1 (* rows *);
+  Codec.w_u32 body 1 (* columns *);
+  Codec.w_int_array body [| sym "a" |];
+  Codec.w_u32 body 1 (* indexes *);
+  Codec.w_u32 body (Array.length pairs);
+  Array.iter
+    (fun (code, g) ->
+      Codec.w_int body code;
+      Codec.w_u32 body g)
+    pairs;
+  Codec.w_int_array body starts;
+  Codec.w_int_array body rows;
+  Codec.w_u32 body 0 (* pending rows *);
+  Codec.w_u8 body 0 (* no materialization *);
+  let body = Buffer.contents body in
+  let out = Buffer.create 256 in
+  Buffer.add_string out "TGDSNAP1";
+  Codec.w_u32 out 1;
+  Codec.w_u32 out (String.length body);
+  Buffer.add_string out body;
+  Buffer.add_int32_le out (Codec.crc32 body ~pos:0 ~len:(String.length body));
+  Buffer.contents out
+
+let test_snapshot_rejects_bad_index () =
+  let a = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "a") in
+  (match Snapshot.decode (image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |]) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the well-formed image must decode: %s" e);
+  List.iter
+    (fun (what, pairs, starts, rows) ->
+      match Snapshot.decode (image_with_index ~pairs ~starts ~rows) with
+      | Ok _ -> Alcotest.failf "%s: decoded Ok" what
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" what e)
+          true
+          (String.starts_with ~prefix:"corrupt snapshot: " e))
+    [
+      ("row id out of range", [| (a, 0) |], [| 0; 1 |], [| 5 |]);
+      ("negative row id", [| (a, 0) |], [| 0; 1 |], [| -1 |]);
+      ("group id out of range", [| (a, 3) |], [| 0; 1 |], [| 0 |]);
+      ("offsets end past the rows", [| (a, 0) |], [| 0; 2 |], [| 0 |]);
+      ("offsets do not start at 0", [| (a, 0) |], [| 1; 1 |], [| 0 |]);
+      ("decreasing offsets", [| (a, 0); (a + 1, 1) |], [| 0; 2; 1 |], [| 0 |]);
+      ("offset count", [| (a, 0) |], [| 0; 0; 1 |], [| 0 |]);
+      ("row list length", [| (a, 0) |], [| 0; 1 |], [| 0; 0 |]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Cross-process recovery through the real binary: the serve subprocess
    interns symbols in its own order, so decoding its snapshot here forces
@@ -401,7 +469,12 @@ let () =
   Alcotest.run "store"
     [
       ( "snapshot",
-        [ qc prop_snapshot_roundtrip; qc prop_snapshot_rejects_corruption ] );
+        [
+          qc prop_snapshot_roundtrip;
+          qc prop_snapshot_rejects_corruption;
+          Alcotest.test_case "decode rejects a CSR index out of shape" `Quick
+            test_snapshot_rejects_bad_index;
+        ] );
       ("wal", [ qc prop_wal_torn_tail; qc prop_wal_corrupt_byte ]);
       ( "store",
         [
