@@ -245,7 +245,17 @@ let compile inst (q : Cq.t) =
 
 let steps t = Array.map (fun s -> s.plan) t.steps
 
-let pp ppf t = Join_plan.pp ~rows:(fun k -> Columnar.nrows t.steps.(k).block) ppf (steps t)
+let pp ppf t =
+  Array.iteri
+    (fun k s ->
+      let access =
+        match s.plan.Join_plan.probe with
+        | None -> "scan"
+        | Some j -> Printf.sprintf "index probe on c%d" (j + 1)
+      in
+      Format.fprintf ppf "%d. %a  via %s (%d rows)@." (k + 1) Atom.pp s.plan.Join_plan.atom access
+        (Columnar.nrows s.block))
+    t.steps
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

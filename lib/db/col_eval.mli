@@ -42,7 +42,8 @@ val steps : t -> Join_plan.step array
 (** The join plan this was compiled from. *)
 
 val pp : Format.formatter -> t -> unit
-(** The plan ({!Join_plan.pp}) with each step's block row count. *)
+(** One numbered line per step: its atom, its access path (index probe or
+    scan) and its block's row count. *)
 
 val lead_len : t -> int
 (** Number of candidate rows of the leading step — the scan that

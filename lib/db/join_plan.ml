@@ -91,16 +91,3 @@ let make ?(init = fun _ -> false) ?(forced = -1) ~sizes body =
   let n = Array.length atoms in
   let st = { atoms; placed = Array.make n false; bound = []; init } in
   Array.init n (fun _ -> next_step st ~forced ~sizes)
-
-let pp ?rows ppf steps =
-  Array.iteri
-    (fun k s ->
-      let access =
-        match s.probe with
-        | None -> "scan"
-        | Some j -> Printf.sprintf "index probe on c%d" (j + 1)
-      in
-      Format.fprintf ppf "%d. %a  via %s" (k + 1) Atom.pp s.atom access;
-      Option.iter (fun rows -> Format.fprintf ppf " (%d rows)" (rows k)) rows;
-      Format.fprintf ppf "@.")
-    steps

@@ -34,7 +34,3 @@ val make :
     [i]-th atom's relation. [init] tells which variables are bound before
     the first step (default: none). [forced] is the index of an atom that
     must go first (semi-naive evaluation ranges it over a delta). *)
-
-val pp : ?rows:(int -> int) -> Format.formatter -> step array -> unit
-(** One numbered line per step with its access path; [rows k], when given,
-    is appended as step [k]'s row count. *)

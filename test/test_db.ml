@@ -381,17 +381,15 @@ let test_plan_explain_nonempty () =
   let db = sample_db () in
   let body = [ atom "edge" [ v "X"; v "Y" ]; atom "edge" [ v "Y"; v "Z" ] ] in
   let steps = plan db body in
-  let text = Format.asprintf "%a" (fun ppf -> Join_plan.pp ppf) steps in
-  Alcotest.(check bool) "explanation text" true (String.length text > 20);
-  Alcotest.(check bool) "names the probe" true (contains text "index probe on c1");
   (* Col_eval compiles the same plan and prints it with block row counts. *)
   Instance.seal db;
   match Col_eval.compile db (Cq.make ~name:"q" ~answer:[ v "X" ] ~body) with
   | Col_eval.Compiled t ->
     Alcotest.(check bool) "compiled from the shared plan" true (Col_eval.steps t = steps);
-    Alcotest.(check string) "printed with row counts"
-      (Format.asprintf "%a" (Join_plan.pp ~rows:(fun _ -> 4)) steps)
-      (Format.asprintf "%a" Col_eval.pp t)
+    let text = Format.asprintf "%a" Col_eval.pp t in
+    Alcotest.(check bool) "explanation text" true (String.length text > 20);
+    Alcotest.(check bool) "names the probe" true (contains text "index probe on c1");
+    Alcotest.(check bool) "prints the row count" true (contains text "(4 rows)")
   | Col_eval.Empty | Col_eval.Unsupported -> Alcotest.fail "expected a compiled plan"
 
 let test_plan_forced_first () =
