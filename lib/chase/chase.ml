@@ -128,12 +128,14 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     | Datalog_keys, _ ->
       (ignore, fun () -> Governor.gauge gov Budget.key_rewrite_datalog_facts !derived)
     | Chase_keys, None ->
-      ( (fun () -> Governor.charge gov Budget.key_chase_triggers),
+      let triggers = Governor.meter gov Budget.key_chase_triggers in
+      ( (fun () -> Governor.tick triggers),
         fun () ->
           Governor.charge gov Budget.key_chase_rounds;
           Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst) )
     | Chase_keys, Some _ ->
-      ( (fun () -> Governor.charge gov Budget.key_chase_delta_triggers),
+      let triggers = Governor.meter gov Budget.key_chase_delta_triggers in
+      ( (fun () -> Governor.tick triggers),
         fun () ->
           Governor.charge gov Budget.key_chase_rounds;
           Governor.gauge gov Budget.key_chase_delta_facts (!inserted + !derived);

@@ -281,9 +281,10 @@ let lead_len t =
 
 exception Stopped
 
-(* Poll/charge stride: batching the shared governor's atomic counter is
-   what keeps many workers from serializing on it; 256 keeps the
-   cancellation latency well under a millisecond of work. *)
+(* Tick stride: batching the shared governor's atomic counter is what
+   keeps many workers from contending on it. The governor polls the clock
+   and the cancellation callback on its own stride of these ticks, so a
+   stop is seen within a few thousand nodes. *)
 let stride = 256
 
 let run ?gov t ~lo ~hi ~emit =
@@ -291,23 +292,20 @@ let run ?gov t ~lo ~hi ~emit =
   let steps = t.steps in
   let nsteps = Array.length steps in
   let nodes = ref 0 in
-  let tick =
+  let tick, flush =
     match gov with
-    | None -> fun () -> ()
+    | None -> ((fun () -> ()), fun () -> ())
     | Some g ->
-      fun () ->
-        incr nodes;
-        if !nodes land (stride - 1) = 0 then begin
-          Tgd_exec.Governor.charge ~n:stride g Tgd_exec.Budget.key_eval_steps;
-          if not (Tgd_exec.Governor.live g) then raise Stopped
-        end
-  in
-  let flush () =
-    match gov with
-    | None -> ()
-    | Some g ->
-      let rem = !nodes land (stride - 1) in
-      if rem > 0 then Tgd_exec.Governor.charge ~n:rem g Tgd_exec.Budget.key_eval_steps
+      let meter = Tgd_exec.Governor.meter g Tgd_exec.Budget.key_eval_steps in
+      ( (fun () ->
+          incr nodes;
+          if !nodes land (stride - 1) = 0 then begin
+            Tgd_exec.Governor.tick ~n:stride meter;
+            if not (Tgd_exec.Governor.live g) then raise Stopped
+          end),
+        fun () ->
+          let rem = !nodes land (stride - 1) in
+          if rem > 0 then Tgd_exec.Governor.tick ~n:rem meter )
   in
   let nout = Array.length t.out in
   (* One scratch answer, refilled per match: the emit callback must copy

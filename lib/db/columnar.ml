@@ -6,14 +6,14 @@
    minor-heap/cache-miss-bound. *)
 
 (* The value-code -> group-id map of an index: hashed and ready, or still
-   the raw (code, group) pairs of a snapshot-imported block. Hydration is
+   the per-group codes of a snapshot-imported block. Hydration is
    deferred to the first probe (a recovered server may never probe some
    columns). Not a [Lazy.t]: morsel workers probe concurrently, and racing
    domains here just build identical private tables — the last field write
    wins, which is benign duplicate work instead of [Lazy.Undefined]. *)
 type groups_state =
   | Built of (int, int) Hashtbl.t
-  | Pairs of (int * int) array
+  | Codes of int array (* group id -> value code *)
 
 type index = {
   mutable groups : groups_state; (* value code -> group id *)
@@ -24,9 +24,9 @@ type index = {
 let groups_of idx =
   match idx.groups with
   | Built tbl -> tbl
-  | Pairs pairs ->
-    let tbl = Hashtbl.create (max 16 (Array.length pairs)) in
-    Array.iter (fun (code, g) -> Hashtbl.replace tbl code g) pairs;
+  | Codes codes ->
+    let tbl = Hashtbl.create (max 16 (Array.length codes)) in
+    Array.iteri (fun g code -> Hashtbl.replace tbl code g) codes;
     idx.groups <- Built tbl;
     tbl
 
@@ -187,25 +187,25 @@ type parts = {
   p_arity : int;
   p_nrows : int;
   p_cols : int array array;
-  p_groups : (int * int) array array;
+  p_codes : int array array;
   p_starts : int array array;
   p_rows : int array array;
 }
 
 let export t =
-  let pairs_of idx =
+  let codes_of idx =
     match idx.groups with
-    | Pairs pairs -> pairs
+    | Codes codes -> codes
     | Built tbl ->
-      let pairs = Array.make (Array.length idx.starts - 1) (0, 0) in
-      Hashtbl.iter (fun code g -> pairs.(g) <- (code, g)) tbl;
-      pairs
+      let codes = Array.make (Array.length idx.starts - 1) 0 in
+      Hashtbl.iter (fun code g -> codes.(g) <- code) tbl;
+      codes
   in
   {
     p_arity = t.arity;
     p_nrows = t.nrows;
     p_cols = t.cols;
-    p_groups = Array.map pairs_of t.indexes;
+    p_codes = Array.map codes_of t.indexes;
     p_starts = Array.map (fun idx -> idx.starts) t.indexes;
     p_rows = Array.map (fun idx -> idx.rows) t.indexes;
   }
@@ -213,8 +213,8 @@ let export t =
 (* The CSR arrays of an index are adopted as they are and probed with
    unchecked loads ([Col_eval]), so an image that breaks their shape must
    be refused here: one linear pass over arrays already read. *)
-let check_index ~nrows j pairs starts rows =
-  let ngroups = Array.length pairs in
+let check_index ~nrows j codes starts rows =
+  let ngroups = Array.length codes in
   let fail what = Error (Printf.sprintf "column %d index: %s" j what) in
   let rec monotone g = g > ngroups || (starts.(g - 1) <= starts.(g) && monotone (g + 1)) in
   if Array.length starts <> ngroups + 1 then fail "group offsets do not match the group count"
@@ -222,8 +222,6 @@ let check_index ~nrows j pairs starts rows =
     fail "group offsets are not a partition of the rows"
   else if Array.length rows <> nrows then fail "row list length mismatch"
   else if Array.exists (fun r -> r < 0 || r >= nrows) rows then fail "row id out of range"
-  else if Array.exists (fun (_, g) -> g < 0 || g >= ngroups) pairs then
-    fail "group id out of range"
   else Ok ()
 
 let import p =
@@ -232,7 +230,7 @@ let import p =
     if j >= p.p_arity then Ok ()
     else
       Result.bind
-        (check_index ~nrows j p.p_groups.(j) p.p_starts.(j) p.p_rows.(j))
+        (check_index ~nrows j p.p_codes.(j) p.p_starts.(j) p.p_rows.(j))
         (fun () -> check_indexes (j + 1))
   in
   if Array.exists (fun col -> Array.length col <> nrows) p.p_cols then
@@ -241,7 +239,7 @@ let import p =
     Result.map
       (fun () ->
         let index_of j =
-          { groups = Pairs p.p_groups.(j); starts = p.p_starts.(j); rows = p.p_rows.(j) }
+          { groups = Codes p.p_codes.(j); starts = p.p_starts.(j); rows = p.p_rows.(j) }
         in
         { arity = p.p_arity; nrows; cols = p.p_cols; indexes = Array.init p.p_arity index_of })
       (check_indexes 0)

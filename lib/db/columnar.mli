@@ -53,8 +53,8 @@ type parts = {
   p_arity : int;
   p_nrows : int;
   p_cols : int array array;  (** [arity] coded columns of [nrows] entries *)
-  p_groups : (int * int) array array;
-      (** per column: (value code, group id) pairs, one per distinct code *)
+  p_codes : int array array;
+      (** per column: the value code of each group, indexed by group id *)
   p_starts : int array array;  (** per column: CSR group offsets *)
   p_rows : int array array;  (** per column: row ids grouped by code *)
 }
@@ -68,6 +68,6 @@ val import : parts -> (t, string) result
     hashtables are refilled, one entry per distinct code. The arrays are
     adopted, not copied, after one linear pass checks their shape: column
     lengths, and per index group offsets that run from 0 to [nrows] without
-    decreasing (one more than there are groups), row ids in [[0, nrows)]
-    and group ids in [[0, ngroups)]. [Error] names the first broken rule.
+    decreasing (one more than there are groups) and row ids in
+    [[0, nrows)]. [Error] names the first broken rule.
     The column and index counts must already match [p_arity]. *)

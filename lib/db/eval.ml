@@ -58,8 +58,9 @@ let bindings ?gov ?(init = Symbol.Map.empty) ?forced inst atoms k =
     match gov with
     | None -> fun () -> true
     | Some g ->
+      let steps = Tgd_exec.Governor.meter g Tgd_exec.Budget.key_eval_steps in
       fun () ->
-        Tgd_exec.Governor.charge g Tgd_exec.Budget.key_eval_steps;
+        Tgd_exec.Governor.tick steps;
         Tgd_exec.Governor.live g
   in
   let rec go env d =

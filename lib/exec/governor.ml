@@ -56,8 +56,9 @@ let elapsed_s g = Unix.gettimeofday () -. g.started
 
 let stop g reason = if g.stopped = None then g.stopped <- Some reason
 
-(* Re-check the external stop sources. Cheap (one clock read and one
-   callback), but loop heads go through [live], which strides the calls. *)
+(* Re-check the external stop sources: one clock read and one callback.
+   [charge] and [gauge] sit at coarse loop levels and call it every time;
+   [live] and [tick] run per tuple and go through [poll]'s stride. *)
 let refresh g =
   if g.stopped = None then begin
     (match g.deadline_abs with
@@ -69,25 +70,53 @@ let refresh g =
     | _ -> ()
   end
 
-(* Poll stride for [live]: deadline/cancellation are re-checked every 64
-   polls, so even per-tuple loops can afford the call. [charge]/[gauge]
-   refresh unconditionally — they sit at coarser loop levels. *)
+(* Poll stride: deadline and cancellation are re-checked every 64 calls of
+   [live] and [tick] together. The counter is shared by every domain
+   running the governor and updated without synchronisation; a lost
+   increment only shifts the next re-check. *)
 let poll_mask = 0x3f
+
+let poll g =
+  g.polls <- g.polls + 1;
+  if g.polls land poll_mask = 0 then refresh g
 
 let live g =
   match g.stopped with
   | Some _ -> false
   | None ->
-    g.polls <- g.polls + 1;
-    if g.polls land poll_mask = 0 then refresh g;
+    poll g;
     g.stopped = None
 
+(* A counter key's budget limit; [max_int] stands for none. *)
+let limit_of g key = Option.value ~default:max_int (Budget.limit g.budget key)
+
+(* The one place a counter budget stops a run: at [value >= limit]. *)
+let check_limit g key limit v = if v >= limit then stop g (Limit { counter = key; limit })
+
 let charge ?(n = 1) g key =
-  let v = Telemetry.add g.telemetry key n in
-  (match Budget.limit g.budget key with
-  | Some limit when v >= limit -> stop g (Limit { counter = key; limit })
-  | _ -> ());
+  check_limit g key (limit_of g key) (Telemetry.add g.telemetry key n);
   refresh g
+
+type meter = {
+  gov : t;
+  key : string;
+  limit : int;
+  mutable cell : int Atomic.t option; (* created by the first tick *)
+}
+
+let meter g key = { gov = g; key; limit = limit_of g key; cell = None }
+
+let tick ?(n = 1) m =
+  let cell =
+    match m.cell with
+    | Some c -> c
+    | None ->
+      let c = Telemetry.counter m.gov.telemetry m.key in
+      m.cell <- Some c;
+      c
+  in
+  check_limit m.gov m.key m.limit (Atomic.fetch_and_add cell n + n);
+  poll m.gov
 
 let gauge g key v =
   Telemetry.gauge g.telemetry key v;

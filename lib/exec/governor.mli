@@ -4,7 +4,8 @@
 
     The contract with the engines is cooperative: every potentially
     unbounded loop polls {!live} at its head and charges its work through
-    {!charge}/{!gauge}. The governor never raises into engine code — once a
+    {!charge}/{!gauge}, or through a {!meter} where the work is one join
+    node or one fired trigger. The governor never raises into engine code — once a
     limit, the deadline or cancellation trips, it latches a {!stop_reason},
     {!live} starts returning [false], and the engine winds down, returning a
     typed partial result whose [Truncated] payload is {!diagnostics}. A
@@ -50,12 +51,35 @@ val telemetry : t -> Telemetry.t
 
 val live : t -> bool
 (** [true] while the run may continue. Polls the deadline and the
-    cancellation callback at a small stride, so loop heads can call it
-    unconditionally. *)
+    cancellation callback once every 64 calls of [live] and {!tick}
+    together, so loop heads can call it unconditionally. *)
 
 val charge : ?n:int -> t -> string -> unit
 (** [charge g key] adds [n] (default 1) to counter [key] and stops the run
-    if the budget's limit for [key] is reached ([value >= limit]). *)
+    if the budget's limit for [key] is reached ([value >= limit]). Each call
+    takes the telemetry lock, looks the key up twice (cell and limit) and
+    reads the clock, so it belongs at coarse sites: per round, per CQ, per
+    pattern. Per-node and per-trigger work goes through a {!meter}. *)
+
+(** {1 Meters} *)
+
+type meter
+(** A counter key bound to one governor, with its budget limit looked up
+    once. Made once per call or run and ticked in the hot loop. *)
+
+val meter : t -> string -> meter
+(** [meter g key] resolves [key]'s budget limit. The counter itself is
+    created by the first {!tick}, so a meter that never ticks adds no key
+    to the telemetry. *)
+
+val tick : ?n:int -> meter -> unit
+(** [tick m] is [charge g key] for the meter's key without the lock, the
+    key lookups or the clock read: one [Atomic.fetch_and_add] on the
+    counter, the same [value >= limit] stop as {!charge}, so counts and the
+    point where a counter budget stops the run are exact. The deadline and
+    the cancellation callback are polled on {!live}'s stride, so a loop
+    that only ticks still stops on them. Safe from several domains at
+    once. *)
 
 val gauge : t -> string -> int -> unit
 (** Record a peak gauge and stop the run if it exceeds the budget's limit

@@ -32,10 +32,6 @@ type t = {
   size : int;
 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let worker t () =
   let rec loop () =
     Mutex.lock t.lock;
@@ -52,7 +48,7 @@ let worker t () =
       (* A raising job must never take a worker down; error accounting is
          the submitter's business (wrap the thunk). *)
       (try job () with _ -> ());
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.running <- t.running - 1;
           if t.running = 0 && Queue.is_empty t.queue then Condition.broadcast t.idle);
       loop ()
@@ -105,7 +101,7 @@ let create ?workers ?queue_bound () =
 let size t = t.size
 
 let submit t job =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.closed then Error `Closed
       else
         match t.bound with
@@ -116,14 +112,14 @@ let submit t job =
           Ok (Queue.length t.queue))
 
 let drain t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       while not (Queue.is_empty t.queue && t.running = 0) do
         Condition.wait t.idle t.lock
       done)
 
 let shutdown t =
   let doms =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.closed then []
         else begin
           t.closed <- true;

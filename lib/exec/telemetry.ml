@@ -1,8 +1,9 @@
 (* Counters and peak gauges live in [int Atomic.t] cells so that any number
    of domains can charge one record concurrently without losing updates; the
    mutex guards only the key->cell tables (lookup/insert) and the float-
-   valued phase table. The hot path is: short critical section to fetch the
-   cell, then a lock-free atomic update. *)
+   valued phase table. [add] takes a short critical section to fetch the
+   cell, then updates it lock-free; hot loops fetch the cell once through
+   [counter] (see [Governor.meter]) and skip the lock and the hash. *)
 
 type t = {
   lock : Mutex.t;
@@ -19,12 +20,8 @@ let create () =
     phases = Hashtbl.create 8;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let reset t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.counters;
       Hashtbl.reset t.peaks;
       Hashtbl.reset t.phases)
@@ -33,7 +30,7 @@ let reset t =
    across a concurrent [reset] would update a dropped cell; reset is a
    run-boundary operation and must not race with writers. *)
 let cell t tbl key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt tbl key with
       | Some c -> c
       | None ->
@@ -41,10 +38,11 @@ let cell t tbl key =
         Hashtbl.add tbl key c;
         c)
 
-let add t key n = Atomic.fetch_and_add (cell t t.counters key) n + n
+let counter t key = cell t t.counters key
+let add t key n = Atomic.fetch_and_add (counter t key) n + n
 
 let get t key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.counters key with None -> 0 | Some c -> Atomic.get c)
 
 let set_counter t key v = Atomic.set (cell t t.counters key) v
@@ -58,26 +56,27 @@ let gauge t key v =
   raise_to ()
 
 let peak t key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.peaks key with None -> 0 | Some c -> Atomic.get c)
 
 let add_span t key s =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let v = s +. Option.value ~default:0.0 (Hashtbl.find_opt t.phases key) in
       Hashtbl.replace t.phases key v)
 
 let sorted xs = List.sort compare xs
 
 let counters t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k c acc -> (k, Atomic.get c) :: acc) t.counters [] |> sorted)
 
 let peaks t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k c acc -> (k, Atomic.get c) :: acc) t.peaks [] |> sorted)
 
 let phases t =
-  locked t (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.phases [] |> sorted)
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.phases [] |> sorted)
 
 let merge_into ~into t =
   (* Snapshot the source first so the two locks are never held together. *)

@@ -23,6 +23,12 @@ val add : t -> string -> int -> int
 (** [add t key n] increments counter [key] by [n] and returns the new
     value. *)
 
+val counter : t -> string -> int Atomic.t
+(** The cell behind counter [key], created at [0] if absent (so the key
+    then shows in {!counters}). Adding to it is {!add} without the lock and
+    the key lookup; a caller may keep it for the length of a run. {!reset}
+    drops the cell, so it must not be kept across a reset. *)
+
 val get : t -> string -> int
 (** Current value of a counter ([0] if never charged). *)
 

@@ -53,10 +53,6 @@ let create ?(now = Unix.gettimeofday) ?(rate = infinity) ?burst ?(max_inflight =
     telemetry;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let refill t b now =
   if now > b.last then begin
     b.tokens <- Float.min t.burst (b.tokens +. ((now -. b.last) *. t.rate));
@@ -68,7 +64,7 @@ let refill t b now =
    quota accounting reflects work actually admitted. *)
 let admit t ~tenant =
   let outcome =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.max_inflight > 0 && t.inflight >= t.max_inflight then Overloaded t.inflight
         else if t.rate = infinity then begin
           t.inflight <- t.inflight + 1;
@@ -94,20 +90,21 @@ let admit t ~tenant =
   in
   (match outcome with
   | Admitted ->
-    Tgd_exec.Telemetry.gauge t.telemetry key_inflight_peak (locked t (fun () -> t.inflight))
+    Tgd_exec.Telemetry.gauge t.telemetry key_inflight_peak
+      (Mutex.protect t.lock (fun () -> t.inflight))
   | Overloaded _ -> ignore (Tgd_exec.Telemetry.add t.telemetry key_shed_overloaded 1)
   | Quota_exceeded _ -> ignore (Tgd_exec.Telemetry.add t.telemetry key_shed_quota 1));
   outcome
 
 let release t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.inflight <= 0 then invalid_arg "Admission.release: nothing in flight";
       t.inflight <- t.inflight - 1)
 
-let inflight t = locked t (fun () -> t.inflight)
+let inflight t = Mutex.protect t.lock (fun () -> t.inflight)
 
 let tokens t ~tenant =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.rate = infinity then infinity
       else
         match Hashtbl.find_opt t.buckets tenant with

@@ -33,10 +33,6 @@ let create ?(capacity = 1024) ~telemetry () =
   { lock = Mutex.create (); table = Hashtbl.create 64; head = None; tail = None;
     cap = capacity; telemetry }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let cache_key ~ontology ~epoch ~canon_key =
   ontology ^ "\x00" ^ string_of_int epoch ^ "\x00" ^ canon_key
 
@@ -55,7 +51,7 @@ let push_front t node =
 let find t ~ontology ~epoch ~canon =
   let key = cache_key ~ontology ~epoch ~canon_key:canon.Canon.key in
   let hit =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         match Hashtbl.find_opt t.table key with
         | None -> None
         | Some node ->
@@ -72,7 +68,7 @@ let add t entry =
     cache_key ~ontology:entry.ontology ~epoch:entry.epoch ~canon_key:entry.canon.Canon.key
   in
   let evicted =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         (match Hashtbl.find_opt t.table key with
         | Some old ->
           unlink t old;
@@ -95,7 +91,7 @@ let add t entry =
   if evicted > 0 then ignore (Tgd_exec.Telemetry.add t.telemetry key_evictions evicted)
 
 let purge t ~ontology ~keep_epoch =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let stale =
         Hashtbl.fold
           (fun _ node acc ->
@@ -110,5 +106,5 @@ let purge t ~ontology ~keep_epoch =
         stale;
       List.length stale)
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap

@@ -39,10 +39,6 @@ let create () =
     last_delta = Hashtbl.create 8;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let next_counter tbl name =
   let e = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl name) in
   Hashtbl.replace tbl name e;
@@ -50,7 +46,7 @@ let next_counter tbl name =
 
 let install t name program instance =
   Tgd_db.Instance.seal instance;
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let entry =
         {
           name;
@@ -72,7 +68,7 @@ let install_delta t (prev : entry) instance materialization =
   (match materialization with
   | Some m -> Tgd_db.Instance.seal m.model
   | None -> ());
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let entry =
         { prev with delta_epoch = next_counter t.last_delta prev.name; instance; materialization }
       in
@@ -92,7 +88,7 @@ let restore t ~name ~epoch ~delta_epoch ?materialization program instance =
   (match materialization with
   | Some m -> Tgd_db.Instance.seal m.model
   | None -> ());
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       (* Epoch counters resume at least where the snapshot left them, so a
          post-recovery register/mutation continues the pre-crash sequence
          instead of restarting it (cache keys must stay unresurrectable). *)
@@ -106,7 +102,7 @@ let restore t ~name ~epoch ~delta_epoch ?materialization program instance =
       Hashtbl.replace t.entries name entry;
       entry)
 
-let find t name = locked t (fun () -> Hashtbl.find_opt t.entries name)
+let find t name = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries name)
 
 let add_facts ?gov t ~name facts =
   match find t name with
@@ -154,7 +150,7 @@ let materialize ?gov t ~name =
     in
     Tgd_db.Instance.seal model;
     let entry =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           (* A cache fill, not a mutation: both epochs stay put. Re-read the
              current entry under the lock so a racing mutation is not
              clobbered — if one slipped in, its materialization (or absence)
@@ -178,7 +174,7 @@ let load_csv_string ?gov t ~name src =
     | Ok extra -> add_facts ?gov t ~name (Tgd_db.Instance.facts extra))
 
 let list t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold
         (fun name e acc ->
           ( name,

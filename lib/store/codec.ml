@@ -133,12 +133,12 @@ let r_int_array r =
      carry the bulk of every columnar snapshot. *)
   if len * 8 > remaining r then raise (Corrupt "truncated int array");
   let src = r.src and base = r.p in
-  let a =
-    Array.init len (fun i ->
-        let v64 = String.get_int64_le src (base + (i lsl 3)) in
-        let v = Int64.to_int v64 in
-        if Int64.of_int v <> v64 then raise (Corrupt "int overflows the host word");
-        v)
-  in
+  let a = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let v64 = String.get_int64_le src (base + (i lsl 3)) in
+    let v = Int64.to_int v64 in
+    if Int64.of_int v <> v64 then raise (Corrupt "int overflows the host word");
+    Array.unsafe_set a i v
+  done;
   r.p <- base + (len lsl 3);
   a

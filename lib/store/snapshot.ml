@@ -61,18 +61,18 @@ let w_relation buf pred rel =
     Codec.w_u32 buf p.Db.Columnar.p_nrows;
     Codec.w_u32 buf (Array.length p.Db.Columnar.p_cols);
     Array.iter (fun col -> Codec.w_int_array buf col) p.Db.Columnar.p_cols;
-    Codec.w_u32 buf (Array.length p.Db.Columnar.p_groups);
+    Codec.w_u32 buf (Array.length p.Db.Columnar.p_codes);
     Array.iteri
-      (fun j pairs ->
-        Codec.w_u32 buf (Array.length pairs);
-        Array.iter
-          (fun (code, g) ->
+      (fun j codes ->
+        Codec.w_u32 buf (Array.length codes);
+        Array.iteri
+          (fun g code ->
             Codec.w_int buf code;
             Codec.w_u32 buf g)
-          pairs;
+          codes;
         Codec.w_int_array buf p.Db.Columnar.p_starts.(j);
         Codec.w_int_array buf p.Db.Columnar.p_rows.(j))
-      p.Db.Columnar.p_groups;
+      p.Db.Columnar.p_codes;
     w_boxed_rows buf pending
   | None, rows ->
     Codec.w_u8 buf kind_boxed;
@@ -203,16 +203,20 @@ let r_relation r remap =
         cols);
     let nidx = Codec.r_u32 r in
     if nidx <> arity then raise (Codec.Corrupt "index count does not match arity");
-    let groups = Array.make nidx [||] in
+    let codes = Array.make nidx [||] in
     let starts = Array.make nidx [||] in
     let rows = Array.make nidx [||] in
     for j = 0 to nidx - 1 do
       let npairs = Codec.r_u32 r in
-      groups.(j) <-
-        Array.init npairs (fun _ ->
-            let code = remap_code remap (Codec.r_int r) in
-            let g = Codec.r_u32 r in
-            (code, g));
+      (* (code, group id) pairs, 12 bytes each, written in group-id order:
+         the id is the position, so the codes load as one flat array. *)
+      if npairs * 12 > Codec.remaining r then raise (Codec.Corrupt "truncated group codes");
+      let c = Array.make npairs 0 in
+      for g = 0 to npairs - 1 do
+        c.(g) <- remap_code remap (Codec.r_int r);
+        if Codec.r_u32 r <> g then raise (Codec.Corrupt "group ids out of order")
+      done;
+      codes.(j) <- c;
       starts.(j) <- Codec.r_int_array r;
       rows.(j) <- Codec.r_int_array r
     done;
@@ -223,7 +227,7 @@ let r_relation r remap =
             Db.Columnar.p_arity = arity;
             p_nrows = nrows;
             p_cols = cols;
-            p_groups = groups;
+            p_codes = codes;
             p_starts = starts;
             p_rows = rows;
           }

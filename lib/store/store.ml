@@ -106,10 +106,6 @@ let open_dir ?(fsync = true) dir =
 let dir t = t.dir
 let fsync_enabled t = t.fsync
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let entry t name =
   match Hashtbl.find_opt t.entries name with
   | Some e -> e
@@ -172,7 +168,7 @@ let scan_dir t =
       |> List.sort (fun a b -> compare b a) )
 
 let recover t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let names, gens_of = scan_dir t in
       List.map
         (fun name ->
@@ -203,7 +199,7 @@ let recover t =
 (* ------------------------------------------------------------------ *)
 (* Appends and checkpoints                                             *)
 
-let log t ~name record = locked t (fun () -> Wal.append (wal_of t name) record)
+let log t ~name record = Mutex.protect t.lock (fun () -> Wal.append (wal_of t name) record)
 
 let fsync_file path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -211,7 +207,7 @@ let fsync_file path =
       Unix.fsync fd)
 
 let checkpoint t ~name snap =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let e = entry t name in
       let gen = e.gen + 1 in
       let final = snap_path t name gen in
@@ -239,7 +235,7 @@ let checkpoint t ~name snap =
       { generation = gen; wal_records = 0; wal_bytes = 0 })
 
 let status t ~name =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.entries name with
       | None -> None
       | Some e ->
@@ -249,6 +245,6 @@ let status t ~name =
         Some { generation = e.gen; wal_records; wal_bytes })
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.iter (fun _ e -> match e.wal with Some w -> Wal.close w | None -> ()) t.entries;
       Hashtbl.reset t.entries)

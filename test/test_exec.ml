@@ -4,6 +4,8 @@
    - The governor latches its first stop reason; charge stops at the limit
      (value >= limit), gauge stops only beyond it (value > limit);
      cancellation and deadlines trip from plain [live] polling.
+   - A meter counts and stops exactly like [charge], from any number of
+     domains, adds no key until it ticks and polls the deadline itself.
    - Budget-exhausted chase runs are deterministic for a fixed input.
    - Truncation never corrupts state: rerunning from scratch after a
      truncated run gives exactly the unbudgeted result.
@@ -182,6 +184,105 @@ let test_report_json_shape () =
   has "\\\"quoted\\\""
 
 (* ------------------------------------------------------------------ *)
+(* Meters *)
+
+let test_meter_latches_like_charge () =
+  let limit = 7 in
+  let b = { Budget.unlimited with Budget.eval_steps = Some limit } in
+  let metered = Governor.create ~budget:b () and charged = Governor.create ~budget:b () in
+  let m = Governor.meter metered Budget.key_eval_steps in
+  for i = 1 to limit do
+    Alcotest.(check bool) (Printf.sprintf "live before tick %d" i) true (Governor.live metered);
+    Governor.tick m;
+    Governor.charge charged Budget.key_eval_steps;
+    Alcotest.(check bool)
+      (Printf.sprintf "tick %d stops iff charge %d does" i i)
+      (Governor.stopped charged = None)
+      (Governor.stopped metered = None)
+  done;
+  (match Governor.stopped metered with
+  | Some (Governor.Limit { counter; limit = l }) ->
+    Alcotest.(check string) "counter" Budget.key_eval_steps counter;
+    Alcotest.(check int) "limit" limit l
+  | _ -> Alcotest.fail "expected Limit on the limit-th tick");
+  let value g = Telemetry.get (Governor.telemetry g) Budget.key_eval_steps in
+  Alcotest.(check int) "same counter value as charge" (value charged) (value metered);
+  Alcotest.(check int) "counter at the limit" limit (value metered);
+  (* A batched tick crosses the limit the same way a batched charge does. *)
+  let b = { Budget.unlimited with Budget.chase_triggers = Some 10 } in
+  let g = Governor.create ~budget:b () in
+  let m = Governor.meter g Budget.key_chase_triggers in
+  Governor.tick ~n:9 m;
+  Alcotest.(check bool) "9 of 10 is live" true (Governor.live g);
+  Governor.tick ~n:5 m;
+  Alcotest.(check bool) "14 of 10 stopped" true (Governor.stopped g <> None)
+
+let test_meter_domains_exact () =
+  let g = Governor.unlimited () in
+  let ticks = 10_000 in
+  let work () =
+    let m = Governor.meter g Budget.key_eval_steps in
+    for _ = 1 to ticks do
+      Governor.tick m
+    done
+  in
+  let ds = List.init 4 (fun _ -> Domain.spawn work) in
+  List.iter Domain.join ds;
+  Alcotest.(check int) "4 x 10k ticks" (4 * ticks)
+    (Telemetry.get (Governor.telemetry g) Budget.key_eval_steps)
+
+let test_meter_untouched_adds_no_key () =
+  let g = Governor.unlimited () in
+  Governor.charge g Budget.key_chase_rounds;
+  let before = Telemetry.counters (Governor.telemetry g) in
+  let _unused = Governor.meter g Budget.key_eval_steps in
+  Alcotest.(check (list (pair string int)))
+    "counters unchanged" before
+    (Telemetry.counters (Governor.telemetry g))
+
+let test_meter_trips_deadline () =
+  let b = { Budget.unlimited with Budget.deadline_s = Some 0.02 } in
+  let g = Governor.create ~budget:b () in
+  let m = Governor.meter g Budget.key_eval_steps in
+  let t0 = Unix.gettimeofday () in
+  (* Only ticks, never [live]: the meter's own polls must see the
+     deadline. The 5 s cap keeps a broken poll from hanging the suite. *)
+  while Governor.stopped g = None && Unix.gettimeofday () -. t0 < 5.0 do
+    Governor.tick m
+  done;
+  match Governor.stopped g with
+  | Some (Governor.Deadline s) -> Alcotest.(check bool) "deadline value" true (s = 0.02)
+  | _ -> Alcotest.fail "expected Deadline from a tick-only loop"
+
+(* A governed Datalog answer on University data: the [eval.steps] total
+   and answer count of a full run, and where an [eval.steps] budget cuts
+   it. Recorded when every join node was charged through
+   [Governor.charge]; a meter that miscounts, skips the ticks after a
+   stop or latches a node late fails here. *)
+let datalog_run ?limit () =
+  let data = Tgd_gen.University.generate_data (Tgd_gen.Rng.create 7) ~scale:50 in
+  let q = List.hd Tgd_gen.University.queries in
+  let dl = Tgd_rewrite.Datalog_rw.rewrite Tgd_gen.University.ontology q in
+  let tel = Telemetry.create () in
+  let budget = { Budget.unlimited with Budget.eval_steps = limit } in
+  let g = Governor.create ~budget ~telemetry:tel () in
+  let answers = Tgd_obda.Target.datalog_answers ~gov:g dl data in
+  (Telemetry.get tel Budget.key_eval_steps, List.length answers, Governor.stopped g <> None)
+
+let test_pinned_datalog_steps () =
+  let check name (steps, answers, stopped) got =
+    let s, a, st = got in
+    Alcotest.(check int) (name ^ ": eval.steps") steps s;
+    Alcotest.(check int) (name ^ ": answers") answers a;
+    Alcotest.(check bool) (name ^ ": stopped") stopped st
+  in
+  check "full run" (1486, 60, false) (datalog_run ());
+  (* Cut in the goal query: the ticks after the stop still count. *)
+  check "limit 1466" (1486, 39, true) (datalog_run ~limit:1466 ());
+  (* Cut in the saturation. *)
+  check "limit 743" (795, 0, true) (datalog_run ~limit:743 ())
+
+(* ------------------------------------------------------------------ *)
 (* Engine-level properties *)
 
 let truncated_run budget_triggers =
@@ -293,6 +394,14 @@ let () =
           Alcotest.test_case "deadline" `Quick test_governor_deadline;
           Alcotest.test_case "diagnostics snapshot" `Quick test_diagnostics_snapshot;
           Alcotest.test_case "report json shape" `Quick test_report_json_shape;
+        ] );
+      ( "meter",
+        [
+          Alcotest.test_case "latches like charge" `Quick test_meter_latches_like_charge;
+          Alcotest.test_case "exact across domains" `Quick test_meter_domains_exact;
+          Alcotest.test_case "untouched meter adds no key" `Quick test_meter_untouched_adds_no_key;
+          Alcotest.test_case "tick-only loop trips deadline" `Quick test_meter_trips_deadline;
+          Alcotest.test_case "pinned datalog eval.steps" `Quick test_pinned_datalog_steps;
         ] );
       ( "engine",
         [

@@ -342,7 +342,7 @@ let test_recover_skips_corrupt_generation () =
    written by hand: decode must refuse a broken shape instead of handing
    out-of-range row or group ids to the columnar evaluator, which reads
    them without bounds checks. *)
-let image_with_index ~pairs ~starts ~rows =
+let image_with_index ?count ~pairs ~starts ~rows () =
   let sym s = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern s) in
   let body = Buffer.create 128 in
   Codec.w_u32 body 1 (* epoch *);
@@ -362,7 +362,7 @@ let image_with_index ~pairs ~starts ~rows =
   Codec.w_u32 body 1 (* columns *);
   Codec.w_int_array body [| sym "a" |];
   Codec.w_u32 body 1 (* indexes *);
-  Codec.w_u32 body (Array.length pairs);
+  Codec.w_u32 body (Option.value ~default:(Array.length pairs) count);
   Array.iter
     (fun (code, g) ->
       Codec.w_int body code;
@@ -383,12 +383,13 @@ let image_with_index ~pairs ~starts ~rows =
 
 let test_snapshot_rejects_bad_index () =
   let a = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "a") in
-  (match Snapshot.decode (image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |]) with
+  let well_formed = image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |] () in
+  (match Snapshot.decode well_formed with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "the well-formed image must decode: %s" e);
   List.iter
-    (fun (what, pairs, starts, rows) ->
-      match Snapshot.decode (image_with_index ~pairs ~starts ~rows) with
+    (fun (what, count, pairs, starts, rows) ->
+      match Snapshot.decode (image_with_index ?count ~pairs ~starts ~rows ()) with
       | Ok _ -> Alcotest.failf "%s: decoded Ok" what
       | Error e ->
         Alcotest.(check bool)
@@ -396,14 +397,17 @@ let test_snapshot_rejects_bad_index () =
           true
           (String.starts_with ~prefix:"corrupt snapshot: " e))
     [
-      ("row id out of range", [| (a, 0) |], [| 0; 1 |], [| 5 |]);
-      ("negative row id", [| (a, 0) |], [| 0; 1 |], [| -1 |]);
-      ("group id out of range", [| (a, 3) |], [| 0; 1 |], [| 0 |]);
-      ("offsets end past the rows", [| (a, 0) |], [| 0; 2 |], [| 0 |]);
-      ("offsets do not start at 0", [| (a, 0) |], [| 1; 1 |], [| 0 |]);
-      ("decreasing offsets", [| (a, 0); (a + 1, 1) |], [| 0; 2; 1 |], [| 0 |]);
-      ("offset count", [| (a, 0) |], [| 0; 0; 1 |], [| 0 |]);
-      ("row list length", [| (a, 0) |], [| 0; 1 |], [| 0; 0 |]);
+      ("row id out of range", None, [| (a, 0) |], [| 0; 1 |], [| 5 |]);
+      ("negative row id", None, [| (a, 0) |], [| 0; 1 |], [| -1 |]);
+      ("group id out of range", None, [| (a, 3) |], [| 0; 1 |], [| 0 |]);
+      ("group ids out of order", None, [| (a, 1); (a + 1, 0) |], [| 0; 1; 1 |], [| 0 |]);
+      (* Refused before the code array is allocated. *)
+      ("pair count past the image", Some 0xFFFF_FFFF, [| (a, 0) |], [| 0; 1 |], [| 0 |]);
+      ("offsets end past the rows", None, [| (a, 0) |], [| 0; 2 |], [| 0 |]);
+      ("offsets do not start at 0", None, [| (a, 0) |], [| 1; 1 |], [| 0 |]);
+      ("decreasing offsets", None, [| (a, 0); (a + 1, 1) |], [| 0; 2; 1 |], [| 0 |]);
+      ("offset count", None, [| (a, 0) |], [| 0; 0; 1 |], [| 0 |]);
+      ("row list length", None, [| (a, 0) |], [| 0; 1 |], [| 0; 0 |]);
     ]
 
 (* ------------------------------------------------------------------ *)
