@@ -5,12 +5,13 @@ type fact = Symbol.t * Tuple.t
 
 let create () = { relations = Symbol.Table.create 32 }
 
+(* [Symbol.Table.copy] keeps the bucket layout, so the copy iterates its
+   relations in the original's order: how many copies an instance went
+   through never shows in iteration order (EGD substitution walks it). *)
 let copy inst =
-  let fresh = create () in
-  Symbol.Table.iter
-    (fun pred rel -> Symbol.Table.add fresh.relations pred (Relation.copy rel))
-    inst.relations;
-  fresh
+  let relations = Symbol.Table.copy inst.relations in
+  Symbol.Table.filter_map_inplace (fun _ rel -> Some (Relation.copy rel)) relations;
+  { relations }
 
 let relation inst pred = Symbol.Table.find_opt inst.relations pred
 
@@ -93,6 +94,7 @@ let build_indexes inst =
   Symbol.Table.iter (fun _ rel -> Relation.build_all_indexes rel) inst.relations
 
 let seal inst = Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
+let seal_boxed inst = Symbol.Table.iter (fun _ rel -> Relation.seal_boxed rel) inst.relations
 
 let pp ppf inst =
   let pp_fact ppf (pred, t) = Format.fprintf ppf "%a%a" Symbol.pp pred Tuple.pp t in

@@ -14,7 +14,7 @@ val copy : t -> t
     and their pending tails) are shared, so mutating the copy — chasing
     it, appending a delta — never disturbs the original, and sealing the
     copy after an append extends the shared block instead of re-encoding
-    it. *)
+    it. The copy iterates its relations in the original's order. *)
 
 val add_fact : t -> Symbol.t -> Tuple.t -> bool
 (** [true] iff the fact is new. Creates the relation on first use; raises
@@ -66,5 +66,9 @@ val seal : t -> unit
 (** {!Relation.seal} every relation: encode its columnar block, which
     {!Col_eval} and {!Par_eval} scan, or build its boxed indexes when the
     block cannot be built. *)
+
+val seal_boxed : t -> unit
+(** {!Relation.seal_boxed} every relation: what {!seal} does to boxed
+    readers, without building or extending any block. *)
 
 val pp : Format.formatter -> t -> unit

@@ -61,17 +61,19 @@ let install t name program instance =
       entry)
 
 (* A data-only mutation: the full epoch — the prepared-cache key — stays
-   put, because a rewriting depends only on the TGDs; only the delta epoch
-   bumps. *)
-let install_delta t (prev : entry) instance materialization =
+   put, because a rewriting depends only on the TGDs; the delta epoch bumps
+   once per applied batch. *)
+let install_delta t (prev : entry) ~batches instance materialization =
   Tgd_db.Instance.seal instance;
   (match materialization with
   | Some m -> Tgd_db.Instance.seal m.model
   | None -> ());
   Mutex.protect t.lock (fun () ->
-      let entry =
-        { prev with delta_epoch = next_counter t.last_delta prev.name; instance; materialization }
-      in
+      let delta_epoch = ref prev.delta_epoch in
+      for _ = 1 to batches do
+        delta_epoch := next_counter t.last_delta prev.name
+      done;
+      let entry = { prev with delta_epoch = !delta_epoch; instance; materialization } in
       Hashtbl.replace t.entries prev.name entry;
       entry)
 
@@ -104,40 +106,106 @@ let restore t ~name ~epoch ~delta_epoch ?materialization program instance =
 
 let find t name = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries name)
 
-let add_facts ?gov t ~name facts =
+let unknown name = Printf.sprintf "unknown ontology %S" name
+
+(* Every predicate keeps one arity: the one the instance, the model or the
+   rules already give it, else the one the batch first uses. Checked before
+   the batch inserts its first fact, so it applies whole or not at all. *)
+let check_arities program instance materialization facts =
+  let signature = lazy (Program.predicates program) in
+  let known pred =
+    let in_ inst = Option.map Tgd_db.Relation.arity (Tgd_db.Instance.relation inst pred) in
+    match in_ instance, Option.bind materialization (fun m -> in_ m.model) with
+    | Some a, _ | None, Some a -> Some a
+    | None, None -> List.assoc_opt pred (Lazy.force signature)
+  in
+  let seen = Symbol.Table.create 8 in
+  let rec go = function
+    | [] -> Ok ()
+    | (pred, tup) :: rest -> (
+      let arity = Array.length tup in
+      let expected =
+        match Symbol.Table.find_opt seen pred with
+        | Some a -> a
+        | None ->
+          let a = Option.value ~default:arity (known pred) in
+          Symbol.Table.add seen pred a;
+          a
+      in
+      if arity = expected then go rest
+      else
+        Error
+          (Printf.sprintf "predicate %s has arity %d, but the batch uses it with arity %d"
+             (Symbol.name pred) expected arity))
+  in
+  go facts
+
+(* One batch on the private successor: insert its new facts and, when a
+   materialization is alive, extend the model by a batch chase at the
+   running null floor instead of re-chasing. *)
+let apply_batch program instance materialization (gov, facts) =
+  let added =
+    List.filter (fun (pred, tup) -> Tgd_db.Instance.add_fact instance pred tup) facts
+  in
+  let added_n = List.length added in
+  match materialization with
+  | None -> (None, added_n, None)
+  | Some m ->
+    let stats = Tgd_chase.Chase.run ?gov ~null_floor:m.floor ~batch:added program m.model in
+    let complete =
+      m.complete
+      && stats.Tgd_chase.Chase.consistent
+      && stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated
+    in
+    (Some { m with floor = m.floor + stats.Tgd_chase.Chase.nulls; complete }, added_n, Some stats)
+
+let add_batches t ~name batches =
   match find t name with
-  | None -> Error (Printf.sprintf "unknown ontology %S" name)
+  | None -> List.map (fun _ -> Error (unknown name)) batches
   | Some entry ->
-    (* Copy-on-write: in-flight readers keep the old sealed instance, and
-       the copy shares the frozen columnar blocks, so re-sealing after the
-       append extends them instead of re-encoding. *)
-    let merged = Tgd_db.Instance.copy entry.instance in
-    let added =
-      List.filter (fun (pred, tup) -> Tgd_db.Instance.add_fact merged pred tup) facts
+    (* Copy-on-write, once for the whole run: in-flight readers keep the
+       old sealed instances, and the copies share the frozen columnar
+       blocks, so the one seal at install extends them instead of
+       re-encoding. *)
+    let instance = Tgd_db.Instance.copy entry.instance in
+    let materialization =
+      ref
+        (Option.map
+           (fun m -> { m with model = Tgd_db.Instance.copy m.model })
+           entry.materialization)
     in
-    let materialization, delta =
-      match entry.materialization with
-      | None -> (None, None)
-      | Some m ->
-        (* The chase materialization stays alive: apply the delta to a
-           copy-on-write extension of the model instead of cold-starting. *)
-        let model = Tgd_db.Instance.copy m.model in
-        let stats =
-          Tgd_chase.Chase.run ?gov ~null_floor:m.floor ~batch:added entry.program model
-        in
-        let complete =
-          m.complete
-          && stats.Tgd_chase.Chase.consistent
-          && stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated
-        in
-        ( Some { model; floor = m.floor + stats.Tgd_chase.Chase.nulls; complete },
-          Some stats )
+    let applied = ref 0 in
+    let outcomes =
+      List.map
+        (fun ((_, facts) as batch) ->
+          match check_arities entry.program instance !materialization facts with
+          | Error msg -> Error msg
+          | Ok () ->
+            (* Between two batches, do to the boxed side the chase reads
+               what sealing the previous batch's successor would have
+               done, so each batch sees what it would have seen alone. *)
+            if !applied > 0 then begin
+              Tgd_db.Instance.seal_boxed instance;
+              Option.iter (fun m -> Tgd_db.Instance.seal_boxed m.model) !materialization
+            end;
+            incr applied;
+            let m, added, delta = apply_batch entry.program instance !materialization batch in
+            materialization := m;
+            Ok (added, delta))
+        batches
     in
-    Ok { entry = install_delta t entry merged materialization; added = List.length added; delta }
+    (* No batch applied: nothing to install, and no [Ok] to attach it to. *)
+    let entry =
+      if !applied = 0 then entry
+      else install_delta t entry ~batches:!applied instance !materialization
+    in
+    List.map (Result.map (fun (added, delta) -> { entry; added; delta })) outcomes
+
+let add_facts ?gov t ~name facts = List.hd (add_batches t ~name [ (gov, facts) ])
 
 let materialize ?gov t ~name =
   match find t name with
-  | None -> Error (Printf.sprintf "unknown ontology %S" name)
+  | None -> Error (unknown name)
   | Some entry ->
     let model = Tgd_db.Instance.copy entry.instance in
     let stats = Tgd_chase.Chase.run ?gov entry.program model in
@@ -167,7 +235,7 @@ let materialize ?gov t ~name =
 
 let load_csv_string ?gov t ~name src =
   match find t name with
-  | None -> Error (Printf.sprintf "unknown ontology %S" name)
+  | None -> Error (unknown name)
   | Some _ -> (
     match Tgd_db.Csv_io.load_string src with
     | Error msg -> Error msg

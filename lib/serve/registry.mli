@@ -10,7 +10,7 @@
     Epochs come in two grades. The {b full epoch} bumps only on ontology
     edits ({!register}): it is the prepared-cache key component, because a
     UCQ rewriting depends on the TGDs alone. Data-only mutations
-    ({!add_facts}, the CSV loaders) bump the cheap {b delta epoch}
+    ({!add_batches}, {!load_csv_string}) bump the cheap {b delta epoch}
     instead — prepared rewritings stay warm across them, the copy-on-write
     instance shares its frozen columnar blocks with the predecessor
     (re-sealing extends them, {!Tgd_db.Columnar.extend}), and a live chase
@@ -39,7 +39,7 @@ type entry = {
   program : Program.t;
   instance : Tgd_db.Instance.t;  (** sealed: safe for concurrent readers *)
   materialization : materialization option;
-      (** chase materialization kept alive across {!add_facts} *)
+      (** chase materialization kept alive across {!add_batches} *)
 }
 
 type mutation = {
@@ -77,15 +77,23 @@ val restore :
     least these values, so later mutations continue the pre-crash
     sequences monotonically. *)
 
-val add_facts :
-  ?gov:Tgd_exec.Governor.t ->
+val add_batches :
   t ->
   name:string ->
-  Tgd_db.Instance.fact list ->
-  (mutation, string) result
-(** Append a batch of facts to [name]'s instance (copy-on-write; delta
-    epoch bump only) and, when a materialization is alive, extend it with
-    {!Tgd_chase.Chase.run} [~batch] under [gov] instead of re-chasing. *)
+  (Tgd_exec.Governor.t option * Tgd_db.Instance.fact list) list ->
+  (mutation, string) result list
+(** Append batches of facts to [name]'s instance, in order, and install
+    the result once; one result per batch. Each batch is checked first: a
+    fact whose predicate already has another arity (in the instance, the
+    model or the rules, or earlier in the batch) fails the whole batch,
+    which then changes nothing and bumps nothing. Every applied batch bumps
+    the delta epoch once and, when a materialization is alive, extends it
+    with its own {!Tgd_chase.Chase.run} [~batch] under its own governor at
+    the running null floor — the model, its floor and its completeness
+    come out exactly as from one call per batch. The batches run on one
+    private copy-on-write successor, copied and sealed once for the whole
+    call, which is what makes a long run cheap. Every [Ok] carries the
+    entry installed by the call; an unknown [name] fails every batch. *)
 
 val materialize :
   ?gov:Tgd_exec.Governor.t -> t -> name:string -> (entry * Tgd_chase.Chase.stats, string) result
@@ -95,7 +103,8 @@ val materialize :
 
 val load_csv_string :
   ?gov:Tgd_exec.Governor.t -> t -> name:string -> string -> (mutation, string) result
-(** Merge CSV facts into [name]'s instance through {!add_facts}. *)
+(** Merge CSV facts into [name]'s instance: the one-batch case of
+    {!add_batches}. *)
 
 val find : t -> string -> entry option
 (** Snapshot of the current entry; stable even while mutations proceed. *)

@@ -474,10 +474,15 @@ let handle t (request : Protocol.request) =
              Json.Obj (base @ store_fields))
            (Registry.list t.registry))
     in
+    let phases =
+      Json.Obj
+        (List.map (fun (k, v) -> (k, Json.Float v)) (Tgd_exec.Telemetry.phases t.telemetry))
+    in
     Ok
       [
         ("counters", counters);
         ("peaks", peaks);
+        ("phases", phases);
         ("ontologies", ontologies);
         ( "cache",
           Json.Obj
@@ -501,25 +506,12 @@ let handle t (request : Protocol.request) =
 (* ------------------------------------------------------------------ *)
 (* Construction + recovery                                             *)
 
-(* Replay one WAL record through the ordinary registry paths (no logging:
-   the record is already durable). Epoch counters advance exactly as they
-   did pre-crash — the snapshot restored them and replay repeats the same
-   mutation sequence — so recovered entries end on their original epochs. *)
-let replay_record t ~name record =
-  let gov, request_tele = mutation_governor t in
-  let result =
-    match record with
-    | Tgd_store.Wal.Register { source } -> (
-      match parse_ontology ~name source with
-      | Error msg -> Error msg
-      | Ok (program, facts) ->
-        ignore (Registry.register t.registry ~name ~facts program);
-        Ok ())
-    | Tgd_store.Wal.Load_csv { csv } | Tgd_store.Wal.Add_facts { csv } ->
-      Result.map ignore (Registry.load_csv_string ~gov t.registry ~name csv)
-    | Tgd_store.Wal.Materialize ->
-      Result.map ignore (Registry.materialize ~gov t.registry ~name)
-  in
+(* WAL replay goes through the ordinary registry paths (no logging: the
+   records are already durable). Epoch counters advance exactly as they did
+   pre-crash — the snapshot restored them and replay repeats the same
+   mutation sequence — so recovered entries end on their original epochs.
+   Each record gets its own mutation governor and is counted on its own. *)
+let count_replayed t ~name record request_tele result =
   Tgd_exec.Telemetry.merge_into ~into:t.telemetry request_tele;
   match result with
   | Ok () -> ignore (Tgd_exec.Telemetry.add t.telemetry "serve.store.replayed_records" 1)
@@ -528,10 +520,57 @@ let replay_record t ~name record =
     Printf.eprintf "obda serve: WAL replay of %s for %S failed: %s\n%!"
       (Tgd_store.Wal.record_tag record) name msg
 
+let replay_record t ~name record apply =
+  let gov, request_tele = mutation_governor t in
+  count_replayed t ~name record request_tele (apply gov)
+
+(* A maximal run of data records is one {!Registry.add_batches} call: one
+   batch per record, so one copy and one seal for the whole run. Nobody
+   reads the states in between — recovery finishes before serving. A
+   record whose CSV does not parse fails alone and stays out of the run. *)
+let replay_tail t ~name tail =
+  let run = ref [] in
+  let flush () =
+    let records = List.rev !run in
+    run := [];
+    if records <> [] then
+      List.iter2
+        (fun (record, request_tele, _) result ->
+          count_replayed t ~name record request_tele (Result.map ignore result))
+        records
+        (Registry.add_batches t.registry ~name (List.map (fun (_, _, batch) -> batch) records))
+  in
+  List.iter
+    (fun record ->
+      match record with
+      | Tgd_store.Wal.Load_csv { csv } | Tgd_store.Wal.Add_facts { csv } -> (
+        let gov, request_tele = mutation_governor t in
+        match Tgd_db.Csv_io.load_string csv with
+        | Ok extra -> run := (record, request_tele, (Some gov, Tgd_db.Instance.facts extra)) :: !run
+        | Error msg -> count_replayed t ~name record request_tele (Error msg))
+      | Tgd_store.Wal.Register { source } ->
+        flush ();
+        replay_record t ~name record (fun _gov ->
+            match parse_ontology ~name source with
+            | Error msg -> Error msg
+            | Ok (program, facts) ->
+              ignore (Registry.register t.registry ~name ~facts program);
+              Ok ())
+      | Tgd_store.Wal.Materialize ->
+        flush ();
+        replay_record t ~name record (fun gov ->
+            Result.map ignore (Registry.materialize ~gov t.registry ~name)))
+    tail;
+  flush ()
+
 let recover_store t store =
+  let t0 = Unix.gettimeofday () in
+  let recovered = Tgd_store.Store.recover store in
+  Tgd_exec.Telemetry.add_span t.telemetry "serve.store.restore" (Unix.gettimeofday () -. t0);
   List.iter
     (fun (r : Tgd_store.Store.recovered) ->
       let name = r.Tgd_store.Store.name in
+      let t0 = Unix.gettimeofday () in
       (match r.Tgd_store.Store.snapshot with
       | None -> ()
       | Some snap -> (
@@ -548,14 +587,17 @@ let recover_store t store =
                ~delta_epoch:snap.Tgd_store.Snapshot.delta_epoch
                ?materialization:snap.Tgd_store.Snapshot.materialization program
                snap.Tgd_store.Snapshot.instance)));
-      List.iter (replay_record t ~name) r.Tgd_store.Store.tail;
+      let t1 = Unix.gettimeofday () in
+      Tgd_exec.Telemetry.add_span t.telemetry "serve.store.restore" (t1 -. t0);
+      replay_tail t ~name r.Tgd_store.Store.tail;
+      Tgd_exec.Telemetry.add_span t.telemetry "serve.store.replay" (Unix.gettimeofday () -. t1);
       if r.Tgd_store.Store.torn_bytes > 0 then
         ignore
           (Tgd_exec.Telemetry.add t.telemetry "serve.store.torn_bytes"
              r.Tgd_store.Store.torn_bytes);
       if Registry.find t.registry name <> None then
         ignore (Tgd_exec.Telemetry.add t.telemetry "serve.store.recovered_entries" 1))
-    (Tgd_store.Store.recover store)
+    recovered
 
 let create ?cache_capacity ?base_budget ?config ?target ?eval_workers ?eval_partitions ?store
     ?checkpoint_every () =

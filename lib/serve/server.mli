@@ -45,14 +45,21 @@ val create :
     registry from the store — per entry, the latest valid snapshot is
     restored at its exact epochs and the WAL tail is replayed through the
     ordinary mutation paths (incrementally, via the delta chase, when a
-    materialization was snapshotted) — and afterwards every acknowledged
+    materialization was snapshotted). Each run of consecutive
+    load-csv/add-facts records is one {!Registry.add_batches} call: one
+    batch, one delta-epoch bump and one batch chase per record, but one
+    copy and one seal for the whole run, which nobody could observe in
+    between since recovery ends before serving starts. Afterwards every
+    acknowledged
     register/load-csv/add-facts/materialize is appended to that entry's
     WAL {e before} its response is produced. [checkpoint_every] > 0
     additionally writes a fresh snapshot generation (and trims the log)
     whenever an entry's WAL reaches that many records; the default [0]
     checkpoints only on explicit [snapshot] requests. Recovery statistics
     land in telemetry under [serve.store.*]. {!shutdown} closes the
-    store. Raises [Invalid_argument] when [checkpoint_every < 0].
+    store. Recovery is timed in the [serve.store.restore] and
+    [serve.store.replay] phases. Raises [Invalid_argument] when
+    [checkpoint_every < 0].
 
     Per-request UCQ evaluation always runs on {!Tgd_db.Par_eval}'s
     compiled columnar engine (registry instances are sealed on install).

@@ -82,6 +82,16 @@ let test_instance_copy_isolated () =
   Alcotest.(check int) "copy grew" 2 (Instance.cardinality copy);
   Alcotest.(check int) "original untouched" 1 (Instance.cardinality inst)
 
+(* Enough predicates that their table buckets collide: a copy of a copy
+   still iterates the facts in the original's order. *)
+let test_instance_copy_keeps_order () =
+  let inst = Instance.create () in
+  for i = 0 to 99 do
+    ignore (Instance.add_fact inst (Symbol.intern (Printf.sprintf "p%d" i)) (tuple [ "a" ]))
+  done;
+  let copies = Instance.copy (Instance.copy (Instance.copy inst)) in
+  Alcotest.(check bool) "same iteration order" true (Instance.facts inst = Instance.facts copies)
+
 let test_instance_of_atoms () =
   let inst = Instance.of_atoms [ atom "p" [ c "a"; c "b" ]; atom "q" [ c "x" ] ] in
   Alcotest.(check int) "two facts" 2 (Instance.cardinality inst);
@@ -496,6 +506,34 @@ let test_columnar_roundtrip_basic () =
       Alcotest.(check bool) "null decodes back" true
         (Value.equal (Value.decode code) (Value.Null 3)))
 
+(* [seal_boxed] then more inserts: every boxed lookup returns what it
+   returns after a full [seal] in its place — eager indexes for a relation
+   with an uncodable value, lazy ones (and no block) otherwise. *)
+let test_seal_boxed_matches_seal () =
+  let check ~what first =
+    let fill r vals = List.iter (fun v -> ignore (Relation.insert r [| vc "k"; v |])) vals in
+    let later = List.init 6 (fun i -> vc (Printf.sprintf "later%d" i)) in
+    let sealed = Relation.create ~arity:2 and boxed = Relation.create ~arity:2 in
+    fill sealed first;
+    fill boxed first;
+    Relation.seal sealed;
+    Relation.seal_boxed boxed;
+    fill sealed later;
+    fill boxed later;
+    List.iter
+      (fun v ->
+        Alcotest.(check bool) (what ^ ": same lookup order") true
+          (Relation.lookup sealed ~pos:0 v = Relation.lookup boxed ~pos:0 v))
+      (vc "k" :: first)
+  in
+  let first = List.init 6 (fun i -> vc (Printf.sprintf "first%d" i)) in
+  check ~what:"codable" first;
+  check ~what:"uncodable" (Value.Null Value.null_base :: first);
+  let r = Relation.create ~arity:1 in
+  ignore (Relation.insert r [| vc "a" |]);
+  Relation.seal_boxed r;
+  Alcotest.(check bool) "no block from seal_boxed" true (Relation.columnar r = None)
+
 let gen_col_value =
   QCheck.Gen.(
     frequency
@@ -600,6 +638,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_instance_basics;
           Alcotest.test_case "copy isolation" `Quick test_instance_copy_isolated;
+          Alcotest.test_case "copy keeps iteration order" `Quick test_instance_copy_keeps_order;
           Alcotest.test_case "of_atoms" `Quick test_instance_of_atoms;
         ] );
       ( "eval",
@@ -654,6 +693,8 @@ let () =
       ( "columnar",
         Alcotest.test_case "round trip with nulls and probes" `Quick
           test_columnar_roundtrip_basic
+        :: Alcotest.test_case "seal_boxed matches seal for boxed readers" `Quick
+             test_seal_boxed_matches_seal
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_columnar_roundtrip; prop_columnar_codes_stable_under_reseal ] );
     ]

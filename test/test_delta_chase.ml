@@ -4,7 +4,8 @@
    null-free fact (hence on certain answers), an empty delta must be a
    no-op, batches may be split or fused freely, and budget truncation must
    degrade soundly. Plus the parallel evaluator's sequential fallback on
-   unsealed instances and pending tails. *)
+   unsealed instances and pending tails, and the registry's data runs: N
+   batches in one call leave exactly the state of N calls. *)
 
 open Tgd_logic
 open Tgd_gen
@@ -287,6 +288,80 @@ let prop_par_pending_fallback =
       tuples_equal seq par)
 
 (* ------------------------------------------------------------------ *)
+(* 5. Registry data runs: one add_batches call over N batches leaves     *)
+(*    exactly the state of N one-batch calls.                           *)
+
+module Registry = Tgd_serve.Registry
+
+(* Everything but the instance objects themselves, null labels included. *)
+let registry_state reg =
+  let show inst = Format.asprintf "%a" Tgd_db.Instance.pp inst in
+  Option.map
+    (fun (e : Registry.entry) ->
+      ( e.Registry.delta_epoch,
+        show e.Registry.instance,
+        Option.map
+          (fun (m : Registry.materialization) ->
+            (show m.Registry.model, m.Registry.floor, m.Registry.complete))
+          e.Registry.materialization ))
+    (Registry.find reg "r")
+
+let mutation_summary =
+  List.map
+    (Result.map (fun (m : Registry.mutation) ->
+         ( m.Registry.added,
+           Option.map
+             (fun (d : Tgd_chase.Chase.stats) ->
+               (d.Tgd_chase.Chase.nulls, d.Tgd_chase.Chase.derived, terminated d.Tgd_chase.Chase.outcome))
+             m.Registry.delta )))
+
+(* A value no columnar block can code: the relation holding it is served
+   boxed, with eager indexes, which a data run must keep per batch. *)
+let uncodable rng = Tgd_db.Value.Null (Tgd_db.Value.null_base + Rng.int rng 3)
+
+let prop_registry_run_equals_calls =
+  QCheck.Test.make ~name:"registry: one add_batches call over N batches equals N calls"
+    ~count:100 arb_seed (fun seed ->
+      let rng = Rng.create seed in
+      let p = program_of_seed rng seed in
+      QCheck.assume (Program.predicates p <> []);
+      let base = base_instance rng p in
+      let materialize = Rng.bool rng 0.8 in
+      let with_uncodable = Rng.bool rng 0.25 in
+      let batches =
+        List.init
+          (2 + Rng.int rng 5)
+          (fun _ ->
+            List.map
+              (fun (pred, t) ->
+                if with_uncodable && Array.length t > 0 && Rng.bool rng 0.2 then begin
+                  let t = Array.copy t in
+                  t.(0) <- uncodable rng;
+                  (pred, t)
+                end
+                else (pred, t))
+              (random_batch rng p ~size:(1 + Rng.int rng 4)))
+      in
+      let fresh () =
+        let reg = Registry.create () in
+        ignore (Registry.register reg ~name:"r" ~facts:base p);
+        if materialize then ignore (Registry.materialize ~gov:(bounded_gov ()) reg ~name:"r");
+        reg
+      in
+      let fused = fresh () and split = fresh () in
+      let run =
+        Registry.add_batches fused ~name:"r"
+          (List.map (fun b -> (Some (bounded_gov ()), b)) batches)
+      in
+      let calls =
+        List.concat_map
+          (fun b -> Registry.add_batches split ~name:"r" [ (Some (bounded_gov ()), b) ])
+          batches
+      in
+      mutation_summary run = mutation_summary calls
+      && registry_state fused = registry_state split)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
@@ -298,4 +373,5 @@ let () =
       ("truncation", List.map to_alcotest [ prop_truncation_sound ]);
       ( "boxed-parallel",
         List.map to_alcotest [ prop_par_unsealed_fallback; prop_par_pending_fallback ] );
+      ("registry-runs", List.map to_alcotest [ prop_registry_run_equals_calls ]);
     ]

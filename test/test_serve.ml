@@ -454,6 +454,218 @@ let contains haystack needle =
   let rec loop i = i + nn <= nh && (String.sub haystack i nn = needle || loop (i + 1)) in
   nn = 0 || loop 0
 
+(* ------------------------------------------------------------------ *)
+(* Data mutations in runs: arity checks, add_batches, WAL replay *)
+
+module Registry = Tgd_serve.Registry
+
+let entry_of reg name =
+  match Registry.find reg name with
+  | Some e -> e
+  | None -> Alcotest.fail (Printf.sprintf "no entry %S" name)
+
+(* A predicate used with a second arity is a bad request that names the
+   predicate and both arities, and the batch changes nothing: not its
+   valid facts, not the delta epoch. *)
+let test_server_arity_mismatch () =
+  let srv = boot_server "professor,ada" in
+  let before = entry_of (Server.registry srv) "uni" in
+  let expect_rejected source ~pred ~arities =
+    match Server.handle srv (Protocol.Add_facts { name = "uni"; source = Protocol.Inline source }) with
+    | Error ("bad_request", msg) ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %s" msg needle) true (contains msg needle))
+        (pred :: arities)
+    | Error (kind, msg) -> Alcotest.failf "expected bad_request, got %s: %s" kind msg
+    | Ok _ -> Alcotest.failf "%S was accepted" source
+  in
+  (* The instance fixes professor/1; the rules fix person/1. *)
+  expect_rejected "professor,ada,bob" ~pred:"professor" ~arities:[ "1"; "2" ];
+  expect_rejected "advises,carol,dan\nprofessor,ada,bob" ~pred:"professor" ~arities:[ "1"; "2" ];
+  expect_rejected "person,ada,bob" ~pred:"person" ~arities:[ "1"; "2" ];
+  let after = entry_of (Server.registry srv) "uni" in
+  Alcotest.(check int) "delta epoch did not move" before.Registry.delta_epoch
+    after.Registry.delta_epoch;
+  Alcotest.(check int) "no fact of a rejected batch was added"
+    (Tgd_db.Instance.cardinality before.Registry.instance)
+    (Tgd_db.Instance.cardinality after.Registry.instance);
+  Alcotest.(check (list (list string))) "answers unchanged" [ [ "ada" ] ]
+    (answers (execute srv "q(X) :- person(X)."))
+
+let show_instance inst = Format.asprintf "%a" Tgd_db.Instance.pp inst
+
+(* Everything a data run must reproduce: epochs, instance and model facts
+   with their null labels, the null floor and completeness. *)
+let check_same_entry what (a : Registry.entry) (b : Registry.entry) =
+  Alcotest.(check int) (what ^ ": epoch") a.Registry.epoch b.Registry.epoch;
+  Alcotest.(check int) (what ^ ": delta epoch") a.Registry.delta_epoch b.Registry.delta_epoch;
+  Alcotest.(check string) (what ^ ": instance facts") (show_instance a.Registry.instance)
+    (show_instance b.Registry.instance);
+  match a.Registry.materialization, b.Registry.materialization with
+  | None, None -> ()
+  | Some ma, Some mb ->
+    Alcotest.(check string) (what ^ ": model facts") (show_instance ma.Registry.model)
+      (show_instance mb.Registry.model);
+    Alcotest.(check int) (what ^ ": floor") ma.Registry.floor mb.Registry.floor;
+    Alcotest.(check bool) (what ^ ": complete") ma.Registry.complete mb.Registry.complete
+  | Some _, None | None, Some _ -> Alcotest.failf "%s: materialization differs" what
+
+(* Three new students per batch. Some have no member_of, so the chase
+   invents a null for them; some batches give a member_of to a student of
+   the previous batch, which earlier batches already chased. *)
+let student_batch i =
+  let fact p args = (Symbol.intern p, Array.of_list (List.map Tgd_db.Value.const args)) in
+  let student i j = Printf.sprintf "new%d_%d" i j in
+  List.concat_map
+    (fun j ->
+      let s = student i j and k = (3 * i) + j in
+      [
+        fact (if k mod 3 = 0 then "graduate" else "undergraduate") [ s ];
+        fact "takes_course" [ s; Printf.sprintf "course%d" (k mod 60) ];
+        fact "advisor" [ s; Printf.sprintf "fac%d" (k mod 40) ];
+      ]
+      @ if k mod 4 = 0 then [ fact "member_of" [ s; "dept1" ] ] else [])
+    [ 0; 1; 2 ]
+  @ if i > 0 && i mod 2 = 0 then [ fact "member_of" [ student (i - 1) 1; "dept2" ] ] else []
+
+let materialized_university () =
+  let reg = Registry.create () in
+  let facts = Tgd_gen.University.generate_data (Tgd_gen.Rng.create 20140614) ~scale:200 in
+  ignore (Registry.register reg ~name:"uni" ~facts Tgd_gen.University.ontology);
+  (match Registry.materialize reg ~name:"uni" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  reg
+
+let ok_mutation = function
+  | Ok (m : Registry.mutation) -> m
+  | Error msg -> Alcotest.fail ("batch failed: " ^ msg)
+
+let test_add_batches_equals_one_by_one () =
+  let batches = List.init 30 student_batch in
+  let fused = materialized_university () and split = materialized_university () in
+  let floor0 =
+    match (entry_of fused "uni").Registry.materialization with
+    | Some m -> m.Registry.floor
+    | None -> Alcotest.fail "not materialized"
+  in
+  let run = Registry.add_batches fused ~name:"uni" (List.map (fun b -> (None, b)) batches) in
+  let one_by_one =
+    List.map (fun b -> ok_mutation (List.hd (Registry.add_batches split ~name:"uni" [ (None, b) ]))) batches
+  in
+  Alcotest.(check int) "one result per batch" 30 (List.length run);
+  List.iter2
+    (fun r (m : Registry.mutation) ->
+      let r = ok_mutation r in
+      Alcotest.(check int) "added" m.Registry.added r.Registry.added;
+      match r.Registry.delta, m.Registry.delta with
+      | Some d1, Some d2 ->
+        Alcotest.(check int) "derived" d2.Tgd_chase.Chase.derived d1.Tgd_chase.Chase.derived;
+        Alcotest.(check int) "nulls" d2.Tgd_chase.Chase.nulls d1.Tgd_chase.Chase.nulls
+      | _ -> Alcotest.fail "no batch-chase statistics")
+    run one_by_one;
+  let a = entry_of fused "uni" and b = entry_of split "uni" in
+  check_same_entry "30 batches in one call" a b;
+  Alcotest.(check int) "one delta epoch per batch" 31 a.Registry.delta_epoch;
+  match a.Registry.materialization with
+  | Some m -> Alcotest.(check bool) "the batches invented nulls" true (m.Registry.floor > floor0)
+  | None -> Alcotest.fail "materialization lost"
+
+let with_tmp_dir f =
+  let dir = Filename.temp_dir "tgd_serve" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* A WAL tail mixing data runs with a materialize: recovery must land on
+   the live server's exact state, count every record, and time its two
+   phases. *)
+let test_recover_mixed_tail () =
+  with_tmp_dir @@ fun dir ->
+  let with_server f =
+    let store = Result.get_ok (Tgd_store.Store.open_dir ~fsync:false dir) in
+    let srv = Server.create ~store () in
+    Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
+  in
+  let request srv r = ignore (ok_fields (Server.handle srv r)) in
+  let add_facts srv csv =
+    request srv (Protocol.Add_facts { name = "uni"; source = Protocol.Inline csv })
+  in
+  let live =
+    with_server (fun srv ->
+        request srv (Protocol.Register_ontology { name = "uni"; source = Protocol.Inline uni_src });
+        add_facts srv "professor,ada";
+        request srv (Protocol.Snapshot { name = Some "uni" });
+        add_facts srv "advises,bob,carol";
+        add_facts srv "professor,dan\nadvises,erin,ada";
+        add_facts srv "advises,bob,frank";
+        request srv (Protocol.Materialize { name = "uni" });
+        add_facts srv "advises,gina,bob";
+        add_facts srv "professor,hal\nadvises,ivan,hal";
+        entry_of (Server.registry srv) "uni")
+  in
+  with_server (fun srv ->
+      check_same_entry "recovered" live (entry_of (Server.registry srv) "uni");
+      let tel = Server.telemetry srv in
+      Alcotest.(check int) "replayed records" 6 (Telemetry.get tel "serve.store.replayed_records");
+      Alcotest.(check int) "replay errors" 0 (Telemetry.get tel "serve.store.replay_errors");
+      let phases =
+        match List.assoc_opt "phases" (ok_fields (Server.handle srv Protocol.Stats)) with
+        | Some (Json.Obj kv) -> List.map fst kv
+        | _ -> Alcotest.fail "stats carries no phases object"
+      in
+      List.iter
+        (fun span -> Alcotest.(check bool) (span ^ " in phases") true (List.mem span phases))
+        [ "serve.store.restore"; "serve.store.replay" ])
+
+(* Records that fail inside a data run — a CSV that does not parse, a
+   batch with a second arity — are counted and change nothing; the rest of
+   the run still applies, one delta epoch each. *)
+let test_recover_run_with_failures () =
+  with_tmp_dir @@ fun dir ->
+  let store = Result.get_ok (Tgd_store.Store.open_dir ~fsync:false dir) in
+  List.iter
+    (fun record -> ignore (Tgd_store.Store.log store ~name:"uni" record))
+    Tgd_store.Wal.
+      [
+        Register { source = uni_src };
+        Add_facts { csv = "professor,ada" };
+        Add_facts { csv = "professor,ada,bob" };
+        Load_csv { csv = "advises,\"unterminated" };
+        Add_facts { csv = "advises,bob,ada" };
+      ];
+  Tgd_store.Store.close store;
+  let store = Result.get_ok (Tgd_store.Store.open_dir ~fsync:false dir) in
+  let srv = Server.create ~store () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let tel = Server.telemetry srv in
+  Alcotest.(check int) "replayed records" 3 (Telemetry.get tel "serve.store.replayed_records");
+  Alcotest.(check int) "replay errors" 2 (Telemetry.get tel "serve.store.replay_errors");
+  Alcotest.(check int) "one delta epoch per applied record" 3
+    (entry_of (Server.registry srv) "uni").Registry.delta_epoch;
+  Alcotest.(check (list (list string))) "answers" [ [ "ada" ]; [ "bob" ] ]
+    (answers (execute srv "q(X) :- person(X)."))
+
+(* The spans the server records reach the client through stats. *)
+let test_stats_phases () =
+  let srv = boot_server "professor,ada" in
+  ignore (ok_fields (Server.handle srv (Protocol.Materialize { name = "uni" })));
+  ignore
+    (ok_fields
+       (Server.handle srv (Protocol.Add_facts { name = "uni"; source = Protocol.Inline "advises,bob,ada" })));
+  match List.assoc_opt "phases" (ok_fields (Server.handle srv Protocol.Stats)) with
+  | Some (Json.Obj kv) ->
+    List.iter
+      (fun span ->
+        match List.assoc_opt span kv with
+        | Some (Json.Float s) -> Alcotest.(check bool) (span ^ " is a duration") true (s >= 0.0)
+        | _ -> Alcotest.failf "no %s span in phases" span)
+      [ "serve.delta.apply"; "serve.materialize" ]
+  | _ -> Alcotest.fail "stats carries no phases object"
+
 (* Protocol-level fault injection: every abused line must come back as a
    typed error that recovers the request id whenever one is present. *)
 let test_protocol_fault_injection () =
@@ -617,6 +829,15 @@ let () =
         Alcotest.test_case "no stale answers across delta and full bumps" `Quick
           test_server_no_stale_across_bumps;
         Alcotest.test_case "typed errors" `Quick test_server_errors;
+        Alcotest.test_case "arity mismatch is a bad request" `Quick test_server_arity_mismatch;
+        Alcotest.test_case "stats reports phase spans" `Quick test_stats_phases;
+      ]);
+      ("data-runs", [
+        Alcotest.test_case "30 batches in one call equal 30 calls" `Quick
+          test_add_batches_equals_one_by_one;
+        Alcotest.test_case "recovery replays a mixed tail exactly" `Quick test_recover_mixed_tail;
+        Alcotest.test_case "recovery counts failing records of a run" `Quick
+          test_recover_run_with_failures;
       ]);
       ("faults", [
         Alcotest.test_case "protocol fault injection" `Quick test_protocol_fault_injection;
