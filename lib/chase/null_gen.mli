@@ -10,6 +10,9 @@ val create : ?start:int -> unit -> t
     monotone and collision-free. *)
 
 val next : t -> Tgd_db.Value.t
+(** Raises [Invalid_argument] rather than hand out a negative label or
+    one of at least {!Tgd_db.Value.null_base}, which {!Tgd_db.Value.code}
+    could not code. *)
 
 val count : t -> int
 (** Nulls handed out by this generator (excludes the [start] offset). *)

@@ -94,7 +94,6 @@ let build_indexes inst =
   Symbol.Table.iter (fun _ rel -> Relation.build_all_indexes rel) inst.relations
 
 let seal inst = Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
-let seal_boxed inst = Symbol.Table.iter (fun _ rel -> Relation.seal_boxed rel) inst.relations
 
 let pp ppf inst =
   let pp_fact ppf (pred, t) = Format.fprintf ppf "%a%a" Symbol.pp pred Tuple.pp t in

@@ -67,8 +67,4 @@ val seal : t -> unit
     {!Col_eval} and {!Par_eval} scan, or build its boxed indexes when the
     block cannot be built. *)
 
-val seal_boxed : t -> unit
-(** {!Relation.seal_boxed} every relation: what {!seal} does to boxed
-    readers, without building or extending any block. *)
-
 val pp : Format.formatter -> t -> unit

@@ -157,18 +157,6 @@ let seal r =
      Relations without a block are served boxed and keep eager indexes. *)
   if r.columnar = None then build_all_indexes r
 
-(* A seal leaves a relation block-less exactly when a row it would code is
-   uncodable: a pending tuple (the sealed prefix coded already), every row
-   when there is no block, or an encode that failed before. *)
-let seal_boxed r =
-  let uncodable t = Array.exists (fun v -> Value.code v = None) t in
-  let blockless =
-    match r.columnar with
-    | Some _ -> List.exists uncodable r.pending
-    | None -> r.columnar_failed || fold (fun t found -> found || uncodable t) r false
-  in
-  if blockless then seal r
-
 let columnar r =
   (* A block with a pending tail is stale: readers get [None] until the
      next seal extends it. *)

@@ -42,14 +42,6 @@ val seal : t -> unit
     {e extends} it ({!Columnar.extend}) — only the appended tuples are
     coded, nothing is re-hashed. *)
 
-val seal_boxed : t -> unit
-(** The part of {!seal} that boxed readers see: when {!seal} would leave
-    the relation without a block, {!seal} it now, so its indexes are built
-    eagerly at this point; otherwise build nothing, leaving the boxed
-    indexes lazy exactly as a successful {!seal} would. A batch of
-    mutations can then seal once at its end and still look, to every boxed
-    reader in between, as if it had sealed after each step. *)
-
 val columnar : t -> Columnar.t option
 (** The columnar block built by the last {!seal}, if it still mirrors the
     rows exactly (no insert since) and every value was codable

@@ -143,7 +143,10 @@ let check_arities program instance materialization facts =
 (* One batch on the private successor: insert its new facts and, when a
    materialization is alive, extend the model by a batch chase at the
    running null floor instead of re-chasing. *)
-let apply_batch program instance materialization (gov, facts) =
+let apply_batch program instance materialization (make_gov, facts) =
+  (* The governor is made only now, so its deadline clock starts with
+     this batch, not with the call or with the batches before it. *)
+  let gov = make_gov () in
   let added =
     List.filter (fun (pred, tup) -> Tgd_db.Instance.add_fact instance pred tup) facts
   in
@@ -166,7 +169,13 @@ let add_batches t ~name batches =
     (* Copy-on-write, once for the whole run: in-flight readers keep the
        old sealed instances, and the copies share the frozen columnar
        blocks, so the one seal at install extends them instead of
-       re-encoding. *)
+       re-encoding. Skipping the seals between batches changes nothing a
+       batch chase reads: the chase reads rows and boxed indexes only, and
+       a seal touches those only for a relation it leaves without a block,
+       which takes a value {!Tgd_db.Value.code} refuses — a symbol id or
+       a null label of 2^44 or more. Symbols are dense intern indices,
+       {!Tgd_chase.Null_gen} refuses to make such a label and the snapshot
+       decoder rejects one, so none exists. *)
     let instance = Tgd_db.Instance.copy entry.instance in
     let materialization =
       ref
@@ -181,13 +190,6 @@ let add_batches t ~name batches =
           match check_arities entry.program instance !materialization facts with
           | Error msg -> Error msg
           | Ok () ->
-            (* Between two batches, do to the boxed side the chase reads
-               what sealing the previous batch's successor would have
-               done, so each batch sees what it would have seen alone. *)
-            if !applied > 0 then begin
-              Tgd_db.Instance.seal_boxed instance;
-              Option.iter (fun m -> Tgd_db.Instance.seal_boxed m.model) !materialization
-            end;
             incr applied;
             let m, added, delta = apply_batch entry.program instance !materialization batch in
             materialization := m;
@@ -201,7 +203,7 @@ let add_batches t ~name batches =
     in
     List.map (Result.map (fun (added, delta) -> { entry; added; delta })) outcomes
 
-let add_facts ?gov t ~name facts = List.hd (add_batches t ~name [ (gov, facts) ])
+let add_facts ?gov t ~name facts = List.hd (add_batches t ~name [ ((fun () -> gov), facts) ])
 
 let materialize ?gov t ~name =
   match find t name with

@@ -80,7 +80,7 @@ val restore :
 val add_batches :
   t ->
   name:string ->
-  (Tgd_exec.Governor.t option * Tgd_db.Instance.fact list) list ->
+  ((unit -> Tgd_exec.Governor.t option) * Tgd_db.Instance.fact list) list ->
   (mutation, string) result list
 (** Append batches of facts to [name]'s instance, in order, and install
     the result once; one result per batch. Each batch is checked first: a
@@ -88,9 +88,10 @@ val add_batches :
     model or the rules, or earlier in the batch) fails the whole batch,
     which then changes nothing and bumps nothing. Every applied batch bumps
     the delta epoch once and, when a materialization is alive, extends it
-    with its own {!Tgd_chase.Chase.run} [~batch] under its own governor at
-    the running null floor — the model, its floor and its completeness
-    come out exactly as from one call per batch. The batches run on one
+    with its own {!Tgd_chase.Chase.run} [~batch] at the running null floor,
+    under the governor its thunk makes when the batch starts (so a
+    deadline runs from the batch's own start) — the model, its floor and
+    its completeness come out exactly as from one call per batch. The batches run on one
     private copy-on-write successor, copied and sealed once for the whole
     call, which is what makes a long run cheap. Every [Ok] carries the
     entry installed by the call; an unknown [name] fails every batch. *)

@@ -284,7 +284,7 @@ let delta_fields t (m : Registry.mutation) =
    topped with the chase engines' own safety caps when the budget leaves
    them open — an explicit governor disables the engine defaults, and a
    divergent ontology must not chase unbounded on a data path. *)
-let mutation_governor t =
+let mutation_governor ?(request_tele = Tgd_exec.Telemetry.create ()) t =
   let fill v ~default =
     match v with
     | None -> Some default
@@ -298,7 +298,6 @@ let mutation_governor t =
       chase_facts = fill t.base_budget.Tgd_exec.Budget.chase_facts ~default:1_000_000;
     }
   in
-  let request_tele = Tgd_exec.Telemetry.create () in
   (Tgd_exec.Governor.create ~budget ~telemetry:request_tele (), request_tele)
 
 (* ------------------------------------------------------------------ *)
@@ -527,7 +526,9 @@ let replay_record t ~name record apply =
 (* A maximal run of data records is one {!Registry.add_batches} call: one
    batch per record, so one copy and one seal for the whole run. Nobody
    reads the states in between — recovery finishes before serving. A
-   record whose CSV does not parse fails alone and stays out of the run. *)
+   record whose CSV does not parse fails alone and stays out of the run.
+   Each record's governor is made when its batch starts, so its deadline
+   does not also pay for parsing the run or for the batches before it. *)
 let replay_tail t ~name tail =
   let run = ref [] in
   let flush () =
@@ -544,9 +545,11 @@ let replay_tail t ~name tail =
     (fun record ->
       match record with
       | Tgd_store.Wal.Load_csv { csv } | Tgd_store.Wal.Add_facts { csv } -> (
-        let gov, request_tele = mutation_governor t in
+        let request_tele = Tgd_exec.Telemetry.create () in
         match Tgd_db.Csv_io.load_string csv with
-        | Ok extra -> run := (record, request_tele, (Some gov, Tgd_db.Instance.facts extra)) :: !run
+        | Ok extra ->
+          let gov () = Some (fst (mutation_governor ~request_tele t)) in
+          run := (record, request_tele, (gov, Tgd_db.Instance.facts extra)) :: !run
         | Error msg -> count_replayed t ~name record request_tele (Error msg))
       | Tgd_store.Wal.Register { source } ->
         flush ();

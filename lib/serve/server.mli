@@ -47,7 +47,8 @@ val create :
     ordinary mutation paths (incrementally, via the delta chase, when a
     materialization was snapshotted). Each run of consecutive
     load-csv/add-facts records is one {!Registry.add_batches} call: one
-    batch, one delta-epoch bump and one batch chase per record, but one
+    batch, one governor (made when its batch starts, so a deadline runs
+    from there), one delta-epoch bump and one batch chase per record, but one
     copy and one seal for the whole run, which nobody could observe in
     between since recovery ends before serving starts. Afterwards every
     acknowledged

@@ -169,7 +169,11 @@ let remap_code remap c =
 let r_boxed_value r remap =
   match Codec.r_u8 r with
   | 0 -> Db.Value.decode (remap_code remap (Codec.r_int r))
-  | 1 -> Db.Value.Null (Codec.r_int r)
+  | 1 ->
+    let label = Codec.r_int r in
+    if label < 0 || label >= Db.Value.null_base then
+      raise (Codec.Corrupt (Printf.sprintf "null label %d out of range" label));
+    Db.Value.Null label
   | n -> raise (Codec.Corrupt (Printf.sprintf "unknown value tag %d" n))
 
 let r_boxed_rows r remap ~arity =

@@ -55,6 +55,15 @@ let test_trigger_head_facts_share_nulls () =
     | _ -> Alcotest.fail "expected two head facts")
   | _ -> Alcotest.fail "expected one trigger"
 
+(* Every null label a generator hands out has a columnar code, so no
+   relation is ever left without a block for holding a null. *)
+let test_null_labels_stay_codable () =
+  let last = Null_gen.next (Null_gen.create ~start:(Value.null_base - 2) ()) in
+  Alcotest.(check bool) "last label codable" true (Value.code last <> None);
+  match Null_gen.next (Null_gen.create ~start:(Value.null_base - 1) ()) with
+  | v -> Alcotest.failf "handed out %s" (Value.to_string v)
+  | exception Invalid_argument _ -> ()
+
 let test_trigger_delta_restriction () =
   let inst = Instance.of_atoms [ atom "project" [ c "apollo" ]; atom "project" [ c "gemini" ] ] in
   let delta = Symbol.Table.create 4 in
@@ -364,6 +373,7 @@ let () =
           Alcotest.test_case "satisfaction" `Quick test_trigger_satisfaction;
           Alcotest.test_case "head facts share nulls" `Quick test_trigger_head_facts_share_nulls;
           Alcotest.test_case "delta restriction" `Quick test_trigger_delta_restriction;
+          Alcotest.test_case "null labels stay codable" `Quick test_null_labels_stay_codable;
         ] );
       ( "chase",
         [

@@ -506,34 +506,6 @@ let test_columnar_roundtrip_basic () =
       Alcotest.(check bool) "null decodes back" true
         (Value.equal (Value.decode code) (Value.Null 3)))
 
-(* [seal_boxed] then more inserts: every boxed lookup returns what it
-   returns after a full [seal] in its place — eager indexes for a relation
-   with an uncodable value, lazy ones (and no block) otherwise. *)
-let test_seal_boxed_matches_seal () =
-  let check ~what first =
-    let fill r vals = List.iter (fun v -> ignore (Relation.insert r [| vc "k"; v |])) vals in
-    let later = List.init 6 (fun i -> vc (Printf.sprintf "later%d" i)) in
-    let sealed = Relation.create ~arity:2 and boxed = Relation.create ~arity:2 in
-    fill sealed first;
-    fill boxed first;
-    Relation.seal sealed;
-    Relation.seal_boxed boxed;
-    fill sealed later;
-    fill boxed later;
-    List.iter
-      (fun v ->
-        Alcotest.(check bool) (what ^ ": same lookup order") true
-          (Relation.lookup sealed ~pos:0 v = Relation.lookup boxed ~pos:0 v))
-      (vc "k" :: first)
-  in
-  let first = List.init 6 (fun i -> vc (Printf.sprintf "first%d" i)) in
-  check ~what:"codable" first;
-  check ~what:"uncodable" (Value.Null Value.null_base :: first);
-  let r = Relation.create ~arity:1 in
-  ignore (Relation.insert r [| vc "a" |]);
-  Relation.seal_boxed r;
-  Alcotest.(check bool) "no block from seal_boxed" true (Relation.columnar r = None)
-
 let gen_col_value =
   QCheck.Gen.(
     frequency
@@ -693,8 +665,6 @@ let () =
       ( "columnar",
         Alcotest.test_case "round trip with nulls and probes" `Quick
           test_columnar_roundtrip_basic
-        :: Alcotest.test_case "seal_boxed matches seal for boxed readers" `Quick
-             test_seal_boxed_matches_seal
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_columnar_roundtrip; prop_columnar_codes_stable_under_reseal ] );
     ]

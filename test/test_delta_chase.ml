@@ -315,10 +315,6 @@ let mutation_summary =
                (d.Tgd_chase.Chase.nulls, d.Tgd_chase.Chase.derived, terminated d.Tgd_chase.Chase.outcome))
              m.Registry.delta )))
 
-(* A value no columnar block can code: the relation holding it is served
-   boxed, with eager indexes, which a data run must keep per batch. *)
-let uncodable rng = Tgd_db.Value.Null (Tgd_db.Value.null_base + Rng.int rng 3)
-
 let prop_registry_run_equals_calls =
   QCheck.Test.make ~name:"registry: one add_batches call over N batches equals N calls"
     ~count:100 arb_seed (fun seed ->
@@ -327,20 +323,8 @@ let prop_registry_run_equals_calls =
       QCheck.assume (Program.predicates p <> []);
       let base = base_instance rng p in
       let materialize = Rng.bool rng 0.8 in
-      let with_uncodable = Rng.bool rng 0.25 in
       let batches =
-        List.init
-          (2 + Rng.int rng 5)
-          (fun _ ->
-            List.map
-              (fun (pred, t) ->
-                if with_uncodable && Array.length t > 0 && Rng.bool rng 0.2 then begin
-                  let t = Array.copy t in
-                  t.(0) <- uncodable rng;
-                  (pred, t)
-                end
-                else (pred, t))
-              (random_batch rng p ~size:(1 + Rng.int rng 4)))
+        List.init (2 + Rng.int rng 5) (fun _ -> random_batch rng p ~size:(1 + Rng.int rng 4))
       in
       let fresh () =
         let reg = Registry.create () in
@@ -351,11 +335,11 @@ let prop_registry_run_equals_calls =
       let fused = fresh () and split = fresh () in
       let run =
         Registry.add_batches fused ~name:"r"
-          (List.map (fun b -> (Some (bounded_gov ()), b)) batches)
+          (List.map (fun b -> ((fun () -> Some (bounded_gov ())), b)) batches)
       in
       let calls =
         List.concat_map
-          (fun b -> Registry.add_batches split ~name:"r" [ (Some (bounded_gov ()), b) ])
+          (fun b -> Registry.add_batches split ~name:"r" [ ((fun () -> Some (bounded_gov ())), b) ])
           batches
       in
       mutation_summary run = mutation_summary calls

@@ -550,9 +550,9 @@ let test_add_batches_equals_one_by_one () =
     | Some m -> m.Registry.floor
     | None -> Alcotest.fail "not materialized"
   in
-  let run = Registry.add_batches fused ~name:"uni" (List.map (fun b -> (None, b)) batches) in
+  let run = Registry.add_batches fused ~name:"uni" (List.map (fun b -> ((fun () -> None), b)) batches) in
   let one_by_one =
-    List.map (fun b -> ok_mutation (List.hd (Registry.add_batches split ~name:"uni" [ (None, b) ]))) batches
+    List.map (fun b -> ok_mutation (List.hd (Registry.add_batches split ~name:"uni" [ ((fun () -> None), b) ]))) batches
   in
   Alcotest.(check int) "one result per batch" 30 (List.length run);
   List.iter2
@@ -620,6 +620,59 @@ let test_recover_mixed_tail () =
       List.iter
         (fun span -> Alcotest.(check bool) (span ^ " in phases") true (List.mem span phases))
         [ "serve.store.restore"; "serve.store.replay" ])
+
+(* Each replayed record's deadline runs from the start of its own batch.
+   Every record closes a fresh 50-edge chain transitively. The deadline
+   of the second recovery is a third of what the first one took to
+   replay the whole tail: each of the 40 records fits in it about a dozen
+   times over, but the run as a whole does not, so a governor made before
+   its batch would stop that batch's chase and leave the model
+   incomplete. *)
+let test_recover_long_run_under_deadline () =
+  with_tmp_dir @@ fun dir ->
+  let with_server ?base_budget f =
+    let store = Result.get_ok (Tgd_store.Store.open_dir ~fsync:false dir) in
+    let srv = Server.create ?base_budget ~store () in
+    Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
+  in
+  let request srv r = ignore (ok_fields (Server.handle srv r)) in
+  let records = 40 and chain = 50 in
+  let chain_csv i =
+    String.concat "\n"
+      (List.init chain (fun j -> Printf.sprintf "e,c%d_%d,c%d_%d" i j i (j + 1)))
+  in
+  let live =
+    with_server (fun srv ->
+        request srv
+          (Protocol.Register_ontology
+             {
+               name = "tc";
+               source = Protocol.Inline "e(X,Y) -> t(X,Y). t(X,Y), e(Y,Z) -> t(X,Z).";
+             });
+        request srv (Protocol.Materialize { name = "tc" });
+        for i = 1 to records do
+          request srv (Protocol.Add_facts { name = "tc"; source = Protocol.Inline (chain_csv i) })
+        done;
+        entry_of (Server.registry srv) "tc")
+  in
+  (match live.Registry.materialization with
+  | Some m -> Alcotest.(check bool) "live model complete" true m.Registry.complete
+  | None -> Alcotest.fail "live entry not materialized");
+  let replay_s =
+    with_server (fun srv ->
+        check_same_entry "recovered" live (entry_of (Server.registry srv) "tc");
+        match List.assoc_opt "phases" (ok_fields (Server.handle srv Protocol.Stats)) with
+        | Some (Json.Obj kv) -> (
+          match List.assoc_opt "serve.store.replay" kv with
+          | Some (Json.Float s) -> s
+          | _ -> Alcotest.fail "no replay span")
+        | _ -> Alcotest.fail "stats carries no phases object")
+  in
+  with_server ~base_budget:{ Tgd_exec.Budget.unlimited with deadline_s = Some (replay_s /. 3.0) }
+    (fun srv ->
+      Alcotest.(check int) "replayed records" (records + 2)
+        (Telemetry.get (Server.telemetry srv) "serve.store.replayed_records");
+      check_same_entry "recovered under a short deadline" live (entry_of (Server.registry srv) "tc"))
 
 (* Records that fail inside a data run — a CSV that does not parse, a
    batch with a second arity — are counted and change nothing; the rest of
@@ -838,6 +891,8 @@ let () =
         Alcotest.test_case "recovery replays a mixed tail exactly" `Quick test_recover_mixed_tail;
         Alcotest.test_case "recovery counts failing records of a run" `Quick
           test_recover_run_with_failures;
+        Alcotest.test_case "recovery times each record from its own batch" `Quick
+          test_recover_long_run_under_deadline;
       ]);
       ("faults", [
         Alcotest.test_case "protocol fault injection" `Quick test_protocol_fault_injection;

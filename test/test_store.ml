@@ -381,6 +381,22 @@ let image_with_index ?count ~pairs ~starts ~rows () =
   Buffer.add_int32_le out (Codec.crc32 body ~pos:0 ~len:(String.length body));
   Buffer.contents out
 
+(* A boxed null label the columnar code cannot hold is corrupt: no
+   generator makes one, and an instance holding one could not be sealed
+   into blocks. *)
+let test_snapshot_rejects_uncodable_null () =
+  let inst = Tgd_db.Instance.create () in
+  ignore
+    (Tgd_db.Instance.add_fact inst (Tgd_logic.Symbol.intern "r")
+       [| Tgd_db.Value.Null Tgd_db.Value.null_base |]);
+  let snap =
+    { Snapshot.epoch = 1; delta_epoch = 1; program_src = ""; instance = inst; materialization = None }
+  in
+  match Snapshot.decode (Snapshot.encode snap) with
+  | Ok _ -> Alcotest.fail "decoded Ok"
+  | Error e ->
+    Alcotest.(check bool) e true (String.starts_with ~prefix:"corrupt snapshot: " e)
+
 let test_snapshot_rejects_bad_index () =
   let a = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "a") in
   let well_formed = image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |] () in
@@ -478,6 +494,8 @@ let () =
           qc prop_snapshot_rejects_corruption;
           Alcotest.test_case "decode rejects a CSR index out of shape" `Quick
             test_snapshot_rejects_bad_index;
+          Alcotest.test_case "decode rejects an uncodable null label" `Quick
+            test_snapshot_rejects_uncodable_null;
         ] );
       ("wal", [ qc prop_wal_torn_tail; qc prop_wal_corrupt_byte ]);
       ( "store",
