@@ -299,34 +299,14 @@ let resolve_eval_workers = function
     exit 2
   | None -> Tgd_exec.Pool.default_workers ()
 
-let eval_partitions_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "eval-partitions" ] ~docv:"P"
-        ~doc:
-          "Answer partitions of the lock-free parallel merge (default: 4 per eval worker). More \
-           partitions smooth skewed answer distributions at the cost of smaller per-partition \
-           sorts. Ignored when --eval-workers=1.")
-
-let resolve_eval_partitions = function
-  | Some n when n >= 1 -> Some n
-  | Some n ->
-    Format.eprintf "bad --eval-partitions: %d (must be >= 1)@." n;
-    exit 2
-  | None -> None
-
 let answer_cmd =
-  let run path method_ target data_files eval_workers eval_partitions budget deadline stats_json =
+  let run path method_ target data_files eval_workers budget deadline stats_json =
     let p, doc = load_program path in
     let inst = load_instance doc data_files in
     let eval_workers = resolve_eval_workers eval_workers in
-    let eval_partitions = resolve_eval_partitions eval_partitions in
     let pool =
       if eval_workers > 1 then Some (Tgd_exec.Pool.create ~workers:eval_workers ()) else None
     in
-    (* The instance is fully loaded: seal it so the compiled columnar
-       engine can scan it at any worker count. *)
-    Tgd_db.Instance.seal inst;
     Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown pool) @@ fun () ->
     (* A supplied governor bypasses the chase's own round/fact defaults, so
        merge them into the budget when the spec leaves them unset. *)
@@ -353,8 +333,7 @@ let answer_cmd =
       let artifact = Tgd_obda.Target.prepare ~gov target p q in
       let gov = Option.get !last_gov in
       let answers =
-        Tgd_obda.Target.answers ~gov ?pool ~workers:eval_workers ?partitions:eval_partitions
-          artifact inst
+        Tgd_obda.Target.answers ~gov ?pool ~workers:eval_workers artifact inst
       in
       record
         (Printf.sprintf "answer.rewriting.%s:%s" (Tgd_obda.Target.artifact_kind artifact)
@@ -364,7 +343,7 @@ let answer_cmd =
     in
     let answer_by_chase q =
       let gov = fresh_governor b in
-      let r = Tgd_chase.Certain.cq ~gov ?pool ~eval_workers ?eval_partitions p inst q in
+      let r = Tgd_chase.Certain.cq ~gov ?pool ~eval_workers p inst q in
       record ("answer.chase:" ^ q.Cq.name) gov;
       (r.Tgd_chase.Certain.answers, r.Tgd_chase.Certain.exact)
     in
@@ -402,8 +381,8 @@ let answer_cmd =
     (Cmd.info "answer"
        ~doc:"Compute certain answers to the queries in the file over its facts.")
     Term.(
-      const run $ path $ method_ $ target_arg $ data_arg $ eval_workers_arg $ eval_partitions_arg
-      $ budget_arg $ deadline_arg $ stats_json_arg)
+      const run $ path $ method_ $ target_arg $ data_arg $ eval_workers_arg $ budget_arg
+      $ deadline_arg $ stats_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chase                                                               *)
@@ -585,15 +564,14 @@ let parse_quota spec =
         (num (String.sub spec (i + 1) (String.length spec - i - 1))))
 
 let serve_cmd =
-  let run workers queue_bound cache_capacity target eval_workers eval_partitions budget deadline
-      listen max_clients max_inflight quota data_dir fsync checkpoint_every =
+  let run workers queue_bound cache_capacity target eval_workers budget deadline listen max_clients
+      max_inflight quota data_dir fsync checkpoint_every =
     let target = target_of_flag target in
     let base_budget =
       match (budget, deadline) with
       | None, None -> None (* keep the server's own default *)
       | _ -> Some (budget_of_flags budget deadline)
     in
-    let eval_partitions = resolve_eval_partitions eval_partitions in
     let listen_addrs =
       List.map
         (fun spec ->
@@ -631,8 +609,8 @@ let serve_cmd =
           exit 1)
     in
     let server =
-      Tgd_serve.Server.create ~cache_capacity ?base_budget ~target ~eval_workers ?eval_partitions
-        ?store ~checkpoint_every ()
+      Tgd_serve.Server.create ~cache_capacity ?base_budget ~target ~eval_workers ?store
+        ~checkpoint_every ()
     in
     (match store with
     | Some s ->
@@ -754,8 +732,8 @@ let serve_cmd =
           With $(b,--data-dir) the registry is durable: write-ahead logged, snapshotted, and \
           recovered on restart.")
     Term.(
-      const run $ workers $ queue_bound $ cache_capacity $ target_arg $ eval_workers
-      $ eval_partitions_arg $ budget_arg $ deadline_arg $ listen $ max_clients
+      const run $ workers $ queue_bound $ cache_capacity $ target_arg $ eval_workers $ budget_arg
+      $ deadline_arg $ listen $ max_clients
       $ max_inflight $ quota $ data_dir $ fsync $ checkpoint_every)
 
 (* ------------------------------------------------------------------ *)

@@ -6,8 +6,7 @@ type result = {
   chase : Chase.stats;
 }
 
-let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partitions program inst
-    disjuncts =
+let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst disjuncts =
   let work = Instance.copy inst in
   let chase = Chase.run ?variant ?max_rounds ?max_facts ?gov program work in
   let answers =
@@ -17,11 +16,7 @@ let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partition
       | None, Some p -> Tgd_exec.Pool.size p
       | None, None -> 1
     in
-    (* The chase is over: the materialized instance is now read-only, so
-       seal it — building the columnar blocks the compiled evaluator scans
-       at any worker count. *)
-    Instance.seal work;
-    Par_eval.ucq ?gov ?pool ~workers ?partitions:eval_partitions work disjuncts
+    Par_eval.ucq ?gov ?pool ~workers work disjuncts
     |> List.filter (fun t -> not (Tuple.has_null t))
   in
   let exact =
@@ -32,5 +27,5 @@ let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partition
   in
   { answers; exact; chase }
 
-let cq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partitions program inst q =
-  ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers ?eval_partitions program inst [ q ]
+let cq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst q =
+  ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst [ q ]

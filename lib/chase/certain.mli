@@ -23,7 +23,6 @@ val ucq :
   ?gov:Tgd_exec.Governor.t ->
   ?pool:Tgd_exec.Pool.t ->
   ?eval_workers:int ->
-  ?eval_partitions:int ->
   Program.t ->
   Instance.t ->
   Cq.ucq ->
@@ -34,12 +33,11 @@ val ucq :
     materialization and query evaluation — so one deadline covers the whole
     certain-answer computation.
 
-    The materialized instance is sealed after the chase, so evaluation runs
-    on {!Tgd_db.Par_eval}'s compiled columnar engine at any worker count;
+    Evaluation runs on {!Tgd_db.Par_eval}'s compiled columnar engine
+    (which seals the materialized instance) at any worker count;
     [eval_workers > 1] (or a [pool]) additionally splits the leading scans
-    into that many workers' morsels, and [eval_partitions] overrides the
-    answer-partition count of the lock-free merge. [eval_workers] defaults
-    to the [pool]'s size when only a pool is given. *)
+    into that many workers' morsels. [eval_workers] defaults to the
+    [pool]'s size when only a pool is given. *)
 
 val cq :
   ?variant:Chase.variant ->
@@ -48,7 +46,6 @@ val cq :
   ?gov:Tgd_exec.Governor.t ->
   ?pool:Tgd_exec.Pool.t ->
   ?eval_workers:int ->
-  ?eval_partitions:int ->
   Program.t ->
   Instance.t ->
   Cq.t ->

@@ -63,10 +63,9 @@ let real =
         Tgd_db.Eval.ucq inst u |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t)));
     eval_ucq_par =
       (fun ~workers ~partitions inst u ->
-        Tgd_db.Instance.seal inst;
         (* min_tuples:1 forces the morsel machinery even on fuzz-scale
-           instances, which would otherwise all take the sequential
-           fallback and test nothing. *)
+           instances, which would otherwise all run on the calling domain
+           and test nothing. *)
         Tgd_db.Par_eval.ucq ~workers ~min_tuples:1 ~partitions inst u
         |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t)));
     certain_cq =

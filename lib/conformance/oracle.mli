@@ -22,7 +22,7 @@ type t = {
     workers:int -> partitions:int -> Tgd_db.Instance.t -> Cq.ucq -> Tgd_db.Tuple.t list;
       (** the morsel-parallel evaluator: seals the instance, then evaluates
           on [workers] domains merging into [partitions] answer partitions,
-          with the small-scan sequential fallback disabled — must agree
+          with the small-scan single-domain shortcut disabled — must agree
           byte-for-byte with {!eval_ucq} *)
   certain_cq :
     max_rounds:int ->

@@ -48,7 +48,6 @@ type t = {
 type compiled =
   | Compiled of t
   | Empty (* a body atom can never match: the disjunct has no answers *)
-  | Unsupported (* no columnar block / uncodable constant: use Eval.ucq *)
 
 let out_arity t = Array.length t.out
 
@@ -60,21 +59,6 @@ let out_arity t = Array.length t.out
    are written as top-level recursions with explicit arguments — an inner
    [let rec loop] capturing the arrays would allocate a closure block per
    call, which at sort time is several words *per comparison*. *)
-
-let rec compare_from (a : int array) (b : int array) n i =
-  if i >= n then 0
-  else
-    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
-    if c <> 0 then c else compare_from a b n (i + 1)
-
-let compare_codes (a : int array) (b : int array) =
-  (* Arity first, then lexicographic int order — exactly [Tuple.compare]'s
-     shape, and it coincides with it on the decoded tuples because
-     [Value.code] is order-preserving. (Disjuncts of one union normally
-     share an arity, but nothing here needs to assume it.) *)
-  let n = Array.length a in
-  let c = Int.compare n (Array.length b) in
-  if c <> 0 then c else compare_from a b n 0
 
 let rec hash_from (a : int array) n i h =
   if i >= n then h land max_int
@@ -180,22 +164,22 @@ let decode_row (a : int array) ~stride ~row =
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-exception Not_compilable of compiled
+exception No_match
 
-let const_code c =
-  match Value.code (Value.Const c) with
-  | Some code -> code
-  | None -> raise (Not_compilable Unsupported)
+let const_code c = Value.code (Value.Const c)
 
 let block_of inst (a : Atom.t) =
   match Instance.relation inst a.Atom.pred with
-  | None -> raise (Not_compilable Empty)
+  | None -> raise No_match
   | Some rel ->
-    if Relation.arity rel <> Atom.arity a then raise (Not_compilable Empty)
+    if Relation.arity rel <> Atom.arity a then raise No_match
     else (
       match Relation.columnar rel with
       | Some block -> block
-      | None -> raise (Not_compilable Unsupported))
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Col_eval.compile: relation %s is not sealed"
+             (Symbol.name a.Atom.pred)))
 
 let compile inst (q : Cq.t) =
   try
@@ -241,7 +225,7 @@ let compile inst (q : Cq.t) =
         q.Cq.answer
     in
     Compiled { steps; nslots = Symbol.Table.length slots; out = Array.of_list out }
-  with Not_compilable c -> c
+  with No_match -> Empty
 
 let steps t = Array.map (fun s -> s.plan) t.steps
 

@@ -25,16 +25,13 @@ type compiled =
   | Empty
       (** A body atom can never match (unknown predicate or arity
           mismatch): the disjunct has no answers. *)
-  | Unsupported
-      (** A relation has no current columnar block (the instance is
-          unsealed, a pending tail was appended since the last seal, or a
-          value is uncodable), or a constant is uncodable: {!Par_eval}
-          evaluates this UCQ sequentially with {!Eval.ucq} instead. *)
 
 val compile : Instance.t -> Cq.t -> compiled
 (** Order one disjunct with {!Join_plan.make} (the plan {!Eval.bindings}
     interprets) and translate it into slots, codes and captured columns
-    against a sealed instance. *)
+    against a sealed instance. Raises [Invalid_argument] when a body
+    relation has no current block — it was never sealed, or rows were
+    inserted since its last seal ({!Instance.seal} first). *)
 
 val out_arity : t -> int
 
@@ -65,10 +62,6 @@ val run :
     join node in batches and stops emitting once the governor trips, like
     {!Eval}. *)
 
-val compare_codes : int array -> int array -> int
-(** Lexicographic order on coded answers (shorter arities first); equals
-    [Tuple.compare] on the decoded tuples. *)
-
 val hash_codes : int array -> int
 (** Hash of a coded answer — {!Par_eval}'s partition router. Equal
     answers hash alike, so every duplicate lands in the same partition
@@ -76,8 +69,9 @@ val hash_codes : int array -> int
 
 val compare_rows : int array -> int -> int array -> int -> stride:int -> int
 (** [compare_rows a oa b ob ~stride] compares the [stride] codes at
-    offset [oa] of [a] against those at [ob] of [b] — {!compare_codes}
-    for rows living inside flat buckets. *)
+    offset [oa] of [a] against those at [ob] of [b] lexicographically.
+    Because {!Value.code} is order-preserving, on rows of one arity this
+    equals [Tuple.compare] on the decoded tuples. *)
 
 val sort_rows : int array -> stride:int -> rows:int -> unit
 (** Sort the [rows] fixed-[stride] rows of a flat bucket in place — a

@@ -73,23 +73,17 @@ let build_index (col : int array) =
   done;
   { groups = Built groups; starts; rows }
 
-exception Uncodable
-
 let build ~arity (tuples : Tuple.t array) =
   let nrows = Array.length tuples in
   let cols = Array.init (max arity 1) (fun _ -> Array.make nrows 0) in
-  try
-    for i = 0 to nrows - 1 do
-      let t = tuples.(i) in
-      for j = 0 to arity - 1 do
-        match Value.code t.(j) with
-        | Some c -> cols.(j).(i) <- c
-        | None -> raise Uncodable
-      done
-    done;
-    let indexes = Array.init arity (fun j -> build_index cols.(j)) in
-    Some { arity; nrows; cols; indexes }
-  with Uncodable -> None
+  for i = 0 to nrows - 1 do
+    let t = tuples.(i) in
+    for j = 0 to arity - 1 do
+      cols.(j).(i) <- Value.code t.(j)
+    done
+  done;
+  let indexes = Array.init arity (fun j -> build_index cols.(j)) in
+  { arity; nrows; cols; indexes }
 
 (* Extend a CSR index with rows [old_n ..] of the (already extended)
    column, without rehashing the sealed prefix: each group keeps its old
@@ -144,7 +138,7 @@ let extend_index idx (col : int array) ~old_n =
 
 let extend t (tuples : Tuple.t array) =
   let added = Array.length tuples in
-  if added = 0 then Some t
+  if added = 0 then t
   else begin
     let old_n = t.nrows in
     let nrows = old_n + added in
@@ -156,18 +150,14 @@ let extend t (tuples : Tuple.t array) =
           Array.blit t.cols.(j) 0 c 0 old_n;
           c)
     in
-    try
-      for i = 0 to added - 1 do
-        let tup = tuples.(i) in
-        for j = 0 to t.arity - 1 do
-          match Value.code tup.(j) with
-          | Some c -> cols.(j).(old_n + i) <- c
-          | None -> raise Uncodable
-        done
-      done;
-      let indexes = Array.init t.arity (fun j -> extend_index t.indexes.(j) cols.(j) ~old_n) in
-      Some { arity = t.arity; nrows; cols; indexes }
-    with Uncodable -> None
+    for i = 0 to added - 1 do
+      let tup = tuples.(i) in
+      for j = 0 to t.arity - 1 do
+        cols.(j).(old_n + i) <- Value.code tup.(j)
+      done
+    done;
+    let indexes = Array.init t.arity (fun j -> extend_index t.indexes.(j) cols.(j) ~old_n) in
+    { arity = t.arity; nrows; cols; indexes }
   end
 
 let col t j = t.cols.(j)

@@ -11,17 +11,16 @@
 
 type t
 
-val build : arity:int -> Tuple.t array -> t option
-(** Encode a tuple snapshot. [None] when some value has no integer code
-    (see {!Value.code}) — callers keep serving the boxed representation. *)
+val build : arity:int -> Tuple.t array -> t
+(** Encode a tuple snapshot. Every value has a code ({!Value.code}, which
+    raises [Invalid_argument] on one out of range). *)
 
-val extend : t -> Tuple.t array -> t option
+val extend : t -> Tuple.t array -> t
 (** [extend t appended] is a new block holding [t]'s rows followed by
     [appended], without re-encoding or re-hashing the sealed prefix: old
     columns are blitted, only the appended tuples are coded, and each CSR
     index grows by its group's new row ids. The input block is untouched
-    (blocks stay immutable — in-flight readers of [t] are unaffected).
-    [None] when some appended value has no integer code. *)
+    (blocks stay immutable — in-flight readers of [t] are unaffected). *)
 
 val arity : t -> int
 

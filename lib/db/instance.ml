@@ -90,9 +90,6 @@ let max_null inst =
     inst;
   !best
 
-let build_indexes inst =
-  Symbol.Table.iter (fun _ rel -> Relation.build_all_indexes rel) inst.relations
-
 let seal inst = Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
 
 let pp ppf inst =

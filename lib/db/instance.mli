@@ -56,15 +56,11 @@ val max_null : t -> int
     null-free): the floor for a {!Tgd_chase.Null_gen} that must extend the
     null space monotonically. *)
 
-val build_indexes : t -> unit
-(** Pre-build every per-column index of every relation ("seal" the instance
-    for concurrent reads): once no more facts are added, evaluation from
-    any number of domains is race-free because {!Relation.lookup} no longer
-    builds indexes lazily. *)
-
 val seal : t -> unit
-(** {!Relation.seal} every relation: encode its columnar block, which
-    {!Col_eval} and {!Par_eval} scan, or build its boxed indexes when the
-    block cannot be built. *)
+(** {!Relation.seal} every relation: encode or extend its columnar block,
+    which {!Col_eval} and {!Par_eval} scan. Afterwards every relation has a
+    current block. Sealing an instance with no insert since its last seal
+    only reads it, so any number of domains may seal (and then evaluate
+    on) a shared sealed instance concurrently. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (* Morsel-driven parallel UCQ evaluation.
 
-   On sealed instances every disjunct is compiled with [Col_eval], the
-   leading scan is split into contiguous row-range morsels, and every
+   The instance is sealed and every disjunct is compiled with [Col_eval];
+   the leading scan is split into contiguous row-range morsels, and every
    worker hashes its coded answers into task-private partition buckets.
    The merge is then free of locks: a second parallel phase gives each of
    the P answer partitions to one worker, which deduplicates and sorts its
@@ -9,12 +9,9 @@
    (disjoint, sorted) partitions is a linear pass. No mutex is taken
    anywhere on the answer path.
 
-   Anything the compiler cannot take — an unsealed instance, a relation
-   with a pending tail, an uncodable value — is evaluated sequentially by
-   [Eval.ucq]. The engine polls the one shared governor, so budgets and
-   truncation semantics survive parallelism, and returns answers
-   byte-identical to [Eval.ucq]'s (same deduplication, same final
-   order). *)
+   The engine polls the one shared governor, so budgets and truncation
+   semantics survive parallelism, and returns answers byte-identical to
+   the boxed evaluator's (same deduplication, same final order). *)
 
 let default_min_tuples = 512
 
@@ -55,27 +52,21 @@ let empty_part = { strides = [||]; flats = [||]; counts = [||]; tuples = [||] }
 
 let default_partitions ~workers = max 1 (workers * 4)
 
-(* Every disjunct compiled, or [None] when one of them must fall back to
-   [Eval.ucq]. *)
-let compile_all inst disjuncts =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | q :: rest -> (
-      match Col_eval.compile inst q with
-      | Col_eval.Compiled t -> go (Some t :: acc) rest
-      | Col_eval.Empty -> go (None :: acc) rest
-      | Col_eval.Unsupported -> None)
-  in
-  go [] disjuncts
-
-let columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans =
-  (* One [eval.steps] charge per disjunct mirrors [Eval]'s join-search
-     root charge, so a 1-step budget trips either evaluator. *)
+let columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions inst disjuncts =
+  (* One [eval.steps] charge per disjunct mirrors the boxed evaluator's
+     join-search root charge, so a 1-step budget trips either evaluator. *)
   (match gov with
-  | Some g when plans <> [] ->
-    Tgd_exec.Governor.charge ~n:(List.length plans) g Tgd_exec.Budget.key_eval_steps
+  | Some g when disjuncts <> [] ->
+    Tgd_exec.Governor.charge ~n:(List.length disjuncts) g Tgd_exec.Budget.key_eval_steps
   | Some _ | None -> ());
-  let compiled = List.filter_map Fun.id plans in
+  let compiled =
+    List.filter_map
+      (fun q ->
+        match Col_eval.compile inst q with
+        | Col_eval.Compiled t -> Some t
+        | Col_eval.Empty -> None)
+      disjuncts
+  in
   (* Answer arities present, ascending — [Tuple.compare]'s leading key,
      so phase 2 can emit each partition's arity groups in this order and
      be globally sorted. (Disjuncts of one union normally share an arity;
@@ -241,23 +232,23 @@ let ucq ?gov ?pool ?workers ?(min_tuples = default_min_tuples) ?partitions inst 
     | Some p -> invalid_arg (Printf.sprintf "Par_eval.ucq: partitions must be >= 1, got %d" p)
     | None -> if workers <= 1 then 1 else default_partitions ~workers
   in
-  match compile_all inst disjuncts with
-  | None -> Eval.ucq ?gov inst disjuncts
-  | Some plans ->
-    (* Batches go to the caller's pool, or to a transient one of
-       [workers - 1] helpers (the caller is the last worker) spawned by the
-       first batch that needs it and joined before returning. *)
-    let transient = ref None in
-    let run_batch n f =
-      let p =
-        match pool, !transient with
-        | Some p, _ | None, Some p -> p
-        | None, None ->
-          let p = Tgd_exec.Pool.create ~workers:(workers - 1) () in
-          transient := Some p;
-          p
-      in
-      Tgd_exec.Pool.run_morsels p ~n f
+  (* A no-op read on an instance already sealed (every registry instance),
+     so concurrent evaluations of a shared instance never write. *)
+  Instance.seal inst;
+  (* Batches go to the caller's pool, or to a transient one of
+     [workers - 1] helpers (the caller is the last worker) spawned by the
+     first batch that needs it and joined before returning. *)
+  let transient = ref None in
+  let run_batch n f =
+    let p =
+      match pool, !transient with
+      | Some p, _ | None, Some p -> p
+      | None, None ->
+        let p = Tgd_exec.Pool.create ~workers:(workers - 1) () in
+        transient := Some p;
+        p
     in
-    Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown !transient) (fun () ->
-        columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions plans)
+    Tgd_exec.Pool.run_morsels p ~n f
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Tgd_exec.Pool.shutdown !transient) (fun () ->
+      columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions inst disjuncts)

@@ -1,6 +1,6 @@
 (** Morsel-driven parallel evaluation of unions of conjunctive queries.
 
-    On a sealed instance ({!Instance.seal}) the engine runs compiled
+    The engine seals the instance ({!Instance.seal}) and runs compiled
     columnar plans ({!Col_eval}): each disjunct's leading scan is split
     into contiguous row-range morsels over the relation's {!Columnar}
     block, and answers are {e partition-owned} — every task hashes its
@@ -12,11 +12,8 @@
     k-way concatenation-merge of disjoint sorted runs. No mutex is taken
     and no per-answer heap block is allocated on the answer path.
 
-    Anything the compiler cannot take — an unsealed instance, a relation
-    with a pending tail, a value outside the codable range (see
-    {!Value.code}) — is evaluated sequentially by {!Eval.ucq}, whatever
-    the worker count. Either way results are byte-identical to
-    {!Eval.ucq}'s (same deduplication, same final sort order).
+    Results are byte-identical to {!Eval.ucq}'s (same deduplication, same
+    final sort order).
 
     Governance survives parallelism: all workers poll the one shared
     governor (the columnar engine charges [eval.steps] in batches, so the
@@ -26,8 +23,12 @@
     all only when a governor is present; the ungoverned path takes no
     timestamps and touches no telemetry.
 
-    The instance must not be mutated during evaluation; callers seal it
-    first so index reads are race-free. *)
+    Sealing writes only to a relation inserted into since its last seal
+    (or never sealed); on an instance already sealed it only reads. So
+    any number of domains may evaluate on a shared sealed instance — the
+    registry seals every instance before it is shared — while an instance
+    that is still being loaded must not be evaluated on concurrently. The
+    instance must not be mutated during evaluation. *)
 
 open Tgd_logic
 
@@ -41,7 +42,7 @@ val ucq :
   Cq.ucq ->
   Tuple.t list
 (** Union of the answers of the disjuncts, deduplicated and sorted — the
-    parallel counterpart of {!Eval.ucq}. Worker count is [workers] if
+    parallel counterpart of {!Eval.ucq}. Seals [inst] first. Worker count is [workers] if
     given, else the [pool]'s size, else {!Tgd_exec.Pool.default_workers}.
     [partitions] is the answer-partition count P of the columnar merge
     (default [4 × workers]; raises [Invalid_argument] when [< 1]); more

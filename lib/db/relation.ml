@@ -17,10 +17,6 @@ type t = {
   mutable pending : Tuple.t list;
   (* Tuples inserted since the block was built, newest first. Only grows
      while [columnar] is [Some _]. *)
-  mutable columnar_failed : bool;
-  (* An uncodable value was seen: stop re-attempting the encode on every
-     seal. Reset by insert (the offending tuple may be gone... it is not —
-     inserts only add — but the flag is cheap to keep precise per snapshot). *)
   mutable unboxed : Columnar.t option;
   (* [Some block]: the relation was adopted from a snapshot block and the
      row hashtable has not been materialized yet ([rows] is empty, [pending]
@@ -36,7 +32,6 @@ let create ~arity =
     indexes = Array.make (max arity 1) None;
     columnar = None;
     pending = [];
-    columnar_failed = false;
     unboxed = None;
   }
 
@@ -52,7 +47,6 @@ let copy r =
     indexes = Array.map (Option.map Vtbl.copy) r.indexes;
     columnar = r.columnar;
     pending = r.pending;
-    columnar_failed = r.columnar_failed;
     unboxed = r.unboxed;
   }
 
@@ -92,9 +86,7 @@ let insert r t =
       r.indexes;
     (* The columnar block is kept alongside a pending tail so the next
        seal can extend it in place of a full re-encode. *)
-    (match r.columnar with
-    | Some _ -> r.pending <- t :: r.pending
-    | None -> r.columnar_failed <- false);
+    if Option.is_some r.columnar then r.pending <- t :: r.pending;
     true
   end
 
@@ -113,49 +105,30 @@ let build_index r pos =
   r.indexes.(pos) <- Some idx;
   idx
 
-let build_all_indexes r =
-  for pos = 0 to r.arity - 1 do
-    match r.indexes.(pos) with Some _ -> () | None -> ignore (build_index r pos)
-  done
-
 let lookup r ~pos v =
   if pos < 0 || pos >= r.arity then invalid_arg "Relation.lookup: position out of range";
   let idx = match r.indexes.(pos) with Some idx -> idx | None -> build_index r pos in
   Option.value ~default:[] (Vtbl.find_opt idx v)
 
-let build_columnar r =
+let seal r =
+  (* With a block covering every row, scans and joins run columnar and the
+     boxed per-column indexes stay lazy (built on the first boxed lookup)
+     — this is what makes adopting a snapshot block a bulk load. *)
   match r.columnar with
-  | Some block when r.pending <> [] -> (
+  | Some block when r.pending <> [] ->
     (* Sealed-instance append path: code only the tail, blit the rest. *)
-    let tail = Array.of_list (List.rev r.pending) in
-    r.pending <- [];
-    match Columnar.extend block tail with
-    | Some block -> r.columnar <- Some block
-    | None ->
-      r.columnar <- None;
-      r.columnar_failed <- true)
+    r.columnar <- Some (Columnar.extend block (Array.of_list (List.rev r.pending)));
+    r.pending <- []
   | Some _ -> ()
   | None ->
-    if not r.columnar_failed then begin
-      let tuples = Array.make (cardinality r) [||] in
-      let i = ref 0 in
-      iter
-        (fun t ->
-          tuples.(!i) <- t;
-          incr i)
-        r;
-      match Columnar.build ~arity:r.arity tuples with
-      | Some block -> r.columnar <- Some block
-      | None -> r.columnar_failed <- true
-    end
-
-let seal r =
-  build_columnar r;
-  (* With a block covering every row, scans and joins run columnar and the
-     boxed per-column indexes stay lazy (built on the first fallback
-     lookup) — this is what makes adopting a snapshot block a bulk load.
-     Relations without a block are served boxed and keep eager indexes. *)
-  if r.columnar = None then build_all_indexes r
+    let tuples = Array.make (cardinality r) [||] in
+    let i = ref 0 in
+    iter
+      (fun t ->
+        tuples.(!i) <- t;
+        incr i)
+      r;
+    r.columnar <- Some (Columnar.build ~arity:r.arity tuples)
 
 let columnar r =
   (* A block with a pending tail is stale: readers get [None] until the
@@ -222,6 +195,5 @@ let substitute r ~from_ ~to_ =
        drop every frozen snapshot. *)
     r.columnar <- None;
     r.pending <- [];
-    r.columnar_failed <- false;
     !fresh
   end

@@ -29,36 +29,30 @@ val lookup : t -> pos:int -> Value.t -> Tuple.t list
 (** Tuples whose 0-based column [pos] holds the given value; backed by a
     hash index built on first use for that column. *)
 
-val build_all_indexes : t -> unit
-(** Force every column index to exist. After this, a relation that is no
-    longer inserted into can serve {!lookup} from any number of domains
-    concurrently — nothing on the read path mutates. *)
-
 val seal : t -> unit
-(** Encode the {!Columnar} block; when it cannot be built (a value
-    outside {!Value.code}'s range), {!build_all_indexes} instead, so boxed
-    readers never build an index lazily. Idempotent. The block survives
-    inserts as a stale prefix plus a pending tail, and the next seal
-    {e extends} it ({!Columnar.extend}) — only the appended tuples are
-    coded, nothing is re-hashed. *)
+(** Encode the {!Columnar} block, so that every sealed relation has one.
+    Idempotent: sealing a relation with no insert since its last seal only
+    reads it. The block survives inserts as a stale prefix plus a pending
+    tail, and the next seal {e extends} it ({!Columnar.extend}) — only the
+    appended tuples are coded, nothing is re-hashed. *)
 
 val columnar : t -> Columnar.t option
 (** The columnar block built by the last {!seal}, if it still mirrors the
-    rows exactly (no insert since) and every value was codable
-    ({!Value.code}). *)
+    rows exactly: [None] when the relation was never sealed, or has
+    pending rows or a substitution since. *)
 
 val sealed_parts : t -> Columnar.t option * Tuple.t list
 (** The last sealed block (even when stale) and the pending tail inserted
     since it was built, in insertion order. [(None, rows)] when the
-    relation was never sealed or holds uncodable values: the snapshot codec
-    then falls back to boxed row encoding. Together the block and the tail
-    always cover exactly the current rows. *)
+    relation holds no block (never sealed, or substituted since): the
+    snapshot codec then falls back to boxed row encoding. Together the
+    block and the tail always cover exactly the current rows. *)
 
 val of_columnar : Columnar.t -> t
 (** Rebuild a relation from a decoded snapshot block: the block is adopted
-    as the sealed columnar representation (no re-encode — the next {!seal}
-    only builds the boxed per-column indexes), and the row set is populated
-    by decoding each row once. *)
+    as the sealed columnar representation (no re-encode; the relation is
+    sealed as it stands), and the boxed row set is populated by decoding
+    each row once, on the first boxed read or insert. *)
 
 val substitute : t -> from_:Value.t -> to_:Value.t -> Tuple.t list
 (** Rewrite, in place, every row containing [from_] (located through the

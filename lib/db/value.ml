@@ -40,16 +40,19 @@ let to_string = function
    integer order of codes coincides with [compare] (all constants before
    all nulls, then by id), so coded answer tuples can be deduplicated,
    partitioned and sorted without decoding. Symbol ids are dense intern
-   indices and null labels are small positive counters, so the ranges
-   cannot collide in practice; [code] refuses (returns [None]) rather than
-   silently aliasing if they ever would. *)
+   indices and [Null_gen] hands out no label at or above
+   [null_base], so every value has a code; [code] still refuses (raises)
+   rather than silently alias one it is handed out of range. *)
 let null_base = 1 lsl 44
 
 let code = function
   | Const c ->
     let i = (c : Symbol.t :> int) in
-    if i >= 0 && i < null_base then Some i else None
-  | Null n -> if n >= 0 && n < null_base then Some (null_base + n) else None
+    if i >= 0 && i < null_base then i
+    else invalid_arg (Printf.sprintf "Value.code: symbol id %d out of range" i)
+  | Null n ->
+    if n >= 0 && n < null_base then null_base + n
+    else invalid_arg (Printf.sprintf "Value.code: null label %d out of range" n)
 
 let decode i =
   if i < null_base then Const (Symbol.of_int i) else Null (i - null_base)

@@ -22,14 +22,16 @@ val to_string : t -> string
 val null_base : int
 (** First null code: constants code below it, nulls at or above it. *)
 
-val code : t -> int option
+val code : t -> int
 (** Order-preserving integer code, the unit of columnar storage
     ({!Columnar}): constants code to their symbol intern index, nulls to
     [null_base + label]. The integer order of codes coincides with
     {!compare} and the coding is injective, so coded tuples can be hashed,
-    deduplicated and sorted without decoding. [None] if the value falls
-    outside the codable range (a symbol index or null label [>= null_base],
-    or a negative null label) — callers then fall back to boxed tuples. *)
+    deduplicated and sorted without decoding. Every value the system makes
+    has a code: symbol ids are dense intern indices, and null generators
+    and the snapshot decoder refuse labels outside [[0, null_base)].
+    Raises [Invalid_argument] on a value outside that range (a negative
+    null label, or a symbol index or null label [>= null_base]). *)
 
 val decode : int -> t
 (** Inverse of {!code}. Raises [Invalid_argument] on an integer no value

@@ -34,8 +34,7 @@ let default_config =
    enforced, each call re-rolled the arities for the same interned symbols,
    and composing two draws (a program from one call, facts or extra rules
    from another) produced arity conflicts that only surfaced deep inside
-   [Instance.relation_for] / [Instance.build_indexes] at load or eval
-   time. *)
+   [Instance.relation_for] at load or eval time. *)
 type signature = (Symbol.t * int) list
 
 let signature rng cfg =

@@ -68,7 +68,7 @@ let saturated_answers ?gov program inst goal =
 let datalog_answers ?gov (r : Datalog_rw.result) inst =
   saturated_answers ?gov r.Datalog_rw.program inst (Datalog_rw.goal_query r)
 
-let answers ?gov ?pool ?workers ?partitions artifact inst =
+let answers ?gov ?pool ?workers artifact inst =
   match artifact with
-  | Ucq_rewriting r -> null_free (Par_eval.ucq ?gov ?pool ?workers ?partitions inst r.Rewrite.ucq)
+  | Ucq_rewriting r -> null_free (Par_eval.ucq ?gov ?pool ?workers inst r.Rewrite.ucq)
   | Datalog_rewriting r -> datalog_answers ?gov r inst

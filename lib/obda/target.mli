@@ -75,14 +75,13 @@ val answers :
   ?gov:Tgd_exec.Governor.t ->
   ?pool:Tgd_exec.Pool.t ->
   ?workers:int ->
-  ?partitions:int ->
   artifact ->
   Instance.t ->
   Tuple.t list
 (** Certain answers through either artifact kind — the one
     artifact-to-answers dispatch of the CLI and the server. A
-    [Ucq_rewriting] is evaluated by {!Tgd_db.Par_eval.ucq} (columnar and
-    morsel-parallel on a sealed instance, sequential {!Tgd_db.Eval.ucq}
-    otherwise; [pool], [workers] and [partitions] are passed through with
-    its defaults) and tuples containing labeled nulls are dropped; a
+    [Ucq_rewriting] is evaluated by {!Tgd_db.Par_eval.ucq}, which seals
+    [inst] and runs the compiled columnar engine ([pool] and [workers] are
+    passed through with its defaults), and tuples containing labeled
+    nulls are dropped; a
     [Datalog_rewriting] goes to {!datalog_answers}. *)

@@ -171,11 +171,7 @@ let add_batches t ~name batches =
        blocks, so the one seal at install extends them instead of
        re-encoding. Skipping the seals between batches changes nothing a
        batch chase reads: the chase reads rows and boxed indexes only, and
-       a seal touches those only for a relation it leaves without a block,
-       which takes a value {!Tgd_db.Value.code} refuses — a symbol id or
-       a null label of 2^44 or more. Symbols are dense intern indices,
-       {!Tgd_chase.Null_gen} refuses to make such a label and the snapshot
-       decoder rejects one, so none exists. *)
+       a seal touches neither. *)
     let instance = Tgd_db.Instance.copy entry.instance in
     let materialization =
       ref

@@ -8,7 +8,6 @@ type t = {
   config : Tgd_rewrite.Rewrite.config;
   target : Tgd_obda.Target.t;  (* default rewriting backend; per-request override *)
   eval_workers : int;
-  eval_partitions : int option;
   eval_pool : Tgd_exec.Pool.t option;
   store : Tgd_store.Store.t option;
   checkpoint_every : int;  (* 0 = checkpoint only on explicit snapshot ops *)
@@ -25,11 +24,8 @@ let default_budget =
    store recovery (defined below the request handlers it reuses). *)
 let make ?(cache_capacity = 1024) ?(base_budget = default_budget)
     ?(config = Tgd_rewrite.Rewrite.default_config) ?(target = Tgd_obda.Target.Ucq)
-    ?(eval_workers = 1) ?eval_partitions ?store ?(checkpoint_every = 0) () =
+    ?(eval_workers = 1) ?store ?(checkpoint_every = 0) () =
   if eval_workers <= 0 then invalid_arg "Server.create: eval_workers must be positive";
-  (match eval_partitions with
-  | Some p when p < 1 -> invalid_arg "Server.create: eval_partitions must be positive"
-  | Some _ | None -> ());
   if checkpoint_every < 0 then invalid_arg "Server.create: checkpoint_every must be >= 0";
   let telemetry = Tgd_exec.Telemetry.create () in
   {
@@ -41,7 +37,6 @@ let make ?(cache_capacity = 1024) ?(base_budget = default_budget)
     config = { config with Tgd_rewrite.Rewrite.domains = Some 1 };
     target;
     eval_workers;
-    eval_partitions;
     eval_pool =
       (if eval_workers > 1 then Some (Tgd_exec.Pool.create ~workers:eval_workers ()) else None);
     store;
@@ -220,8 +215,8 @@ let handle_query t ~ontology ~query ~budget ~target ~eval =
                    Datalog program saturates a copy-on-write clone and
                    leaves the registry's sealed columns untouched. *)
                 let answers =
-                  Tgd_obda.Target.answers ~gov ?pool:t.eval_pool ~workers:t.eval_workers
-                    ?partitions:t.eval_partitions artifact entry.Registry.instance
+                  Tgd_obda.Target.answers ~gov ?pool:t.eval_pool ~workers:t.eval_workers artifact
+                    entry.Registry.instance
                 in
                 let exact = complete && Tgd_exec.Governor.stopped gov = None in
                 fields
@@ -602,11 +597,8 @@ let recover_store t store =
         ignore (Tgd_exec.Telemetry.add t.telemetry "serve.store.recovered_entries" 1))
     recovered
 
-let create ?cache_capacity ?base_budget ?config ?target ?eval_workers ?eval_partitions ?store
-    ?checkpoint_every () =
-  let t =
-    make ?cache_capacity ?base_budget ?config ?target ?eval_workers ?eval_partitions ?store
-      ?checkpoint_every ()
-  in
+let create ?cache_capacity ?base_budget ?config ?target ?eval_workers ?store ?checkpoint_every
+    () =
+  let t = make ?cache_capacity ?base_budget ?config ?target ?eval_workers ?store ?checkpoint_every () in
   Option.iter (recover_store t) t.store;
   t

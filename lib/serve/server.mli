@@ -23,7 +23,6 @@ val create :
   ?config:Tgd_rewrite.Rewrite.config ->
   ?target:Tgd_obda.Target.t ->
   ?eval_workers:int ->
-  ?eval_partitions:int ->
   ?store:Tgd_store.Store.t ->
   ?checkpoint_every:int ->
   unit ->
@@ -63,17 +62,15 @@ val create :
     [checkpoint_every < 0].
 
     Per-request UCQ evaluation always runs on {!Tgd_db.Par_eval}'s
-    compiled columnar engine (registry instances are sealed on install).
-    [eval_workers] (default 1) > 1 additionally splits each query's
-    leading scans into morsels over a dedicated {!Tgd_exec.Pool} of that
-    many domains, and [eval_partitions] overrides the answer-partition
-    count of the lock-free merge (default [4 × eval_workers]). This
-    parallelizes {e one heavy query}; the request-level [workers] of
-    {!Net.serve} parallelize {e many light queries} — the two pools are
-    distinct, so a request worker blocking on an eval batch can never
-    deadlock the admission queue. Call {!shutdown} when done to join the
-    eval pool. Raises [Invalid_argument] when [eval_workers <= 0] or
-    [eval_partitions < 1]. *)
+    compiled columnar engine (registry instances are sealed on install,
+    so concurrent queries only read them). [eval_workers] (default 1) > 1
+    additionally splits each query's leading scans into morsels over a
+    dedicated {!Tgd_exec.Pool} of that many domains. This parallelizes
+    {e one heavy query}; the request-level [workers] of {!Net.serve}
+    parallelize {e many light queries} — the two pools are distinct, so a
+    request worker blocking on an eval batch can never deadlock the
+    admission queue. Call {!shutdown} when done to join the
+    eval pool. Raises [Invalid_argument] when [eval_workers <= 0]. *)
 
 val shutdown : t -> unit
 (** Join the parallel-evaluation pool and close the durable store, if

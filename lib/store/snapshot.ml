@@ -6,8 +6,9 @@
    be verbatim is the symbol space: Value.code maps constants to process-
    local intern ids, so the snapshot embeds a sparse (id, name) table of
    exactly the ids it references and the loader remaps every constant code
-   through [intern name] in one linear pass (skipped entirely when every
-   id re-interns to itself, the common single-tenant restart).
+   through [intern name] in one linear pass, which also range-checks every
+   code: an undeclared symbol id or a null code past the codable range is
+   refused here, not met later by [Value.code].
    Null codes are position-independent and survive untouched, which is what
    keeps materialization floors exact across recovery. *)
 
@@ -154,17 +155,14 @@ let encode t =
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 
-(* remap = None: every embedded (id, name) pair interns to its own id in
-   this process (the common single-tenant restart) and every code is
-   already valid. Otherwise the array maps old id -> fresh intern id, with
-   -1 marking ids the snapshot never declared. *)
+(* [remap] maps old id -> fresh intern id, with -1 marking ids the
+   snapshot never declared. Null codes pass through, if in range. *)
 let remap_code remap c =
-  match remap with
-  | None -> c
-  | Some map ->
-    if c >= Db.Value.null_base then c
-    else if c >= 0 && c < Array.length map && map.(c) >= 0 then map.(c)
-    else raise (Codec.Corrupt (Printf.sprintf "symbol code %d outside the intern slice" c))
+  if c >= Db.Value.null_base then
+    if c < 2 * Db.Value.null_base then c
+    else raise (Codec.Corrupt (Printf.sprintf "null code %d out of range" c))
+  else if c >= 0 && c < Array.length remap && remap.(c) >= 0 then remap.(c)
+  else raise (Codec.Corrupt (Printf.sprintf "symbol code %d outside the intern slice" c))
 
 let r_boxed_value r remap =
   match Codec.r_u8 r with
@@ -195,16 +193,14 @@ let r_relation r remap =
     let ncols = Codec.r_u32 r in
     if ncols <> max arity 1 then raise (Codec.Corrupt "column count does not match arity");
     let cols = Array.init ncols (fun _ -> Codec.r_int_array r) in
-    (* Remap constant codes in place: the arrays are snapshot-private. *)
-    (match remap with
-    | None -> ()
-    | Some _ ->
-      Array.iter
-        (fun col ->
-          for i = 0 to Array.length col - 1 do
-            col.(i) <- remap_code remap col.(i)
-          done)
-        cols);
+    (* Remap and check every code in place: the arrays are
+       snapshot-private. *)
+    Array.iter
+      (fun col ->
+        for i = 0 to Array.length col - 1 do
+          col.(i) <- remap_code remap col.(i)
+        done)
+      cols;
     let nidx = Codec.r_u32 r in
     if nidx <> arity then raise (Codec.Corrupt "index count does not match arity");
     let codes = Array.make nidx [||] in
@@ -285,19 +281,15 @@ let decode s =
             let pairs =
               Array.init nsyms (fun _ ->
                   let id = Codec.r_int r in
-                  if id < 0 then
-                    raise (Codec.Corrupt (Printf.sprintf "negative symbol id %d" id));
+                  if id < 0 || id >= Db.Value.null_base then
+                    raise (Codec.Corrupt (Printf.sprintf "symbol id %d out of range" id));
                   (id, Symbol.hash (Symbol.intern (Codec.r_string r))))
             in
-            let identity = Array.for_all (fun (id, fresh) -> id = fresh) pairs in
             let remap =
-              if identity then None
-              else begin
-                let max_id = Array.fold_left (fun m (id, _) -> max m id) (-1) pairs in
-                let map = Array.make (max_id + 1) (-1) in
-                Array.iter (fun (id, fresh) -> map.(id) <- fresh) pairs;
-                Some map
-              end
+              let max_id = Array.fold_left (fun m (id, _) -> max m id) (-1) pairs in
+              let map = Array.make (max_id + 1) (-1) in
+              Array.iter (fun (id, fresh) -> map.(id) <- fresh) pairs;
+              map
             in
             let instance = r_instance r remap in
             let materialization =

@@ -8,9 +8,9 @@
     together with the symbol intern table slice it references, so loading
     is a bulk read plus a single symbol-remap pass (intern ids are
     process-local), not a re-seal: values are never re-coded and row
-    groupings never re-hashed. Relations without a block (uncodable
-    values, never sealed) and pending copy-on-write tails fall back to
-    boxed row encoding.
+    groupings never re-hashed. Relations without a block (never sealed, or
+    rewritten by an EGD merge since) and pending copy-on-write tails fall
+    back to boxed row encoding.
 
     The file is framed [magic | version | u32 length | body | u32 CRC-32];
     {!decode} rejects any tampered or truncated image, which is how

@@ -300,6 +300,25 @@ let test_shrink_minimizes () =
     | o ->
       Alcotest.fail ("shrunk case no longer fails: " ^ Invariant.outcome_to_string o))
 
+(* A server that applies each add-facts batch straight to its registry,
+   outside the WAL: the live answers include the batch, the recovered
+   ones do not. *)
+let test_mutant_durability () =
+  let mutant =
+    {
+      Oracle.real with
+      Oracle.serve_handle =
+        (fun srv req ->
+          match req with
+          | Tgd_serve.Protocol.Add_facts { name; source = Tgd_serve.Protocol.Inline csv } -> (
+            match Tgd_serve.Registry.load_csv_string (Tgd_serve.Server.registry srv) ~name csv with
+            | Ok _ -> Ok []
+            | Error msg -> Error ("bad_request", msg))
+          | _ -> Oracle.real.Oracle.serve_handle srv req);
+    }
+  in
+  expect_caught ~name:"unlogged-add-facts" ~invariant:"durability" ~cases:10 mutant
+
 let test_failure_persisted () =
   let mutant = { Oracle.real with Oracle.canon_key = (fun q -> Cq.to_string q) } in
   let inv = Option.get (Invariant.find "metamorphic") in
@@ -352,6 +371,8 @@ let () =
             test_mutant_delta_stale_class;
           Alcotest.test_case "rewrite-target catches a lossy Datalog backend" `Quick
             test_mutant_rewrite_target;
+          Alcotest.test_case "durability catches an unlogged add-facts" `Quick
+            test_mutant_durability;
         ] );
       ( "shrinking",
         [

@@ -25,6 +25,17 @@ let test_value_nulls () =
   Alcotest.(check bool) "tuple has_null" true (Tuple.has_null [| vc "a"; Value.Null 1 |]);
   Alcotest.(check bool) "tuple no null" false (Tuple.has_null (tuple [ "a"; "b" ]))
 
+(* [code] is total on every value the system makes and refuses, rather
+   than aliases, a null label outside [0, null_base). *)
+let test_value_code_range () =
+  Alcotest.(check int) "first null" Value.null_base (Value.code (Value.Null 0));
+  List.iter
+    (fun n ->
+      match Value.code (Value.Null n) with
+      | code -> Alcotest.failf "Null %d coded to %d" n code
+      | exception Invalid_argument _ -> ())
+    [ -1; Value.null_base ]
+
 let test_value_of_term () =
   Alcotest.(check bool) "const round trip" true
     (Value.equal (Value.of_term (c "a")) (vc "a"));
@@ -400,7 +411,7 @@ let test_plan_explain_nonempty () =
     Alcotest.(check bool) "explanation text" true (String.length text > 20);
     Alcotest.(check bool) "names the probe" true (contains text "index probe on c1");
     Alcotest.(check bool) "prints the row count" true (contains text "(4 rows)")
-  | Col_eval.Empty | Col_eval.Unsupported -> Alcotest.fail "expected a compiled plan"
+  | Col_eval.Empty -> Alcotest.fail "expected a compiled plan"
 
 let test_plan_forced_first () =
   let db = sample_db () in
@@ -490,21 +501,15 @@ let test_columnar_roundtrip_basic () =
     Alcotest.(check bool) "decoded rows are exactly the relation" true
       (List.length !decoded = 3 && List.for_all (Relation.mem r) !decoded);
     (* Probing column 0 for "a"'s code finds exactly the two "a"-rows. *)
-    (match Value.code (vc "a") with
-    | None -> Alcotest.fail "constant uncodable"
-    | Some code ->
-      let rows, start, len = Columnar.probe block ~col:0 code in
-      Alcotest.(check int) "probe hits" 2 len;
-      for k = start to start + len - 1 do
-        let t = Columnar.decode_row block rows.(k) in
-        Alcotest.(check bool) "probed row has the key" true (Value.equal t.(0) (vc "a"))
-      done);
+    let rows, start, len = Columnar.probe block ~col:0 (Value.code (vc "a")) in
+    Alcotest.(check int) "probe hits" 2 len;
+    for k = start to start + len - 1 do
+      let t = Columnar.decode_row block rows.(k) in
+      Alcotest.(check bool) "probed row has the key" true (Value.equal t.(0) (vc "a"))
+    done;
     (* Nulls code distinctly from every constant and decode back. *)
-    (match Value.code (Value.Null 3) with
-    | None -> Alcotest.fail "null uncodable"
-    | Some code ->
-      Alcotest.(check bool) "null decodes back" true
-        (Value.equal (Value.decode code) (Value.Null 3)))
+    Alcotest.(check bool) "null decodes back" true
+      (Value.equal (Value.decode (Value.code (Value.Null 3))) (Value.Null 3))
 
 let gen_col_value =
   QCheck.Gen.(
@@ -592,6 +597,38 @@ let prop_columnar_codes_stable_under_reseal =
               before
         end)
 
+(* Resealing a sealed instance only reads it: every block stays the very
+   same value, which is what lets concurrent evaluations seal a shared
+   registry instance. *)
+let test_reseal_is_a_read () =
+  let db = sample_db () in
+  Instance.seal db;
+  let blocks () =
+    List.map
+      (fun (pred, _) -> Option.bind (Instance.relation db pred) Relation.columnar)
+      (Instance.predicates db)
+  in
+  let before = blocks () in
+  Alcotest.(check bool) "every relation has a block" true (List.for_all Option.is_some before);
+  Instance.seal db;
+  Alcotest.(check bool) "every block physically equal" true
+    (List.for_all2 (fun b a -> Option.get b == Option.get a) before (blocks ()))
+
+(* The compiler takes only current blocks: a row inserted since the seal
+   must be sealed in first, not silently missed. *)
+let test_compile_rejects_pending_tail () =
+  let db = sample_db () in
+  Instance.seal db;
+  ignore (Instance.add_fact db (Symbol.intern "edge") [| vc "z"; vc "a" |]);
+  let q = Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom "edge" [ v "X"; v "Y" ] ] in
+  (match Col_eval.compile db q with
+  | _ -> Alcotest.fail "compiled over a pending tail"
+  | exception Invalid_argument _ -> ());
+  Instance.seal db;
+  match Col_eval.compile db q with
+  | Col_eval.Compiled _ -> ()
+  | Col_eval.Empty -> Alcotest.fail "expected a compiled plan"
+
 let () =
   Alcotest.run "db"
     [
@@ -599,6 +636,7 @@ let () =
         [
           Alcotest.test_case "nulls" `Quick test_value_nulls;
           Alcotest.test_case "of_term" `Quick test_value_of_term;
+          Alcotest.test_case "code range" `Quick test_value_code_range;
         ] );
       ( "relation",
         [
@@ -665,6 +703,9 @@ let () =
       ( "columnar",
         Alcotest.test_case "round trip with nulls and probes" `Quick
           test_columnar_roundtrip_basic
+        :: Alcotest.test_case "reseal is a read" `Quick test_reseal_is_a_read
+        :: Alcotest.test_case "compile rejects a pending tail" `Quick
+             test_compile_rejects_pending_tail
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_columnar_roundtrip; prop_columnar_codes_stable_under_reseal ] );
     ]

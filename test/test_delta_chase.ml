@@ -3,8 +3,8 @@
    naive reference chase of the conformance harness) on every
    null-free fact (hence on certain answers), an empty delta must be a
    no-op, batches may be split or fused freely, and budget truncation must
-   degrade soundly. Plus the parallel evaluator's sequential fallback on
-   unsealed instances and pending tails, and the registry's data runs: N
+   degrade soundly. Plus the parallel evaluator on unsealed instances and
+   pending tails, which it seals itself, and the registry's data runs: N
    batches in one call leave exactly the state of N calls. *)
 
 open Tgd_logic
@@ -226,8 +226,8 @@ let prop_truncation_sound =
       else true)
 
 (* ------------------------------------------------------------------ *)
-(* 5. Parallel evaluation on unsealed / pending-append instances falls  *)
-(*    back to, and so agrees with, sequential evaluation.               *)
+(* 5. Parallel evaluation on unsealed / pending-append instances seals  *)
+(*    them first, and so agrees with sequential evaluation.             *)
 
 let random_cq rng p =
   let preds = Program.predicates p in
@@ -260,9 +260,9 @@ let prop_par_unsealed_fallback =
       let seq = Tgd_db.Eval.ucq inst ucq in
       let workers = 2 + Rng.int rng 2 in
       let partitions = 1 + Rng.int rng 7 in
-      (* The instance was never sealed, so nothing compiles and every
-         worker count must take the sequential [Eval.ucq] path; min_tuples:1
-         would otherwise force the morsel machinery. *)
+      (* The instance was never sealed, so the engine seals it itself
+         before compiling; min_tuples:1 forces the morsel machinery even
+         on these small relations. *)
       let par = Tgd_db.Par_eval.ucq ~workers ~min_tuples:1 ~partitions inst ucq in
       tuples_equal seq par)
 
@@ -275,10 +275,10 @@ let prop_par_pending_fallback =
       QCheck.assume (Program.predicates p <> []);
       let inst = base_instance rng p in
       Tgd_db.Instance.seal inst;
-      (* Appending after seal parks tuples in the relations' pending lists:
-         the columnar view goes stale, compilation reports Unsupported, and
-         the dispatcher must fall back to sequential [Eval.ucq] — on exactly
-         the state the delta chase leaves behind between re-seals. *)
+      (* Appending after seal parks tuples in the relations' pending lists
+         and the columnar view goes stale — exactly the state the delta
+         chase leaves behind between re-seals. The engine must extend the
+         blocks with the pending rows before it compiles. *)
       List.iter
         (fun (pred, t) -> ignore (Tgd_db.Instance.add_fact inst pred t))
         (random_batch rng p ~size:(1 + Rng.int rng 5));

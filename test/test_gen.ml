@@ -226,8 +226,8 @@ let test_random_instance_signature () =
    interned predicate names ([p0], [p1], ...), so composing two draws — a
    program from one call, facts generated against another call's arities —
    could use one predicate at two arities, and the conflict only surfaced
-   inside [Instance.relation_for] when the facts were loaded (or at
-   [build_indexes]/eval time). With a shared [Gen_tgd.signature] the
+   inside [Instance.relation_for] when the facts were loaded (or at eval
+   time). With a shared [Gen_tgd.signature] the
    composition is closed by construction. *)
 let test_signature_closure_regression () =
   let g = Rng.create 20260805 in
@@ -245,7 +245,6 @@ let test_signature_closure_regression () =
     Tgd_db.Instance.iter_facts
       (fun (pred, t) -> ignore (Tgd_db.Instance.add_fact inst pred t))
       shared;
-    Tgd_db.Instance.build_indexes inst;
     (* Simple and linear draws share the same closure guarantee. *)
     let ps = Gen_tgd.random_simple_program ~signature:sg g cfg in
     Alcotest.(check bool) "simple draw closed" true (Gen_tgd.closed_over sg ps);

@@ -2,9 +2,8 @@
    equivalence property — morsel-parallel evaluation must agree with
    sequential evaluation (answers and truncation flag) across worker counts
    (1, 2, 4 and the TGDLIB_DOMAINS-derived default), random answer-partition
-   counts, and both legs of the one dispatch: the compiled columnar engine
-   on sealed instances and the sequential [Eval.ucq] fallback on unsealed
-   ones. *)
+   counts, and instances handed over sealed or unsealed: the engine seals
+   an unsealed one itself and runs compiled either way. *)
 
 open Tgd_logic
 open Tgd_db
@@ -166,8 +165,7 @@ let graph_instance n =
 let join_query =
   Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom "r" [ v "X"; v "Y" ]; atom "s" [ v "Y" ] ]
 
-(* The two legs of the dispatch: a sealed instance runs the columnar
-   engine, an unsealed one the sequential fallback. *)
+(* An instance sealed before the call, and one the engine must seal. *)
 let sealed_and_unsealed mk =
   let sealed = mk () in
   Instance.seal sealed;
@@ -201,6 +199,29 @@ let test_par_eval_shared_pool () =
     Alcotest.(check bool) "pool-dispatched run equals sequential" true
       (List.length par = List.length reference && List.for_all2 Tuple.equal par reference)
   done
+
+(* Rows inserted after a seal are sealed in by the evaluation itself: the
+   answers include them, and the relation's block is current afterwards. *)
+let test_par_eval_seals_pending_rows () =
+  let inst = graph_instance 1_000 in
+  Instance.seal inst;
+  for i = 0 to 99 do
+    ignore
+      (Instance.add_fact inst (Symbol.intern "r")
+         [| vc (Printf.sprintf "m%d" i); vc (Printf.sprintf "n%d" (3 * i)) |])
+  done;
+  let r = Option.get (Instance.relation inst (Symbol.intern "r")) in
+  Alcotest.(check bool) "stale before" true (Relation.columnar r = None);
+  let reference = Eval.ucq inst [ join_query ] in
+  let par = Par_eval.ucq ~workers:2 ~min_tuples:1 inst [ join_query ] in
+  Alcotest.(check bool) "the appended rows answer" true
+    (List.exists (fun t -> Value.equal t.(0) (vc "m0")) reference);
+  Alcotest.(check bool) "equals sequential" true
+    (List.length par = List.length reference && List.for_all2 Tuple.equal par reference);
+  match Relation.columnar r with
+  | Some block ->
+    Alcotest.(check int) "block covers every row" (Relation.cardinality r) (Columnar.nrows block)
+  | None -> Alcotest.fail "block left stale"
 
 (* Truncation semantics: a one-step eval budget trips both legs; an
    unlimited governor trips neither and the answers agree. *)
@@ -332,6 +353,7 @@ let () =
             test_par_eval_join_equivalence;
           Alcotest.test_case "shared pool reuse" `Quick test_par_eval_shared_pool;
           Alcotest.test_case "truncation flag" `Quick test_par_eval_truncation_flag;
+          Alcotest.test_case "pending rows sealed in" `Quick test_par_eval_seals_pending_rows;
         ] );
       ( "properties",
         List.map to_alcotest [ prop_par_eval_equals_seq; prop_par_eval_truncates_like_seq ] );

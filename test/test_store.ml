@@ -342,8 +342,9 @@ let test_recover_skips_corrupt_generation () =
    written by hand: decode must refuse a broken shape instead of handing
    out-of-range row or group ids to the columnar evaluator, which reads
    them without bounds checks. *)
-let image_with_index ?count ~pairs ~starts ~rows () =
+let image_with_index ?count ?col ~pairs ~starts ~rows () =
   let sym s = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern s) in
+  let col = Option.value col ~default:[| sym "a" |] in
   let body = Buffer.create 128 in
   Codec.w_u32 body 1 (* epoch *);
   Codec.w_u32 body 1 (* delta epoch *);
@@ -360,7 +361,7 @@ let image_with_index ?count ~pairs ~starts ~rows () =
   Codec.w_u8 body 0 (* columnar *);
   Codec.w_u32 body 1 (* rows *);
   Codec.w_u32 body 1 (* columns *);
-  Codec.w_int_array body [| sym "a" |];
+  Codec.w_int_array body col;
   Codec.w_u32 body 1 (* indexes *);
   Codec.w_u32 body (Option.value ~default:(Array.length pairs) count);
   Array.iter
@@ -396,6 +397,45 @@ let test_snapshot_rejects_uncodable_null () =
   | Ok _ -> Alcotest.fail "decoded Ok"
   | Error e ->
     Alcotest.(check bool) e true (String.starts_with ~prefix:"corrupt snapshot: " e)
+
+(* Columnar codes are range-checked too, through the same remap every
+   decode runs: a null code past the codable range, and a constant code
+   the image never declared, even one that names a symbol this process
+   has interned. *)
+let test_snapshot_rejects_uncodable_column () =
+  let expect_corrupt what image =
+    match Snapshot.decode image with
+    | Ok _ -> Alcotest.failf "%s: decoded Ok" what
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s" what e)
+        true
+        (String.starts_with ~prefix:"corrupt snapshot: " e)
+  in
+  let bad = (2 * Tgd_db.Value.null_base) + 5 in
+  let block =
+    Result.get_ok
+      (Tgd_db.Columnar.import
+         {
+           Tgd_db.Columnar.p_arity = 1;
+           p_nrows = 1;
+           p_cols = [| [| bad |] |];
+           p_codes = [| [| bad |] |];
+           p_starts = [| [| 0; 1 |] |];
+           p_rows = [| [| 0 |] |];
+         })
+  in
+  let inst = Tgd_db.Instance.create () in
+  Tgd_db.Instance.install_relation inst (Tgd_logic.Symbol.intern "r")
+    (Tgd_db.Relation.of_columnar block);
+  let snap =
+    { Snapshot.epoch = 1; delta_epoch = 1; program_src = ""; instance = inst; materialization = None }
+  in
+  expect_corrupt "null code out of range" (Snapshot.encode snap);
+  let undeclared = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "undeclared_b") in
+  expect_corrupt "undeclared constant code"
+    (image_with_index ~col:[| undeclared |] ~pairs:[| (undeclared, 0) |] ~starts:[| 0; 1 |]
+       ~rows:[| 0 |] ())
 
 let test_snapshot_rejects_bad_index () =
   let a = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "a") in
@@ -494,6 +534,8 @@ let () =
           qc prop_snapshot_rejects_corruption;
           Alcotest.test_case "decode rejects a CSR index out of shape" `Quick
             test_snapshot_rejects_bad_index;
+          Alcotest.test_case "decode rejects an uncodable columnar code" `Quick
+            test_snapshot_rejects_uncodable_column;
           Alcotest.test_case "decode rejects an uncodable null label" `Quick
             test_snapshot_rejects_uncodable_null;
         ] );
