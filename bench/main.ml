@@ -578,12 +578,8 @@ let bench_rewrite_workloads () =
   in
   List.map
     (fun (name, run) ->
-      Containment.reset_stats ();
       let r = ref (run ()) in
       let ms = time_median ~k:3 (fun () -> r := run ()) *. 1000. in
-      let per_run = Containment.stats () in
-      (* time_median ran it 3 more times: report per-run counter deltas. *)
-      ignore per_run;
       {
         rw_name = name;
         rw_ms = ms;

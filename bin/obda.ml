@@ -84,12 +84,9 @@ let budget_of_flags budget deadline =
   in
   match deadline with None -> base | Some s -> { base with Tgd_exec.Budget.deadline_s = Some s }
 
-(* One governor per run. The containment counters are process-wide, so they
-   are reset at every run boundary: telemetry from consecutive invocations
-   in one process must never accumulate stale counts. *)
-let fresh_governor budget =
-  Tgd_logic.Containment.reset_stats ();
-  Tgd_exec.Governor.create ~budget ()
+(* One governor per run: its telemetry, containment counts included, is
+   that run's alone. *)
+let fresh_governor budget = Tgd_exec.Governor.create ~budget ()
 
 let emit_stats stats_json records =
   match stats_json with

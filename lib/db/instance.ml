@@ -5,13 +5,25 @@ type fact = Symbol.t * Tuple.t
 
 let create () = { relations = Symbol.Table.create 32 }
 
-(* [Symbol.Table.copy] keeps the bucket layout, so the copy iterates its
-   relations in the original's order: how many copies an instance went
-   through never shows in iteration order (EGD substitution walks it). *)
+(* Copy-on-write at relation grain: the copy shares every relation with
+   the original, and both sides treat them as frozen from now on — the
+   first write into one ([own]) installs a private copy in the writer's
+   table. [Symbol.Table.copy] keeps the bucket layout, and a replace keeps
+   a key's place, so the copy iterates its relations in the original's
+   order: how many copies an instance went through never shows in
+   iteration order (EGD substitution walks it). *)
 let copy inst =
-  let relations = Symbol.Table.copy inst.relations in
-  Symbol.Table.filter_map_inplace (fun _ rel -> Some (Relation.copy rel)) relations;
-  { relations }
+  Symbol.Table.iter (fun _ rel -> Relation.share rel) inst.relations;
+  { relations = Symbol.Table.copy inst.relations }
+
+(* The relation under [pred], made private to [inst] first if shared. *)
+let own inst pred rel =
+  if Relation.shared rel then begin
+    let rel = Relation.copy rel in
+    Symbol.Table.replace inst.relations pred rel;
+    rel
+  end
+  else rel
 
 let relation inst pred = Symbol.Table.find_opt inst.relations pred
 
@@ -28,7 +40,12 @@ let relation_for inst pred ~arity =
     Symbol.Table.add inst.relations pred rel;
     rel
 
-let add_fact inst pred t = Relation.insert (relation_for inst pred ~arity:(Array.length t)) t
+(* A fact already present is no write: a shared relation is copied only
+   for a fact it lacks (a chase re-derives present facts often). *)
+let add_fact inst pred t =
+  let rel = relation_for inst pred ~arity:(Array.length t) in
+  if Relation.shared rel then (not (Relation.mem rel t)) && Relation.insert (own inst pred rel) t
+  else Relation.insert rel t
 
 let install_relation inst pred rel =
   (match Symbol.Table.find_opt inst.relations pred with
@@ -71,14 +88,20 @@ let of_atoms atoms =
   inst
 
 let substitute inst ~from_ ~to_ =
-  let fresh = ref [] in
-  Symbol.Table.iter
-    (fun pred rel ->
-      List.iter
-        (fun t -> fresh := (pred, t) :: !fresh)
-        (Relation.substitute rel ~from_ ~to_))
-    inst.relations;
-  !fresh
+  (* Find the hit relations first, in iteration order: owning one replaces
+     it in the table, which must not happen mid-iteration. *)
+  let hits =
+    Symbol.Table.fold
+      (fun pred rel acc -> if Relation.mentions rel from_ then (pred, rel) :: acc else acc)
+      inst.relations []
+  in
+  List.fold_left
+    (fun fresh (pred, rel) ->
+      List.fold_left
+        (fun fresh t -> (pred, t) :: fresh)
+        fresh
+        (Relation.substitute (own inst pred rel) ~from_ ~to_))
+    [] (List.rev hits)
 
 let max_null inst =
   let best = ref 0 in
@@ -90,7 +113,18 @@ let max_null inst =
     inst;
   !best
 
-let seal inst = Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
+let seal inst =
+  (* Only a relation without a current block is written; a shared one is
+     owned first, outside the iteration. A sealed instance is only read. *)
+  let stale =
+    Symbol.Table.fold
+      (fun pred rel acc ->
+        if Relation.shared rel && Option.is_none (Relation.columnar rel) then (pred, rel) :: acc
+        else acc)
+      inst.relations []
+  in
+  List.iter (fun (pred, rel) -> ignore (own inst pred rel)) stale;
+  Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
 
 let pp ppf inst =
   let pp_fact ppf (pred, t) = Format.fprintf ppf "%a%a" Symbol.pp pred Tuple.pp t in

@@ -9,12 +9,17 @@ type fact = Symbol.t * Tuple.t
 val create : unit -> t
 
 val copy : t -> t
-(** Copy-on-write copy (see {!Relation.copy}): the row sets and indexes are
-    structurally duplicated while frozen seal artifacts (columnar blocks
-    and their pending tails) are shared, so mutating the copy — chasing
-    it, appending a delta — never disturbs the original, and sealing the
-    copy after an append extends the shared block instead of re-encoding
-    it. The copy iterates its relations in the original's order. *)
+(** Copy-on-write copy at relation grain: the copy shares every
+    {!Relation.t} with the original and marks them {!Relation.shared}, so
+    neither side mutates them again. The first {!add_fact} into a
+    relation, a {!substitute} that hits it, or a {!seal} that must write
+    it gives the writing instance a private {!Relation.copy} (row set and
+    indexes duplicated, columnar block and pending tail shared); the
+    relations it never writes cost nothing. So mutating the copy —
+    chasing it, appending a delta — never disturbs the original, and
+    sealing the copy after an append extends the shared block instead of
+    re-encoding it. The copy iterates its relations in the original's
+    order. *)
 
 val add_fact : t -> Symbol.t -> Tuple.t -> bool
 (** [true] iff the fact is new. Creates the relation on first use; raises
@@ -22,7 +27,9 @@ val add_fact : t -> Symbol.t -> Tuple.t -> bool
     arity. *)
 
 val relation : t -> Symbol.t -> Relation.t option
-(** [None] when the predicate has no facts yet. *)
+(** [None] when the predicate has no facts yet. The relation is for
+    reading: it may be shared with a copy ({!copy}), and the instance may
+    replace it by a private copy on its next write. *)
 
 val install_relation : t -> Symbol.t -> Relation.t -> unit
 (** Adopt a whole relation under a predicate (snapshot recovery:
@@ -59,8 +66,9 @@ val max_null : t -> int
 val seal : t -> unit
 (** {!Relation.seal} every relation: encode or extend its columnar block,
     which {!Col_eval} and {!Par_eval} scan. Afterwards every relation has a
-    current block. Sealing an instance with no insert since its last seal
-    only reads it, so any number of domains may seal (and then evaluate
-    on) a shared sealed instance concurrently. *)
+    current block; a shared relation that needs a write is first replaced
+    by a private copy. Sealing an instance with no insert since its last
+    seal only reads it, so any number of domains may seal (and then
+    evaluate on) a shared sealed instance concurrently. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,7 +7,10 @@ end)
 
 type t = {
   arity : int;
-  rows : unit Tuple.Table.t;
+  mutable rows : unit Tuple.Table.t;
+  (* Replaced only while [unboxed] is still [Some _], by a fully built
+     table (see [ensure_rows]); mutated in place only by the owner of an
+     unshared relation. *)
   indexes : Tuple.t list Vtbl.t option array; (* one optional index per column *)
   mutable columnar : Columnar.t option;
   (* The last sealed block. [Some _] with an empty [pending] means the block
@@ -17,11 +20,17 @@ type t = {
   mutable pending : Tuple.t list;
   (* Tuples inserted since the block was built, newest first. Only grows
      while [columnar] is [Some _]. *)
-  mutable unboxed : Columnar.t option;
+  unboxed : Columnar.t option Atomic.t;
   (* [Some block]: the relation was adopted from a snapshot block and the
      row hashtable has not been materialized yet ([rows] is empty, [pending]
      too, [columnar = Some block]). Pure columnar readers never pay for the
-     boxing; the first boxed-side consumer triggers it via [ensure_rows]. *)
+     boxing; the first boxed-side consumer triggers it via [ensure_rows].
+     Atomic because a shared relation is read from several domains: it is
+     cleared only after the built table is published in [rows]. *)
+  mutable shared : bool;
+  (* Reachable from more than one instance ({!Instance.copy}): no instance
+     may mutate it any more, only copy it ({!copy}) and mutate the copy.
+     Never reset — the other holders keep their reference. *)
 }
 
 let create ~arity =
@@ -32,37 +41,54 @@ let create ~arity =
     indexes = Array.make (max arity 1) None;
     columnar = None;
     pending = [];
-    unboxed = None;
+    unboxed = Atomic.make None;
+    shared = false;
   }
 
-(* Copy-on-write duplication: the hashtable and index tables are duplicated
-   (cheap structural copies — keys and the tuples themselves are shared and
-   never mutated), while the frozen snapshots (columnar block, pending
-   tail) are shared outright. Either side can keep inserting without the
-   other observing it. *)
+(* A private duplicate of a possibly shared relation: the hashtable and the
+   built index tables are duplicated (cheap structural copies — keys and
+   the tuples themselves are shared and never mutated), while the frozen
+   snapshots (columnar block, pending tail) are shared outright. A row set
+   still deferred in a snapshot block stays deferred in the copy. *)
 let copy r =
+  let unboxed = Atomic.get r.unboxed in
   {
     arity = r.arity;
-    rows = Tuple.Table.copy r.rows;
+    rows = (match unboxed with Some _ -> Tuple.Table.create 64 | None -> Tuple.Table.copy r.rows);
     indexes = Array.map (Option.map Vtbl.copy) r.indexes;
     columnar = r.columnar;
     pending = r.pending;
-    unboxed = r.unboxed;
+    unboxed = Atomic.make unboxed;
+    shared = false;
   }
+
+(* Written once: copies racing on other domains then only read the flag. *)
+let share r = if not r.shared then r.shared <- true
+let shared r = r.shared
+
+let owned r what =
+  if r.shared then invalid_arg (Printf.sprintf "Relation.%s: shared relation" what)
 
 let arity r = r.arity
 
 (* Materialize the deferred row hashtable of a snapshot-adopted relation:
-   decode each block row once. Idempotent; a no-op everywhere else. *)
+   decode each block row once into a private table, then publish it —
+   [rows] first, then [unboxed] — so a reader on another domain sees
+   either the deferred state or the whole table, never a half-filled one.
+   Two domains racing here both build identical tables and the last write
+   wins: benign duplicate work, as in [Columnar]'s group tables.
+   Idempotent; a no-op everywhere else. *)
 let ensure_rows r =
-  match r.unboxed with
+  match Atomic.get r.unboxed with
   | None -> ()
   | Some block ->
-    r.unboxed <- None;
-    Columnar.iter_rows (fun t -> Tuple.Table.replace r.rows t ()) block
+    let rows = Tuple.Table.create (max 64 (Columnar.nrows block)) in
+    Columnar.iter_rows (fun t -> Tuple.Table.replace rows t ()) block;
+    r.rows <- rows;
+    Atomic.set r.unboxed None
 
 let cardinality r =
-  match r.unboxed with
+  match Atomic.get r.unboxed with
   | Some block -> Columnar.nrows block
   | None -> Tuple.Table.length r.rows
 
@@ -77,6 +103,7 @@ let index_insert idx t pos =
 
 let insert r t =
   if Array.length t <> r.arity then invalid_arg "Relation.insert: arity mismatch";
+  owned r "insert";
   ensure_rows r;
   if Tuple.Table.mem r.rows t then false
   else begin
@@ -99,6 +126,10 @@ let fold f r init =
   Tuple.Table.fold (fun t () acc -> f t acc) r.rows init
 let to_list r = fold (fun t acc -> t :: acc) r []
 
+(* Built privately, then published with one field write. A shared
+   relation may be probed from several domains at once: racing builders
+   each publish a complete, identical table and the last write wins — the
+   same benign race as [Columnar]'s deferred group tables. *)
 let build_index r pos =
   let idx = Vtbl.create (max 64 (cardinality r)) in
   iter (fun t -> index_insert idx t pos) r;
@@ -116,11 +147,13 @@ let seal r =
      — this is what makes adopting a snapshot block a bulk load. *)
   match r.columnar with
   | Some block when r.pending <> [] ->
+    owned r "seal";
     (* Sealed-instance append path: code only the tail, blit the rest. *)
     r.columnar <- Some (Columnar.extend block (Array.of_list (List.rev r.pending)));
     r.pending <- []
   | Some _ -> ()
   | None ->
+    owned r "seal";
     let tuples = Array.make (cardinality r) [||] in
     let i = ref 0 in
     iter
@@ -135,6 +168,15 @@ let columnar r =
      next seal extends it. *)
   match r.pending with [] -> r.columnar | _ :: _ -> None
 
+(* What [seal] would install, built on the side: one extend by the whole
+   pending tail gives the same columns, group ids and CSR rows as one
+   extend per seal along the way. *)
+let current_block r =
+  match r.columnar, r.pending with
+  | Some block, [] -> Some block
+  | Some block, pending -> Some (Columnar.extend block (Array.of_list (List.rev pending)))
+  | None, _ -> None
+
 let sealed_parts r =
   match r.columnar with
   | Some _ as block -> (block, List.rev r.pending)
@@ -146,7 +188,7 @@ let of_columnar block =
      even the row hashtable stays deferred ([ensure_rows]) until a boxed
      consumer — membership, insert, iteration — actually needs it. *)
   r.columnar <- Some block;
-  r.unboxed <- Some block;
+  Atomic.set r.unboxed (Some block);
   r
 
 (* ------------------------------------------------------------------ *)
@@ -161,6 +203,10 @@ let index_remove idx t pos =
     | [] -> Vtbl.remove idx key
     | l' -> Vtbl.replace idx key l')
 
+let mentions r v =
+  let rec at pos = pos < r.arity && (lookup r ~pos v <> [] || at (pos + 1)) in
+  at 0
+
 let substitute r ~from_ ~to_ =
   let affected = Tuple.Table.create 8 in
   for pos = 0 to r.arity - 1 do
@@ -168,6 +214,7 @@ let substitute r ~from_ ~to_ =
   done;
   if Tuple.Table.length affected = 0 then []
   else begin
+    owned r "substitute";
     (* Remove every affected row first, then insert the rewritten rows:
        a replacement may collide with another affected original. *)
     Tuple.Table.iter

@@ -4,32 +4,27 @@
    The NP-hard homomorphism search is guarded by sound O(1) pre-filters
    (arity, predicate/constant fingerprints — see {!Fingerprint}); callers on
    the hot path precompute a {!pre} per CQ so the frozen target index and the
-   fingerprint are built once instead of per check. Global counters make the
-   filter's hit rate observable. *)
+   fingerprint are built once instead of per check. A run counts its checks
+   on its own governor ({!meters}), which makes the filter's hit rate
+   observable per run. *)
 
-(* Counters are atomic: containment checks run concurrently on
-   [minimize_ucq]'s pool workers. *)
-let n_checks = Atomic.make 0
-let n_pruned = Atomic.make 0
-let n_hom_searches = Atomic.make 0
-
-type stats = {
-  checks : int;
-  pruned : int;
-  hom_searches : int;
+type meters = {
+  m_checks : Tgd_exec.Governor.meter;
+  m_pruned : Tgd_exec.Governor.meter;
+  m_hom_searches : Tgd_exec.Governor.meter;
 }
 
-let stats () =
+let key_pruned = "containment.pruned"
+let key_hom_searches = "containment.hom_searches"
+
+let meters gov =
   {
-    checks = Atomic.get n_checks;
-    pruned = Atomic.get n_pruned;
-    hom_searches = Atomic.get n_hom_searches;
+    m_checks = Tgd_exec.Governor.meter gov Tgd_exec.Budget.key_containment_checks;
+    m_pruned = Tgd_exec.Governor.meter gov key_pruned;
+    m_hom_searches = Tgd_exec.Governor.meter gov key_hom_searches;
   }
 
-let reset_stats () =
-  Atomic.set n_checks 0;
-  Atomic.set n_pruned 0;
-  Atomic.set n_hom_searches 0
+let count meter = function Some m -> Tgd_exec.Governor.tick (meter m) | None -> ()
 
 (* Seed the mapping with answer-position constraints. *)
 let seed_answers a2 a1 =
@@ -49,18 +44,12 @@ let seed_answers a2 a1 =
 
 (* The full search: [q1 <= q2] given q1's frozen target. *)
 let hom_contained target (q1 : Cq.t) (q2 : Cq.t) =
-  Atomic.incr n_hom_searches;
   match seed_answers q2.Cq.answer q1.Cq.answer with
   | None -> false
   | Some init -> Homomorphism.exists ~init q2.Cq.body target
 
 let contained_reference q1 q2 =
-  Cq.arity q1 = Cq.arity q2
-  &&
-  let target = Homomorphism.target_of_atoms q1.Cq.body in
-  (match seed_answers q2.Cq.answer q1.Cq.answer with
-  | None -> false
-  | Some init -> Homomorphism.exists ~init q2.Cq.body target)
+  Cq.arity q1 = Cq.arity q2 && hom_contained (Homomorphism.target_of_atoms q1.Cq.body) q1 q2
 
 type pre = {
   cq : Cq.t;
@@ -88,31 +77,27 @@ let precompute cq =
 
 let fingerprint p = p.fp
 
-let contained_pre p1 p2 =
-  Atomic.incr n_checks;
+let contained_pre ?meters p1 p2 =
+  count (fun m -> m.m_checks) meters;
   if p1.arity <> p2.arity || not (Fingerprint.may_map ~sub:p2.fp ~sup:p1.fp) then begin
-    Atomic.incr n_pruned;
+    count (fun m -> m.m_pruned) meters;
     false
   end
   else begin
-    Atomic.incr n_hom_searches;
+    count (fun m -> m.m_hom_searches) meters;
     match seed_answers p2.cq.Cq.answer p1.cq.Cq.answer with
     | None -> false
     | Some init -> Homomorphism.exists ~source:p2.source ~init p2.cq.Cq.body p1.target
   end
 
 let contained q1 q2 =
-  Atomic.incr n_checks;
   if
     Cq.arity q1 <> Cq.arity q2
     || not
          (Fingerprint.may_map
             ~sub:(Fingerprint.of_body q2.Cq.body)
             ~sup:(Fingerprint.of_body q1.Cq.body))
-  then begin
-    Atomic.incr n_pruned;
-    false
-  end
+  then false
   else hom_contained (Homomorphism.target_of_atoms q1.Cq.body) q1 q2
 
 let equivalent q1 q2 = contained q1 q2 && contained q2 q1
@@ -141,7 +126,7 @@ let minimize_ucq_reference ucq =
 
 let parallel_threshold = 64
 
-let minimize_ucq ?pool ucq =
+let minimize_ucq ?pool ?meters ucq =
   match sort_for_minimize ucq with
   | [] -> []
   | [ q ] -> [ q ]
@@ -158,7 +143,7 @@ let minimize_ucq ?pool ucq =
     let arr = Array.of_list sorted in
     let n = Array.length arr in
     let pres = Array.map precompute arr in
-    let le i j = (not (arr.(i) == arr.(j))) && contained_pre pres.(i) pres.(j) in
+    let le i j = (not (arr.(i) == arr.(j))) && contained_pre ?meters pres.(i) pres.(j) in
     let run f =
       match pool with
       | Some p when n >= parallel_threshold -> Tgd_exec.Pool.run_morsels p ~n f

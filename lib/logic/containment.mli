@@ -14,7 +14,7 @@ val contained : Cq.t -> Cq.t -> bool
     arities are never contained. *)
 
 val contained_reference : Cq.t -> Cq.t -> bool
-(** The unfiltered, uncached, uncounted implementation (the original seed
+(** The unfiltered, uncached implementation (the original seed
     code path), kept as the semantic reference for property tests and
     ablation benchmarks. Agrees with {!contained} on every input. *)
 
@@ -23,6 +23,23 @@ val equivalent : Cq.t -> Cq.t -> bool
 val ucq_contained : Cq.ucq -> Cq.ucq -> bool
 (** [ucq_contained u1 u2]: every disjunct of [u1] is contained in some
     disjunct of [u2]. (Sound and complete for UCQ containment.) *)
+
+(** {1 Per-run counts} *)
+
+type meters
+(** One run's containment counters on its {!Tgd_exec.Governor}: checks
+    (under the budget key [containment.checks], so a limit on it stops the
+    run at the exact check), pre-filtered checks and homomorphism
+    searches. Counting through them keeps each run's figures its own
+    while other runs check concurrently on other domains. *)
+
+val meters : Tgd_exec.Governor.t -> meters
+
+val key_pruned : string
+(** ["containment.pruned"]: the governor counter of pre-filtered checks. *)
+
+val key_hom_searches : string
+(** ["containment.hom_searches"]: the governor counter of full searches. *)
 
 (** {1 Precomputed containment state} *)
 
@@ -33,14 +50,15 @@ type pre
 val precompute : Cq.t -> pre
 val fingerprint : pre -> Fingerprint.t
 
-val contained_pre : pre -> pre -> bool
+val contained_pre : ?meters:meters -> pre -> pre -> bool
 (** [contained_pre p1 p2] decides [contained] on the two CQs the states
-    were built from, without rebuilding fingerprints or the target index. Safe to call concurrently
-    from multiple domains. *)
+    were built from, without rebuilding fingerprints or the target index.
+    With [meters], the check is also counted on that run's governor. Safe
+    to call concurrently from multiple domains. *)
 
 (** {1 Minimization} *)
 
-val minimize_ucq : ?pool:Tgd_exec.Pool.t -> Cq.ucq -> Cq.ucq
+val minimize_ucq : ?pool:Tgd_exec.Pool.t -> ?meters:meters -> Cq.ucq -> Cq.ucq
 (** Remove every disjunct that is contained in another disjunct; of two
     equivalent disjuncts the one with the smaller body survives. The result
     is equivalent to the input and identical to
@@ -57,17 +75,3 @@ val parallel_threshold : int
 val minimize_ucq_reference : Cq.ucq -> Cq.ucq
 (** The original sequential sweep over {!contained_reference}; the semantic
     reference for tests. *)
-
-(** {1 Observability} *)
-
-type stats = {
-  checks : int;  (** containment checks attempted *)
-  pruned : int;  (** checks decided by the pre-filters alone *)
-  hom_searches : int;  (** full homomorphism searches actually run *)
-}
-
-val stats : unit -> stats
-(** Process-wide counters (atomic; shared across domains). Checks made via
-    {!contained_reference} / {!minimize_ucq_reference} are not counted. *)
-
-val reset_stats : unit -> unit

@@ -35,15 +35,21 @@ let default_config =
 (* The final minimization fans out over a transient pool only when the
    union is large enough to pay for spawning it; the calling domain is
    the [domains]-th worker. *)
-let minimize ~domains ucq =
+let minimize ~domains ~meters ucq =
   let d = match domains with Some d -> max 1 d | None -> Tgd_exec.Pool.default_workers () in
   if d > 1 && List.length ucq >= Containment.parallel_threshold then begin
     let pool = Tgd_exec.Pool.create ~workers:(d - 1) () in
     Fun.protect
       ~finally:(fun () -> Tgd_exec.Pool.shutdown pool)
-      (fun () -> Containment.minimize_ucq ~pool ucq)
+      (fun () -> Containment.minimize_ucq ~pool ~meters ucq)
   end
-  else Containment.minimize_ucq ucq
+  else Containment.minimize_ucq ~meters ucq
+
+(* This run's containment counts so far, read off its governor's meters. *)
+let containment_counts tele =
+  ( Telemetry.get tele Budget.key_containment_checks,
+    Telemetry.get tele Containment.key_pruned,
+    Telemetry.get tele Containment.key_hom_searches )
 
 (* A kept disjunct, carrying its precomputed containment state (fingerprint
    + frozen homomorphism target, built once); [alive] is cleared when a more
@@ -154,23 +160,14 @@ let ucq ?(config = default_config) ?gov program0 q0 =
   in
   let rule_index = index_rules program in
   let q0 = Cq.canonical q0 in
-  let c0 = Containment.stats () in
+  let meters = Containment.meters gov in
+  let checks0, pruned0, homs0 = containment_counts tele in
   let generated = ref 1 in
   let explored = ref 0 in
   let max_depth_seen = ref 0 in
   let kept = Kept.create () in
   let seen : (Cq.t, unit) Hashtbl.t = Hashtbl.create 256 in
   let queue : (int * entry) Queue.t = Queue.create () in
-  (* Mirror the process-wide containment counters into this run's governed
-     budget as a delta, so [containment.checks] limits apply per run. *)
-  let synced_checks = ref c0.Containment.checks in
-  let sync_containment () =
-    let checks = (Containment.stats ()).Containment.checks in
-    if checks > !synced_checks then begin
-      Governor.charge ~n:(checks - !synced_checks) gov Budget.key_containment_checks;
-      synced_checks := checks
-    end
-  in
   (* Install a candidate: dedup by canonical form, prune by containment. *)
   let add depth c =
     let c = Cq.canonical c in
@@ -187,15 +184,15 @@ let ucq ?(config = default_config) ?gov program0 q0 =
       let subsumed =
         config.prune_subsumed
         && Kept.exists_possible_subsumer kept ~arity ~bits (fun e ->
-               Containment.contained_pre pre e.pre
+               Containment.contained_pre ~meters pre e.pre
                && not
                     (List.length c.Cq.body < List.length e.cq.Cq.body
-                    && Containment.contained_pre e.pre pre))
+                    && Containment.contained_pre ~meters e.pre pre))
       in
       if not subsumed then begin
         if config.prune_subsumed then
           Kept.iter_possible_subsumees kept ~arity ~bits (fun e ->
-              if Containment.contained_pre e.pre pre then e.alive <- false);
+              if Containment.contained_pre ~meters e.pre pre then e.alive <- false);
         let entry = { cq = c; pre; alive = true } in
         Kept.add kept entry;
         Queue.add (depth, entry) queue
@@ -213,7 +210,6 @@ let ucq ?(config = default_config) ?gov program0 q0 =
     if !generated >= config.max_cqs then
       Governor.stop gov
         (Governor.Limit { counter = Budget.key_rewrite_cqs; limit = config.max_cqs });
-    sync_containment ();
     Telemetry.gauge tele "rewrite.queue" (Queue.length queue);
     if Governor.live gov then begin
       let depth, entry = Queue.pop queue in
@@ -236,10 +232,9 @@ let ucq ?(config = default_config) ?gov program0 q0 =
   let final =
     Kept.survivors kept
     |> List.filter (fun c -> not (mentions_aux_pred aux_preds c))
-    |> minimize ~domains:config.domains
+    |> minimize ~domains:config.domains ~meters
   in
-  sync_containment ();
-  let c1 = Containment.stats () in
+  let checks1, pruned1, homs1 = containment_counts tele in
   Telemetry.set_counter tele "rewrite.generated" !generated;
   Telemetry.set_counter tele "rewrite.explored" !explored;
   let outcome =
@@ -264,24 +259,27 @@ let ucq ?(config = default_config) ?gov program0 q0 =
         explored = !explored;
         kept = List.length final;
         max_depth = !max_depth_seen;
-        containment_checks = c1.Containment.checks - c0.Containment.checks;
-        containment_pruned = c1.Containment.pruned - c0.Containment.pruned;
-        hom_searches = c1.Containment.hom_searches - c0.Containment.hom_searches;
+        containment_checks = checks1 - checks0;
+        containment_pruned = pruned1 - pruned0;
+        hom_searches = homs1 - homs0;
       };
   }
 
 let ucq_of_union ?config ?gov program qs =
-  (* Bracket the containment counters around the WHOLE union, not per
+  (* Count the containment checks of the WHOLE union, not only per
      disjunct: the final cross-disjunct [minimize_ucq] below also burns
-     containment checks, and summing the per-result deltas used to lose
-     them — consecutive runs then reported stale, non-reproducible counts.
-     The per-run delta also keeps telemetry independent of whatever the
-     process-wide counters accumulated before this invocation. *)
-  let c0 = Containment.stats () in
+     checks, and summing the per-result counts alone used to lose them.
+     Every count is metered on a governor of this call, so the totals are
+     this union's alone. *)
   let results = List.map (ucq ?config ?gov program) qs in
   let domains = Option.bind config (fun c -> c.domains) in
-  let combined = minimize ~domains (List.concat_map (fun r -> r.ucq) results) in
-  let c1 = Containment.stats () in
+  let gov = match gov with Some g -> g | None -> Governor.unlimited () in
+  let tele = Governor.telemetry gov in
+  let checks0, pruned0, homs0 = containment_counts tele in
+  let combined =
+    minimize ~domains ~meters:(Containment.meters gov) (List.concat_map (fun r -> r.ucq) results)
+  in
+  let checks1, pruned1, homs1 = containment_counts tele in
   let outcome =
     List.fold_left
       (fun acc r -> match acc with Truncated _ -> acc | Complete -> r.outcome)
@@ -298,15 +296,18 @@ let ucq_of_union ?config ?gov program qs =
           generated = acc.generated + r.stats.generated;
           explored = acc.explored + r.stats.explored;
           max_depth = max acc.max_depth r.stats.max_depth;
+          containment_checks = acc.containment_checks + r.stats.containment_checks;
+          containment_pruned = acc.containment_pruned + r.stats.containment_pruned;
+          hom_searches = acc.hom_searches + r.stats.hom_searches;
         })
       {
         generated = 0;
         explored = 0;
         kept;
         max_depth = 0;
-        containment_checks = c1.Containment.checks - c0.Containment.checks;
-        containment_pruned = c1.Containment.pruned - c0.Containment.pruned;
-        hom_searches = c1.Containment.hom_searches - c0.Containment.hom_searches;
+        containment_checks = checks1 - checks0;
+        containment_pruned = pruned1 - pruned0;
+        hom_searches = homs1 - homs0;
       }
       results
   in

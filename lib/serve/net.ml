@@ -88,14 +88,15 @@ type conn = {
   mutable next_seq : int;  (* response slot handed to the next request *)
   mutable write_head : int;  (* the slot whose response is written next *)
   pending : (int, string) Hashtbl.t;  (* completed out-of-order responses *)
-  out : Buffer.t;  (* serialized bytes not yet accepted by the socket *)
+  mutable out : Bytes.t;  (* serialized responses: [out_pos, out_len) is unsent *)
   mutable out_pos : int;
+  mutable out_len : int;
   mutable eof : bool;  (* read side done (client half-closed or EOF) *)
 }
 
 (* All slots answered and every byte flushed: nothing left to deliver. *)
 let drained c =
-  c.write_head = c.next_seq && Hashtbl.length c.pending = 0 && c.out_pos >= Buffer.length c.out
+  c.write_head = c.next_seq && Hashtbl.length c.pending = 0 && c.out_pos >= c.out_len
 
 type t = {
   server : Server.t;
@@ -125,16 +126,38 @@ let count t key n = ignore (Tgd_exec.Telemetry.add t.telemetry key n)
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 
-(* Push whatever the socket will take right now; never blocks. *)
+(* Append one response line. Room is made by moving the unsent bytes to
+   the front, and by doubling the buffer when that is not enough. *)
+let enqueue c line =
+  let n = String.length line + 1 in
+  if c.out_len + n > Bytes.length c.out then begin
+    let unsent = c.out_len - c.out_pos in
+    let cap = ref (Bytes.length c.out) in
+    while unsent + n > !cap do
+      cap := 2 * !cap
+    done;
+    let buf = if !cap = Bytes.length c.out then c.out else Bytes.create !cap in
+    Bytes.blit c.out c.out_pos buf 0 unsent;
+    c.out <- buf;
+    c.out_pos <- 0;
+    c.out_len <- unsent
+  end;
+  Bytes.blit_string line 0 c.out c.out_len (n - 1);
+  Bytes.set c.out (c.out_len + n - 1) '\n';
+  c.out_len <- c.out_len + n
+
+(* Push whatever the socket will take right now, straight from the unsent
+   range (a reply written in k partial writes is never copied k times);
+   never blocks. *)
 let try_flush t c =
-  let len = Buffer.length c.out - c.out_pos in
+  let len = c.out_len - c.out_pos in
   if len > 0 then
-    match Unix.write_substring c.wfd (Buffer.contents c.out) c.out_pos len with
+    match Unix.write c.wfd c.out c.out_pos len with
     | n ->
       c.out_pos <- c.out_pos + n;
-      if c.out_pos >= Buffer.length c.out then begin
-        Buffer.clear c.out;
-        c.out_pos <- 0
+      if c.out_pos >= c.out_len then begin
+        c.out_pos <- 0;
+        c.out_len <- 0
       end;
       true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
@@ -169,8 +192,7 @@ let complete t ~conn_id ~seq line =
       | None -> continue := false
       | Some l ->
         Hashtbl.remove c.pending c.write_head;
-        Buffer.add_string c.out l;
-        Buffer.add_char c.out '\n';
+        enqueue c l;
         c.write_head <- c.write_head + 1;
         advanced := true
     done;
@@ -367,8 +389,9 @@ let add_conn t ~rfd ~wfd ~owned =
       next_seq = 0;
       write_head = 0;
       pending = Hashtbl.create 4;
-      out = Buffer.create 256;
+      out = Bytes.create 256;
       out_pos = 0;
+      out_len = 0;
       eof = false;
     }
   in
@@ -508,7 +531,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
         in
         let writes =
           Hashtbl.fold
-            (fun _ c acc -> if Buffer.length c.out > c.out_pos then c.wfd :: acc else acc)
+            (fun _ c acc -> if c.out_len > c.out_pos then c.wfd :: acc else acc)
             t.conns []
         in
         match Unix.select reads writes [] 1.0 with
@@ -542,7 +565,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
       let rec flush_all () =
         let dirty =
           Hashtbl.fold
-            (fun _ c acc -> if Buffer.length c.out > c.out_pos then c :: acc else acc)
+            (fun _ c acc -> if c.out_len > c.out_pos then c :: acc else acc)
             t.conns []
         in
         if dirty <> [] && Unix.gettimeofday () < deadline then begin

@@ -63,11 +63,13 @@ let install t name program instance =
 (* A data-only mutation: the full epoch — the prepared-cache key — stays
    put, because a rewriting depends only on the TGDs; the delta epoch bumps
    once per applied batch. *)
+(* Only the instance is sealed: readers evaluate on it. The model is the
+   chase's boxed working set — chased, counted and imaged, never
+   evaluated — so its touched relations keep a stale block plus a pending
+   tail, which the next chase extends and a snapshot writes as one block
+   ({!Tgd_db.Relation.current_block}). *)
 let install_delta t (prev : entry) ~batches instance materialization =
   Tgd_db.Instance.seal instance;
-  (match materialization with
-  | Some m -> Tgd_db.Instance.seal m.model
-  | None -> ());
   Mutex.protect t.lock (fun () ->
       let delta_epoch = ref prev.delta_epoch in
       for _ = 1 to batches do
@@ -167,11 +169,12 @@ let add_batches t ~name batches =
   | None -> List.map (fun _ -> Error (unknown name)) batches
   | Some entry ->
     (* Copy-on-write, once for the whole run: in-flight readers keep the
-       old sealed instances, and the copies share the frozen columnar
-       blocks, so the one seal at install extends them instead of
-       re-encoding. Skipping the seals between batches changes nothing a
-       batch chase reads: the chase reads rows and boxed indexes only, and
-       a seal touches neither. *)
+       old instances, and the copies share every relation until a batch
+       writes it, so a run pays only for the relations it touches. The one
+       seal at install extends the touched blocks instead of re-encoding.
+       Skipping the seals between batches changes nothing a batch chase
+       reads: the chase reads rows and boxed indexes only, and a seal
+       touches neither. *)
     let instance = Tgd_db.Instance.copy entry.instance in
     let materialization =
       ref

@@ -5,7 +5,10 @@
     the registry lock; the instance inside an entry is sealed
     ({!Tgd_db.Instance.seal}) and never mutated afterwards, so any number
     of worker domains can evaluate against a snapshotted entry while the
-    control loop installs a successor.
+    control loop installs a successor. A successor is a copy-on-write
+    {!Tgd_db.Instance.copy}: it shares every relation a mutation did not
+    touch with its predecessor, so a write costs in proportion to the
+    relations it touches, not to the whole instance.
 
     Epochs come in two grades. The {b full epoch} bumps only on ontology
     edits ({!register}): it is the prepared-cache key component, because a
@@ -27,7 +30,12 @@ open Tgd_logic
 (** The snapshot's record, so checkpoints and recovery pass it through
     unchanged. *)
 type materialization = Tgd_store.Snapshot.materialization = {
-  model : Tgd_db.Instance.t;  (** sealed universal model of the entry *)
+  model : Tgd_db.Instance.t;
+      (** universal model of the entry: the chase's boxed working set. It
+          is sealed by {!materialize} and {!restore}, but a write leaves
+          its touched relations with a stale block plus a pending tail —
+          nothing evaluates over it; the snapshot codec writes such a
+          relation as one current block. Never mutated once installed. *)
   floor : int;  (** null floor for the next delta application *)
   complete : bool;  (** chase reached its fixpoint within budget *)
 }
@@ -52,10 +60,11 @@ type mutation = {
 type t
 
 val create : unit -> t
-(** An empty registry. Every installed instance (and materialized model)
-    is sealed ({!Tgd_db.Instance.seal}) before it becomes visible, so
-    concurrent readers never mutate it: relations get their columnar
-    blocks, and relations without one get their boxed indexes. *)
+(** An empty registry. Every installed instance is sealed
+    ({!Tgd_db.Instance.seal}) before it becomes visible, so every relation
+    has a current columnar block and concurrent readers never write it. A
+    materialized model is sealed when {!materialize} or {!restore}
+    installs it, not after each write ({!add_batches}). *)
 
 val register : t -> name:string -> ?facts:Tgd_db.Instance.t -> Program.t -> entry
 (** Install (or replace) an ontology under [name]: a full-epoch bump. The
@@ -92,8 +101,9 @@ val add_batches :
     under the governor its thunk makes when the batch starts (so a
     deadline runs from the batch's own start) — the model, its floor and
     its completeness come out exactly as from one call per batch. The batches run on one
-    private copy-on-write successor, copied and sealed once for the whole
-    call, which is what makes a long run cheap. Every [Ok] carries the
+    private copy-on-write successor, copied once for the whole call, whose
+    instance is sealed once at install (the model is not sealed), which is
+    what makes a long run cheap. Every [Ok] carries the
     entry installed by the call; an unknown [name] fails every batch. *)
 
 val materialize :

@@ -50,13 +50,16 @@ let w_boxed_rows buf rows =
   Codec.w_u32 buf (List.length rows);
   List.iter (fun tup -> Array.iter (w_boxed_value buf) tup) rows
 
-(* One relation: the sealed block verbatim plus the boxed pending tail, or
-   all rows boxed when no block exists. *)
+(* One relation: its current block verbatim, or all rows boxed when it
+   has no block. A stale block with a pending tail (a model a write left
+   unsealed) is written as the block one seal would give, so the image is
+   the same as if the model had been sealed; the boxed tail the format
+   allows after a block is therefore always empty. *)
 let w_relation buf pred rel =
   Codec.w_int buf (Symbol.hash pred);
   Codec.w_u32 buf (Db.Relation.arity rel);
-  match Db.Relation.sealed_parts rel with
-  | Some block, pending ->
+  match Db.Relation.current_block rel with
+  | Some block ->
     Codec.w_u8 buf kind_columnar;
     let p = Db.Columnar.export block in
     Codec.w_u32 buf p.Db.Columnar.p_nrows;
@@ -74,10 +77,10 @@ let w_relation buf pred rel =
         Codec.w_int_array buf p.Db.Columnar.p_starts.(j);
         Codec.w_int_array buf p.Db.Columnar.p_rows.(j))
       p.Db.Columnar.p_codes;
-    w_boxed_rows buf pending
-  | None, rows ->
+    w_boxed_rows buf []
+  | None ->
     Codec.w_u8 buf kind_boxed;
-    w_boxed_rows buf rows
+    w_boxed_rows buf (Db.Relation.to_list rel)
 
 let w_instance buf inst =
   let preds = Db.Instance.predicates inst in

@@ -8,9 +8,13 @@
     together with the symbol intern table slice it references, so loading
     is a bulk read plus a single symbol-remap pass (intern ids are
     process-local), not a re-seal: values are never re-coded and row
-    groupings never re-hashed. Relations without a block (never sealed, or
-    rewritten by an EGD merge since) and pending copy-on-write tails fall
-    back to boxed row encoding.
+    groupings never re-hashed. A relation whose block is stale (rows
+    appended since its last seal, as a write leaves the materialized
+    model) is written as the block a seal would give, built on the side
+    ({!Tgd_db.Relation.current_block}), so the image does not depend on
+    whether the instance was sealed. Relations without a block (never
+    sealed, or rewritten by an EGD merge since) fall back to boxed row
+    encoding.
 
     The file is framed [magic | version | u32 length | body | u32 CRC-32];
     {!decode} rejects any tampered or truncated image, which is how

@@ -93,6 +93,71 @@ let test_instance_copy_isolated () =
   Alcotest.(check int) "copy grew" 2 (Instance.cardinality copy);
   Alcotest.(check int) "original untouched" 1 (Instance.cardinality inst)
 
+let p_ = Symbol.intern "p"
+let q_ = Symbol.intern "q"
+
+(* [p] holds a sealed block plus a pending row; [q] is sealed and current,
+   and holds the null the substitution tests merge. *)
+let cow_instance () =
+  let inst = Instance.create () in
+  ignore (Instance.add_fact inst p_ (tuple [ "a" ]));
+  ignore (Instance.add_fact inst q_ [| vc "x"; Value.Null 1 |]);
+  Instance.seal inst;
+  ignore (Instance.add_fact inst p_ (tuple [ "b" ]));
+  inst
+
+let rel inst pred = Option.get (Instance.relation inst pred)
+
+(* A copy shares every relation until one side writes it; each kind of
+   write (insert, substitution, seal) gives the writer a private copy and
+   leaves the other side as it was — in both directions. *)
+let test_instance_copy_on_write () =
+  let snapshot inst = (Instance.facts inst |> List.sort compare, Instance.cardinality inst) in
+  List.iter
+    (fun (what, write, touched) ->
+      List.iter
+        (fun writer_is_copy ->
+          let inst = cow_instance () in
+          let copy = Instance.copy inst in
+          Alcotest.(check bool) "copy shares p" true (rel inst p_ == rel copy p_);
+          Alcotest.(check bool) "copy shares q" true (rel inst q_ == rel copy q_);
+          let writer, other = if writer_is_copy then (copy, inst) else (inst, copy) in
+          let before = snapshot other in
+          let other_p = rel other p_ in
+          write writer;
+          let dir = Printf.sprintf "%s (%s writes)" what (if writer_is_copy then "copy" else "original") in
+          Alcotest.(check bool) (dir ^ ": other side unchanged") true (snapshot other = before);
+          Alcotest.(check bool) (dir ^ ": other side keeps its relation") true (rel other p_ == other_p);
+          Alcotest.(check bool) (dir ^ ": other side still stale") true
+            (Relation.columnar (rel other p_) = None);
+          Alcotest.(check bool) (dir ^ ": writer owns the touched relation") false
+            (rel writer touched == rel other touched);
+          let untouched = if touched == p_ then q_ else p_ in
+          Alcotest.(check bool) (dir ^ ": untouched relation still shared") true
+            (rel writer untouched == rel other untouched))
+        [ true; false ])
+    [
+      ("insert", (fun i -> ignore (Instance.add_fact i p_ (tuple [ "c" ]))), p_);
+      ( "substitute",
+        (fun i ->
+          Alcotest.(check int) "one rewritten fact" 1
+            (List.length (Instance.substitute i ~from_:(Value.Null 1) ~to_:(vc "y")))),
+        q_ );
+      ( "seal",
+        (fun i ->
+          Instance.seal i;
+          Alcotest.(check bool) "writer sealed" true (Relation.columnar (rel i p_) <> None)),
+        p_ );
+    ];
+  (* A fact the shared relation already holds is no write. *)
+  let inst = cow_instance () in
+  let copy = Instance.copy inst in
+  Alcotest.(check bool) "duplicate insert" false (Instance.add_fact copy p_ (tuple [ "a" ]));
+  Alcotest.(check bool) "duplicate insert copies nothing" true (rel inst p_ == rel copy p_);
+  Alcotest.check_raises "a shared relation refuses a direct insert"
+    (Invalid_argument "Relation.insert: shared relation") (fun () ->
+      ignore (Relation.insert (rel inst p_) (tuple [ "d" ])))
+
 (* Enough predicates that their table buckets collide: a copy of a copy
    still iterates the facts in the original's order. *)
 let test_instance_copy_keeps_order () =
@@ -649,6 +714,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_instance_basics;
           Alcotest.test_case "copy isolation" `Quick test_instance_copy_isolated;
           Alcotest.test_case "copy keeps iteration order" `Quick test_instance_copy_keeps_order;
+          Alcotest.test_case "copy-on-write per relation" `Quick test_instance_copy_on_write;
           Alcotest.test_case "of_atoms" `Quick test_instance_of_atoms;
         ] );
       ( "eval",

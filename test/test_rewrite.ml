@@ -234,6 +234,36 @@ let test_rewrite_empty_program () =
   Alcotest.(check bool) "complete" true (outcome_is_complete r.Rewrite.outcome);
   Alcotest.(check int) "identity rewriting" 1 (List.length r.Rewrite.ucq)
 
+(* Each run's containment counts are its own. Two domains rewrite
+   different University queries at the same time, over and over; every
+   run reports the checks, pre-filtered checks and searches it reports
+   when run alone. The rewritings of these two queries do the same work
+   whatever ids their fresh variables get (a rewriting of some other
+   queries does not: its exploration order follows symbol ids, which
+   interleave across domains), and a warm-up run goes first. *)
+let test_rewrite_counts_per_run () =
+  let program = Tgd_gen.University.ontology in
+  let queries = List.filteri (fun i _ -> i = 4 || i = 5) Tgd_gen.University.queries in
+  let counts q =
+    let s = (Rewrite.ucq program q).Rewrite.stats in
+    (s.Rewrite.containment_checks, s.Rewrite.containment_pruned, s.Rewrite.hom_searches)
+  in
+  ignore (List.map counts queries);
+  let alone = List.map counts queries in
+  Alcotest.(check bool) "the runs search for homomorphisms" true
+    (List.for_all (fun (_, _, searches) -> searches > 0) alone);
+  Alcotest.(check bool) "alone is reproducible" true (List.map counts queries = alone);
+  let domains =
+    List.map (fun q -> Domain.spawn (fun () -> List.init 200 (fun _ -> counts q))) queries
+  in
+  List.iter2
+    (fun dom expected ->
+      List.iter
+        (fun got ->
+          Alcotest.(check (triple int int int)) "concurrent run counts like a lone run" expected got)
+        (Domain.join dom))
+    domains alone
+
 let () =
   Alcotest.run "rewrite"
     [
@@ -259,6 +289,7 @@ let () =
           Alcotest.test_case "depth budget" `Quick test_rewrite_depth_budget;
           Alcotest.test_case "pruning preserves semantics" `Quick test_rewrite_pruning_equivalence;
           Alcotest.test_case "union rewriting" `Quick test_rewrite_ucq_of_union;
+          Alcotest.test_case "containment counts are per run" `Quick test_rewrite_counts_per_run;
           Alcotest.test_case "dl-lite role hierarchy" `Quick test_rewrite_dl_lite_role_hierarchy;
           Alcotest.test_case "empty program" `Quick test_rewrite_empty_program;
         ] );

@@ -572,6 +572,177 @@ let test_add_batches_equals_one_by_one () =
   | Some m -> Alcotest.(check bool) "the batches invented nulls" true (m.Registry.floor > floor0)
   | None -> Alcotest.fail "materialization lost"
 
+(* Twelve facts: four new students, each an undergraduate taking a course
+   under an advisor. *)
+let twelve_facts tag =
+  let fact p args = (Symbol.intern p, Array.of_list (List.map Tgd_db.Value.const args)) in
+  List.concat_map
+    (fun j ->
+      let s = Printf.sprintf "%s_student%d" tag j in
+      [
+        fact "undergraduate" [ s ];
+        fact "takes_course" [ s; Printf.sprintf "course%d" j ];
+        fact "advisor" [ s; Printf.sprintf "fac%d" j ];
+      ])
+    [ 0; 1; 2; 3 ]
+
+let add_one reg batch =
+  ok_mutation (List.hd (Registry.add_batches reg ~name:"uni" [ ((fun () -> None), batch) ]))
+
+let model_of (e : Registry.entry) =
+  match e.Registry.materialization with
+  | Some m -> m.Registry.model
+  | None -> Alcotest.fail "not materialized"
+
+(* A write pays only for what it touches: after one 12-fact batch, every
+   relation the batch left alone is the very same relation (physically
+   equal) in the old and the new entry — in the instance and in the
+   model. *)
+let test_write_shares_untouched_relations () =
+  let reg = materialized_university () in
+  let before = entry_of reg "uni" in
+  let batch = twelve_facts "cow" in
+  Alcotest.(check int) "twelve facts" 12 (List.length batch);
+  ignore (add_one reg batch);
+  let after = entry_of reg "uni" in
+  let check_sharing what old_inst new_inst =
+    let touched = ref 0 in
+    List.iter
+      (fun (pred, _) ->
+        let old_rel = Tgd_db.Instance.relation old_inst pred
+        and new_rel = Option.get (Tgd_db.Instance.relation new_inst pred) in
+        match old_rel with
+        | Some old_rel when Tgd_db.Relation.cardinality old_rel = Tgd_db.Relation.cardinality new_rel ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: untouched %s is shared" what (Symbol.name pred))
+            true (old_rel == new_rel)
+        | Some _ | None -> incr touched)
+      (Tgd_db.Instance.predicates new_inst);
+    !touched
+  in
+  Alcotest.(check int) "the batch touches three instance relations" 3
+    (check_sharing "instance" before.Registry.instance after.Registry.instance);
+  let touched = check_sharing "model" (model_of before) (model_of after) in
+  Alcotest.(check bool) "the chase touches some model relations" true (touched >= 3)
+
+(* Two domains answer Datalog rewritings on one entry restored from a
+   snapshot: its relations are shared, adopted from blocks with the boxed
+   rows and the indexes still unbuilt, so the domains race to build them.
+   They start together, and every round restores afresh and must give the
+   sequential answers. *)
+let test_concurrent_datalog_on_restored_entry () =
+  let program = Tgd_gen.University.ontology in
+  let reg = Registry.create () in
+  let e =
+    Registry.register reg ~name:"uni"
+      ~facts:(Tgd_gen.University.generate_data (Tgd_gen.Rng.create 7) ~scale:2000)
+      program
+  in
+  let image =
+    Tgd_store.Snapshot.encode
+      {
+        Tgd_store.Snapshot.epoch = e.Registry.epoch;
+        delta_epoch = e.Registry.delta_epoch;
+        program_src = "";
+        instance = e.Registry.instance;
+        materialization = None;
+      }
+  in
+  let restored () =
+    match Tgd_store.Snapshot.decode image with
+    | Error msg -> Alcotest.fail msg
+    | Ok snap ->
+      (Registry.restore (Registry.create ()) ~name:"uni" ~epoch:1 ~delta_epoch:1 program
+         snap.Tgd_store.Snapshot.instance)
+        .Registry.instance
+  in
+  let artifacts =
+    List.map
+      (fun q ->
+        Tgd_obda.Target.prepare
+          ~gov:(fun () -> Tgd_exec.Governor.unlimited ())
+          Tgd_obda.Target.Datalog program q)
+      Tgd_gen.University.queries
+  in
+  let answer_all inst = List.map (fun a -> Tgd_obda.Target.answers a inst) artifacts in
+  let sequential = answer_all (restored ()) in
+  Alcotest.(check bool) "some query has answers" true (List.exists (fun a -> a <> []) sequential);
+  let relations =
+    let inst = restored () in
+    List.map
+      (fun (pred, _) ->
+        (pred, Tgd_db.Relation.to_list (Option.get (Tgd_db.Instance.relation inst pred))))
+      (Tgd_db.Instance.predicates inst)
+  in
+  (* Membership of every row, the domains walking the relations in
+     opposite orders so that they meet on one unbuilt row set. *)
+  let rows_found inst order =
+    List.for_all
+      (fun (pred, rows) ->
+        let rel = Option.get (Tgd_db.Instance.relation inst pred) in
+        List.for_all (Tgd_db.Relation.mem rel) rows)
+      order
+  in
+  for round = 1 to 4 do
+    let inst = restored () in
+    let ready = Atomic.make 0 in
+    let run order () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      if rows_found inst order then answer_all inst else []
+    in
+    let domains = [ Domain.spawn (run relations); Domain.spawn (run (List.rev relations)) ] in
+    List.iteri
+      (fun d dom ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, domain %d: sequential answers" round d)
+          true
+          (Domain.join dom = sequential))
+      domains
+  done
+
+(* A checkpoint image does not depend on whether the model was sealed:
+   after k batches the model holds stale blocks with pending tails, and
+   its image equals the image of the same entry whose model was sealed,
+   on a copy, before encoding. *)
+let test_image_of_unsealed_model () =
+  let reg = materialized_university () in
+  for k = 1 to 4 do
+    ignore (add_one reg (twelve_facts (Printf.sprintf "img%d" k)))
+  done;
+  let e = entry_of reg "uni" in
+  let m = Option.get e.Registry.materialization in
+  let stale =
+    List.exists
+      (fun (pred, _) ->
+        Tgd_db.Relation.columnar (Option.get (Tgd_db.Instance.relation m.Registry.model pred))
+        = None)
+      (Tgd_db.Instance.predicates m.Registry.model)
+  in
+  Alcotest.(check bool) "the model has pending tails" true stale;
+  let image model =
+    Tgd_store.Snapshot.encode
+      {
+        Tgd_store.Snapshot.epoch = e.Registry.epoch;
+        delta_epoch = e.Registry.delta_epoch;
+        program_src = "";
+        instance = e.Registry.instance;
+        materialization = Some { m with Registry.model };
+      }
+  in
+  let unsealed = image m.Registry.model in
+  let sealed_model = Tgd_db.Instance.copy m.Registry.model in
+  Tgd_db.Instance.seal sealed_model;
+  Alcotest.(check bool) "images are byte-equal" true (String.equal unsealed (image sealed_model));
+  Alcotest.(check bool) "encoding left the model unsealed" true
+    (List.exists
+       (fun (pred, _) ->
+         Tgd_db.Relation.columnar (Option.get (Tgd_db.Instance.relation m.Registry.model pred))
+         = None)
+       (Tgd_db.Instance.predicates m.Registry.model))
+
 let with_tmp_dir f =
   let dir = Filename.temp_dir "tgd_serve" "" in
   Fun.protect
@@ -888,6 +1059,12 @@ let () =
       ("data-runs", [
         Alcotest.test_case "30 batches in one call equal 30 calls" `Quick
           test_add_batches_equals_one_by_one;
+        Alcotest.test_case "a write shares every untouched relation" `Quick
+          test_write_shares_untouched_relations;
+        Alcotest.test_case "concurrent Datalog answers on a restored entry" `Quick
+          test_concurrent_datalog_on_restored_entry;
+        Alcotest.test_case "image of an unsealed model equals the sealed one" `Quick
+          test_image_of_unsealed_model;
         Alcotest.test_case "recovery replays a mixed tail exactly" `Quick test_recover_mixed_tail;
         Alcotest.test_case "recovery counts failing records of a run" `Quick
           test_recover_run_with_failures;
