@@ -76,7 +76,7 @@ let arity r = r.arity
    [rows] first, then [unboxed] — so a reader on another domain sees
    either the deferred state or the whole table, never a half-filled one.
    Two domains racing here both build identical tables and the last write
-   wins: benign duplicate work, as in [Columnar]'s group tables.
+   wins: benign duplicate work, as in [Columnar]'s first-probe indexes.
    Idempotent; a no-op everywhere else. *)
 let ensure_rows r =
   match Atomic.get r.unboxed with
@@ -129,7 +129,7 @@ let to_list r = fold (fun t acc -> t :: acc) r []
 (* Built privately, then published with one field write. A shared
    relation may be probed from several domains at once: racing builders
    each publish a complete, identical table and the last write wins — the
-   same benign race as [Columnar]'s deferred group tables. *)
+   same benign race as [Columnar]'s first-probe indexes. *)
 let build_index r pos =
   let idx = Vtbl.create (max 64 (cardinality r)) in
   iter (fun t -> index_insert idx t pos) r;
@@ -168,24 +168,16 @@ let columnar r =
      next seal extends it. *)
   match r.pending with [] -> r.columnar | _ :: _ -> None
 
-(* What [seal] would install, built on the side: one extend by the whole
-   pending tail gives the same columns, group ids and CSR rows as one
-   extend per seal along the way. *)
-let current_block r =
-  match r.columnar, r.pending with
-  | Some block, [] -> Some block
-  | Some block, pending -> Some (Columnar.extend block (Array.of_list (List.rev pending)))
-  | None, _ -> None
-
+(* The no-block rows come in [iter] order, the order a seal codes them. *)
 let sealed_parts r =
   match r.columnar with
   | Some _ as block -> (block, List.rev r.pending)
-  | None -> (None, to_list r)
+  | None -> (None, List.rev (to_list r))
 
 let of_columnar block =
   let r = create ~arity:(Columnar.arity block) in
-  (* Adopt the block outright: no value re-coding, no CSR re-grouping, and
-     even the row hashtable stays deferred ([ensure_rows]) until a boxed
+  (* Adopt the block outright: no value re-coding, and even the row
+     hashtable stays deferred ([ensure_rows]) until a boxed
      consumer — membership, insert, iteration — actually needs it. *)
   r.columnar <- Some block;
   Atomic.set r.unboxed (Some block);

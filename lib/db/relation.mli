@@ -46,32 +46,31 @@ val seal : t -> unit
     Idempotent: sealing a relation with no insert since its last seal only
     reads it, even when it is {!shared}. The block survives inserts as a
     stale prefix plus a pending tail, and the next seal {e extends} it
-    ({!Columnar.extend}) — only the appended tuples are coded, nothing is
-    re-hashed. Raises [Invalid_argument] if it would write a shared
-    relation. *)
+    ({!Columnar.extend}) — only the appended tuples are coded, and only
+    the indexes some probe already built are grown. Raises
+    [Invalid_argument] if it would write a shared relation. *)
 
 val columnar : t -> Columnar.t option
 (** The columnar block built by the last {!seal}, if it still mirrors the
     rows exactly: [None] when the relation was never sealed, or has
     pending rows or a substitution since. *)
 
-val current_block : t -> Columnar.t option
-(** The block a {!seal} would leave, without sealing: the block itself
-    when current, the stale block extended by the whole pending tail
-    (built on the side; the relation is not changed), or [None] when the
-    relation holds no block (never sealed, or substituted since). *)
-
 val sealed_parts : t -> Columnar.t option * Tuple.t list
 (** The last sealed block (even when stale) and the pending tail inserted
     since it was built, in insertion order. [(None, rows)] when the
-    relation holds no block. Together the block and the tail always cover
-    exactly the current rows. *)
+    relation holds no block, in the order a {!seal} would code them.
+    Together the block and the tail always cover exactly the current rows,
+    and the block's columns followed by the coded tail are the columns one
+    seal would give — which is how the snapshot codec writes a relation
+    without sealing it. *)
 
 val of_columnar : Columnar.t -> t
-(** Rebuild a relation from a decoded snapshot block: the block is adopted
-    as the sealed columnar representation (no re-encode; the relation is
-    sealed as it stands), and the boxed row set is populated by decoding
-    each row once, on the first boxed read or insert. *)
+(** Rebuild a relation from a decoded snapshot block
+    ({!Columnar.of_columns}): the block is adopted as the sealed columnar
+    representation (no re-encode; the relation is sealed as it stands; its
+    indexes are built by the first probe of each column), and the boxed
+    row set is populated by decoding each row once, on the first boxed
+    read or insert. *)
 
 val mentions : t -> Value.t -> bool
 (** Some row holds the value (through the per-column indexes). *)

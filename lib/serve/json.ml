@@ -11,6 +11,11 @@ exception Parse_error of int * string
 
 let fail pos msg = raise (Parse_error (pos, msg))
 
+(* Arrays and objects nest at most this deep. The parser recurses once per
+   level, and so does rendering a reply that echoes a request's id: an
+   unbounded line could keep the event loop busy for minutes. *)
+let max_depth = 64
+
 let parse_exn src =
   let n = String.length src in
   let pos = ref 0 in
@@ -105,7 +110,11 @@ let parse_exn src =
       | Some i -> Int i
       | None -> fail start ("bad number " ^ s)
   in
-  let rec parse_value () =
+  let open_container depth =
+    if depth >= max_depth then fail !pos (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail !pos "unexpected end of input"
@@ -114,25 +123,25 @@ let parse_exn src =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-      advance ();
+      open_container depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
         List (List.rev !items)
       end
     | Some '{' ->
-      advance ();
+      open_container depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -144,7 +153,7 @@ let parse_exn src =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ parse_field () ] in
@@ -159,7 +168,7 @@ let parse_exn src =
       end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail !pos "trailing garbage";
   v

@@ -17,7 +17,8 @@ type t =
 
 val parse : string -> (t, string) result
 (** Errors carry a 0-based byte offset. Trailing whitespace is allowed,
-    trailing garbage is not. *)
+    trailing garbage is not, and neither are arrays and objects nested
+    more than 64 deep. *)
 
 val to_string : t -> string
 (** Compact rendering (no added whitespace), suitable for JSONL: the output

@@ -118,6 +118,10 @@ type t = {
      for the pool to drain; empty when nothing waits. *)
   held : (int * int * Protocol.envelope) Queue.t;
   mutable stopping : bool;
+  (* Listeners sit out of [select] until then: the process ran out of
+     descriptors, and a listener left in would report the waiting client
+     readable on every turn. *)
+  mutable accept_paused_until : float;
   scratch : Bytes.t;
 }
 
@@ -401,23 +405,34 @@ let add_conn t ~rfd ~wfd ~owned =
   count t "serve.net.accepted" 1;
   Tgd_exec.Telemetry.gauge t.telemetry "serve.net.connections.peak" (Hashtbl.length t.conns)
 
+(* [Unix.select] takes descriptors below [FD_SETSIZE] only, and raises
+   [EINVAL] for the whole call when handed one above. *)
+let fd_setsize = 1024
+
+(* On Unix a [file_descr] is its descriptor number. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+
 let handle_accept t l =
   match Unix.accept ~cloexec:true l.l_fd with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+    (* The client stays in the backlog until a descriptor frees up. *)
+    count t "serve.net.accept_errors" 1;
+    t.accept_paused_until <- Unix.gettimeofday () +. 0.05
   | fd, _ ->
     Unix.set_nonblock fd;
-    if Hashtbl.length t.conns >= t.max_clients then begin
+    let refuse why =
       count t "serve.net.rejected" 1;
       (* Best-effort shed notice; the socket buffer of a fresh connection
          takes one small line without blocking. *)
-      let line =
-        Protocol.response_error ~id:Json.Null ~kind:"overloaded"
-          (Printf.sprintf "server at max clients (%d)" t.max_clients)
-        ^ "\n"
-      in
+      let line = Protocol.response_error ~id:Json.Null ~kind:"overloaded" why ^ "\n" in
       (try ignore (Unix.write_substring fd line 0 (String.length line)) with _ -> ());
       try Unix.close fd with _ -> ()
-    end
+    in
+    if Hashtbl.length t.conns >= t.max_clients then
+      refuse (Printf.sprintf "server at max clients (%d)" t.max_clients)
+    else if fd_number fd >= fd_setsize then
+      refuse (Printf.sprintf "server out of descriptors below %d" fd_setsize)
     else add_conn t ~rfd:fd ~wfd:fd ~owned:true
 
 (* ------------------------------------------------------------------ *)
@@ -491,6 +506,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
       pool_inflight = 0;
       held = Queue.create ();
       stopping = false;
+      accept_paused_until = 0.;
       scratch = Bytes.create 65536;
     }
   in
@@ -524,9 +540,10 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
       Tgd_exec.Pool.shutdown t.pool)
     (fun () ->
       while not (finished ()) do
+        let pause = t.accept_paused_until -. Unix.gettimeofday () in
         let reads =
           t.wake_r
-          :: (if t.stopping then [] else listener_fds)
+          :: (if t.stopping || pause > 0. then [] else listener_fds)
           @ Hashtbl.fold (fun _ c acc -> if c.eof then acc else c.rfd :: acc) t.conns []
         in
         let writes =
@@ -534,7 +551,7 @@ let serve ?workers ?(queue_bound = 64) ?(max_clients = 1024) ?(max_line = 8 * 10
             (fun _ c acc -> if c.out_len > c.out_pos then c.wfd :: acc else acc)
             t.conns []
         in
-        match Unix.select reads writes [] 1.0 with
+        match Unix.select reads writes [] (if pause > 0. then pause else 1.0) with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | readable, writable, _ ->
           (* Drain finished jobs first: it may unblock a held control op

@@ -85,14 +85,18 @@ val serve :
     pool; [queue_bound] (default 64) plus [workers] is the default
     server-wide [max_inflight] admission limit. [max_clients] (default
     1024) bounds concurrent connections — an accept beyond it is answered
-    with one [overloaded] line and closed. [max_line] (default 8 MiB)
+    with one [overloaded] line and closed, and so is an accepted
+    descriptor numbered 1024 or more, which [select] cannot watch. When
+    the process is out of descriptors, accepting pauses for 50 ms and the
+    client waits in the listen backlog. [max_line] (default 8 MiB)
     bounds a single request line. [rate]/[burst] enable per-tenant
     token-bucket quotas (default: no quota); a request's tenant is its
     ["tenant"] field, or ["default"]. [now] injects the quota clock for
     tests.
 
     Telemetry (on the server's sink): [serve.net.accepted] /
-    [.rejected] / [.closed] / [.lines] / [.oversized] counters,
+    [.rejected] / [.accept_errors] / [.closed] / [.lines] / [.oversized]
+    counters,
     [serve.net.connections.peak], and from admission
     [serve.shed.overloaded] / [serve.shed.quota] /
     [serve.inflight.peak]. *)

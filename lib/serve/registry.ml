@@ -66,8 +66,8 @@ let install t name program instance =
 (* Only the instance is sealed: readers evaluate on it. The model is the
    chase's boxed working set — chased, counted and imaged, never
    evaluated — so its touched relations keep a stale block plus a pending
-   tail, which the next chase extends and a snapshot writes as one block
-   ({!Tgd_db.Relation.current_block}). *)
+   tail, which the next chase extends and a snapshot writes as the
+   block's columns followed by the coded tail. *)
 let install_delta t (prev : entry) ~batches instance materialization =
   Tgd_db.Instance.seal instance;
   Mutex.protect t.lock (fun () ->

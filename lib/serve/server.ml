@@ -568,6 +568,11 @@ let recover_store t store =
   List.iter
     (fun (r : Tgd_store.Store.recovered) ->
       let name = r.Tgd_store.Store.name in
+      List.iter
+        (fun (gen, msg) ->
+          ignore (Tgd_exec.Telemetry.add t.telemetry "serve.store.snapshot_errors" 1);
+          Printf.eprintf "obda serve: snapshot generation %d of %S skipped: %s\n%!" gen name msg)
+        r.Tgd_store.Store.skipped;
       let t0 = Unix.gettimeofday () in
       (match r.Tgd_store.Store.snapshot with
       | None -> ()

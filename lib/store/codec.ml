@@ -76,10 +76,6 @@ let w_string buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
 
-let w_int_array buf a =
-  w_u32 buf (Array.length a);
-  Array.iter (fun v -> w_int buf v) a
-
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
 
@@ -125,6 +121,10 @@ let r_string r =
   let s = String.sub r.src r.p len in
   r.p <- r.p + len;
   s
+
+let skip r n =
+  if n < 0 || n > remaining r then raise (Corrupt "truncated section");
+  r.p <- r.p + n
 
 let r_int_array r =
   let len = r_u32 r in

@@ -22,9 +22,6 @@ val w_int : Buffer.t -> int -> unit
 val w_string : Buffer.t -> string -> unit
 (** [u32] byte length, then the bytes. *)
 
-val w_int_array : Buffer.t -> int array -> unit
-(** [u32] element count, then each element as {!w_int}. *)
-
 (** {1 Reading} *)
 
 exception Corrupt of string
@@ -42,3 +39,6 @@ val r_u32 : reader -> int
 val r_int : reader -> int
 val r_string : reader -> string
 val r_int_array : reader -> int array
+
+val skip : reader -> int -> unit
+(** Move past [n] bytes without reading them. *)

@@ -1,22 +1,29 @@
-(* Snapshot codec: near-verbatim serialization of sealed instances.
+(* Snapshot codec: a sealed instance is written as its coded columns.
 
-   Columnar blocks are dumped as their raw arrays (Columnar.export /
-   import), so the expensive parts of sealing — coding every value and
-   grouping rows into CSR indexes — are never redone on load. What cannot
-   be verbatim is the symbol space: Value.code maps constants to process-
-   local intern ids, so the snapshot embeds a sparse (id, name) table of
-   exactly the ids it references and the loader remaps every constant code
-   through [intern name] in one linear pass, which also range-checks every
-   code: an undeclared symbol id or a null code past the codable range is
-   refused here, not met later by [Value.code].
-   Null codes are position-independent and survive untouched, which is what
-   keeps materialization floors exact across recovery. *)
+   Each relation is written as the columns one seal would give it: the
+   block's codes followed by the coded pending tail, or the coded rows of a
+   relation with no block. Nothing is sealed or extended to write it, and
+   no index is written — an index is an access path, rebuilt by the first
+   probe after a load (Columnar.probe). What cannot be verbatim is the
+   symbol space: Value.code maps constants to process-local intern ids, so
+   the snapshot embeds a sparse (id, name) table of exactly the ids it
+   references and the loader remaps every constant code through
+   [intern name] in one linear pass, which also range-checks every code:
+   an undeclared symbol id or a null code past the codable range is refused
+   here, not met later by [Value.code]. Null codes are
+   position-independent and survive untouched, which is what keeps
+   materialization floors exact across recovery.
+
+   Version 1 images (TGDSNAP1) stay readable: they carried each block's
+   CSR index, which the reader skips, and wrote block-less relations as
+   boxed rows. *)
 
 open Tgd_logic
 module Db = Tgd_db
 
-let magic = "TGDSNAP1"
-let version = 1
+let magic = "TGDSNAP2"
+let magic_v1 = "TGDSNAP1"
+let version = 2
 
 type materialization = {
   model : Db.Instance.t;
@@ -35,89 +42,66 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 
-let kind_columnar = 0
-let kind_boxed = 1
+(* A relation's columns as one seal would give them: per column, the
+   block's codes and the tail's codes, written back to back. *)
+type coded = {
+  pred : Symbol.t;
+  nrows : int;
+  cols : (int array * int array) array;
+}
 
-let w_boxed_value buf = function
-  | Db.Value.Const c ->
-    Codec.w_u8 buf 0;
-    Codec.w_int buf (Symbol.hash c)
-  | Db.Value.Null n ->
-    Codec.w_u8 buf 1;
-    Codec.w_int buf n
+let coded_relation pred rel =
+  let block, tail = Db.Relation.sealed_parts rel in
+  let tail = Array.of_list tail in
+  let block_col j = match block with Some b -> Db.Columnar.col b j | None -> [||] in
+  let block_rows = match block with Some b -> Db.Columnar.nrows b | None -> 0 in
+  {
+    pred;
+    nrows = block_rows + Array.length tail;
+    cols =
+      Array.init (Db.Relation.arity rel) (fun j ->
+          (block_col j, Array.map (fun tup -> Db.Value.code tup.(j)) tail));
+  }
 
-let w_boxed_rows buf rows =
-  Codec.w_u32 buf (List.length rows);
-  List.iter (fun tup -> Array.iter (w_boxed_value buf) tup) rows
-
-(* One relation: its current block verbatim, or all rows boxed when it
-   has no block. A stale block with a pending tail (a model a write left
-   unsealed) is written as the block one seal would give, so the image is
-   the same as if the model had been sealed; the boxed tail the format
-   allows after a block is therefore always empty. *)
-let w_relation buf pred rel =
-  Codec.w_int buf (Symbol.hash pred);
-  Codec.w_u32 buf (Db.Relation.arity rel);
-  match Db.Relation.current_block rel with
-  | Some block ->
-    Codec.w_u8 buf kind_columnar;
-    let p = Db.Columnar.export block in
-    Codec.w_u32 buf p.Db.Columnar.p_nrows;
-    Codec.w_u32 buf (Array.length p.Db.Columnar.p_cols);
-    Array.iter (fun col -> Codec.w_int_array buf col) p.Db.Columnar.p_cols;
-    Codec.w_u32 buf (Array.length p.Db.Columnar.p_codes);
-    Array.iteri
-      (fun j codes ->
-        Codec.w_u32 buf (Array.length codes);
-        Array.iteri
-          (fun g code ->
-            Codec.w_int buf code;
-            Codec.w_u32 buf g)
-          codes;
-        Codec.w_int_array buf p.Db.Columnar.p_starts.(j);
-        Codec.w_int_array buf p.Db.Columnar.p_rows.(j))
-      p.Db.Columnar.p_codes;
-    w_boxed_rows buf []
-  | None ->
-    Codec.w_u8 buf kind_boxed;
-    w_boxed_rows buf (Db.Relation.to_list rel)
-
-let w_instance buf inst =
-  let preds = Db.Instance.predicates inst in
-  Codec.w_u32 buf (List.length preds);
-  List.iter
+let coded_instance inst =
+  List.map
     (fun (pred, _arity) ->
       match Db.Instance.relation inst pred with
-      | Some rel -> w_relation buf pred rel
+      | Some rel -> coded_relation pred rel
       | None -> assert false)
-    preds
+    (Db.Instance.predicates inst)
+
+let w_relation buf c =
+  Codec.w_int buf (Symbol.hash c.pred);
+  Codec.w_u32 buf (Array.length c.cols);
+  Codec.w_u32 buf c.nrows;
+  Array.iter
+    (fun (block, tail) ->
+      Codec.w_u32 buf c.nrows;
+      Array.iter (Codec.w_int buf) block;
+      Array.iter (Codec.w_int buf) tail)
+    c.cols
+
+let w_instance buf coded =
+  Codec.w_u32 buf (List.length coded);
+  List.iter (w_relation buf) coded
 
 (* The symbol-table slice: a sparse (id, name) table of exactly the intern
    ids the image references — the process may have interned millions of
-   unrelated symbols, and a dense prefix would drag them all in. Columns
-   are scanned without decoding (codes below null_base are symbol ids). *)
-let used_symbols_of_instance inst used =
+   unrelated symbols, and a dense prefix would drag them all in. Codes
+   below null_base are symbol ids. *)
+let used_symbols coded used =
   let see_id i = if not (Hashtbl.mem used i) then Hashtbl.replace used i () in
-  let see_value = function
-    | Db.Value.Const c -> see_id (Symbol.hash c)
-    | Db.Value.Null _ -> ()
-  in
+  let see_codes = Array.iter (fun c -> if c < Db.Value.null_base then see_id c) in
   List.iter
-    (fun (pred, _) ->
-      see_id (Symbol.hash pred);
-      match Db.Instance.relation inst pred with
-      | None -> ()
-      | Some rel -> (
-        match Db.Relation.sealed_parts rel with
-        | Some block, pending ->
-          let p = Db.Columnar.export block in
-          Array.iter
-            (fun col ->
-              Array.iter (fun c -> if c < Db.Value.null_base then see_id c) col)
-            p.Db.Columnar.p_cols;
-          List.iter (fun tup -> Array.iter see_value tup) pending
-        | None, rows -> List.iter (fun tup -> Array.iter see_value tup) rows))
-    (Db.Instance.predicates inst);
+    (fun c ->
+      see_id (Symbol.hash c.pred);
+      Array.iter
+        (fun (block, tail) ->
+          see_codes block;
+          see_codes tail)
+        c.cols)
+    coded;
   used
 
 let encode t =
@@ -125,11 +109,11 @@ let encode t =
   Codec.w_u32 body t.epoch;
   Codec.w_u32 body t.delta_epoch;
   Codec.w_string body t.program_src;
+  let instance = coded_instance t.instance in
+  let model = Option.map (fun mat -> (mat, coded_instance mat.model)) t.materialization in
   let used =
-    let u = used_symbols_of_instance t.instance (Hashtbl.create 256) in
-    match t.materialization with
-    | Some mat -> used_symbols_of_instance mat.model u
-    | None -> u
+    let u = used_symbols instance (Hashtbl.create 256) in
+    match model with Some (_, m) -> used_symbols m u | None -> u
   in
   let ids = Hashtbl.fold (fun id () acc -> id :: acc) used [] |> List.sort compare in
   Codec.w_u32 body (List.length ids);
@@ -138,14 +122,14 @@ let encode t =
       Codec.w_int body id;
       Codec.w_string body (Symbol.name (Symbol.of_int id)))
     ids;
-  w_instance body t.instance;
-  (match t.materialization with
+  w_instance body instance;
+  (match model with
   | None -> Codec.w_u8 body 0
-  | Some mat ->
+  | Some (mat, model) ->
     Codec.w_u8 body 1;
     Codec.w_int body mat.floor;
     Codec.w_u8 body (if mat.complete then 1 else 0);
-    w_instance body mat.model);
+    w_instance body model);
   let body = Buffer.contents body in
   let out = Buffer.create (String.length body + 24) in
   Buffer.add_string out magic;
@@ -181,7 +165,36 @@ let r_boxed_rows r remap ~arity =
   let count = Codec.r_u32 r in
   List.init count (fun _ -> Array.init arity (fun _ -> r_boxed_value r remap))
 
-let r_relation r remap =
+(* The v1 writer's relation kinds: a block (its CSR index and a boxed
+   tail follow the columns) or boxed rows only. *)
+let v1_columnar = 0
+let v1_boxed = 1
+
+let r_columns r remap ~ncols =
+  (* Each column takes at least its 4-byte count: refuse a column count
+     the image cannot hold before allocating for it. *)
+  if ncols * 4 > Codec.remaining r then raise (Codec.Corrupt "truncated columns");
+  let cols = Array.init ncols (fun _ -> Codec.r_int_array r) in
+  (* Remap and check every code in place: the arrays are snapshot-private. *)
+  Array.iter
+    (fun col ->
+      for i = 0 to Array.length col - 1 do
+        col.(i) <- remap_code remap col.(i)
+      done)
+    cols;
+  cols
+
+(* v1's per-column CSR index: (code, group id) pairs of 12 bytes, then the
+   group offsets and the grouped row ids, each a counted int array. *)
+let skip_v1_index r ~arity =
+  if Codec.r_u32 r <> arity then raise (Codec.Corrupt "index count does not match arity");
+  for _ = 1 to arity do
+    Codec.skip r (Codec.r_u32 r * 12);
+    Codec.skip r (Codec.r_u32 r * 8);
+    Codec.skip r (Codec.r_u32 r * 8)
+  done
+
+let r_relation ~version r remap =
   let pred_id = remap_code remap (Codec.r_int r) in
   let pred =
     match Symbol.of_int pred_id with
@@ -190,71 +203,41 @@ let r_relation r remap =
       raise (Codec.Corrupt (Printf.sprintf "predicate id %d is not interned" pred_id))
   in
   let arity = Codec.r_u32 r in
-  match Codec.r_u8 r with
-  | k when k = kind_columnar ->
+  let kind = if version = 1 then Codec.r_u8 r else v1_columnar in
+  if kind = v1_columnar then begin
     let nrows = Codec.r_u32 r in
-    let ncols = Codec.r_u32 r in
-    if ncols <> max arity 1 then raise (Codec.Corrupt "column count does not match arity");
-    let cols = Array.init ncols (fun _ -> Codec.r_int_array r) in
-    (* Remap and check every code in place: the arrays are
-       snapshot-private. *)
-    Array.iter
-      (fun col ->
-        for i = 0 to Array.length col - 1 do
-          col.(i) <- remap_code remap col.(i)
-        done)
-      cols;
-    let nidx = Codec.r_u32 r in
-    if nidx <> arity then raise (Codec.Corrupt "index count does not match arity");
-    let codes = Array.make nidx [||] in
-    let starts = Array.make nidx [||] in
-    let rows = Array.make nidx [||] in
-    for j = 0 to nidx - 1 do
-      let npairs = Codec.r_u32 r in
-      (* (code, group id) pairs, 12 bytes each, written in group-id order:
-         the id is the position, so the codes load as one flat array. *)
-      if npairs * 12 > Codec.remaining r then raise (Codec.Corrupt "truncated group codes");
-      let c = Array.make npairs 0 in
-      for g = 0 to npairs - 1 do
-        c.(g) <- remap_code remap (Codec.r_int r);
-        if Codec.r_u32 r <> g then raise (Codec.Corrupt "group ids out of order")
-      done;
-      codes.(j) <- c;
-      starts.(j) <- Codec.r_int_array r;
-      rows.(j) <- Codec.r_int_array r
-    done;
-    let block =
-      match
-        Db.Columnar.import
-          {
-            Db.Columnar.p_arity = arity;
-            p_nrows = nrows;
-            p_cols = cols;
-            p_codes = codes;
-            p_starts = starts;
-            p_rows = rows;
-          }
-      with
-      | Ok block -> block
+    let cols =
+      if version = 2 then r_columns r remap ~ncols:arity
+      else begin
+        (* v1 gave an arity-0 block one column of zeros. *)
+        if Codec.r_u32 r <> max arity 1 then
+          raise (Codec.Corrupt "column count does not match arity");
+        let cols = r_columns r remap ~ncols:(max arity 1) in
+        skip_v1_index r ~arity;
+        Array.sub cols 0 arity
+      end
+    in
+    let rel =
+      match Db.Columnar.of_columns ~arity ~nrows cols with
+      | Ok block -> Db.Relation.of_columnar block
       | Error msg -> raise (Codec.Corrupt msg)
     in
-    let rel = Db.Relation.of_columnar block in
-    let pending = r_boxed_rows r remap ~arity in
-    List.iter (fun tup -> ignore (Db.Relation.insert rel tup)) pending;
+    if version = 1 then
+      List.iter (fun tup -> ignore (Db.Relation.insert rel tup)) (r_boxed_rows r remap ~arity);
     (pred, rel)
-  | k when k = kind_boxed ->
+  end
+  else if kind = v1_boxed then begin
     let rel = Db.Relation.create ~arity in
-    List.iter
-      (fun tup -> ignore (Db.Relation.insert rel tup))
-      (r_boxed_rows r remap ~arity);
+    List.iter (fun tup -> ignore (Db.Relation.insert rel tup)) (r_boxed_rows r remap ~arity);
     (pred, rel)
-  | k -> raise (Codec.Corrupt (Printf.sprintf "unknown relation kind %d" k))
+  end
+  else raise (Codec.Corrupt (Printf.sprintf "unknown relation kind %d" kind))
 
-let r_instance r remap =
+let r_instance ~version r remap =
   let n = Codec.r_u32 r in
   let inst = Db.Instance.create () in
   for _ = 1 to n do
-    let pred, rel = r_relation r remap in
+    let pred, rel = r_relation ~version r remap in
     Db.Instance.install_relation inst pred rel
   done;
   inst
@@ -262,12 +245,13 @@ let r_instance r remap =
 let decode s =
   try
     if String.length s < String.length magic + 12 then Error "snapshot too short"
-    else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
+    else if not (List.mem (String.sub s 0 (String.length magic)) [ magic; magic_v1 ]) then
       Error "bad snapshot magic"
     else begin
       let r = Codec.reader ~pos:(String.length magic) s in
       let v = Codec.r_u32 r in
-      if v <> version then Error (Printf.sprintf "unsupported snapshot version %d" v)
+      let expected = if String.starts_with ~prefix:magic_v1 s then 1 else version in
+      if v <> expected then Error (Printf.sprintf "unsupported snapshot version %d" v)
       else begin
         let body_len = Codec.r_u32 r in
         let body_pos = Codec.pos r in
@@ -294,14 +278,14 @@ let decode s =
               Array.iter (fun (id, fresh) -> map.(id) <- fresh) pairs;
               map
             in
-            let instance = r_instance r remap in
+            let instance = r_instance ~version:v r remap in
             let materialization =
               match Codec.r_u8 r with
               | 0 -> None
               | 1 ->
                 let floor = Codec.r_int r in
                 let complete = Codec.r_u8 r = 1 in
-                let model = r_instance r remap in
+                let model = r_instance ~version:v r remap in
                 Some { model; floor; complete }
               | n -> raise (Codec.Corrupt (Printf.sprintf "bad materialization tag %d" n))
             in

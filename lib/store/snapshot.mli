@@ -1,25 +1,26 @@
 (** Binary snapshot codec for registry entries.
 
     A snapshot is the durable image of one registry entry at a quiescent
-    point: its epochs, the ontology source text, the sealed instance, and
-    the live chase materialization (if any). Sealed instances are written
-    {e near-verbatim}: each relation's {!Tgd_db.Columnar} block — flat
-    coded columns plus CSR indexes — is dumped as raw little-endian words
-    together with the symbol intern table slice it references, so loading
-    is a bulk read plus a single symbol-remap pass (intern ids are
-    process-local), not a re-seal: values are never re-coded and row
-    groupings never re-hashed. A relation whose block is stale (rows
-    appended since its last seal, as a write leaves the materialized
-    model) is written as the block a seal would give, built on the side
-    ({!Tgd_db.Relation.current_block}), so the image does not depend on
-    whether the instance was sealed. Relations without a block (never
-    sealed, or rewritten by an EGD merge since) fall back to boxed row
-    encoding.
+    point: its epochs, the ontology source text, the instance, and the live
+    chase materialization (if any). Each relation is written as its coded
+    columns ({!Tgd_db.Value.code}) — predicate, arity and row count, then
+    per column the codes a seal would give: the {!Tgd_db.Columnar} block's
+    codes followed by the coded pending tail, or the coded rows of a
+    relation with no block ({!Tgd_db.Relation.sealed_parts}). Writing seals
+    and extends nothing, and the image does not depend on whether the
+    instance was sealed. Indexes are not written: a loaded block builds
+    each column's index on its first probe. The image carries the symbol
+    intern table slice its codes reference, so loading is a bulk read plus
+    a single symbol-remap pass (intern ids are process-local) that adopts
+    the columns as blocks ({!Tgd_db.Columnar.of_columns}).
 
-    The file is framed [magic | version | u32 length | body | u32 CRC-32];
-    {!decode} rejects any tampered or truncated image, which is how
-    recovery skips a torn half-written snapshot generation (writers avoid
-    that via tmp + rename, but recovery must not trust it). *)
+    The file is framed [magic | version | u32 length | body | u32 CRC-32],
+    with magic [TGDSNAP2] and version 2. {!decode} also reads version 1
+    images ([TGDSNAP1], which carried every block's CSR index — skipped on
+    load — and boxed rows for block-less relations). It rejects any
+    tampered or truncated image, which is how recovery skips a torn
+    half-written snapshot generation (writers avoid that via tmp + rename,
+    but recovery must not trust it). *)
 
 type materialization = {
   model : Tgd_db.Instance.t;
@@ -37,6 +38,7 @@ type t = {
 }
 
 val encode : t -> string
+(** Raises [Invalid_argument] on a value with no code ({!Tgd_db.Value.code}). *)
 
 val decode : string -> (t, string) result
 (** Rebuilds the instances. Symbol ids found in coded columns are remapped

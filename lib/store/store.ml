@@ -21,6 +21,7 @@ type recovered = {
   name : string;
   snapshot : Snapshot.t option;
   generation : int;
+  skipped : (int * string) list;
   tail : Wal.record list;
   torn_bytes : int;
 }
@@ -175,15 +176,15 @@ let recover t =
           (* Newest decodable snapshot generation wins; corrupt or torn
              generations (e.g. a crash mid-write on a filesystem that
              reordered the rename) are skipped, not fatal. *)
-          let snapshot, generation =
-            let rec pick = function
-              | [] -> (None, 0)
+          let snapshot, generation, skipped =
+            let rec pick skipped = function
+              | [] -> (None, 0, List.rev skipped)
               | gen :: older -> (
                 match Snapshot.decode (read_file (snap_path t name gen)) with
-                | Ok snap -> (Some snap, gen)
-                | Error _ | (exception Sys_error _) -> pick older)
+                | Ok snap -> (Some snap, gen, List.rev skipped)
+                | Error msg | (exception Sys_error msg) -> pick ((gen, msg) :: skipped) older)
             in
-            pick (gens_of name)
+            pick [] (gens_of name)
           in
           let path = wal_path t name in
           let tail, valid_bytes = Wal.scan path in
@@ -193,7 +194,7 @@ let recover t =
           (* Re-open for appending: truncates the torn tail on disk. *)
           (match e.wal with Some w -> Wal.close w | None -> ());
           e.wal <- Some (Wal.open_append ~fsync:t.fsync path);
-          { name; snapshot; generation; tail; torn_bytes = max 0 (size - valid_bytes) })
+          { name; snapshot; generation; skipped; tail; torn_bytes = max 0 (size - valid_bytes) })
         names)
 
 (* ------------------------------------------------------------------ *)

@@ -27,6 +27,9 @@ type recovered = {
   name : string;
   snapshot : Snapshot.t option;
   generation : int;
+  skipped : (int * string) list;
+      (** newer generations that did not decode, newest first, each with
+          its decode error *)
   tail : Wal.record list;  (** mutations to replay on top of the snapshot *)
   torn_bytes : int;  (** bytes dropped from a torn WAL tail, [0] normally *)
 }
@@ -42,7 +45,8 @@ val fsync_enabled : t -> bool
 
 val recover : t -> recovered list
 (** Scan the directory: per entry, the newest snapshot generation that
-    decodes cleanly (corrupt generations are skipped) plus the valid WAL
+    decodes cleanly (corrupt generations are skipped and listed in
+    [skipped]) plus the valid WAL
     prefix. Torn WAL tails are truncated on disk. Sorted by name. *)
 
 val log : t -> name:string -> Wal.record -> int

@@ -679,6 +679,43 @@ let test_reseal_is_a_read () =
   Alcotest.(check bool) "every block physically equal" true
     (List.for_all2 (fun b a -> Option.get b == Option.get a) before (blocks ()))
 
+(* A block is its columns: adopting coded columns builds no index, the
+   first probe of a column builds that column's index alone, and a seal
+   that extends the block carries forward only the built ones — which
+   still answer probes over the appended rows, in ascending row order. *)
+let test_adopted_block_indexes_probed_columns () =
+  let code s = Value.code (vc s) in
+  let cols =
+    [|
+      [| code "a"; code "b"; code "a"; code "c" |];
+      [| code "x"; code "x"; code "y"; code "x" |];
+      [| code "p"; code "q"; code "r"; code "s" |];
+    |]
+  in
+  (match Columnar.of_columns ~arity:3 ~nrows:3 cols with
+  | Ok _ -> Alcotest.fail "adopted columns of the wrong length"
+  | Error _ -> ());
+  let block = Result.get_ok (Columnar.of_columns ~arity:3 ~nrows:4 cols) in
+  let indexed b = List.init 3 (fun col -> Columnar.indexed b ~col) in
+  Alcotest.(check (list bool)) "adopted: no index" [ false; false; false ] (indexed block);
+  let probe b col s =
+    let rows, start, len = Columnar.probe b ~col (code s) in
+    Array.to_list (Array.sub rows start len)
+  in
+  Alcotest.(check (list int)) "probe column 1" [ 0; 1; 3 ] (probe block 1 "x");
+  Alcotest.(check (list bool)) "only column 1 indexed" [ false; true; false ] (indexed block);
+  let r = Relation.of_columnar block in
+  ignore (Relation.insert r [| vc "a"; vc "x"; vc "t" |]);
+  Relation.seal r;
+  let grown = Option.get (Relation.columnar r) in
+  Alcotest.(check (list bool)) "extend keeps only built indexes" [ false; true; false ]
+    (indexed grown);
+  Alcotest.(check (list int)) "the extended index sees the new row" [ 0; 1; 3; 4 ]
+    (probe grown 1 "x");
+  Alcotest.(check (list int)) "a fresh index over the extended block" [ 0; 2; 4 ]
+    (probe grown 0 "a");
+  Alcotest.(check (list bool)) "the old block is untouched" [ false; true; false ] (indexed block)
+
 (* The compiler takes only current blocks: a row inserted since the seal
    must be sealed in first, not silently missed. *)
 let test_compile_rejects_pending_tail () =
@@ -770,6 +807,8 @@ let () =
         Alcotest.test_case "round trip with nulls and probes" `Quick
           test_columnar_roundtrip_basic
         :: Alcotest.test_case "reseal is a read" `Quick test_reseal_is_a_read
+        :: Alcotest.test_case "an adopted block indexes only probed columns" `Quick
+             test_adopted_block_indexes_probed_columns
         :: Alcotest.test_case "compile rejects a pending tail" `Quick
              test_compile_rejects_pending_tail
         :: List.map QCheck_alcotest.to_alcotest

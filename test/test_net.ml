@@ -272,6 +272,91 @@ let test_oversized_line_drops_connection () =
   check_contains "survivor still serves" (recv_line_exn a) expected_answers;
   close a
 
+(* A request nesting arrays far past the parser's depth bound is one
+   malformed line, refused at once; the connection keeps serving. *)
+let test_deep_nesting_is_a_bad_request () =
+  with_server @@ fun path _srv ->
+  let c = connect_unix path in
+  let nested k = String.make k '[' ^ String.make k ']' in
+  send_line c (Printf.sprintf {|{"id":%s,"op":"ping"}|} (nested 100_000));
+  check_contains "deep id -> typed error" (recv_line_exn c) {|"kind":"bad_request"|};
+  (* The request object is one level: 63 arrays inside it reach the bound. *)
+  send_line c (Printf.sprintf {|{"id":%s,"op":"ping"}|} (nested 63));
+  check_contains "nesting at the bound is served" (recv_line_exn c) {|"pong":true|};
+  send_line c {|{"id":2,"op":"ping"}|};
+  check_contains "the next ping is answered" (recv_line_exn c) {|"id":2|};
+  close c
+
+(* /dev/null descriptors held by the test, so that the server's next
+   accept gets a high descriptor number, or none at all. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+
+let with_fillers f =
+  let fillers = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fillers)
+    (fun () -> f (fun fd -> fillers := fd :: !fillers))
+
+let open_null () = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+
+(* [Unix.select] cannot watch a descriptor numbered 1024 or more: the
+   server refuses such a connection as [overloaded] and keeps serving the
+   ones it has. *)
+let test_high_descriptor_is_refused () =
+  with_server @@ fun path srv ->
+  let a = connect_unix path in
+  send_line a {|{"id":1,"op":"ping"}|};
+  check_contains "first client served" (recv_line_exn a) {|"pong":true|};
+  let b = { fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0; rbuf = Buffer.create 256 } in
+  with_fillers (fun hold ->
+      let rec fill () =
+        match open_null () with
+        | fd ->
+          hold fd;
+          if fd_number fd < 1023 then fill ()
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          Alcotest.skip ()
+      in
+      fill ();
+      Unix.connect b.fd (Unix.ADDR_UNIX path);
+      check_contains "high descriptor -> overloaded" (recv_line_exn b) {|"kind":"overloaded"|};
+      Alcotest.(check bool) "and closed" true (recv_line b = None);
+      send_line a {|{"id":2,"op":"ping"}|};
+      check_contains "earlier client still served" (recv_line_exn a) {|"id":2|});
+  close b;
+  close a;
+  Alcotest.(check int) "rejection counted" 1
+    (Telemetry.get (Server.telemetry srv) "serve.net.rejected")
+
+(* With every descriptor taken, accept fails with EMFILE: the server
+   counts it, keeps serving, and accepts the waiting client once
+   descriptors free up. *)
+let test_out_of_descriptors_pauses_accept () =
+  with_server @@ fun path srv ->
+  let a = connect_unix path in
+  send_line a {|{"id":1,"op":"ping"}|};
+  check_contains "first client served" (recv_line_exn a) {|"pong":true|};
+  let b = { fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0; rbuf = Buffer.create 256 } in
+  let accept_errors () = Telemetry.get (Server.telemetry srv) "serve.net.accept_errors" in
+  with_fillers (fun hold ->
+      let rec fill n =
+        if n = 0 then Alcotest.skip ();
+        match open_null () with
+        | fd ->
+          hold fd;
+          fill (n - 1)
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ()
+      in
+      fill 100_000;
+      Unix.connect b.fd (Unix.ADDR_UNIX path);
+      Alcotest.(check bool) "accept failure counted" true (eventually (fun () -> accept_errors () > 0));
+      send_line a {|{"id":2,"op":"ping"}|};
+      check_contains "earlier client still served" (recv_line_exn a) {|"id":2|});
+  send_line b {|{"id":3,"op":"ping"}|};
+  check_contains "the waiting client is served" (recv_line_exn b) {|"id":3|};
+  close b;
+  close a
+
 let test_disconnect_mid_request () =
   with_server @@ fun path srv ->
   let a = connect_unix path in
@@ -650,6 +735,12 @@ let () =
           Alcotest.test_case "oversized line: typed error then drop" `Quick
             test_oversized_line_drops_connection;
           Alcotest.test_case "disconnect mid-request" `Quick test_disconnect_mid_request;
+          Alcotest.test_case "deep nesting is a bad request" `Quick
+            test_deep_nesting_is_a_bad_request;
+          Alcotest.test_case "a descriptor past select's limit is refused" `Quick
+            test_high_descriptor_is_refused;
+          Alcotest.test_case "out of descriptors: accept pauses" `Quick
+            test_out_of_descriptors_pauses_accept;
           Alcotest.test_case "half-closed socket gets all responses" `Quick
             test_half_closed_socket_gets_all_responses;
           Alcotest.test_case "slow reader gets the exact replies" `Quick

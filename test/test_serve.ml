@@ -743,6 +743,116 @@ let test_image_of_unsealed_model () =
          = None)
        (Tgd_db.Instance.predicates m.Registry.model))
 
+let blocks inst =
+  List.filter_map
+    (fun (pred, _) -> fst (Tgd_db.Relation.sealed_parts (Option.get (Tgd_db.Instance.relation inst pred))))
+    (Tgd_db.Instance.predicates inst)
+
+let index_built block =
+  List.exists (fun col -> Tgd_db.Columnar.indexed block ~col) (List.init (Tgd_db.Columnar.arity block) Fun.id)
+
+let image_of (e : Registry.entry) =
+  Tgd_store.Snapshot.encode
+    {
+      Tgd_store.Snapshot.epoch = e.Registry.epoch;
+      delta_epoch = e.Registry.delta_epoch;
+      program_src = "";
+      instance = e.Registry.instance;
+      materialization = e.Registry.materialization;
+    }
+
+(* Nothing probes a model: the chase reads it boxed and a checkpoint writes
+   its columns. So the blocks of a materialized model, and of a model
+   restored from an image, build no index across writes, queries on the
+   instance and checkpoints — while the instance those queries run on
+   does. A model block that is also an instance block (a relation the
+   chase never wrote is shared with the instance it was copied from) is
+   the instance's to index. *)
+let test_model_builds_no_index () =
+  let program = Tgd_gen.University.ontology in
+  let ucqs =
+    List.map (fun q -> (Tgd_rewrite.Rewrite.ucq program q).Tgd_rewrite.Rewrite.ucq)
+      Tgd_gen.University.queries
+  in
+  let exercise reg tag =
+    let instance_blocks = ref (blocks (entry_of reg "uni").Registry.instance) in
+    for k = 1 to 3 do
+      ignore (add_one reg (twelve_facts (Printf.sprintf "%s%d" tag k)));
+      let e = entry_of reg "uni" in
+      instance_blocks := blocks e.Registry.instance @ !instance_blocks;
+      List.iter (fun u -> ignore (Tgd_db.Par_eval.ucq ~workers:1 e.Registry.instance u)) ucqs
+    done;
+    let e = entry_of reg "uni" in
+    let image = image_of e in
+    Alcotest.(check bool) (tag ^ ": the queries indexed the instance") true
+      (List.exists index_built (blocks e.Registry.instance));
+    let model_only =
+      List.filter (fun b -> not (List.memq b !instance_blocks)) (blocks (model_of e))
+    in
+    Alcotest.(check bool) (tag ^ ": the model has blocks of its own") true (model_only <> []);
+    Alcotest.(check bool) (tag ^ ": none built an index") false (List.exists index_built model_only);
+    image
+  in
+  let reg = materialized_university () in
+  let image = exercise reg "mat" in
+  let snap = Result.get_ok (Tgd_store.Snapshot.decode image) in
+  let restored = Registry.create () in
+  let e =
+    Registry.restore restored ~name:"uni" ~epoch:snap.Tgd_store.Snapshot.epoch
+      ~delta_epoch:snap.Tgd_store.Snapshot.delta_epoch
+      ?materialization:snap.Tgd_store.Snapshot.materialization program
+      snap.Tgd_store.Snapshot.instance
+  in
+  Alcotest.(check bool) "restored: no index anywhere" false
+    (List.exists index_built (blocks e.Registry.instance @ blocks (model_of e)));
+  ignore (exercise restored "res")
+
+(* Several domains evaluate UCQ rewritings with [Par_eval.ucq ~workers] on
+   an instance fresh from an image, whose columns have no index yet: the
+   domains race to build them, and every domain must get the sequential
+   answers. *)
+let test_parallel_eval_on_restored_entry () =
+  let program = Tgd_gen.University.ontology in
+  let reg = Registry.create () in
+  let e =
+    Registry.register reg ~name:"uni"
+      ~facts:(Tgd_gen.University.generate_data (Tgd_gen.Rng.create 11) ~scale:1000)
+      program
+  in
+  let image = image_of e in
+  let restored () =
+    let snap = Result.get_ok (Tgd_store.Snapshot.decode image) in
+    (Registry.restore (Registry.create ()) ~name:"uni" ~epoch:1 ~delta_epoch:1 program
+       snap.Tgd_store.Snapshot.instance)
+      .Registry.instance
+  in
+  let ucqs =
+    List.map (fun q -> (Tgd_rewrite.Rewrite.ucq program q).Tgd_rewrite.Rewrite.ucq)
+      Tgd_gen.University.queries
+  in
+  let answer_all ~workers inst = List.map (Tgd_db.Par_eval.ucq ~workers ~min_tuples:16 inst) ucqs in
+  let sequential = List.map (Tgd_db.Eval.ucq (restored ())) ucqs in
+  Alcotest.(check bool) "some query has answers" true (List.exists (fun a -> a <> []) sequential);
+  for round = 1 to 3 do
+    let inst = restored () in
+    let ready = Atomic.make 0 in
+    let run order () =
+      Atomic.incr ready;
+      while Atomic.get ready < 3 do
+        Domain.cpu_relax ()
+      done;
+      order (answer_all ~workers:2 inst)
+    in
+    let domains = [ Domain.spawn (run Fun.id); Domain.spawn (run Fun.id); Domain.spawn (run Fun.id) ] in
+    List.iteri
+      (fun d dom ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, domain %d: sequential answers" round d)
+          true
+          (Domain.join dom = sequential))
+      domains
+  done
+
 let with_tmp_dir f =
   let dir = Filename.temp_dir "tgd_serve" "" in
   Fun.protect
@@ -1063,6 +1173,10 @@ let () =
           test_write_shares_untouched_relations;
         Alcotest.test_case "concurrent Datalog answers on a restored entry" `Quick
           test_concurrent_datalog_on_restored_entry;
+        Alcotest.test_case "a model builds no index across writes and checkpoints" `Quick
+          test_model_builds_no_index;
+        Alcotest.test_case "parallel eval on a freshly restored entry" `Quick
+          test_parallel_eval_on_restored_entry;
         Alcotest.test_case "image of an unsealed model equals the sealed one" `Quick
           test_image_of_unsealed_model;
         Alcotest.test_case "recovery replays a mixed tail exactly" `Quick test_recover_mixed_tail;

@@ -323,55 +323,82 @@ let test_checkpoint_and_recover () =
       Alcotest.(check int) "one generation on disk" 1 (List.length snaps);
       Store.close store)
 
+(* Run [f] with file descriptor 2 sent to a file; return what it wrote. *)
+let capture_stderr f =
+  with_tmp_file (fun path ->
+      flush stderr;
+      let saved = Unix.dup Unix.stderr in
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      Unix.dup2 fd Unix.stderr;
+      Unix.close fd;
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            flush stderr;
+            Unix.dup2 saved Unix.stderr;
+            Unix.close saved)
+          f
+      in
+      (v, read_file path))
+
 let test_recover_skips_corrupt_generation () =
   with_tmp_dir (fun dir ->
       let store = Result.get_ok (Store.open_dir ~fsync:false dir) in
       ignore (Store.checkpoint store ~name:"e" (sample_snapshot ()));
       Store.close store;
-      (* Fake a torn newer generation: recovery must fall back to gen 1. *)
+      (* Fake two newer generations that do not decode — a torn one and one
+         of a version this build does not know: recovery must fall back to
+         gen 1 and say which it skipped, and why. *)
       write_file (Filename.concat dir "e.00000002.snap") "garbage, not a snapshot";
+      let unknown_version =
+        let image = read_file (Filename.concat dir "e.00000001.snap") in
+        let b = Bytes.of_string image in
+        Bytes.set_int32_le b 8 9l;
+        Bytes.to_string b
+      in
+      write_file (Filename.concat dir "e.00000003.snap") unknown_version;
       let store = Result.get_ok (Store.open_dir ~fsync:false dir) in
       (match Store.recover store with
       | [ r ] ->
         Alcotest.(check int) "fell back to generation 1" 1 r.Store.generation;
-        Alcotest.(check bool) "snapshot decoded" true (r.Store.snapshot <> None)
+        Alcotest.(check bool) "snapshot decoded" true (r.Store.snapshot <> None);
+        Alcotest.(check (list (pair int string)))
+          "skipped generations, newest first"
+          [ (3, "unsupported snapshot version 9"); (2, "bad snapshot magic") ]
+          r.Store.skipped
       | rs -> Alcotest.failf "expected 1 recovered entry, got %d" (List.length rs));
+      Store.close store;
+      (* The server counts each skipped generation and says so once on
+         stderr. *)
+      let store = Result.get_ok (Store.open_dir ~fsync:false dir) in
+      let server, err = capture_stderr (fun () -> Tgd_serve.Server.create ~store ()) in
+      Alcotest.(check int) "serve.store.snapshot_errors" 2
+        (Tgd_exec.Telemetry.get (Tgd_serve.Server.telemetry server) "serve.store.snapshot_errors");
+      Alcotest.(check (list string))
+        "one stderr line per skipped generation"
+        [
+          {|obda serve: snapshot generation 3 of "e" skipped: unsupported snapshot version 9|};
+          {|obda serve: snapshot generation 2 of "e" skipped: bad snapshot magic|};
+        ]
+        (List.filter (fun l -> l <> "") (String.split_on_char '\n' err));
+      Tgd_serve.Server.shutdown server;
       Store.close store)
 
-(* A CRC-valid image of one unary relation [p(a)] whose CSR index is
-   written by hand: decode must refuse a broken shape instead of handing
-   out-of-range row or group ids to the columnar evaluator, which reads
-   them without bounds checks. *)
-let image_with_index ?count ?col ~pairs ~starts ~rows () =
+(* A CRC-valid version 1 image (TGDSNAP1) around a hand-written instance
+   section: [relations] writes the relation count and the relations. *)
+let v1_image ~symbols relations =
   let sym s = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern s) in
-  let col = Option.value col ~default:[| sym "a" |] in
   let body = Buffer.create 128 in
   Codec.w_u32 body 1 (* epoch *);
   Codec.w_u32 body 1 (* delta epoch *);
   Codec.w_string body "";
-  Codec.w_u32 body 2;
+  Codec.w_u32 body (List.length symbols);
   List.iter
     (fun s ->
       Codec.w_int body (sym s);
       Codec.w_string body s)
-    [ "p"; "a" ];
-  Codec.w_u32 body 1 (* relations *);
-  Codec.w_int body (sym "p");
-  Codec.w_u32 body 1 (* arity *);
-  Codec.w_u8 body 0 (* columnar *);
-  Codec.w_u32 body 1 (* rows *);
-  Codec.w_u32 body 1 (* columns *);
-  Codec.w_int_array body col;
-  Codec.w_u32 body 1 (* indexes *);
-  Codec.w_u32 body (Option.value ~default:(Array.length pairs) count);
-  Array.iter
-    (fun (code, g) ->
-      Codec.w_int body code;
-      Codec.w_u32 body g)
-    pairs;
-  Codec.w_int_array body starts;
-  Codec.w_int_array body rows;
-  Codec.w_u32 body 0 (* pending rows *);
+    symbols;
+  relations body;
   Codec.w_u8 body 0 (* no materialization *);
   let body = Buffer.contents body in
   let out = Buffer.create 256 in
@@ -382,9 +409,47 @@ let image_with_index ?count ?col ~pairs ~starts ~rows () =
   Buffer.add_int32_le out (Codec.crc32 body ~pos:0 ~len:(String.length body));
   Buffer.contents out
 
-(* A boxed null label the columnar code cannot hold is corrupt: no
-   generator makes one, and an instance holding one could not be sealed
-   into blocks. *)
+(* A counted int array, as {!Codec.r_int_array} reads it. *)
+let w_int_array body a =
+  Codec.w_u32 body (Array.length a);
+  Array.iter (Codec.w_int body) a
+
+(* A version 1 image of one unary relation [p(a)] as a block, whose CSR
+   index section is written by hand. *)
+let image_with_index ?count ?col ~pairs ~starts ~rows () =
+  let sym s = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern s) in
+  let col = Option.value col ~default:[| sym "a" |] in
+  v1_image ~symbols:[ "p"; "a" ] (fun body ->
+      Codec.w_u32 body 1 (* relations *);
+      Codec.w_int body (sym "p");
+      Codec.w_u32 body 1 (* arity *);
+      Codec.w_u8 body 0 (* columnar *);
+      Codec.w_u32 body 1 (* rows *);
+      Codec.w_u32 body 1 (* columns *);
+      w_int_array body col;
+      Codec.w_u32 body 1 (* indexes *);
+      Codec.w_u32 body (Option.value ~default:(Array.length pairs) count);
+      Array.iter
+        (fun (code, g) ->
+          Codec.w_int body code;
+          Codec.w_u32 body g)
+        pairs;
+      w_int_array body starts;
+      w_int_array body rows;
+      Codec.w_u32 body 0 (* pending rows *))
+
+let expect_corrupt what image =
+  match Snapshot.decode image with
+  | Ok _ -> Alcotest.failf "%s: decoded Ok" what
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s" what e)
+      true
+      (String.starts_with ~prefix:"corrupt snapshot: " e)
+
+(* A null label the columnar code cannot hold: no generator makes one, the
+   encoder refuses to code it, and a version 1 image that carries one as a
+   boxed value is corrupt. *)
 let test_snapshot_rejects_uncodable_null () =
   let inst = Tgd_db.Instance.create () in
   ignore
@@ -393,38 +458,26 @@ let test_snapshot_rejects_uncodable_null () =
   let snap =
     { Snapshot.epoch = 1; delta_epoch = 1; program_src = ""; instance = inst; materialization = None }
   in
-  match Snapshot.decode (Snapshot.encode snap) with
-  | Ok _ -> Alcotest.fail "decoded Ok"
-  | Error e ->
-    Alcotest.(check bool) e true (String.starts_with ~prefix:"corrupt snapshot: " e)
+  (match Snapshot.encode snap with
+  | _ -> Alcotest.fail "encoded an uncodable null"
+  | exception Invalid_argument _ -> ());
+  expect_corrupt "boxed null label out of range"
+    (v1_image ~symbols:[ "r" ] (fun body ->
+         Codec.w_u32 body 1 (* relations *);
+         Codec.w_int body (Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "r"));
+         Codec.w_u32 body 1 (* arity *);
+         Codec.w_u8 body 1 (* boxed *);
+         Codec.w_u32 body 1 (* rows *);
+         Codec.w_u8 body 1 (* null *);
+         Codec.w_int body Tgd_db.Value.null_base))
 
 (* Columnar codes are range-checked too, through the same remap every
    decode runs: a null code past the codable range, and a constant code
    the image never declared, even one that names a symbol this process
    has interned. *)
 let test_snapshot_rejects_uncodable_column () =
-  let expect_corrupt what image =
-    match Snapshot.decode image with
-    | Ok _ -> Alcotest.failf "%s: decoded Ok" what
-    | Error e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %s" what e)
-        true
-        (String.starts_with ~prefix:"corrupt snapshot: " e)
-  in
   let bad = (2 * Tgd_db.Value.null_base) + 5 in
-  let block =
-    Result.get_ok
-      (Tgd_db.Columnar.import
-         {
-           Tgd_db.Columnar.p_arity = 1;
-           p_nrows = 1;
-           p_cols = [| [| bad |] |];
-           p_codes = [| [| bad |] |];
-           p_starts = [| [| 0; 1 |] |];
-           p_rows = [| [| 0 |] |];
-         })
-  in
+  let block = Result.get_ok (Tgd_db.Columnar.of_columns ~arity:1 ~nrows:1 [| [| bad |] |]) in
   let inst = Tgd_db.Instance.create () in
   Tgd_db.Instance.install_relation inst (Tgd_logic.Symbol.intern "r")
     (Tgd_db.Relation.of_columnar block);
@@ -437,34 +490,100 @@ let test_snapshot_rejects_uncodable_column () =
     (image_with_index ~col:[| undeclared |] ~pairs:[| (undeclared, 0) |] ~starts:[| 0; 1 |]
        ~rows:[| 0 |] ())
 
+(* A version 1 image carries each block's CSR index. The reader skips it
+   rather than trusting it, so an index of any shape decodes, and a probe
+   goes through the index the block builds itself. Only an index section
+   that runs past the image is corrupt. *)
 let test_snapshot_rejects_bad_index () =
   let a = Tgd_logic.Symbol.hash (Tgd_logic.Symbol.intern "a") in
-  let well_formed = image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |] () in
-  (match Snapshot.decode well_formed with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "the well-formed image must decode: %s" e);
+  let probes_a what image =
+    match Snapshot.decode image with
+    | Error e -> Alcotest.failf "%s: %s" what e
+    | Ok snap ->
+      let rel =
+        Option.get (Tgd_db.Instance.relation snap.Snapshot.instance (Tgd_logic.Symbol.intern "p"))
+      in
+      let block = Option.get (Tgd_db.Relation.columnar rel) in
+      let rows, start, len = Tgd_db.Columnar.probe block ~col:0 a in
+      Alcotest.(check (list int)) (what ^ ": probe finds row 0") [ 0 ] (Array.to_list (Array.sub rows start len));
+      let _, _, none = Tgd_db.Columnar.probe block ~col:0 (a + 1) in
+      Alcotest.(check int) (what ^ ": and nothing else") 0 none
+  in
+  probes_a "well-formed" (image_with_index ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |] ());
   List.iter
-    (fun (what, count, pairs, starts, rows) ->
-      match Snapshot.decode (image_with_index ?count ~pairs ~starts ~rows ()) with
-      | Ok _ -> Alcotest.failf "%s: decoded Ok" what
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s" what e)
-          true
-          (String.starts_with ~prefix:"corrupt snapshot: " e))
+    (fun (what, pairs, starts, rows) -> probes_a what (image_with_index ~pairs ~starts ~rows ()))
     [
-      ("row id out of range", None, [| (a, 0) |], [| 0; 1 |], [| 5 |]);
-      ("negative row id", None, [| (a, 0) |], [| 0; 1 |], [| -1 |]);
-      ("group id out of range", None, [| (a, 3) |], [| 0; 1 |], [| 0 |]);
-      ("group ids out of order", None, [| (a, 1); (a + 1, 0) |], [| 0; 1; 1 |], [| 0 |]);
-      (* Refused before the code array is allocated. *)
-      ("pair count past the image", Some 0xFFFF_FFFF, [| (a, 0) |], [| 0; 1 |], [| 0 |]);
-      ("offsets end past the rows", None, [| (a, 0) |], [| 0; 2 |], [| 0 |]);
-      ("offsets do not start at 0", None, [| (a, 0) |], [| 1; 1 |], [| 0 |]);
-      ("decreasing offsets", None, [| (a, 0); (a + 1, 1) |], [| 0; 2; 1 |], [| 0 |]);
-      ("offset count", None, [| (a, 0) |], [| 0; 0; 1 |], [| 0 |]);
-      ("row list length", None, [| (a, 0) |], [| 0; 1 |], [| 0; 0 |]);
-    ]
+      ("row id out of range", [| (a, 0) |], [| 0; 1 |], [| 5 |]);
+      ("negative row id", [| (a, 0) |], [| 0; 1 |], [| -1 |]);
+      ("group id out of range", [| (a, 3) |], [| 0; 1 |], [| 0 |]);
+      ("group ids out of order", [| (a, 1); (a + 1, 0) |], [| 0; 1; 1 |], [| 0 |]);
+      ("offsets end past the rows", [| (a, 0) |], [| 0; 2 |], [| 0 |]);
+      ("offsets do not start at 0", [| (a, 0) |], [| 1; 1 |], [| 0 |]);
+      ("decreasing offsets", [| (a, 0); (a + 1, 1) |], [| 0; 2; 1 |], [| 0 |]);
+      ("offset count", [| (a, 0) |], [| 0; 0; 1 |], [| 0 |]);
+      ("row list length", [| (a, 0) |], [| 0; 1 |], [| 0; 0 |]);
+    ];
+  expect_corrupt "pair count past the image"
+    (image_with_index ~count:0xFFFF_FFFF ~pairs:[| (a, 0) |] ~starts:[| 0; 1 |] ~rows:[| 0 |] ())
+
+(* A version 1 image written by an earlier build's `obda serve`: an entry
+   registered with four facts, materialized, then grown by one add-facts
+   batch, so its model holds labelled nulls, blocks with pending tails and
+   a relation with no block. It recovers to the same entry the same three
+   requests build here, and answers as that build did. *)
+let v1_source =
+  "[r1] professor(X) -> person(X). [r2] teaches(X,Y) -> professor(X). [r3] professor(X) -> \
+   advises(X,Y). [r4] student(X) -> person(X). [r5] advises(X,Y) -> mentor(X). professor(ada). \
+   teaches(turing,logic). teaches(hopper,compilers). course(logic)."
+
+let v1_fixture =
+  List.find_opt Sys.file_exists
+    [ "snapshots/v1_materialized.image"; "test/snapshots/v1_materialized.image" ]
+  |> Option.value ~default:"snapshots/v1_materialized.image"
+
+let test_v1_image_recovers () =
+  let module P = Tgd_serve.Protocol in
+  let module S = Tgd_serve.Server in
+  let ok srv req =
+    match S.handle srv req with
+    | Ok fields -> fields
+    | Error (kind, msg) -> Alcotest.failf "%s: %s" kind msg
+  in
+  let live = S.create () in
+  List.iter
+    (fun req -> ignore (ok live req))
+    [
+      P.Register_ontology { name = "v1"; source = P.Inline v1_source };
+      P.Materialize { name = "v1" };
+      P.Add_facts { name = "v1"; source = P.Inline "teaches,liskov,types\nstudent,bob\ncourse,types" };
+    ];
+  with_tmp_dir (fun dir ->
+      write_file (Filename.concat dir "v1.00000001.snap") (read_file v1_fixture);
+      let store = Result.get_ok (Store.open_dir ~fsync:false dir) in
+      let recovered = S.create ~store () in
+      let entry srv = Option.get (Tgd_serve.Registry.find (S.registry srv) "v1") in
+      let model srv = (Option.get (entry srv).Tgd_serve.Registry.materialization).Tgd_serve.Registry.model in
+      Alcotest.(check bool) "instance facts" true
+        (facts_equal (entry live).Tgd_serve.Registry.instance (entry recovered).Tgd_serve.Registry.instance);
+      Alcotest.(check bool) "model facts, nulls included" true
+        (facts_equal (model live) (model recovered));
+      Alcotest.(check bool) "the model holds nulls" true
+        (List.exists (fun (_, t) -> Tgd_db.Tuple.has_null t) (Tgd_db.Instance.facts (model recovered)));
+      List.iter
+        (fun (query, expected) ->
+          let fields =
+            ok recovered (P.Execute { ontology = "v1"; query; budget = None; target = None })
+          in
+          Alcotest.(check string) query expected
+            (Tgd_serve.Json.to_string (Option.get (List.assoc_opt "answers" fields))))
+        [
+          ("q(X) :- person(X).", {|[["ada"],["turing"],["hopper"],["liskov"],["bob"]]|});
+          ("q(X,Y) :- teaches(X,Y), course(Y).", {|[["turing","logic"],["liskov","types"]]|});
+          ("q(X) :- advises(X,Y).", {|[["ada"],["turing"],["hopper"],["liskov"]]|});
+        ];
+      S.shutdown recovered;
+      Store.close store);
+  S.shutdown live
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process recovery through the real binary: the serve subprocess
@@ -538,6 +657,8 @@ let () =
             test_snapshot_rejects_uncodable_column;
           Alcotest.test_case "decode rejects an uncodable null label" `Quick
             test_snapshot_rejects_uncodable_null;
+          Alcotest.test_case "a version 1 image recovers and answers as before" `Quick
+            test_v1_image_recovers;
         ] );
       ("wal", [ qc prop_wal_torn_tail; qc prop_wal_corrupt_byte ]);
       ( "store",
