@@ -2,9 +2,10 @@ open Tgd_logic
 
 let depends ~on:(r1 : Tgd.t) (r2 : Tgd.t) =
   (* Read body(R2) as a boolean query and look for a piece unifier with any
-     single-head fragment of R1. *)
+     single-head fragment of R1, renamed into the pool so that it shares no
+     variable with the query. *)
   let q = Cq.make ~name:"dep" ~answer:[] ~body:r2.Tgd.body in
-  let fragments = Tgd.single_head_normalize [ r1 ] in
+  let fragments = List.map Tgd.rename_to_pool (Tgd.single_head_normalize [ r1 ]) in
   (* Auxiliary-predicate fragments cannot unify with body(R2): their
      predicate is fresh. Piece.all returns [] for them naturally. *)
   List.exists (fun frag -> Tgd_rewrite.Piece.all q frag <> []) fragments

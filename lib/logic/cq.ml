@@ -53,35 +53,10 @@ let rename_with rename q =
     body = List.map (Atom.apply rename) q.body;
   }
 
-let rename_apart q =
-  let mapping = Symbol.Table.create 8 in
-  let rename t =
-    match t with
-    | Term.Const _ -> t
-    | Term.Var v -> (
-      match Symbol.Table.find_opt mapping v with
-      | Some v' -> Term.Var v'
-      | None ->
-        let v' = Symbol.fresh (Symbol.name v) in
-        Symbol.Table.add mapping v v';
-        Term.Var v')
-  in
-  rename_with rename q
-
 (* The canonical variable names [V0, V1, ...], interned once and reused:
    canonicalization runs on every candidate the rewriting engine generates,
    so per-variable sprintf+intern is measurable there. *)
-let canonical_pool = ref [||]
-
-let canonical_var i =
-  if i >= Array.length !canonical_pool then begin
-    let n = max 64 (2 * (i + 1)) in
-    let old = !canonical_pool in
-    canonical_pool :=
-      Array.init n (fun j ->
-          if j < Array.length old then old.(j) else Symbol.intern (Printf.sprintf "V%d" j))
-  end;
-  !canonical_pool.(i)
+let canonical_var = Symbol.numbered "V"
 
 let canonical q =
   let mapping = Symbol.Table.create 8 in

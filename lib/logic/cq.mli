@@ -27,15 +27,16 @@ val apply : Subst.t -> t -> t
 (** Apply a substitution to answer terms and body. The result must still be
     safe (it is, for substitutions produced by unification of body atoms). *)
 
-val rename_apart : t -> t
-(** Rename every variable to a globally fresh one. *)
-
 val canonical : t -> t
 (** Rename variables to [V0, V1, ...] in first-occurrence order (answer terms
     first, then body in atom order) and sort the body atoms. Two queries that
     are equal up to consistent variable renaming and body reordering map to
     equal canonical forms whenever their first-occurrence orders agree; it is
     a cheap key for deduplication, not a full isomorphism test. *)
+
+val canonical_var : int -> Symbol.t
+(** [canonical_var i] is the variable [Vi] that {!canonical} gives the
+    [i]-th variable of a query. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

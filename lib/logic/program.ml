@@ -1,6 +1,19 @@
+type rewriting = {
+  rules : Tgd.t list;
+  by_head : Tgd.t list Symbol.Map.t;
+  aux : Symbol.Set.t;
+}
+
+(* Built on first use and published with one atomic write, like
+   [Columnar]'s index slots: domains that race on a fresh program each
+   build a view, one is kept, and every caller reads the kept one. A
+   [Lazy.t] would raise when two domains force it at once. *)
+type slot = rewriting option Atomic.t
+
 type t = {
   name : string;
   tgds : Tgd.t list;
+  slot : slot;
 }
 
 let signature tgds =
@@ -31,7 +44,9 @@ let signature tgds =
   check_all tgds
 
 let make ?(name = "P") tgds =
-  match signature tgds with Ok _ -> Ok { name; tgds } | Error e -> Error e
+  match signature tgds with
+  | Ok _ -> Ok { name; tgds; slot = Atomic.make None }
+  | Error e -> Error e
 
 let make_exn ?name tgds =
   match make ?name tgds with Ok p -> p | Error e -> invalid_arg ("Program.make: " ^ e)
@@ -58,7 +73,39 @@ let is_simple p = List.for_all Tgd.is_simple p.tgds
 let rules_with_head_pred p pred =
   List.filter (fun r -> List.exists (fun a -> Symbol.equal a.Atom.pred pred) r.Tgd.head) p.tgds
 
-let single_head_normalize p = { p with tgds = Tgd.single_head_normalize p.tgds }
+let single_head_normalize p =
+  { name = p.name; tgds = Tgd.single_head_normalize p.tgds; slot = Atomic.make None }
+
+let build_rewriting p =
+  let normalized = single_head_normalize p in
+  let rules = List.map Tgd.rename_to_pool normalized.tgds in
+  let by_head =
+    List.fold_left
+      (fun m (r : Tgd.t) ->
+        match r.Tgd.head with
+        | [ h ] ->
+          Symbol.Map.update h.Atom.pred
+            (fun rs -> Some (r :: Option.value ~default:[] rs))
+            m
+        | [] | _ :: _ :: _ -> assert false (* single-head normalized *))
+      Symbol.Map.empty rules
+  in
+  let original =
+    List.fold_left (fun acc (q, _) -> Symbol.Set.add q acc) Symbol.Set.empty (predicates p)
+  in
+  let aux =
+    List.fold_left
+      (fun acc (q, _) -> if Symbol.Set.mem q original then acc else Symbol.Set.add q acc)
+      Symbol.Set.empty (predicates normalized)
+  in
+  { rules; by_head; aux }
+
+let rewriting p =
+  match Atomic.get p.slot with
+  | Some v -> v
+  | None ->
+    let v = build_rewriting p in
+    if Atomic.compare_and_set p.slot None (Some v) then v else Option.get (Atomic.get p.slot)
 
 let pp ppf p =
   Format.fprintf ppf "@[<v>%a@]"

@@ -105,8 +105,10 @@ let intern s =
 
 let name i = !names.(i)
 
+let count () = !count
+
 let of_int i =
-  if i < 0 || i >= !count then
+  if i < 0 || i >= count () then
     invalid_arg (Printf.sprintf "Symbol.of_int: %d is not an interned symbol" i);
   i
 
@@ -122,6 +124,28 @@ let fresh base =
   let i = go () in
   Mutex.unlock lock;
   i
+
+(* A family's spellings are interned on first use and cached in an array
+   published through an [Atomic.t]: a lookup is an array read, and a
+   domain that needs a longer array builds one from the current and
+   installs it by compare-and-set, so a racing domain never loses an entry
+   (the symbols are the same either way: interning is idempotent). *)
+let numbered prefix =
+  let cache = Atomic.make [||] in
+  let rec get i =
+    let a = Atomic.get cache in
+    if i < Array.length a then a.(i)
+    else begin
+      let n = max 64 (2 * (i + 1)) in
+      let b =
+        Array.init n (fun j ->
+            if j < Array.length a then a.(j) else intern (Printf.sprintf "%s%d" prefix j))
+      in
+      ignore (Atomic.compare_and_set cache a b);
+      get i
+    end
+  in
+  get
 
 let equal = Int.equal
 let compare = Int.compare

@@ -24,7 +24,21 @@ val of_int : int -> t
 val fresh : string -> t
 (** [fresh base] interns a new symbol spelled [base^"#"^n] for a process-wide
     counter [n]; the result is distinct from every previously interned
-    symbol. *)
+    symbol. Nothing ever frees it, so [fresh] belongs off the request path:
+    once a program's rewriting view is built, rewriting under it interns
+    only {!numbered} families, whose size is bounded by the largest program
+    or query seen. *)
+
+val numbered : string -> int -> t
+(** [numbered prefix] is a family of symbols: [numbered prefix i] is
+    [intern (prefix ^ string_of_int i)], cached so that a repeated lookup is
+    an array read. Apply [numbered] once and keep the function; each
+    application carries its own cache. Safe to call from several domains. *)
+
+val count : unit -> int
+(** The number of symbols interned so far in this process. It never
+    decreases; a steady-state workload that keeps it flat interns
+    nothing. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

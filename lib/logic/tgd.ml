@@ -56,6 +56,24 @@ let rename_apart r =
     head = List.map (Atom.apply rename) r.head;
   }
 
+let pool_var = Symbol.numbered "#v"
+
+let rename_to_pool r =
+  let mapping = Symbol.Table.create 8 in
+  let rename t =
+    match t with
+    | Term.Const _ -> t
+    | Term.Var v -> (
+      match Symbol.Table.find_opt mapping v with
+      | Some v' -> Term.Var v'
+      | None ->
+        let v' = pool_var (Symbol.Table.length mapping) in
+        Symbol.Table.add mapping v v';
+        Term.Var v')
+  in
+  let body = List.map (Atom.apply rename) r.body in
+  { r with body; head = List.map (Atom.apply rename) r.head }
+
 let single_head_normalize rules =
   let split r =
     match r.head with

@@ -37,6 +37,18 @@ val rename_apart : t -> t
 (** Rename every variable to a globally fresh one. Used before unifying a
     rule with a query. *)
 
+val pool_var : int -> Symbol.t
+(** [pool_var i] is the [i]-th variable of the reserved rule pool, spelled
+    [#v]{i i}. The lexer reads [#] as the start of a comment, so no parsed
+    name is a pool variable, and {!Cq.canonical}'s [V0, V1, ...] are not
+    either: a rule renamed into the pool shares no variable with a parsed or
+    canonical query. *)
+
+val rename_to_pool : t -> t
+(** Rename the variables to [pool_var 0], [pool_var 1], ... in order of
+    first occurrence (body, then head). Unlike {!rename_apart} it interns
+    nothing beyond the pool's largest rule. *)
+
 val single_head_normalize : t list -> t list
 (** Split every TGD with an [n>1]-atom head into [n+1] single-head TGDs
     through a fresh auxiliary predicate collecting all head variables. The

@@ -1,3 +1,4 @@
+open Tgd_logic
 open Tgd_db
 open Tgd_rewrite
 
@@ -25,18 +26,17 @@ let complete = function
   | Datalog_rewriting r -> (
     match r.Datalog_rw.outcome with Datalog_rw.Complete -> true | _ -> false)
 
-let choose (report : Tgd_core.Classifier.report) =
-  (* Existential-free rule sets are plain Datalog: the UCQ rewriter unfolds
-     recursion into an unbounded union while the Datalog target captures it
-     finitely, so they dispatch to Datalog. Everything else starts on the
-     UCQ path — when it truncates, [prepare] falls back to Datalog. *)
-  if report.Tgd_core.Classifier.datalog then Datalog else Ucq
-
 let resolve target program =
   match target with
   | Ucq -> Ucq
   | Datalog -> Datalog
-  | Auto -> choose (Tgd_core.Classifier.classify program)
+  | Auto ->
+    (* Existential-free rule sets are plain Datalog: the UCQ rewriter
+       unfolds recursion into an unbounded union while the Datalog target
+       captures it finitely, so they dispatch to Datalog. Everything else
+       starts on the UCQ path — when it truncates, [prepare] falls back to
+       Datalog. *)
+    if Tgd_classes.Datalog_class.check program then Datalog else Ucq
 
 let prepare ?ucq_config ?datalog_config ~gov target program q =
   let run_ucq () = Ucq_rewriting (Rewrite.ucq ?config:ucq_config ~gov:(gov ()) program q) in
@@ -65,8 +65,29 @@ let saturated_answers ?gov program inst goal =
   ignore (Tgd_chase.Chase.run ?gov ~keys:Tgd_chase.Chase.Datalog_keys program work);
   null_free (Eval.cq ?gov work goal)
 
+(* Every Datalog artifact spells its intensional predicates the same way
+   ([__dlr#1 ...], [__dlr#goal]), so an instance may hold a relation under
+   one of those names, loaded as data. It must not seed the saturation: the
+   artifact reads the instance without it. *)
+let without_intensional program inst =
+  let heads =
+    List.map (fun (r : Tgd.t) -> (List.hd r.Tgd.head).Atom.pred) (Program.tgds program)
+  in
+  let intensional p = List.exists (Symbol.equal p) heads in
+  if List.for_all (fun p -> Instance.relation inst p = None) heads then inst
+  else begin
+    let work = Instance.create () in
+    List.iter
+      (fun (p, _) ->
+        if not (intensional p) then
+          Instance.install_relation work p (Option.get (Instance.relation inst p)))
+      (Instance.predicates inst);
+    work
+  end
+
 let datalog_answers ?gov (r : Datalog_rw.result) inst =
-  saturated_answers ?gov r.Datalog_rw.program inst (Datalog_rw.goal_query r)
+  let program = r.Datalog_rw.program in
+  saturated_answers ?gov program (without_intensional program inst) (Datalog_rw.goal_query r)
 
 let answers ?gov ?pool ?workers artifact inst =
   match artifact with

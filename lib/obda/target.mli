@@ -4,7 +4,8 @@
     ({!Tgd_rewrite.Rewrite}) and the shared-pattern Datalog rewriter
     ({!Tgd_rewrite.Datalog_rw}). This module is the single place that picks
     between them: the [--target] knob of [obda rewrite|answer|serve] parses
-    into {!t}, [Auto] consults the classifier ({!choose}), and {!prepare}
+    into {!t}, [Auto] checks whether the rules are plain Datalog
+    ({!resolve}), and {!prepare}
     implements the fallback policy (an [Auto] preparation that truncates on
     its preferred backend retries the other). *)
 
@@ -33,15 +34,13 @@ val artifact_kind : artifact -> string
 val complete : artifact -> bool
 (** Whether the rewriting reached its fixpoint (no truncation). *)
 
-val choose : Tgd_core.Classifier.report -> t
-(** The classifier policy behind [Auto]: existential-free (plain Datalog)
-    rule sets dispatch to [Datalog] — their UCQ rewriting unfolds recursion
-    into an unbounded union — and everything else starts on [Ucq]. Never
-    returns [Auto]. *)
-
 val resolve : t -> Program.t -> t
-(** [resolve target program] is [target] unless it is [Auto], in which case
-    the program is classified and {!choose} decides. *)
+(** [resolve target program] is [target] unless it is [Auto]. [Auto]
+    resolves to [Datalog] when the rules are existential-free
+    ({!Tgd_classes.Datalog_class.check}): their UCQ rewriting unfolds
+    recursion into an unbounded union. Every other program starts on
+    [Ucq]. Never returns [Auto]. The check is one pass over the rules; it
+    does not run the classifier. *)
 
 val prepare :
   ?ucq_config:Rewrite.config ->
@@ -55,7 +54,12 @@ val prepare :
     governor per attempt (a tripped governor stays tripped); [Auto] runs
     the {!resolve}d backend first and falls back to the other when the
     first truncates, keeping the first (sound, truncated) artifact only if
-    the fallback also truncates. *)
+    the fallback also truncates.
+
+    Both backends read the program's rewriting view
+    ({!Tgd_logic.Program.rewriting}), which the first prepare on a program
+    value builds and every later one reuses. A prepare under a program it
+    has seen interns no symbol. *)
 
 val saturated_answers :
   ?gov:Tgd_exec.Governor.t -> Program.t -> Instance.t -> Cq.t -> Tuple.t list
@@ -69,7 +73,10 @@ val saturated_answers :
 val datalog_answers :
   ?gov:Tgd_exec.Governor.t -> Datalog_rw.result -> Instance.t -> Tuple.t list
 (** Certain answers through a Datalog artifact: {!saturated_answers} of the
-    rewritten program and its goal query. *)
+    rewritten program and its goal query. Every artifact names its
+    intensional predicates [__dlr#1 ...] and [__dlr#goal]; a relation of
+    [inst] under one of those names (loadable as CSV data) is left out of
+    the saturation, so data never seeds an intensional predicate. *)
 
 val answers :
   ?gov:Tgd_exec.Governor.t ->

@@ -179,22 +179,19 @@ let decompose ~affected ~answer_vars (body : Atom.t list) =
       (atoms, Symbol.Set.elements bound))
     comps
 
-let rewrite ?(config = default_config) ?gov program0 q0 =
+(* Pattern predicates are numbered per run, [__dlr#1 ... __dlr#k], so runs
+   reuse spellings and interning is bounded by the largest program. Each
+   artifact saturates its own copy of the instance, so two artifacts that
+   share a spelling never meet. *)
+let pattern_pred = Symbol.numbered "__dlr#"
+let goal_pred = Symbol.intern "__dlr#goal"
+
+let rewrite ?(config = default_config) ?gov program q0 =
   let gov = match gov with Some g -> g | None -> Governor.unlimited () in
   let tele = Governor.telemetry gov in
-  let program = Program.single_head_normalize program0 in
-  let aux_preds =
-    let original =
-      List.fold_left
-        (fun acc (p, _) -> Symbol.Set.add p acc)
-        Symbol.Set.empty (Program.predicates program0)
-    in
-    List.fold_left
-      (fun acc (p, _) -> if Symbol.Set.mem p original then acc else Symbol.Set.add p acc)
-      Symbol.Set.empty (Program.predicates program)
-  in
-  let rule_index = Step.index_rules program in
-  let affected = affected_positions (Program.tgds program) in
+  let view = Program.rewriting program in
+  let aux_preds = view.Program.aux in
+  let affected = affected_positions view.Program.rules in
   (* Canonical pattern CQ (answer = bound variables) -> intensional symbol. *)
   let table : (Cq.t, Symbol.t) Hashtbl.t = Hashtbl.create 64 in
   let queue : (Symbol.t * Cq.t) Queue.t = Queue.create () in
@@ -221,9 +218,9 @@ let rewrite ?(config = default_config) ?gov program0 q0 =
     match Hashtbl.find_opt table canon with
     | Some sym -> sym
     | None ->
-      let sym = Symbol.fresh "__dlr" in
-      Hashtbl.add table canon sym;
       incr n_patterns;
+      let sym = pattern_pred !n_patterns in
+      Hashtbl.add table canon sym;
       Governor.charge gov Budget.key_rewrite_datalog_patterns;
       (* The extensional match of the pattern itself. Patterns over auxiliary
          predicates (single-head normalization artifacts) can never match
@@ -256,7 +253,7 @@ let rewrite ?(config = default_config) ?gov program0 q0 =
     end
   in
   let q0 = Cq.canonical q0 in
-  let goal = Symbol.fresh "__dlr_goal" in
+  let goal = goal_pred in
   emit_for ~name:(Printf.sprintf "%s:goal" (Symbol.name goal)) ~head_sym:goal q0;
   while Governor.live gov && not (Queue.is_empty queue) do
     if !n_patterns >= config.max_patterns then
@@ -275,7 +272,7 @@ let rewrite ?(config = default_config) ?gov program0 q0 =
           emit_for ~name:(Printf.sprintf "%s:step" (Symbol.name sym)) ~head_sym:sym c
         end
       in
-      List.iter consider (Step.rewrite_steps rule_index cq);
+      List.iter consider (Step.rewrite_steps view cq);
       List.iter consider (Step.factorizations cq)
     end
   done;
@@ -341,7 +338,7 @@ let rewrite ?(config = default_config) ?gov program0 q0 =
   }
 
 let goal_query r =
-  let answer = List.init r.arity (fun _ -> Term.Var (Symbol.fresh "X")) in
+  let answer = List.init r.arity (fun i -> Term.Var (Cq.canonical_var i)) in
   Cq.make ~name:"goal" ~answer ~body:[ Atom.make r.goal answer ]
 
 let pp ppf r =

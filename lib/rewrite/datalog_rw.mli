@@ -26,8 +26,8 @@
     them, and no piece unifier can ever merge such a variable into an
     existential class (all occurrences of an existentially unified variable
     must unify into affected positions). Each component, with its shared
-    and answer variables as the bound tuple, is memoized as a pattern: a
-    fresh intensional predicate with a {e base rule} matching the component
+    and answer variables as the bound tuple, is memoized as a pattern: an
+    intensional predicate with a {e base rule} matching the component
     extensionally, explored breadth-first for further rewriting steps
     ({!Step}), each step emitting one rule from the decomposition of its
     result.
@@ -74,8 +74,9 @@ type stats = {
 type result = {
   program : Program.t;
       (** the emitted Datalog program: existential-free TGDs over the input
-          signature plus fresh intensional predicates *)
-  goal : Symbol.t;  (** the goal predicate holding the query's answers *)
+          signature plus the intensional predicates [__dlr#1 ... __dlr#k],
+          numbered per run in installation order *)
+  goal : Symbol.t;  (** the goal predicate [__dlr#goal], holding the query's answers *)
   arity : int;  (** arity of the goal predicate (the query's arity) *)
   nonrecursive : bool;
       (** whether the intensional dependency graph is acyclic *)
@@ -96,11 +97,19 @@ val rewrite : ?config:config -> ?gov:Governor.t -> Program.t -> Cq.t -> result
     [program] into a Datalog program: for every instance [I], the goal
     relation of the saturated program over [I] equals the certain answers
     of [q] — exactly when the outcome is [Complete], as a sound subset when
-    [Truncated]. The input program is single-head normalized internally;
-    [q] may mention predicates outside the program's signature. *)
+    [Truncated]. The rules come from the program's rewriting view
+    ({!Tgd_logic.Program.rewriting}), built once per program; [q] may
+    mention predicates outside the program's signature.
+
+    Every run spells its predicates the same way, so a run interns at most
+    the pattern names no earlier run needed. The program and the query must
+    mention no predicate spelled [__dlr#...]; parsed input never does,
+    since the lexer reads [#] as the start of a comment. Data may
+    ([Tgd_obda.Target.datalog_answers] leaves such relations out of the
+    saturation). *)
 
 val goal_query : result -> Cq.t
-(** The trivial query [goal(x1, ..., xn)] reading the goal relation of a
+(** The trivial query [goal(V0, ..., Vn-1)] reading the goal relation of a
     saturated instance back out through {!Tgd_db.Eval.cq} — deduplicated,
     sorted, boolean-aware. *)
 

@@ -24,8 +24,7 @@ let unify_piece body alpha piece_ixs =
       | Some s -> Unify.atoms s (List.nth body i) alpha)
     piece_ixs (Some Subst.empty)
 
-let all (q : Cq.t) rule0 =
-  let rule = Tgd.rename_apart rule0 in
+let all (q : Cq.t) rule =
   let alpha = head_atom rule in
   let body = q.Cq.body in
   let answer_vars = Cq.answer_vars q in

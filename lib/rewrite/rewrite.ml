@@ -60,11 +60,10 @@ type entry = {
   mutable alive : bool;
 }
 
-(* One-step operations (piece rewriting steps, factorizations, the
-   head-predicate rule index) live in {!Step}, shared with the Datalog
-   rewriter. *)
+(* One-step operations (piece rewriting steps, factorizations) live in
+   {!Step}, shared with the Datalog rewriter; the rules they read are the
+   program's rewriting view. *)
 let factorizations = Step.factorizations
-let index_rules = Step.index_rules
 let rewrite_steps = Step.rewrite_steps
 
 let mentions_aux_pred aux_preds (q : Cq.t) =
@@ -144,21 +143,10 @@ module Kept = struct
       (0, 0) t.all
 end
 
-let ucq ?(config = default_config) ?gov program0 q0 =
+let ucq ?(config = default_config) ?gov program q0 =
   let gov = match gov with Some g -> g | None -> Governor.unlimited () in
   let tele = Governor.telemetry gov in
-  let program = Program.single_head_normalize program0 in
-  let aux_preds =
-    let original =
-      List.fold_left
-        (fun acc (p, _) -> Symbol.Set.add p acc)
-        Symbol.Set.empty (Program.predicates program0)
-    in
-    List.fold_left
-      (fun acc (p, _) -> if Symbol.Set.mem p original then acc else Symbol.Set.add p acc)
-      Symbol.Set.empty (Program.predicates program)
-  in
-  let rule_index = index_rules program in
+  let view = Program.rewriting program in
   let q0 = Cq.canonical q0 in
   let meters = Containment.meters gov in
   let checks0, pruned0, homs0 = containment_counts tele in
@@ -223,7 +211,7 @@ let ucq ?(config = default_config) ?gov program0 q0 =
           Governor.stop gov
             (Governor.Limit { counter = Budget.key_rewrite_depth; limit = config.max_depth })
         else begin
-          List.iter (add (depth + 1)) (rewrite_steps rule_index entry.cq);
+          List.iter (add (depth + 1)) (rewrite_steps view entry.cq);
           List.iter (add (depth + 1)) (factorizations entry.cq)
         end
       end
@@ -231,7 +219,7 @@ let ucq ?(config = default_config) ?gov program0 q0 =
   done;
   let final =
     Kept.survivors kept
-    |> List.filter (fun c -> not (mentions_aux_pred aux_preds c))
+    |> List.filter (fun c -> not (mentions_aux_pred view.Program.aux c))
     |> minimize ~domains:config.domains ~meters
   in
   let checks1, pruned1, homs1 = containment_counts tele in

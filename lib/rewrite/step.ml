@@ -17,25 +17,13 @@ let factorizations (q : Cq.t) =
   done;
   !acc
 
-let index_rules program =
-  let index = Symbol.Table.create 16 in
-  List.iter
-    (fun (r : Tgd.t) ->
-      match r.Tgd.head with
-      | [ h ] ->
-        let existing = Option.value ~default:[] (Symbol.Table.find_opt index h.Atom.pred) in
-        Symbol.Table.replace index h.Atom.pred (r :: existing)
-      | _ -> invalid_arg "Rewrite: program must be single-head normalized")
-    (Program.tgds program);
-  index
-
-let rewrite_steps index (q : Cq.t) =
+let rewrite_steps (view : Program.rewriting) (q : Cq.t) =
   let preds =
     List.fold_left (fun acc (a : Atom.t) -> Symbol.Set.add a.Atom.pred acc) Symbol.Set.empty q.Cq.body
   in
   Symbol.Set.fold
     (fun pred acc ->
-      match Symbol.Table.find_opt index pred with
+      match Symbol.Map.find_opt pred view.Program.by_head with
       | None -> acc
       | Some rules ->
         List.fold_left

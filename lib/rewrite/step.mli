@@ -13,11 +13,8 @@ val factorizations : Cq.t -> Cq.t list
     atoms, the specialisation that merges them. The merged body may contain
     duplicate atoms; callers canonicalize ({!Cq.canonical}) to dedup. *)
 
-val index_rules : Program.t -> Tgd.t list Symbol.Table.t
-(** Rules indexed by head predicate: a rule is only relevant to a CQ whose
-    body mentions that predicate. Raises [Invalid_argument] unless the
-    program is single-head normalized. *)
-
-val rewrite_steps : Tgd.t list Symbol.Table.t -> Cq.t -> Cq.t list
-(** Every one-step piece rewriting of the query with a relevant rule from
-    the index ({!Piece.all} / {!Piece.apply}). *)
+val rewrite_steps : Program.rewriting -> Cq.t -> Cq.t list
+(** Every one-step piece rewriting of the query with a relevant rule of the
+    program's rewriting view ({!Piece.all} / {!Piece.apply}). The query
+    must use no pool variable, which holds for every canonical CQ
+    ({!Cq.canonical}). *)

@@ -484,6 +484,7 @@ let handle t (request : Protocol.request) =
               ("size", Json.Int (Prepared.length t.cache));
               ("capacity", Json.Int (Prepared.capacity t.cache));
             ] );
+        ("symbols", Json.Int (Symbol.count ()));
         ( "store",
           match t.store with
           | None -> Json.Null

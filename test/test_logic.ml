@@ -33,6 +33,17 @@ let test_symbol_fresh_avoids_collision () =
   let f2 = Symbol.fresh "collide" in
   Alcotest.(check bool) "skips interned spelling" false (String.equal name (Symbol.name f2))
 
+let test_symbol_numbered () =
+  let family = Symbol.numbered "nfam" in
+  let s3 = family 3 in
+  Alcotest.(check string) "spelled prefix and index" "nfam3" (Symbol.name s3);
+  let before = Symbol.count () in
+  let again = List.init 64 family in
+  Alcotest.(check bool) "same symbol again" true (Symbol.equal s3 (List.nth again 3));
+  Alcotest.(check int) "a repeated lookup interns nothing" before (Symbol.count ());
+  Alcotest.(check bool) "one family, one spelling space" true
+    (Symbol.equal (family 70) (Symbol.intern "nfam70"))
+
 (* ------------------------------------------------------------------ *)
 (* Term *)
 
@@ -167,6 +178,18 @@ let test_tgd_rename_apart () =
     (Symbol.Set.is_empty (Symbol.Set.inter (all_vars r) (all_vars r')));
   (* Structure preserved: frontier sizes match. *)
   Alcotest.(check int) "frontier size preserved" 1 (Symbol.Set.cardinal (Tgd.frontier r'))
+
+let test_tgd_rename_to_pool () =
+  let r = mk_tgd "r" [ atom "p" [ v "X"; v "Y" ] ] [ atom "q" [ v "X"; v "Z" ] ] in
+  let pooled = Tgd.rename_to_pool r in
+  Alcotest.(check string) "first occurrence order, body first"
+    "[r] p(#v0,#v1) -> q(#v0,#v2)" (Tgd.to_string pooled);
+  let other = mk_tgd "s" [ atom "p" [ v "A"; v "B" ] ] [ atom "q" [ v "B"; v "A" ] ] in
+  let before = Symbol.count () in
+  ignore (Tgd.rename_to_pool other);
+  Alcotest.(check int) "renaming into the pool again interns nothing" before (Symbol.count ());
+  (* The pool is disjoint from canonical query variables. *)
+  Alcotest.(check bool) "disjoint from V0" false (Symbol.equal (Tgd.pool_var 0) (Cq.canonical_var 0))
 
 let test_single_head_normalize () =
   let r =
@@ -329,6 +352,35 @@ let test_program_stats () =
   Alcotest.(check int) "rules with head pred r" 1
     (List.length (Program.rules_with_head_pred p (Symbol.intern "r")))
 
+(* The rewriting view is built once per program value: a second read is
+   the same value and interns nothing, and every constructor starts with an
+   unbuilt view of its own. *)
+let test_program_rewriting_view () =
+  let p =
+    Program.make_exn
+      [
+        mk_tgd "m" [ atom "p" [ v "X" ] ] [ atom "q" [ v "X"; v "Z" ]; atom "s" [ v "Z" ] ];
+        mk_tgd "t" [ atom "s" [ v "Y" ] ] [ atom "p" [ v "Y" ] ];
+      ]
+  in
+  let view = Program.rewriting p in
+  let before = Symbol.count () in
+  Alcotest.(check bool) "shared by later reads" true (view == Program.rewriting p);
+  Alcotest.(check int) "a later read interns nothing" before (Symbol.count ());
+  Alcotest.(check int) "normalized rules" 4 (List.length view.Program.rules);
+  Alcotest.(check int) "one auxiliary predicate" 1 (Symbol.Set.cardinal view.Program.aux);
+  List.iter
+    (fun (r : Tgd.t) ->
+      Symbol.Set.iter
+        (fun x -> Alcotest.(check char) "pool variable" '#' (Symbol.name x).[0])
+        (Symbol.Set.union (Tgd.body_vars r) (Tgd.head_vars r)))
+    view.Program.rules;
+  Alcotest.(check int) "indexed by head predicate" 1
+    (List.length (Symbol.Map.find (Symbol.intern "p") view.Program.by_head));
+  let normalized = Program.single_head_normalize p in
+  Alcotest.(check bool) "a derived program has its own view" false
+    (view == Program.rewriting normalized)
+
 let test_program_constants () =
   let r = mk_tgd "r" [ atom "p" [ c "a"; v "X" ] ] [ atom "q" [ v "X"; c "b" ] ] in
   let p = Program.make_exn [ r ] in
@@ -342,6 +394,7 @@ let () =
           Alcotest.test_case "interning" `Quick test_symbol_interning;
           Alcotest.test_case "fresh" `Quick test_symbol_fresh;
           Alcotest.test_case "fresh avoids collisions" `Quick test_symbol_fresh_avoids_collision;
+          Alcotest.test_case "numbered families" `Quick test_symbol_numbered;
         ] );
       ( "term",
         [
@@ -371,6 +424,7 @@ let () =
           Alcotest.test_case "simplicity" `Quick test_tgd_simple;
           Alcotest.test_case "empty rejected" `Quick test_tgd_empty_rejected;
           Alcotest.test_case "rename apart" `Quick test_tgd_rename_apart;
+          Alcotest.test_case "rename into the pool" `Quick test_tgd_rename_to_pool;
           Alcotest.test_case "single-head normalization" `Quick test_single_head_normalize;
         ] );
       ( "cq",
@@ -403,5 +457,6 @@ let () =
           Alcotest.test_case "arity check" `Quick test_program_arity_check;
           Alcotest.test_case "stats" `Quick test_program_stats;
           Alcotest.test_case "constants" `Quick test_program_constants;
+          Alcotest.test_case "rewriting view" `Quick test_program_rewriting_view;
         ] );
     ]

@@ -545,6 +545,201 @@ let test_target_answers_dispatch () =
   Alcotest.(check bool) "3 workers split the scans into morsels" true
     (Tgd_exec.Telemetry.get (Tgd_exec.Governor.telemetry gov) "eval.morsels" > 1)
 
+(* [auto] resolves by whether the rules are plain Datalog, the one
+   classifier field its choice ever read. *)
+let test_target_resolve_auto () =
+  let rng = Rng.create 30 in
+  let cfg =
+    {
+      Tgd_gen.Gen_tgd.default_config with
+      Tgd_gen.Gen_tgd.n_predicates = 4;
+      max_arity = 2;
+      n_rules = 3;
+      max_body_atoms = 2;
+      max_head_atoms = 2;
+      existential_rate = 0.2;
+    }
+  in
+  let programs =
+    Tgd_core.Paper_examples.[ example1; example2; example3 ]
+    @ List.init 40 (fun _ -> Tgd_gen.Gen_tgd.random_program rng cfg)
+  in
+  let datalog = ref 0 in
+  List.iteri
+    (fun i p ->
+      let expected =
+        if (Tgd_core.Classifier.classify p).Tgd_core.Classifier.datalog then (
+          incr datalog;
+          Target.Datalog)
+        else Target.Ucq
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "program %d" i)
+        (Target.to_string expected)
+        (Target.to_string (Target.resolve Target.Auto p)))
+    programs;
+  Alcotest.(check bool) "both outcomes occur" true (!datalog > 0 && !datalog < List.length programs)
+
+(* Every Datalog artifact spells its intensional predicates the same way,
+   so data may hold relations under those names, of any arity; they must
+   not seed the saturation. *)
+let test_target_datalog_ignores_intensional_data () =
+  let p =
+    Program.make_exn
+      [ Tgd.make ~name:"r" ~body:[ atom "professor" [ v "X" ] ] ~head:[ atom "person" [ v "X" ] ] ]
+  in
+  let q = Cq.make ~name:"q" ~answer:[ v "X" ] ~body:[ atom "person" [ v "X" ] ] in
+  let inst =
+    match Csv_io.load_string "professor,ada\n__dlr#goal,mallory\n__dlr#1,a,b,c\n" with
+    | Ok inst -> inst
+    | Error e -> Alcotest.fail e
+  in
+  let dl = Tgd_rewrite.Datalog_rw.rewrite p q in
+  let answers = Target.datalog_answers dl inst in
+  Alcotest.(check (list string)) "only the certain answer"
+    [ "ada" ]
+    (List.map (fun t -> Format.asprintf "%a" Value.pp t.(0)) answers);
+  Alcotest.(check int) "the instance is untouched" 3 (Instance.cardinality inst)
+
+(* A DL-Lite TBox and a stream of distinct atomic, path and two-path
+   queries over it, the shape of the served cold-query benchmark. The
+   queries are built up front, so building them interns nothing later. *)
+let dl_cold_program () =
+  Tgd_gen.Dl_lite.to_program
+    (Tgd_gen.Dl_lite.random_tbox (Rng.create 2) ~n_concepts:24 ~n_roles:8 ~n_axioms:48)
+
+let dl_cold_queries n =
+  let rng = Rng.create 3 in
+  let concept x = atom (Printf.sprintf "a%d" (Rng.int rng 24)) [ x ] in
+  let role x y =
+    let r = Printf.sprintf "s%d" (Rng.int rng 8) in
+    if Rng.bool rng 0.5 then atom r [ x; y ] else atom r [ y; x ]
+  in
+  let const () = c (Printf.sprintf "d%d" (Rng.int rng 20)) in
+  let q body = Cq.make ~name:"q" ~answer:[ v "X" ] ~body in
+  let generate () =
+    match Rng.int rng 6 with
+    | 0 -> q [ concept (v "X") ]
+    | 1 -> q [ role (v "X") (const ()) ]
+    | 2 -> q [ role (v "X") (v "Y"); concept (v "Y") ]
+    | 3 -> q [ role (v "X") (const ()); concept (v "X") ]
+    | 4 -> q [ role (v "X") (v "Y"); role (v "Y") (v "Z"); concept (v "Z") ]
+    | _ -> q [ role (v "X") (v "Y"); role (v "Y") (const ()) ]
+  in
+  let seen = Hashtbl.create n in
+  let rec fill acc k =
+    if k = n then List.rev acc
+    else
+      let cq = generate () in
+      let key = Cq.canonical cq in
+      if Hashtbl.mem seen key then fill acc k
+      else begin
+        Hashtbl.add seen key ();
+        fill (cq :: acc) (k + 1)
+      end
+  in
+  fill [] 0
+
+(* Cold prepares and warm Datalog executes intern nothing: after a
+   warm-up, the symbol table stays the same size over 1,000 cold prepares
+   under each target and 1,000 executes of a prepared Datalog artifact.
+   Rewriting used to intern fresh rule variables for every (CQ, rule) pair
+   and fresh pattern names for every Datalog run, and reading a Datalog
+   artifact's answers interned a fresh variable per answer column. *)
+let test_target_soak_interns_nothing () =
+  let program = dl_cold_program () in
+  let queries = dl_cold_queries 1_000 in
+  let gov () = Tgd_exec.Governor.unlimited () in
+  let prepare target q = Target.prepare ~gov target program q in
+  List.iter
+    (fun target ->
+      List.iteri (fun i q -> if i < 100 then ignore (prepare target q)) queries;
+      let before = Symbol.count () in
+      List.iter (fun q -> ignore (prepare target q)) queries;
+      Alcotest.(check int)
+        (Target.to_string target ^ ": 1,000 cold prepares intern nothing")
+        before (Symbol.count ()))
+    [ Target.Ucq; Target.Datalog; Target.Auto ];
+  (* The DL-Lite TBox has single-head rules only; University's domain and
+     range axioms have two-atom heads, whose normalization introduces
+     auxiliary predicates. *)
+  let university = Program.make_exn (Program.tgds Tgd_gen.University.ontology) in
+  List.iter
+    (fun target ->
+      let round () =
+        List.iter
+          (fun q -> ignore (Target.prepare ~gov target university q))
+          Tgd_gen.University.queries
+      in
+      round ();
+      let before = Symbol.count () in
+      for _ = 1 to 15 do
+        round ()
+      done;
+      Alcotest.(check int)
+        (Target.to_string target ^ ": University prepares intern nothing")
+        before (Symbol.count ()))
+    [ Target.Ucq; Target.Datalog; Target.Auto ];
+  let inst =
+    Tgd_gen.Gen_db.random_instance (Rng.create 4) program ~facts_per_predicate:4 ~domain_size:20
+  in
+  Instance.seal inst;
+  let artifact = prepare Target.Datalog (List.nth queries 2) in
+  let expected = Target.answers artifact inst in
+  let before = Symbol.count () in
+  for _ = 1 to 1_000 do
+    if not (tuples_equal (Target.answers artifact inst) expected) then
+      Alcotest.fail "a warm execute changed its answers"
+  done;
+  Alcotest.(check int) "1,000 warm Datalog executes intern nothing" before (Symbol.count ())
+
+(* An artifact, spelled out: its disjuncts or rules and every count. *)
+let describe = function
+  | Target.Ucq_rewriting r ->
+    let s = r.Tgd_rewrite.Rewrite.stats in
+    Printf.sprintf "%s\n%d %d %d %d %d %d %d"
+      (String.concat "\n" (List.map Cq.to_string r.Tgd_rewrite.Rewrite.ucq))
+      s.Tgd_rewrite.Rewrite.generated s.Tgd_rewrite.Rewrite.explored s.Tgd_rewrite.Rewrite.kept
+      s.Tgd_rewrite.Rewrite.max_depth s.Tgd_rewrite.Rewrite.containment_checks
+      s.Tgd_rewrite.Rewrite.containment_pruned s.Tgd_rewrite.Rewrite.hom_searches
+  | Target.Datalog_rewriting r ->
+    let s = r.Tgd_rewrite.Datalog_rw.stats in
+    Format.asprintf "%a@.%d %d %d" Tgd_rewrite.Datalog_rw.pp r s.Tgd_rewrite.Datalog_rw.patterns
+      s.Tgd_rewrite.Datalog_rw.rules s.Tgd_rewrite.Datalog_rw.explored
+
+(* Several domains prepare on one fresh program at once, so they race to
+   build its rewriting view; one view wins and every domain gets the
+   artifacts, counts included, that a later lone run gets. *)
+let test_target_prepare_concurrent_fresh_program () =
+  let tgds = Program.tgds Tgd_gen.University.ontology in
+  let gov () = Tgd_exec.Governor.unlimited () in
+  let run program =
+    List.concat_map
+      (fun target ->
+        List.map (fun q -> describe (Target.prepare ~gov target program q)) Tgd_gen.University.queries)
+      [ Target.Ucq; Target.Datalog ]
+  in
+  let n = 3 in
+  for round = 1 to 3 do
+    let program = Program.make_exn ~name:"university" tgds in
+    let ready = Atomic.make 0 in
+    let domains =
+      List.init n (fun _ ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < n do
+                Domain.cpu_relax ()
+              done;
+              run program))
+    in
+    let results = List.map Domain.join domains in
+    let alone = run program in
+    List.iteri
+      (fun d got ->
+        Alcotest.(check (list string)) (Printf.sprintf "round %d, domain %d" round d) alone got)
+      results
+  done
+
 let () =
   Alcotest.run "obda"
     [
@@ -578,7 +773,16 @@ let () =
           Alcotest.test_case "exact on datalog" `Quick test_interval_exact_when_datalog;
         ] );
       ( "target",
-        [ Alcotest.test_case "answers dispatch" `Quick test_target_answers_dispatch ] );
+        [
+          Alcotest.test_case "answers dispatch" `Quick test_target_answers_dispatch;
+          Alcotest.test_case "auto resolves like the classifier" `Quick test_target_resolve_auto;
+          Alcotest.test_case "datalog answers ignore data under intensional names" `Quick
+            test_target_datalog_ignores_intensional_data;
+          Alcotest.test_case "cold prepares and warm executes intern nothing" `Quick
+            test_target_soak_interns_nothing;
+          Alcotest.test_case "concurrent prepares on a fresh program" `Quick
+            test_target_prepare_concurrent_fresh_program;
+        ] );
       ( "system",
         [
           Alcotest.test_case "virtual = materialized" `Quick test_system_answer_vs_materialized;
