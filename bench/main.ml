@@ -1544,39 +1544,8 @@ type cold_sample = {
 }
 
 let cold_prepare_samples () =
-  let program =
-    Tgd_gen.Dl_lite.to_program
-      (Tgd_gen.Dl_lite.random_tbox (Tgd_gen.Rng.create 2) ~n_concepts:24 ~n_roles:8 ~n_axioms:48)
-  in
-  let rng = Tgd_gen.Rng.create 3 in
-  let v = Term.var in
-  let concept x = Atom.of_strings (Printf.sprintf "a%d" (Tgd_gen.Rng.int rng 24)) [ x ] in
-  let role x y =
-    let r = Printf.sprintf "s%d" (Tgd_gen.Rng.int rng 8) in
-    if Tgd_gen.Rng.bool rng 0.5 then Atom.of_strings r [ x; y ] else Atom.of_strings r [ y; x ]
-  in
-  let const () = Term.const (Printf.sprintf "d%d" (Tgd_gen.Rng.int rng 20)) in
-  let q body = Cq.make ~name:"q" ~answer:[ v "X" ] ~body in
-  let generate () =
-    match Tgd_gen.Rng.int rng 6 with
-    | 0 -> q [ concept (v "X") ]
-    | 1 -> q [ role (v "X") (const ()) ]
-    | 2 -> q [ role (v "X") (v "Y"); concept (v "Y") ]
-    | 3 -> q [ role (v "X") (const ()); concept (v "X") ]
-    | 4 -> q [ role (v "X") (v "Y"); role (v "Y") (v "Z"); concept (v "Z") ]
-    | _ -> q [ role (v "X") (v "Y"); role (v "Y") (const ()) ]
-  in
-  let seen = Hashtbl.create 512 in
-  let queries = ref [] in
-  while Hashtbl.length seen < 300 do
-    let cq = generate () in
-    let key = Cq.canonical cq in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      queries := cq :: !queries
-    end
-  done;
-  let queries = List.rev !queries in
+  let program = Tgd_gen.Dl_lite.(to_program (cold_tbox ())) in
+  let queries = Tgd_gen.Dl_lite.cold_queries 300 in
   let n = List.length queries in
   let gov () = Tgd_exec.Governor.unlimited () in
   List.map

@@ -7,8 +7,8 @@ let depends ~on:(r1 : Tgd.t) (r2 : Tgd.t) =
   let q = Cq.make ~name:"dep" ~answer:[] ~body:r2.Tgd.body in
   let fragments = List.map Tgd.rename_to_pool (Tgd.single_head_normalize [ r1 ]) in
   (* Auxiliary-predicate fragments cannot unify with body(R2): their
-     predicate is fresh. Piece.all returns [] for them naturally. *)
-  List.exists (fun frag -> Tgd_rewrite.Piece.all q frag <> []) fragments
+     predicate is fresh. Piece.all_pooled returns [] for them naturally. *)
+  List.exists (fun frag -> Tgd_rewrite.Piece.all_pooled q frag <> []) fragments
 
 let graph p =
   let rules = Program.tgds p in

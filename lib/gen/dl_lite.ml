@@ -66,6 +66,41 @@ let random_tbox rng ~n_concepts ~n_roles ~n_axioms =
       if Rng.bool rng 0.25 && n_roles > 0 then Role_incl (random_role (), random_role ())
       else Concept_incl (random_concept (), random_concept ()))
 
+(* The served cold-query benchmark's TBox: 24 concepts, 8 roles, 48 axioms. *)
+let cold_tbox () = random_tbox (Rng.create 2) ~n_concepts:24 ~n_roles:8 ~n_axioms:48
+
+let cold_queries n =
+  let rng = Rng.create 3 in
+  let concept x = Atom.of_strings (Printf.sprintf "a%d" (Rng.int rng 24)) [ x ] in
+  let role x y =
+    let r = Printf.sprintf "s%d" (Rng.int rng 8) in
+    if Rng.bool rng 0.5 then Atom.of_strings r [ x; y ] else Atom.of_strings r [ y; x ]
+  in
+  let const () = Term.const (Printf.sprintf "d%d" (Rng.int rng 20)) in
+  let q body = Cq.make ~name:"q" ~answer:[ x ] ~body in
+  let generate () =
+    match Rng.int rng 6 with
+    | 0 -> q [ concept x ]
+    | 1 -> q [ role x (const ()) ]
+    | 2 -> q [ role x y; concept y ]
+    | 3 -> q [ role x (const ()); concept x ]
+    | 4 -> q [ role x y; role y z; concept z ]
+    | _ -> q [ role x y; role y (const ()) ]
+  in
+  let seen = Hashtbl.create n in
+  let rec fill acc k =
+    if k = n then List.rev acc
+    else
+      let cq = generate () in
+      let key = Cq.canonical cq in
+      if Hashtbl.mem seen key then fill acc k
+      else begin
+        Hashtbl.add seen key ();
+        fill (cq :: acc) (k + 1)
+      end
+  in
+  fill [] 0
+
 let functionality ?name role =
   match role with
   | Role r -> Tgd_chase.Egd.functional ?name r ~arity:2 ~key:[ 1 ] ~determined:2

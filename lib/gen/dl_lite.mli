@@ -27,6 +27,18 @@ val to_program : ?name:string -> tbox -> Program.t
 
 val random_tbox : Rng.t -> n_concepts:int -> n_roles:int -> n_axioms:int -> tbox
 
+val cold_tbox : unit -> tbox
+(** The TBox of the served cold-query benchmark: [random_tbox] with seed 2,
+    24 concepts ([a0 ... a23]), 8 roles ([s0 ... s7]) and 48 axioms. *)
+
+val cold_queries : int -> Cq.t list
+(** [cold_queries n] is [n] queries over {!cold_tbox}'s signature, pairwise
+    distinct up to {!Tgd_logic.Cq.canonical}, in the shapes of the served
+    cold-query stream: one concept or role atom, a role path ending in a
+    concept, and two-role paths, with constants [d0 ... d19]. Each has the
+    one answer variable [X]. The same [n] always gives the same list, and
+    a longer list extends a shorter one. *)
+
 val functionality : ?name:string -> role -> Tgd_chase.Egd.t
 (** DL-Lite_F's functionality axiom [funct R] as an EGD:
     [r(x,y), r(x,z) -> y = z] (keyed on the second position for inverse

@@ -1,4 +1,3 @@
-open Tgd_logic
 open Tgd_db
 open Tgd_rewrite
 
@@ -67,27 +66,26 @@ let saturated_answers ?gov program inst goal =
 
 (* Every Datalog artifact spells its intensional predicates the same way
    ([__dlr#1 ...], [__dlr#goal]), so an instance may hold a relation under
-   one of those names, loaded as data. It must not seed the saturation: the
-   artifact reads the instance without it. *)
-let without_intensional program inst =
-  let heads =
-    List.map (fun (r : Tgd.t) -> (List.hd r.Tgd.head).Atom.pred) (Program.tgds program)
-  in
-  let intensional p = List.exists (Symbol.equal p) heads in
-  if List.for_all (fun p -> Instance.relation inst p = None) heads then inst
+   one of those names, loaded as data. It must not seed the saturation:
+   the artifact reads the instance without it. The exclusion goes by
+   spelling, not by the artifact's rule heads, since a truncated run can
+   leave an intensional predicate that heads no rule. *)
+let without_intensional inst =
+  let preds = Instance.predicates inst in
+  if not (List.exists (fun (p, _) -> Datalog_rw.intensional p) preds) then inst
   else begin
     let work = Instance.create () in
     List.iter
       (fun (p, _) ->
-        if not (intensional p) then
+        if not (Datalog_rw.intensional p) then
           Instance.install_relation work p (Option.get (Instance.relation inst p)))
-      (Instance.predicates inst);
+      preds;
     work
   end
 
 let datalog_answers ?gov (r : Datalog_rw.result) inst =
   let program = r.Datalog_rw.program in
-  saturated_answers ?gov program (without_intensional program inst) (Datalog_rw.goal_query r)
+  saturated_answers ?gov program (without_intensional inst) (Datalog_rw.goal_query r)
 
 let answers ?gov ?pool ?workers artifact inst =
   match artifact with

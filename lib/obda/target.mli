@@ -74,9 +74,11 @@ val datalog_answers :
   ?gov:Tgd_exec.Governor.t -> Datalog_rw.result -> Instance.t -> Tuple.t list
 (** Certain answers through a Datalog artifact: {!saturated_answers} of the
     rewritten program and its goal query. Every artifact names its
-    intensional predicates [__dlr#1 ...] and [__dlr#goal]; a relation of
-    [inst] under one of those names (loadable as CSV data) is left out of
-    the saturation, so data never seeds an intensional predicate. *)
+    intensional predicates [__dlr#1 ...] and [__dlr#goal]; every relation
+    of [inst] spelled [__dlr#...] (loadable as CSV data) is left out of the
+    saturation ({!Datalog_rw.intensional}), so data never seeds an
+    intensional predicate, even one that heads no rule of a truncated
+    artifact. *)
 
 val answers :
   ?gov:Tgd_exec.Governor.t ->

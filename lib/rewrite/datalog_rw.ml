@@ -183,8 +183,10 @@ let decompose ~affected ~answer_vars (body : Atom.t list) =
    reuse spellings and interning is bounded by the largest program. Each
    artifact saturates its own copy of the instance, so two artifacts that
    share a spelling never meet. *)
-let pattern_pred = Symbol.numbered "__dlr#"
-let goal_pred = Symbol.intern "__dlr#goal"
+let prefix = "__dlr#"
+let pattern_pred = Symbol.numbered prefix
+let goal_pred = Symbol.intern (prefix ^ "goal")
+let intensional p = String.starts_with ~prefix (Symbol.name p)
 
 let rewrite ?(config = default_config) ?gov program q0 =
   let gov = match gov with Some g -> g | None -> Governor.unlimited () in

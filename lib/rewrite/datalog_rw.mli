@@ -108,6 +108,13 @@ val rewrite : ?config:config -> ?gov:Governor.t -> Program.t -> Cq.t -> result
     ([Tgd_obda.Target.datalog_answers] leaves such relations out of the
     saturation). *)
 
+val intensional : Symbol.t -> bool
+(** Whether the predicate is spelled like an artifact's intensional
+    predicate, [__dlr#...]. Every intensional predicate of every run is,
+    including those that head no rule (a pattern a truncated run never
+    explored, or a goal whose query was too large to decompose); no
+    predicate of the program or the query is. *)
+
 val goal_query : result -> Cq.t
 (** The trivial query [goal(V0, ..., Vn-1)] reading the goal relation of a
     saturated instance back out through {!Tgd_db.Eval.cq} — deduplicated,

@@ -24,7 +24,7 @@ let unify_piece body alpha piece_ixs =
       | Some s -> Unify.atoms s (List.nth body i) alpha)
     piece_ixs (Some Subst.empty)
 
-let all (q : Cq.t) rule =
+let all_pooled (q : Cq.t) rule =
   let alpha = head_atom rule in
   let body = q.Cq.body in
   let answer_vars = Cq.answer_vars q in
@@ -102,6 +102,8 @@ let all (q : Cq.t) rule =
   in
   List.iter consider starts;
   List.rev !results
+
+let all q rule = all_pooled q (Tgd.rename_apart rule)
 
 let apply (q : Cq.t) pu =
   let new_body = Subst.apply_atoms pu.subst (pu.remainder @ pu.rule.Tgd.body) in

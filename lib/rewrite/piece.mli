@@ -21,23 +21,26 @@
 open Tgd_logic
 
 type t = {
-  rule : Tgd.t;  (** the rule, as given: its variables are apart from the query's *)
+  rule : Tgd.t;  (** the rule, its variables apart from the query's *)
   piece : Atom.t list;  (** the unified query atoms [Q'] *)
   remainder : Atom.t list;  (** [body(q) \ Q'] *)
   subst : Subst.t;  (** the most general unifier *)
 }
 
 val all : Cq.t -> Tgd.t -> t list
-(** Every most general piece unifier of the query with the rule. The rule
-    must be single-head; raises [Invalid_argument] otherwise.
+(** Every most general piece unifier of the query with the rule, renamed
+    apart from the query first ({!Tgd_logic.Tgd.rename_apart}, which interns
+    fresh variables). The rule must be single-head; raises
+    [Invalid_argument] otherwise. *)
 
-    [all] renames nothing, so the rule and the query must share no
-    variable. The precondition is that the rule uses pool variables only
-    ({!Tgd_logic.Tgd.rename_to_pool}) and the query uses none. The
-    rewriters meet it by reading rules from
-    {!Tgd_logic.Program.rewriting} and by canonicalizing every CQ they
-    expand ({!Tgd_logic.Cq.canonical} names variables [V0, V1, ...]). A
-    caller that holds a parsed rule renames it into the pool first. *)
+val all_pooled : Cq.t -> Tgd.t -> t list
+(** [all] without the renaming, for a rule already renamed into the
+    reserved pool ({!Tgd_logic.Tgd.rename_to_pool}): it interns nothing.
+    The precondition is that the rule uses pool variables only and the
+    query uses none, so the two share no variable; a query and a rule that
+    share one get wrong unifiers. The rewriters meet it by reading rules
+    from {!Tgd_logic.Program.rewriting} and by canonicalizing every CQ they
+    expand ({!Tgd_logic.Cq.canonical} names variables [V0, V1, ...]). *)
 
 val apply : Cq.t -> t -> Cq.t
 (** The one-step rewriting [q[Q' := body(R)]u]: replace the piece by the rule

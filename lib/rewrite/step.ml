@@ -27,6 +27,7 @@ let rewrite_steps (view : Program.rewriting) (q : Cq.t) =
       | None -> acc
       | Some rules ->
         List.fold_left
-          (fun acc rule -> List.rev_append (List.map (fun pu -> Piece.apply q pu) (Piece.all q rule)) acc)
+          (fun acc rule ->
+            List.rev_append (List.map (fun pu -> Piece.apply q pu) (Piece.all_pooled q rule)) acc)
           acc rules)
     preds []

@@ -15,6 +15,6 @@ val factorizations : Cq.t -> Cq.t list
 
 val rewrite_steps : Program.rewriting -> Cq.t -> Cq.t list
 (** Every one-step piece rewriting of the query with a relevant rule of the
-    program's rewriting view ({!Piece.all} / {!Piece.apply}). The query
+    program's rewriting view ({!Piece.all_pooled} / {!Piece.apply}). The query
     must use no pool variable, which holds for every canonical CQ
     ({!Cq.canonical}). *)

@@ -599,46 +599,55 @@ let test_target_datalog_ignores_intensional_data () =
   Alcotest.(check (list string)) "only the certain answer"
     [ "ada" ]
     (List.map (fun t -> Format.asprintf "%a" Value.pp t.(0)) answers);
-  Alcotest.(check int) "the instance is untouched" 3 (Instance.cardinality inst)
-
-(* A DL-Lite TBox and a stream of distinct atomic, path and two-path
-   queries over it, the shape of the served cold-query benchmark. The
-   queries are built up front, so building them interns nothing later. *)
-let dl_cold_program () =
-  Tgd_gen.Dl_lite.to_program
-    (Tgd_gen.Dl_lite.random_tbox (Rng.create 2) ~n_concepts:24 ~n_roles:8 ~n_axioms:48)
-
-let dl_cold_queries n =
-  let rng = Rng.create 3 in
-  let concept x = atom (Printf.sprintf "a%d" (Rng.int rng 24)) [ x ] in
-  let role x y =
-    let r = Printf.sprintf "s%d" (Rng.int rng 8) in
-    if Rng.bool rng 0.5 then atom r [ x; y ] else atom r [ y; x ]
+  Alcotest.(check int) "the instance is untouched" 3 (Instance.cardinality inst);
+  (* A query over more than 64 atoms: the rewriter drops its goal rule, so
+     [__dlr#goal] heads no rule, and the data under that name is still no
+     answer. *)
+  let chain =
+    List.init 65 (fun i ->
+        atom "knows" [ v (Printf.sprintf "Y%d" i); v (Printf.sprintf "Y%d" (i + 1)) ])
   in
-  let const () = c (Printf.sprintf "d%d" (Rng.int rng 20)) in
-  let q body = Cq.make ~name:"q" ~answer:[ v "X" ] ~body in
-  let generate () =
-    match Rng.int rng 6 with
-    | 0 -> q [ concept (v "X") ]
-    | 1 -> q [ role (v "X") (const ()) ]
-    | 2 -> q [ role (v "X") (v "Y"); concept (v "Y") ]
-    | 3 -> q [ role (v "X") (const ()); concept (v "X") ]
-    | 4 -> q [ role (v "X") (v "Y"); role (v "Y") (v "Z"); concept (v "Z") ]
-    | _ -> q [ role (v "X") (v "Y"); role (v "Y") (const ()) ]
-  in
-  let seen = Hashtbl.create n in
-  let rec fill acc k =
-    if k = n then List.rev acc
-    else
-      let cq = generate () in
-      let key = Cq.canonical cq in
-      if Hashtbl.mem seen key then fill acc k
-      else begin
-        Hashtbl.add seen key ();
-        fill (cq :: acc) (k + 1)
-      end
-  in
-  fill [] 0
+  let dl = Tgd_rewrite.Datalog_rw.rewrite p (Cq.make ~name:"q" ~answer:[ v "Y0" ] ~body:chain) in
+  Alcotest.(check bool) "the oversize query truncates" false
+    (Target.complete (Target.Datalog_rewriting dl));
+  Alcotest.(check int) "and has no answer" 0 (List.length (Target.datalog_answers dl inst));
+  (* Truncated runs over University, whose two-atom heads normalize into
+     auxiliary predicates: a pattern over them gets no base rule, so one
+     left unexplored appears in rule bodies only. Data under such a name
+     changes no answer. *)
+  let data = Tgd_gen.University.generate_data (Rng.create 5) ~scale:4 in
+  Instance.seal data;
+  let dangling = ref 0 in
+  List.iter
+    (fun max_patterns ->
+      List.iter
+        (fun q ->
+          let config = { Tgd_rewrite.Datalog_rw.default_config with max_patterns } in
+          let dl = Tgd_rewrite.Datalog_rw.rewrite ~config Tgd_gen.University.ontology q in
+          let tgds = Program.tgds dl.Tgd_rewrite.Datalog_rw.program in
+          let heads = List.map (fun (r : Tgd.t) -> (List.hd r.Tgd.head).Atom.pred) tgds in
+          let poisoned = Instance.copy data in
+          List.iter
+            (fun (r : Tgd.t) ->
+              List.iter
+                (fun (a : Atom.t) ->
+                  if Tgd_rewrite.Datalog_rw.intensional a.Atom.pred
+                     && not (List.exists (Symbol.equal a.Atom.pred) heads)
+                  then begin
+                    incr dangling;
+                    ignore
+                      (Instance.add_fact poisoned a.Atom.pred
+                         (Array.map (fun _ -> Value.const "mallory") a.Atom.args))
+                  end)
+                r.Tgd.body)
+            tgds;
+          let clean = Target.datalog_answers dl data in
+          if not (tuples_equal (Target.datalog_answers dl poisoned) clean) then
+            Alcotest.failf "max_patterns %d: data seeded an intensional predicate" max_patterns)
+        Tgd_gen.University.queries)
+    [ 2; 4; 8; 16 ];
+  Alcotest.(check bool) "some truncated run leaves a predicate that heads no rule" true
+    (!dangling > 0)
 
 (* Cold prepares and warm Datalog executes intern nothing: after a
    warm-up, the symbol table stays the same size over 1,000 cold prepares
@@ -647,8 +656,9 @@ let dl_cold_queries n =
    and fresh pattern names for every Datalog run, and reading a Datalog
    artifact's answers interned a fresh variable per answer column. *)
 let test_target_soak_interns_nothing () =
-  let program = dl_cold_program () in
-  let queries = dl_cold_queries 1_000 in
+  let program = Tgd_gen.Dl_lite.(to_program (cold_tbox ())) in
+  (* Built up front, so building them interns nothing later. *)
+  let queries = Tgd_gen.Dl_lite.cold_queries 1_000 in
   let gov () = Tgd_exec.Governor.unlimited () in
   let prepare target q = Target.prepare ~gov target program q in
   List.iter

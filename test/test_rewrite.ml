@@ -96,6 +96,20 @@ let test_piece_requires_single_head () =
   Alcotest.check_raises "multi-head rejected" (Invalid_argument "Piece.all: rule must be single-head")
     (fun () -> ignore (Piece.all q rule))
 
+let test_piece_renames_rule_apart () =
+  (* The rule and the query both use X and Y, in crossed roles. [Piece.all]
+     renames the rule apart first: the query's X meets the rule's
+     existential, and the rewriting is [q(Y) :- p(Y)]. Unrenamed, the two
+     X's would be one variable and the existential's class would hold the
+     frontier. [Piece.all_pooled] on the rule renamed into the pool agrees. *)
+  let rule = Tgd.make ~name:"r" ~body:[ atom "p" [ v "X" ] ] ~head:[ atom "s" [ v "X"; v "Y" ] ] in
+  let q = Cq.make ~name:"q" ~answer:[ v "Y" ] ~body:[ atom "s" [ v "Y"; v "X" ] ] in
+  let expected = Cq.canonical (Cq.make ~name:"q" ~answer:[ v "Y" ] ~body:[ atom "p" [ v "Y" ] ]) in
+  let rewritings unifiers = List.map (fun pu -> Cq.canonical (Piece.apply q pu)) unifiers in
+  Alcotest.(check bool) "renamed apart" true ([ expected ] = rewritings (Piece.all q rule));
+  Alcotest.(check bool) "pooled" true
+    ([ expected ] = rewritings (Piece.all_pooled q (Tgd.rename_to_pool rule)))
+
 let test_piece_apply_substitutes_answers () =
   (* Unifying can specialise the answer tuple. *)
   let rule =
@@ -236,13 +250,14 @@ let test_rewrite_empty_program () =
 
 (* Each run's containment counts are its own, and a function of the
    program and the query alone. University query 1 is rewritten four times
-   in a row and then by two domains at once, 50 times each beside query 5:
-   every run reports the checks, pre-filtered checks and searches of the
-   first. No rewriting interns a symbol, so the fingerprints, and with them
-   the exploration and the counts, cannot shift between runs. *)
+   in a row; then three domains rewrite queries 1, 5 and 6 at once, 200
+   times each: every run reports the checks, pre-filtered checks and
+   searches of a lone run. No rewriting interns a symbol, so the
+   fingerprints, and with them the exploration and the counts, cannot
+   shift between runs or across domains. *)
 let test_rewrite_counts_per_run () =
   let program = Tgd_gen.University.ontology in
-  let queries = List.filteri (fun i _ -> i = 0 || i = 4) Tgd_gen.University.queries in
+  let queries = List.filteri (fun i _ -> i = 0 || i = 4 || i = 5) Tgd_gen.University.queries in
   let counts q =
     let s = (Rewrite.ucq program q).Rewrite.stats in
     (s.Rewrite.containment_checks, s.Rewrite.containment_pruned, s.Rewrite.hom_searches)
@@ -256,7 +271,7 @@ let test_rewrite_counts_per_run () =
   Alcotest.(check bool) "the runs search for homomorphisms" true
     (List.for_all (fun (_, _, searches) -> searches > 0) alone);
   let domains =
-    List.map (fun q -> Domain.spawn (fun () -> List.init 50 (fun _ -> counts q))) queries
+    List.map (fun q -> Domain.spawn (fun () -> List.init 200 (fun _ -> counts q))) queries
   in
   List.iter2
     (fun dom expected ->
@@ -270,11 +285,11 @@ let test_rewrite_counts_per_run () =
 (* Oracle: rules renamed apart at every step *)
 
 (* The rewriter renames each rule once per program into the reserved pool
-   and hands it to [Piece.all] as is. The oracle does what the rewriter did
-   before: it renames the rule apart with fresh symbols at every (CQ, rule)
-   pair, and otherwise explores, prunes and minimizes the way [Rewrite.ucq]
-   does, over plain lists. Both must give the same set of canonical
-   disjuncts, truncated runs included. *)
+   and hands it to [Piece.all_pooled] as is. The oracle does what the
+   rewriter did before: it calls [Piece.all], which renames the rule apart
+   with fresh symbols at every (CQ, rule) pair, and otherwise explores,
+   prunes and minimizes the way [Rewrite.ucq] does, over plain lists. Both
+   must give the same set of canonical disjuncts, truncated runs included. *)
 let oracle_steps (view : Program.rewriting) (q : Cq.t) =
   let preds =
     List.fold_left (fun acc (a : Atom.t) -> Symbol.Set.add a.Atom.pred acc) Symbol.Set.empty q.Cq.body
@@ -286,7 +301,7 @@ let oracle_steps (view : Program.rewriting) (q : Cq.t) =
       | Some rules ->
         List.fold_left
           (fun acc rule ->
-            List.rev_append (List.map (Piece.apply q) (Piece.all q (Tgd.rename_apart rule))) acc)
+            List.rev_append (List.map (Piece.apply q) (Piece.all q rule)) acc)
           acc rules)
     preds []
 
@@ -417,6 +432,7 @@ let () =
             test_piece_growth_fails_on_other_predicate;
           Alcotest.test_case "single-head required" `Quick test_piece_requires_single_head;
           Alcotest.test_case "answers substituted" `Quick test_piece_apply_substitutes_answers;
+          Alcotest.test_case "rule renamed apart" `Quick test_piece_renames_rule_apart;
         ] );
       ( "rewrite",
         [
