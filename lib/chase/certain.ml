@@ -6,7 +6,7 @@ type result = {
   chase : Chase.stats;
 }
 
-let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst disjuncts =
+let cq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst q =
   let work = Instance.copy inst in
   let chase = Chase.run ?variant ?max_rounds ?max_facts ?gov program work in
   let answers =
@@ -16,7 +16,7 @@ let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst di
       | None, Some p -> Tgd_exec.Pool.size p
       | None, None -> 1
     in
-    Par_eval.ucq ?gov ?pool ~workers work disjuncts
+    Par_eval.ucq ?gov ?pool ~workers work [ q ]
     |> List.filter (fun t -> not (Tuple.has_null t))
   in
   let exact =
@@ -26,6 +26,3 @@ let ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst di
     && (match gov with None -> true | Some g -> Tgd_exec.Governor.stopped g = None)
   in
   { answers; exact; chase }
-
-let cq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst q =
-  ucq ?variant ?max_rounds ?max_facts ?gov ?pool ?eval_workers program inst [ q ]

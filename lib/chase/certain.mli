@@ -16,7 +16,7 @@ type result = {
   chase : Chase.stats;
 }
 
-val ucq :
+val cq :
   ?variant:Chase.variant ->
   ?max_rounds:int ->
   ?max_facts:int ->
@@ -25,7 +25,7 @@ val ucq :
   ?eval_workers:int ->
   Program.t ->
   Instance.t ->
-  Cq.ucq ->
+  Cq.t ->
   result
 (** The input instance is not modified (the chase runs on a copy). When
     [exact] is false the answers are a sound under-approximation of the
@@ -38,15 +38,3 @@ val ucq :
     [eval_workers > 1] (or a [pool]) additionally splits the leading scans
     into that many workers' morsels. [eval_workers] defaults to the
     [pool]'s size when only a pool is given. *)
-
-val cq :
-  ?variant:Chase.variant ->
-  ?max_rounds:int ->
-  ?max_facts:int ->
-  ?gov:Tgd_exec.Governor.t ->
-  ?pool:Tgd_exec.Pool.t ->
-  ?eval_workers:int ->
-  Program.t ->
-  Instance.t ->
-  Cq.t ->
-  result

@@ -16,10 +16,6 @@ type violation = {
   v2 : Value.t;
 }
 
-let pp_violation ppf viol =
-  Format.fprintf ppf "EGD %s equates distinct constants %a and %a" viol.egd.Egd.name Value.pp
-    viol.v1 Value.pp viol.v2
-
 type stats = {
   outcome : outcome;
   rounds : int;

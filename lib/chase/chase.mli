@@ -45,8 +45,6 @@ type violation = {
   v2 : Value.t;  (** the two distinct constants that were equated *)
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 type stats = {
   outcome : outcome;
       (** [Terminated] iff the fixpoint was reached within budget (a hard

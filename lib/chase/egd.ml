@@ -38,10 +38,3 @@ let functional ?name pred ~arity ~key ~determined =
   let left = Symbol.intern (Printf.sprintf "L%d" determined) in
   let right = Symbol.intern (Printf.sprintf "R%d" determined) in
   make ?name ~body:[ a1; a2 ] ~left ~right
-
-let pp ppf egd =
-  let atoms ppf l =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") Atom.pp ppf l
-  in
-  Format.fprintf ppf "[%s] %a -> %a = %a" egd.name atoms egd.body Symbol.pp egd.left Symbol.pp
-    egd.right

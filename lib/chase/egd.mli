@@ -30,5 +30,3 @@ val functional : ?name:string -> string -> arity:int -> key:int list -> determin
     predicate: two tuples agreeing on the key positions agree on the
     determined one. [functional "r" ~arity:2 ~key:[1] ~determined:2] is
     DL-Lite's [funct r]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,6 @@
 
 open Tgd_logic
 
-val rule_ok : Tgd.t -> bool
-(** [rule_ok r] holds when [r] has no existential head variable — every
-    head variable also occurs in the body. *)
-
 val check : Program.t -> bool
-(** [check p] holds when every rule of [p] satisfies {!rule_ok}. *)
+(** [check p] holds when no rule of [p] has an existential head variable:
+    every head variable also occurs in the body. *)

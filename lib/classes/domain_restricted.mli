@@ -5,9 +5,6 @@
 
 open Tgd_logic
 
-val rule_ok : Tgd.t -> bool
-(** [rule_ok r] holds when each head atom of [r] contains either all the
-    body variables of [r] or none of them. *)
-
 val check : Program.t -> bool
-(** [check p] holds when every rule of [p] satisfies {!rule_ok}. *)
+(** [check p] holds when each head atom of every rule of [p] contains
+    either all the body variables of its rule or none of them. *)

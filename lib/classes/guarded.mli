@@ -3,9 +3,6 @@
 
 open Tgd_logic
 
-val rule_ok : Tgd.t -> bool
-(** [rule_ok r] holds when some body atom of [r] contains every body
-    variable of [r]. *)
-
 val check : Program.t -> bool
-(** [check p] holds when every rule of [p] satisfies {!rule_ok}. *)
+(** [check p] holds when every rule of [p] has a body atom that contains
+    every body variable of the rule. *)

@@ -3,8 +3,5 @@
 
 open Tgd_logic
 
-val rule_ok : Tgd.t -> bool
-(** [rule_ok r] holds when the body of [r] is a single atom. *)
-
 val check : Program.t -> bool
-(** [check p] holds when every rule of [p] satisfies {!rule_ok}. *)
+(** [check p] holds when the body of every rule of [p] is a single atom. *)

@@ -4,9 +4,6 @@
 
 open Tgd_logic
 
-val rule_ok : Tgd.t -> bool
-(** [rule_ok r] holds when every body atom of [r] contains all the body
-    variables of [r] (each atom is a guard). *)
-
 val check : Program.t -> bool
-(** [check p] holds when every rule of [p] satisfies {!rule_ok}. *)
+(** [check p] holds when every body atom of every rule of [p] contains all
+    the body variables of its rule (each atom is a guard). *)

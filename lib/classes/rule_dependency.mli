@@ -14,10 +14,6 @@ open Tgd_logic
 val depends : on:Tgd.t -> Tgd.t -> bool
 (** [depends ~on:r1 r2]: can firing [r1] enable a new application of [r2]? *)
 
-val graph : Program.t -> (string * string) list
-(** Dependency edges [r1 -> r2] (by rule name) meaning [r2] depends on
-    [r1]. *)
-
 val acyclic : Program.t -> bool
 (** [acyclic p] holds when {!graph} has no cycle (conservatively, given
     that {!depends} may over-approximate): the chase terminates and the

@@ -69,5 +69,3 @@ let load path =
     let src = really_input_string ic len in
     close_in ic;
     of_string ~filename:(Filename.basename path) src
-
-let pp ppf case = Format.pp_print_string ppf (to_string case)

@@ -32,5 +32,3 @@ val of_string : ?filename:string -> string -> (t, string) result
 
 val save : t -> path:string -> unit
 val load : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@ type t =
   | Whole of Symbol.t
   | At of Symbol.t * int
 
-let rel = function Whole r -> r | At (r, _) -> r
-
 let equal p1 p2 =
   match p1, p2 with
   | Whole r1, Whole r2 -> Symbol.equal r1 r2

@@ -7,7 +7,6 @@ type t =
   | Whole of Symbol.t  (** [r[ ]] *)
   | At of Symbol.t * int  (** [r[i]] *)
 
-val rel : t -> Symbol.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

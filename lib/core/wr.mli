@@ -19,8 +19,6 @@ type verdict = {
 
 val check : ?max_nodes:int -> Program.t -> verdict
 
-val dangerous_cycle_in_graph : P_node_graph.G.t -> bool
-
 val check_exact : ?limit:int -> P_node_graph.G.t -> bool option
 (** Simple-cycle reading of Definition 8 by bounded enumeration:
     [Some true] if a simple i-edge-free cycle carries d, m and s; [Some

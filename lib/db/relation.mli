@@ -31,7 +31,6 @@ val insert : t -> Tuple.t -> bool
 
 val mem : t -> Tuple.t -> bool
 val iter : (Tuple.t -> unit) -> t -> unit
-val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Tuple.t list
 
 val lookup : t -> pos:int -> Value.t -> Tuple.t list

@@ -133,8 +133,3 @@ let to_string t =
     | Some s -> ints @ [ Printf.sprintf "deadline=%g" s ]
   in
   String.concat "," all
-
-let pp ppf t =
-  match to_string t with
-  | "" -> Format.pp_print_string ppf "<unlimited>"
-  | s -> Format.pp_print_string ppf s

@@ -68,5 +68,3 @@ val of_string : ?base:t -> string -> (t, string) result
 
 val to_string : t -> string
 (** Round-trips through {!of_string}; [""] for {!unlimited}. *)
-
-val pp : Format.formatter -> t -> unit

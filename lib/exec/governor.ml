@@ -50,7 +50,6 @@ let create ?(budget = Budget.unlimited) ?cancel ?telemetry () =
   }
 
 let unlimited () = create ()
-let budget g = g.budget
 let telemetry g = g.telemetry
 let elapsed_s g = Unix.gettimeofday () -. g.started
 

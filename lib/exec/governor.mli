@@ -46,7 +46,6 @@ val create : ?budget:Budget.t -> ?cancel:(unit -> bool) -> ?telemetry:Telemetry.
 val unlimited : unit -> t
 (** [create ()]: never stops on its own, still collects telemetry. *)
 
-val budget : t -> Budget.t
 val telemetry : t -> Telemetry.t
 
 val live : t -> bool
@@ -95,8 +94,6 @@ val diagnostics : t -> diagnostics option
 (** [Some] iff the governor has stopped; the snapshot reflects the
     telemetry at call time, so engines may record final counts (kept /
     retired disjuncts, facts materialized) just before taking it. *)
-
-val elapsed_s : t -> float
 
 val report_json : ?run:string -> ?extra:(string * string) list -> t -> string
 (** The full run record as one JSON object:

@@ -20,15 +20,7 @@ let create () =
     phases = Hashtbl.create 8;
   }
 
-let reset t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.counters;
-      Hashtbl.reset t.peaks;
-      Hashtbl.reset t.phases)
-
-(* Find or create the atomic cell for a key. Writers that cached a cell
-   across a concurrent [reset] would update a dropped cell; reset is a
-   run-boundary operation and must not race with writers. *)
+(* Find or create the atomic cell for a key. *)
 let cell t tbl key =
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt tbl key with

@@ -6,16 +6,11 @@
     [Atomic.t] cells (adds use [fetch_and_add], peaks a CAS-max loop), so
     concurrent workers charging one sink never lose updates — totals are
     exact. The record's mutex guards only the key->cell tables and the
-    float-valued phase table. {!reset} is a run-boundary operation and must
-    not race with writers. *)
+    float-valued phase table. *)
 
 type t
 
 val create : unit -> t
-
-val reset : t -> unit
-(** Clear every counter, peak and phase. Used between consecutive runs in
-    one process so telemetry never accumulates stale counts. *)
 
 (** {1 Counters} *)
 
@@ -26,8 +21,7 @@ val add : t -> string -> int -> int
 val counter : t -> string -> int Atomic.t
 (** The cell behind counter [key], created at [0] if absent (so the key
     then shows in {!counters}). Adding to it is {!add} without the lock and
-    the key lookup; a caller may keep it for the length of a run. {!reset}
-    drops the cell, so it must not be kept across a reset. *)
+    the key lookup; a caller may keep it for the length of a run. *)
 
 val get : t -> string -> int
 (** Current value of a counter ([0] if never charged). *)

@@ -146,22 +146,3 @@ let random_tbox rng ~n_concepts ~n_roles ~n_axioms ?(allow_recursion = false) ()
             | _ -> Atomic (List.nth concepts (floor_ + Rng.int rng (n_concepts - floor_)))
         in
         Incl (lhs, rhs))
-
-let pp_role ppf = function
-  | Role r -> Format.pp_print_string ppf r
-  | Inv r -> Format.fprintf ppf "%s-" r
-
-let pp_concept ppf = function
-  | Atomic a -> Format.pp_print_string ppf a
-  | Exists r -> Format.fprintf ppf "exists %a" pp_role r
-  | Exists_in (r, a) -> Format.fprintf ppf "exists %a.%s" pp_role r a
-
-let pp_axiom ppf = function
-  | Incl (lhs, rhs) ->
-    Format.fprintf ppf "%a [= %a"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " & ")
-         pp_concept)
-      lhs pp_concept rhs
-  | Role_incl (r1, r2) -> Format.fprintf ppf "%a [= %a" pp_role r1 pp_role r2
-  | Disjoint (c1, c2) -> Format.fprintf ppf "disjoint(%a, %a)" pp_concept c1 pp_concept c2

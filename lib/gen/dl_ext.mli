@@ -40,10 +40,6 @@ type axiom =
 
 type tbox = axiom list
 
-val to_tgds : tbox -> Tgd.t list * Atom.t list list
-(** The positive axioms as TGDs and the disjointness axioms as negative-
-    constraint bodies. *)
-
 val to_program : ?name:string -> tbox -> Program.t * Atom.t list list
 
 val clinic : tbox
@@ -57,5 +53,3 @@ val random_tbox :
     generator may produce qualified-existential recursion, which typically
     breaks FO-rewritability — useful for exercising the negative side of the
     classifier. *)
-
-val pp_axiom : Format.formatter -> axiom -> unit

@@ -19,11 +19,9 @@ type axiom =
 
 type tbox = axiom list
 
-val to_tgds : tbox -> Tgd.t list
+val to_program : ?name:string -> tbox -> Program.t
 (** Concepts become unary predicates, roles binary predicates. Every
     produced TGD is linear and simple. *)
-
-val to_program : ?name:string -> tbox -> Program.t
 
 val random_tbox : Rng.t -> n_concepts:int -> n_roles:int -> n_axioms:int -> tbox
 

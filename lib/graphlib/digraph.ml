@@ -55,7 +55,6 @@ module Make (N : NODE) (L : LABEL) = struct
       g.m <- g.m + 1
     end
 
-  let mem_node g v = Tbl.mem g.ids v
   let nodes g = List.rev g.node_list
   let n_nodes g = g.n
   let n_edges g = g.m

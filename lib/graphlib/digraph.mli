@@ -34,7 +34,6 @@ module Make (N : NODE) (L : LABEL) : sig
   (** Endpoints are added as nodes if absent. Duplicate (src, label, dst)
       triples are kept once. *)
 
-  val mem_node : t -> N.t -> bool
   val nodes : t -> N.t list
   (** In insertion order. *)
 

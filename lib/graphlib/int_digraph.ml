@@ -15,10 +15,7 @@ let make ~n ~edges =
   Array.iteri (fun u l -> out.(u) <- List.rev l) out;
   { n; edges; out }
 
-let n_vertices g = g.n
-let n_edges g = Array.length g.edges
 let edge g i = g.edges.(i)
-let out_edges g u = g.out.(u)
 
 let all_edges_ok _ = true
 

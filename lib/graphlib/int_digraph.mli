@@ -11,11 +11,7 @@ val make : n:int -> edges:(int * int) array -> t
     pair is one directed edge. Parallel edges and self-loops are allowed.
     Raises [Invalid_argument] if an endpoint is out of range. *)
 
-val n_vertices : t -> int
-val n_edges : t -> int
 val edge : t -> int -> int * int
-val out_edges : t -> int -> int list
-(** Indices of the edges leaving a vertex. *)
 
 val scc : ?edge_ok:(int -> bool) -> t -> int array * int
 (** Tarjan strongly connected components, iterative. Returns the component

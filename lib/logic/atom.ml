@@ -66,8 +66,6 @@ let compare a1 a2 =
       in
       loop 0
 
-let hash a = Array.fold_left (fun h t -> (h * 31) + Term.hash t) (Symbol.hash a.pred) a.args
-
 let pp ppf a =
   if Array.length a.args = 0 then Symbol.pp ppf a.pred
   else

@@ -32,7 +32,6 @@ val apply : (Term.t -> Term.t) -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -31,14 +31,6 @@ let answer_vars q =
 
 let existential_vars q = Symbol.Set.diff (vars q) (answer_vars q)
 
-let constants q =
-  let in_body =
-    List.fold_left (fun acc a -> Symbol.Set.union acc (Atom.constants a)) Symbol.Set.empty q.body
-  in
-  List.fold_left
-    (fun acc t -> match t with Term.Const c -> Symbol.Set.add c acc | Term.Var _ -> acc)
-    in_body q.answer
-
 let apply s q =
   {
     q with

@@ -21,8 +21,6 @@ val answer_vars : t -> Symbol.Set.t
 val existential_vars : t -> Symbol.Set.t
 (** Body variables that are not answer variables. *)
 
-val constants : t -> Symbol.Set.t
-
 val apply : Subst.t -> t -> t
 (** Apply a substitution to answer terms and body. The result must still be
     safe (it is, for substitutions produced by unification of body atoms). *)

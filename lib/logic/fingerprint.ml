@@ -9,18 +9,16 @@
 type t = {
   pred_bits : int;
   const_bits : int;
-  n_atoms : int;
   preds : (Symbol.t * int) array;  (* distinct predicates, sorted, with atom counts *)
 }
 
 let bit_of sym = 1 lsl (Symbol.hash sym land 0x3FFFFFFF mod 63)
 
 let of_body body =
-  let pred_bits = ref 0 and const_bits = ref 0 and n_atoms = ref 0 in
+  let pred_bits = ref 0 and const_bits = ref 0 in
   let counts = Symbol.Table.create 8 in
   List.iter
     (fun (a : Atom.t) ->
-      incr n_atoms;
       pred_bits := !pred_bits lor bit_of a.Atom.pred;
       let c = Option.value ~default:0 (Symbol.Table.find_opt counts a.Atom.pred) in
       Symbol.Table.replace counts a.Atom.pred (c + 1);
@@ -33,10 +31,9 @@ let of_body body =
     body;
   let preds = Array.of_seq (Symbol.Table.to_seq counts) in
   Array.sort (fun (p1, _) (p2, _) -> Symbol.compare p1 p2) preds;
-  { pred_bits = !pred_bits; const_bits = !const_bits; n_atoms = !n_atoms; preds }
+  { pred_bits = !pred_bits; const_bits = !const_bits; preds }
 
 let pred_bits fp = fp.pred_bits
-let n_atoms fp = fp.n_atoms
 
 let subset_bits b1 b2 = b1 land lnot b2 = 0
 

@@ -21,5 +21,3 @@ val pred_bits : t -> int
 
 val subset_bits : int -> int -> bool
 (** [subset_bits b1 b2]: every bit of [b1] is set in [b2]. *)
-
-val n_atoms : t -> int

@@ -5,7 +5,12 @@
     is the standard device for CQ containment and for finding chase
     triggers. The mapping is a direct (non-triangular) map from source
     variables to target terms, so source and target variable names may
-    overlap without capture. *)
+    overlap without capture.
+
+    The search is backtracking over the source atoms in the order that
+    {!Join_plan} gives them, the same planner the two evaluators of
+    [Tgd_db] use, with each atom's size the number of target atoms of its
+    predicate. *)
 
 type mapping = Term.t Symbol.Map.t
 
@@ -15,28 +20,24 @@ type target
 val target_of_atoms : Atom.t list -> target
 
 type source
-(** The target-independent half of the search's atom-ordering heuristic,
-    computed once per source body and reusable across searches against
-    different targets (see {!source_of_atoms}). *)
+(** A source body prepared once for {!Join_plan.order} ({!Join_plan.prepare}),
+    with the orders already made for it, keyed by the target's predicate
+    counts; reusable across searches against different targets and safe to
+    share between domains. *)
 
 val source_of_atoms : is_bound:(Symbol.t -> bool) -> Atom.t list -> source
-(** Precompute ordering data for a source body. [is_bound] must hold exactly
-    for the variables that the search's [init] mapping will bind; passing a
-    [source] whose [is_bound] disagrees with [init] degrades the atom order
-    but never affects soundness or completeness. *)
-
-val find : ?source:source -> ?init:mapping -> Atom.t list -> target -> mapping option
-(** First homomorphism extending [init], if any. Source atoms with constants
-    must match target constants exactly. When [source] is given it must have
-    been built from the same atom list. *)
+(** Prepare a source body. [is_bound] must hold exactly for the variables
+    that the search's [init] mapping will bind; passing a [source] whose
+    [is_bound] disagrees with [init] degrades the atom order but never
+    affects soundness or completeness. *)
 
 val exists : ?source:source -> ?init:mapping -> Atom.t list -> target -> bool
+(** Whether some homomorphism extends [init]. Source atoms with constants
+    must match target constants exactly. When [source] is given it must have
+    been built from the same atom list. *)
 
 val all : ?init:mapping -> Atom.t list -> target -> mapping list
 (** All homomorphisms (distinct mappings of the source variables). *)
 
 val iter : ?init:mapping -> (mapping -> unit) -> Atom.t list -> target -> unit
-
-val apply : mapping -> Atom.t -> Atom.t
-(** Replace each mapped variable by its image; unmapped variables are kept. *)
 

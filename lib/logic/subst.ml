@@ -1,13 +1,10 @@
 type t = Term.t Symbol.Map.t
 
 let empty = Symbol.Map.empty
-let is_empty = Symbol.Map.is_empty
 
 let bind v t s =
   if Symbol.Map.mem v s then invalid_arg "Subst.bind: variable already bound";
   Symbol.Map.add v t s
-
-let find v s = Symbol.Map.find_opt v s
 
 let rec walk s t =
   match t with
@@ -22,12 +19,3 @@ let apply_atoms s atoms = List.map (apply_atom s) atoms
 let apply_terms s terms = List.map (walk s) terms
 
 let of_list l = List.fold_left (fun s (v, t) -> bind v t s) empty l
-let to_list s = Symbol.Map.bindings s
-
-let domain s = Symbol.Map.fold (fun v _ acc -> Symbol.Set.add v acc) s Symbol.Set.empty
-
-let pp ppf s =
-  let pp_binding ppf (v, t) = Format.fprintf ppf "%a:=%a" Symbol.pp v Term.pp t in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_binding)
-    (to_list s)

@@ -8,13 +8,10 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val bind : Symbol.t -> Term.t -> t -> t
 (** [bind v t s] adds the binding [v -> t]. Raises [Invalid_argument] if [v]
     is already bound. *)
-
-val find : Symbol.t -> t -> Term.t option
 
 val walk : t -> Term.t -> Term.t
 (** Resolve a term through the substitution until it is a constant or an
@@ -25,7 +22,3 @@ val apply_atoms : t -> Atom.t list -> Atom.t list
 val apply_terms : t -> Term.t list -> Term.t list
 
 val of_list : (Symbol.t * Term.t) list -> t
-val to_list : t -> (Symbol.t * Term.t) list
-
-val domain : t -> Symbol.Set.t
-val pp : Format.formatter -> t -> unit

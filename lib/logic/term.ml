@@ -29,8 +29,6 @@ let pp ppf = function
   | Var v -> Symbol.pp ppf v
   | Const c -> Symbol.pp ppf c
 
-let to_string t = Format.asprintf "%a" pp t
-
 module Ord = struct
   type nonrec t = t
 

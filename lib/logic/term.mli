@@ -22,7 +22,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -92,13 +92,6 @@ let single_head_normalize rules =
   in
   List.concat_map split rules
 
-let equal r1 r2 =
-  String.equal r1.name r2.name
-  && List.length r1.body = List.length r2.body
-  && List.length r1.head = List.length r2.head
-  && List.for_all2 Atom.equal r1.body r2.body
-  && List.for_all2 Atom.equal r1.head r2.head
-
 let pp_atoms ppf atoms =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")

@@ -55,6 +55,5 @@ val single_head_normalize : t list -> t list
     transformation preserves certain answers for queries over the original
     signature. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,9 +1,5 @@
 (** Syntactic unification over function-free terms. *)
 
-val terms : Subst.t -> Term.t -> Term.t -> Subst.t option
-(** Extend a substitution so that the two terms become equal, or return
-    [None] if they clash on distinct constants. *)
-
 val atoms : Subst.t -> Atom.t -> Atom.t -> Subst.t option
 (** Unify two atoms argument-wise (same predicate and arity required). *)
 

@@ -49,9 +49,3 @@ let check ?config ?(unfold = Fun.id) program constraints inst =
       constraints
   in
   { consistent = violations = []; violations; complete = !complete }
-
-let pp ppf nc =
-  let atoms ppf l =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") Atom.pp ppf l
-  in
-  Format.fprintf ppf "[%s] %a -> falsum" nc.name atoms nc.body

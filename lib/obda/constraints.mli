@@ -18,8 +18,6 @@ type t = private {
 val make : ?name:string -> Atom.t list -> t
 (** Raises [Invalid_argument] on an empty body. *)
 
-val to_boolean_cq : t -> Cq.t
-
 type violation = {
   constraint_ : t;
   witness : Cq.t;  (** the rewritten disjunct that matched the data *)
@@ -43,5 +41,3 @@ val check :
     its mappings onto the sources) and evaluate over the instance. When
     [complete] is [false] the verdict "consistent" is only a failure to
     find a violation within the rewriting budget. *)
-
-val pp : Format.formatter -> t -> unit

@@ -157,6 +157,3 @@ let of_cq (q : Cq.t) =
   in
   let cq = Cq.make ~name:q.Cq.name ~answer:(List.map rename q.Cq.answer) ~body in
   { cq; key; hash = Hashtbl.hash key; exact }
-
-let equal t1 t2 = String.equal t1.key t2.key
-let pp ppf t = Format.fprintf ppf "%s" t.key

@@ -33,8 +33,3 @@ val max_exact_existentials : int
 (** Exhaustive-search bound on the number of existential variables (8). *)
 
 val of_cq : Cq.t -> t
-
-val equal : t -> t -> bool
-(** Key equality. *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,10 +51,6 @@ val listen : ?backlog:int -> addr -> listener
 val listener_addr : listener -> addr
 (** The bound address, with the real port filled in. *)
 
-val close_listener : listener -> unit
-(** Close the socket (and unlink a Unix path). {!serve} does this itself
-    on shutdown; call it only for listeners never passed to {!serve}. *)
-
 val serve :
   ?workers:int ->
   ?queue_bound:int ->

@@ -125,7 +125,6 @@ let append t record =
 
 let records t = t.records
 let bytes t = t.bytes
-let fsync_enabled t = t.fsync
 
 let reset t =
   Unix.ftruncate t.fd 0;

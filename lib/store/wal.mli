@@ -43,8 +43,6 @@ val records : t -> int
 val bytes : t -> int
 (** Valid bytes currently in the log. *)
 
-val fsync_enabled : t -> bool
-
 val reset : t -> unit
 (** Truncate the log to empty — the post-checkpoint trim: the snapshot now
     covers everything the log held. *)

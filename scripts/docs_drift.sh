@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Docs-drift check: fail when MANUAL.md and the obda CLI disagree about
-# which flags exist.
+# which flags exist, or when the docs cite a lib/ source file that is gone.
 #
 # For every subcommand listed by `obda --help`, the flag inventory of
 # `obda CMD --help=plain` (OPTIONS section; the cmdliner COMMON OPTIONS
@@ -14,7 +14,9 @@
 #   - PHANTOM: the command's MANUAL.md section mentions a flag the
 #     command does not accept;
 #   - MISSING SECTION: a subcommand exists with no "### `obda CMD`"
-#     heading at all.
+#     heading at all;
+#   - MISSING SOURCE: DESIGN.md, README.md, EXPERIMENTS.md or MANUAL.md
+#     names a lib/<dir>/<file>.ml or .mli that does not exist.
 #
 # Usage: scripts/docs_drift.sh  (from the repo root)
 #   OBDA=/path/to/obda.exe MANUAL=path/to/MANUAL.md to override.
@@ -130,8 +132,20 @@ $sec_flags
 EOF
 done
 
+# Source paths cited by the docs must exist, so a moved or deleted module
+# takes its citations with it.
+for doc in DESIGN.md README.md EXPERIMENTS.md MANUAL.md; do
+  [ -f "$doc" ] || continue
+  for path in $(grep -o 'lib/[A-Za-z0-9_]*/[A-Za-z0-9_]*\.mli\?\b' "$doc" | sort -u); do
+    if [ ! -f "$path" ]; then
+      echo "docs-drift: MISSING SOURCE: $doc names $path, which does not exist" >&2
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
-  echo "docs-drift: FAILED — update MANUAL.md (or the cmdliner terms) until both agree" >&2
+  echo "docs-drift: FAILED — update the docs (or the cmdliner terms) until they agree with the code" >&2
   exit 1
 fi
-echo "docs-drift: OK — MANUAL.md flag inventory matches every subcommand's --help"
+echo "docs-drift: OK — MANUAL.md flag inventory matches every subcommand's --help; every cited lib/ source exists"

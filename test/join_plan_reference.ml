@@ -1,3 +1,7 @@
+(* The join planner as it was before it moved to lib/logic and split into
+   [prepare]/[order], kept verbatim below this comment as the oracle of
+   test_props' planner property. *)
+
 open Tgd_logic
 
 type arg =

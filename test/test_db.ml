@@ -514,6 +514,21 @@ let test_plan_isolated_last () =
   in
   Alcotest.(check (list int)) "isolated atom last" [ 1; 2; 0 ] (order (plan db body))
 
+let test_plan_checks_before_binds () =
+  (* After p(X) and h(X,Y), d(Y) only filters: it goes before h(X,Z), which
+     has as many bound positions and would bind Z. *)
+  let body =
+    [
+      atom "p" [ v "X" ];
+      atom "h" [ v "X"; v "Y" ];
+      atom "d" [ v "Y" ];
+      atom "h" [ v "X"; v "Z" ];
+      atom "d" [ v "Z" ];
+    ]
+  in
+  Alcotest.(check (list int)) "each check right after its binding" [ 0; 1; 2; 3; 4 ]
+    (order (Join_plan.make ~sizes:(Array.make 5 1) body))
+
 (* ------------------------------------------------------------------ *)
 (* Sql *)
 
@@ -794,6 +809,7 @@ let () =
           Alcotest.test_case "repeated variable binds then checks" `Quick
             test_plan_repeated_variable;
           Alcotest.test_case "isolated atom last" `Quick test_plan_isolated_last;
+          Alcotest.test_case "checks before binds" `Quick test_plan_checks_before_binds;
         ] );
       ( "sql",
         [

@@ -274,6 +274,19 @@ let test_hom_frozen_vars () =
   Alcotest.(check bool) "const does not match frozen var" false
     (Homomorphism.exists [ atom "p" [ c "a" ] ] target)
 
+let test_hom_checks_before_binds () =
+  (* A professor heading 31 departments, against a frozen copy whose extra
+     head_of atom, tried first, reaches a node that is no department. An
+     order that places every head_of before the department atoms that
+     check them backtracks through 32^31 partial maps; each check must
+     follow the atom that binds its variable. *)
+  let n = 31 in
+  let dept i = atom "department" [ v (Printf.sprintf "D%d" i) ] in
+  let head i = atom "head_of" [ v "P"; v (Printf.sprintf "D%d" i) ] in
+  let body = (atom "professor" [ v "P" ] :: List.init n dept) @ List.init n head in
+  let target = Homomorphism.target_of_atoms (body @ [ head n ]) in
+  Alcotest.(check bool) "found" true (Homomorphism.exists body target)
+
 (* ------------------------------------------------------------------ *)
 (* Containment *)
 
@@ -441,6 +454,7 @@ let () =
           Alcotest.test_case "initial mapping" `Quick test_hom_init;
           Alcotest.test_case "all homomorphisms" `Quick test_hom_all_count;
           Alcotest.test_case "frozen variables" `Quick test_hom_frozen_vars;
+          Alcotest.test_case "checks before binds" `Quick test_hom_checks_before_binds;
         ] );
       ( "containment",
         [

@@ -137,6 +137,93 @@ let prop_minimize_preserves =
       Containment.ucq_contained m ucq && Containment.ucq_contained ucq m)
 
 (* ------------------------------------------------------------------ *)
+(* Planner: Join_plan against a verbatim copy of the planner as it was
+   before the prepare/order split (test/join_plan_reference.ml). The one
+   rule added since, an atom with every position fixed goes before any
+   atom that binds, is the only difference allowed. *)
+
+type plan_case = {
+  body : Atom.t list;
+  sizes : int array;
+  init : Symbol.t list;
+  forced : int;
+}
+
+let gen_plan_case =
+  QCheck.Gen.(
+    let var = map (fun i -> v (Printf.sprintf "X%d" i)) (int_bound 7) in
+    let term = frequency [ (4, var); (1, gen_const) ] in
+    let atom =
+      gen_pred >>= fun (name, arity) ->
+      list_repeat arity term >>= fun args -> return (Atom.of_strings name args)
+    in
+    int_range 1 8 >>= fun n ->
+    list_repeat n atom >>= fun body ->
+    array_repeat n (int_bound 5) >>= fun sizes ->
+    list_repeat 8 bool >>= fun bits ->
+    int_range (-1) (n - 1) >>= fun forced ->
+    let init =
+      List.concat (List.mapi (fun i b -> if b then [ Symbol.intern (Printf.sprintf "X%d" i) ] else []) bits)
+    in
+    return { body; sizes; init; forced })
+
+let print_plan_case pc =
+  Printf.sprintf "%s sizes=[%s] init={%s} forced=%d"
+    (String.concat ", " (List.map Atom.to_string pc.body))
+    (String.concat ";" (Array.to_list (Array.map string_of_int pc.sizes)))
+    (String.concat "," (List.map Symbol.name pc.init))
+    pc.forced
+
+(* Does a plan, given as (index, atom, binds anything) per step, ever place
+   an atom that binds while another atom waits with every position fixed?
+   The forced atom is exempt. *)
+let defers_a_check pc steps =
+  let bound = Hashtbl.create 8 in
+  List.iter (fun x -> Hashtbl.replace bound x ()) pc.init;
+  let fixed (a : Atom.t) =
+    Array.for_all (function Term.Const _ -> true | Term.Var x -> Hashtbl.mem bound x) a.Atom.args
+  in
+  let rec go = function
+    | [] -> false
+    | (index, (atom : Atom.t), binds) :: later ->
+      (binds && index <> pc.forced && List.exists (fun (_, a, _) -> fixed a) later)
+      || begin
+           Array.iter (function Term.Var x -> Hashtbl.replace bound x () | Term.Const _ -> ()) atom.Atom.args;
+           go later
+         end
+  in
+  go steps
+
+let prop_join_plan_matches_reference =
+  QCheck.Test.make ~name:"Join_plan.make equals the reference planner" ~count:2000
+    (QCheck.make ~print:print_plan_case gen_plan_case)
+    (fun pc ->
+      let init v = List.exists (Symbol.equal v) pc.init in
+      let arg = function
+        | Join_plan_reference.Const c -> Join_plan.Const c
+        | Join_plan_reference.Bind x -> Join_plan.Bind x
+        | Join_plan_reference.Check x -> Join_plan.Check x
+      in
+      let reference =
+        Array.to_list
+          (Array.map
+             (fun (s : Join_plan_reference.step) -> (s.index, s.atom, s.probe, Array.map arg s.args))
+             (Join_plan_reference.make ~init ~forced:pc.forced ~sizes:pc.sizes pc.body))
+      in
+      let plan =
+        Array.to_list
+          (Array.map
+             (fun (s : Join_plan.step) -> (s.index, s.atom, s.probe, s.args))
+             (Join_plan.make ~init ~forced:pc.forced ~sizes:pc.sizes pc.body))
+      in
+      let shape =
+        List.map (fun (index, atom, _, args) ->
+            (index, atom, Array.exists (function Join_plan.Bind _ -> true | _ -> false) args))
+      in
+      if defers_a_check pc (shape reference) then not (defers_a_check pc (shape plan))
+      else plan = reference)
+
+(* ------------------------------------------------------------------ *)
 (* Evaluation vs homomorphism cross-validation *)
 
 let prop_eval_matches_homomorphisms =
@@ -441,6 +528,7 @@ let () =
           ] );
       ( "rewrite-determinism",
         [ Alcotest.test_case "domains=1 vs domains=4" `Quick test_rewrite_domain_determinism ] );
+      ("planner", List.map to_alcotest [ prop_join_plan_matches_reference ]);
       ("evaluation", List.map to_alcotest [ prop_eval_matches_homomorphisms ]);
       ("chase", List.map to_alcotest [ prop_chase_equals_datalog ]);
       ( "graphs",
