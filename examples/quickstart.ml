@@ -50,7 +50,7 @@ let () =
      without materialization. *)
   let db = Tgd_db.Instance.of_atoms doc.Tgd_parser.Parser.facts in
   let answers =
-    Tgd_db.Eval.ucq db rewriting.Tgd_rewrite.Rewrite.ucq
+    Tgd_db.Par_eval.ucq db rewriting.Tgd_rewrite.Rewrite.ucq
     |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t))
   in
   Format.printf "@.== certain answers (rewriting) ==@.";

@@ -45,11 +45,11 @@ let () =
       let rewriting, t_rw = time (fun () -> Tgd_rewrite.Rewrite.ucq ontology q) in
       let answers_rw, t_eval =
         time (fun () ->
-            Eval.ucq data rewriting.Tgd_rewrite.Rewrite.ucq
+            Par_eval.ucq data rewriting.Tgd_rewrite.Rewrite.ucq
             |> List.filter (fun t -> not (Tuple.has_null t)))
       in
       let answers_chase, t_ceval =
-        time (fun () -> Eval.cq chased_inst q |> List.filter (fun t -> not (Tuple.has_null t)))
+        time (fun () -> Par_eval.ucq chased_inst [ q ] |> List.filter (fun t -> not (Tuple.has_null t)))
       in
       let agree =
         List.length answers_rw = List.length answers_chase

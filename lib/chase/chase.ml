@@ -33,10 +33,10 @@ type keys =
   | Datalog_keys
 
 module Key_table = Hashtbl.Make (struct
-  type t = string * Tuple.t
+  type t = string * int array
 
-  let equal (n1, t1) (n2, t2) = String.equal n1 n2 && Tuple.equal t1 t2
-  let hash (n, t) = (Hashtbl.hash n * 31) + Tuple.hash t
+  let equal (n1, (t1 : int array)) (n2, t2) = String.equal n1 n2 && t1 = t2
+  let hash (n, t) = (Hashtbl.hash n * 31) + Col_eval.hash_codes t
 end)
 
 let default_governor ~max_rounds ~max_facts () =
@@ -68,24 +68,18 @@ let find_egd_step ?gov egds inst frontier =
   try
     List.iter
       (fun (egd : Egd.t) ->
-        Trigger.bindings ?gov inst egd.Egd.body ~delta:frontier (fun env ->
-            let l = Symbol.Map.find egd.Egd.left env and r = Symbol.Map.find egd.Egd.right env in
-            if not (Value.equal l r) then
-              match (l, r) with
-              | Value.Null _, _ -> raise (Merge (l, r))
-              | _, Value.Null _ -> raise (Merge (r, l))
-              | Value.Const _, Value.Const _ -> raise (Hard { egd; v1 = l; v2 = r })))
+        let answer = [ Term.Var egd.Egd.left; Term.Var egd.Egd.right ] in
+        Trigger.bindings ?gov inst egd.Egd.body ~answer ~delta:frontier (fun codes ->
+            if codes.(0) <> codes.(1) then
+              match (Value.decode codes.(0), Value.decode codes.(1)) with
+              | (Value.Null _ as l), r -> raise (Merge (l, r))
+              | l, (Value.Null _ as r) -> raise (Merge (r, l))
+              | l, r -> raise (Hard { egd; v1 = l; v2 = r })))
       egds;
     `Stable
   with
   | Merge (from_, to_) -> `Merge (from_, to_)
   | Hard v -> `Hard v
-
-(* The head of a rule without existential variables under a body match. *)
-let instantiate env (a : Atom.t) =
-  Array.map
-    (function Term.Const c -> Value.Const c | Term.Var v -> Symbol.Map.find v env)
-    a.Atom.args
 
 let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?gov ?null_floor
     ?(egds = []) ?batch ?(keys = Chase_keys) program inst =
@@ -145,12 +139,16 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     end;
     added
   in
-  let fire_full ~delta_out (r : Tgd.t) env =
+  (* A rule without existential variables is searched for its head
+     atoms' arguments, back to back: each match codes its head facts. *)
+  let fire_full ~delta_out (r : Tgd.t) codes =
     if Governor.live gov then begin
-      let added =
+      let _, added =
         List.fold_left
-          (fun added (a : Atom.t) -> add_fact ~delta_out a.Atom.pred (instantiate env a) || added)
-          false r.Tgd.head
+          (fun (off, added) (a : Atom.t) ->
+            let t = Array.init (Atom.arity a) (fun j -> Value.decode codes.(off + j)) in
+            (off + Atom.arity a, add_fact ~delta_out a.Atom.pred t || added))
+          (0, false) r.Tgd.head
       in
       if added then begin
         incr triggers_fired;
@@ -160,7 +158,9 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     else skipped_work := true
   in
   let apply_trigger ~delta_out tr =
-    let k = Trigger.key tr in
+    (* Two triggers of one rule with one frontier row fire the same head
+       (up to null naming): the oblivious chase fires one of them. *)
+    let k = (tr.Trigger.rule.Tgd.name, tr.Trigger.frontier) in
     if not (Key_table.mem fired k) then begin
       Key_table.add fired k ();
       if variant = Oblivious || not (Trigger.is_satisfied ?gov:eval_gov tr inst) then begin
@@ -174,19 +174,22 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
   in
   let rules =
     List.map
-      (fun r -> (r, Symbol.Set.is_empty (Tgd.existential_head_vars r)))
+      (fun (r : Tgd.t) ->
+        if Symbol.Set.is_empty (Tgd.existential_head_vars r) then
+          (r, true, List.concat_map (fun (a : Atom.t) -> Array.to_list a.Atom.args) r.Tgd.head)
+        else (r, false, List.map (fun v -> Term.Var v) (Trigger.frontier_vars r)))
       (Tgd_logic.Program.tgds program)
   in
   let tgd_round frontier =
     let delta_out : Tuple.t list Symbol.Table.t = Symbol.Table.create 16 in
     let triggers = ref [] in
     List.iter
-      (fun ((r : Tgd.t), full) ->
+      (fun ((r : Tgd.t), full, answer) ->
         let found =
           if full then fire_full ~delta_out r
-          else fun env -> triggers := { Trigger.rule = r; env } :: !triggers
+          else fun codes -> triggers := { Trigger.rule = r; frontier = Array.copy codes } :: !triggers
         in
-        Trigger.bindings ?gov:eval_gov inst r.Tgd.body ~delta:frontier found)
+        Trigger.bindings ?gov:eval_gov inst r.Tgd.body ~answer ~delta:frontier found)
       rules;
     (* Budget checks sit at the trigger loop head, not just between rounds:
        a single round over a large frontier can fire unboundedly many

@@ -102,6 +102,12 @@ val run :
     fact is already idempotent); such a match counts as a fired trigger
     when it adds a fact.
 
+    Every search runs compiled ({!Tgd_db.Col_eval}) over the rows as they
+    were when it began. A row a firing inserts meanwhile is in the round's
+    new facts, so the next round finds every match that uses it: no match
+    is lost. The restricted check compiles when it runs, so it sees every
+    fact inserted before it.
+
     Invented nulls are numbered above [null_floor] (default:
     {!Instance.max_null}[ inst], scanned on the first invention), so
     chasing an instance that already holds nulls never reuses their labels;

@@ -3,66 +3,40 @@ open Tgd_db
 
 type t = {
   rule : Tgd.t;
-  env : Eval.env;
+  frontier : int array;
 }
 
-let key tr =
-  let frontier = Symbol.Set.elements (Tgd.frontier tr.rule) in
-  let values =
-    Array.of_list
-      (List.map
-         (fun v ->
-           match Symbol.Map.find_opt v tr.env with
-           | Some value -> value
-           | None -> invalid_arg "Trigger.key: unbound frontier variable")
-         frontier)
-  in
-  (tr.rule.Tgd.name, values)
+let frontier_vars r = Symbol.Set.elements (Tgd.frontier r)
 
 let is_satisfied ?gov tr inst =
-  let frontier = Tgd.frontier tr.rule in
-  let init = Symbol.Map.filter (fun v _ -> Symbol.Set.mem v frontier) tr.env in
-  let found = ref false in
-  (try
-     Eval.bindings ?gov ~init inst tr.rule.Tgd.head (fun _ ->
-         found := true;
-         raise Exit)
-   with Exit -> ());
-  !found
+  let head = Cq.make ~name:tr.rule.Tgd.name ~answer:[] ~body:tr.rule.Tgd.head in
+  let plan = Col_eval.compile ~bound:(frontier_vars tr.rule) inst head in
+  match Col_eval.iter ?gov ~bound:tr.frontier plan (fun _ -> raise Exit) with
+  | () -> false
+  | exception Exit -> true
 
 let head_facts tr gen =
-  let ex_vars = Tgd.existential_head_vars tr.rule in
-  let nulls =
-    Symbol.Set.fold (fun v acc -> Symbol.Map.add v (Null_gen.next gen) acc) ex_vars Symbol.Map.empty
+  let env =
+    Symbol.Set.fold
+      (fun v acc -> Symbol.Map.add v (Null_gen.next gen) acc)
+      (Tgd.existential_head_vars tr.rule) Symbol.Map.empty
   in
-  let value t =
-    match t with
-    | Term.Const c -> Value.Const c
-    | Term.Var v -> (
-      match Symbol.Map.find_opt v tr.env with
-      | Some value -> value
-      | None -> (
-        match Symbol.Map.find_opt v nulls with
-        | Some value -> value
-        | None -> invalid_arg "Trigger.head_facts: unbound head variable"))
+  let env =
+    List.fold_left2
+      (fun env v code -> Symbol.Map.add v (Value.decode code) env)
+      env (frontier_vars tr.rule) (Array.to_list tr.frontier)
   in
+  let value = function Term.Const c -> Value.Const c | Term.Var v -> Symbol.Map.find v env in
   List.map (fun (a : Atom.t) -> (a.Atom.pred, Array.map value a.Atom.args)) tr.rule.Tgd.head
 
-let bindings ?gov inst body ~delta k =
+let bindings ?gov inst body ~answer ~delta k =
+  let q = lazy (Cq.make ~name:"body" ~answer ~body) in
   match delta with
-  | None -> Eval.bindings ?gov inst body k
+  | None -> Col_eval.iter ?gov (Col_eval.compile inst (Lazy.force q)) k
   | Some delta ->
     List.iteri
       (fun i (a : Atom.t) ->
         match Symbol.Table.find_opt delta a.Atom.pred with
         | None | Some [] -> ()
-        | Some tuples -> Eval.bindings ?gov ~forced:(i, tuples) inst body k)
+        | Some rows -> Col_eval.iter ?gov (Col_eval.compile ~forced:(i, rows) inst (Lazy.force q)) k)
       body
-
-let find_new ?gov program inst ~delta =
-  let triggers = ref [] in
-  List.iter
-    (fun (r : Tgd.t) ->
-      bindings ?gov inst r.Tgd.body ~delta (fun env -> triggers := { rule = r; env } :: !triggers))
-    (Program.tgds program);
-  List.rev !triggers

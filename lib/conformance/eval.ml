@@ -1,4 +1,5 @@
 open Tgd_logic
+open Tgd_db
 
 type env = Value.t Symbol.Map.t
 
@@ -90,16 +91,6 @@ let answer_tuple env answer =
   in
   Array.of_list (List.map value answer)
 
-let collect ?gov inst (q : Cq.t) acc =
-  bindings ?gov inst q.Cq.body (fun env ->
-      let t = answer_tuple env q.Cq.answer in
-      if not (Tuple.Table.mem acc t) then Tuple.Table.add acc t ())
-
-let cq ?gov inst q =
-  let acc = Tuple.Table.create 64 in
-  collect ?gov inst q acc;
-  Tuple.Table.fold (fun t () l -> t :: l) acc [] |> List.sort Tuple.compare
-
 exception Found
 
 let cq_exists ?gov inst q =
@@ -110,5 +101,10 @@ let cq_exists ?gov inst q =
 
 let ucq ?gov inst disjuncts =
   let acc = Tuple.Table.create 64 in
-  List.iter (fun q -> collect ?gov inst q acc) disjuncts;
+  List.iter
+    (fun (q : Cq.t) ->
+      bindings ?gov inst q.Cq.body (fun env -> Tuple.Table.replace acc (answer_tuple env q.Cq.answer) ()))
+    disjuncts;
   Tuple.Table.fold (fun t () l -> t :: l) acc [] |> List.sort Tuple.compare
+
+let cq ?gov inst q = ucq ?gov inst [ q ]

@@ -1,21 +1,18 @@
-(** Conjunctive-query evaluation over an instance.
+(** Boxed conjunctive-query evaluation: the conformance oracle for the
+    library's one evaluator, {!Tgd_db.Col_eval}. Production code never
+    runs it; the invariants, the tests and the benchmarks' boxed baselines
+    compare the compiled engine against it.
 
-    The evaluator performs an index-nested-loop join over boxed relations.
-    Each call orders the body once with {!Join_plan.make} (the planner
-    {!Col_eval} compiles too) and interprets that plan: a step's probe
-    column is served from the per-column hash indexes of {!Relation}, its
-    relation is fetched from the live instance at every node (the chase
-    adds facts from inside the join callback), and every argument either
-    matches a constant, binds a variable or checks a bound one.
-
-    Every entry point takes an optional {!Tgd_exec.Governor}: a governed
-    evaluation charges [eval.steps] per join-search node and stops emitting
-    bindings as soon as the governor trips (deadline, budget, cancellation),
-    yielding the answers found so far — the caller distinguishes a complete
-    from a truncated answer set by asking the governor. Without a governor
-    the code path is unchanged and pays no overhead. *)
+    It interprets the {!Tgd_logic.Join_plan} the compiled engine compiles,
+    as an index-nested-loop join over boxed relations: a step's probe
+    column is served from the per-column hash indexes of
+    {!Tgd_db.Relation}, and its relation is fetched from the live instance
+    at every node. A governed evaluation charges [eval.steps] per
+    join-search node and stops emitting bindings once the governor trips,
+    yielding the answers found so far. *)
 
 open Tgd_logic
+open Tgd_db
 
 type env = Value.t Symbol.Map.t
 (** A variable assignment. *)

@@ -2,7 +2,7 @@
     reference for {!Tgd_chase.Chase.run}.
 
     Every round recomputes every trigger of every rule over the whole
-    instance with {!Tgd_db.Eval.bindings} — no delta seeding, no fired-key
+    instance with {!Eval.bindings} — no delta seeding, no fired-key
     table, no inline firing of existential-free rules — and fires, in
     discovery order, each trigger whose head is not yet satisfied. It stops
     at the first round that fires nothing. Sharing no loop with the

@@ -60,7 +60,7 @@ let real =
     rewrite_union = (fun ~config p u -> Tgd_rewrite.Rewrite.ucq_of_union ~config p u);
     eval_ucq =
       (fun inst u ->
-        Tgd_db.Eval.ucq inst u |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t)));
+        Eval.ucq inst u |> List.filter (fun t -> not (Tgd_db.Tuple.has_null t)));
     eval_ucq_par =
       (fun ~workers ~partitions inst u ->
         (* min_tuples:1 forces the morsel machinery even on fuzz-scale

@@ -1,53 +1,52 @@
-(* Compiled conjunctive-query evaluation over columnar blocks.
+(* Compiled conjunctive-query evaluation over coded rows.
 
    A CQ body is compiled once into an array of join steps against the
-   sealed relations' columnar blocks: variables become numbered slots in a
-   single mutable [int array] binding frame, constants become pre-computed
-   value codes, and each step is a probe (CSR index range) or scan followed
-   by a flat array of per-column checks. The interpreter therefore
-   allocates nothing per candidate tuple — no [Symbol.Map] environments, no
-   boxed tuples — and every scan walks contiguous [int array]s, which is
-   what lets morsel workers run at memory bandwidth instead of fighting the
-   multicore minor heap (see E18 / BENCH_parallel_eval.json).
-
-   The join order and each step's probe column come from {!Join_plan},
-   the planner {!Eval.bindings} interprets over boxed relations; compiling
-   translates its steps into slots, codes and captured columns. *)
+   relations' coded rows (columnar block, then pending tail): variables
+   become numbered slots in a single mutable [int array] binding frame,
+   constants become pre-computed value codes, and each step is a probe or
+   scan followed by a flat array of per-column checks. The interpreter
+   allocates nothing per candidate tuple, and every scan walks contiguous
+   [int array]s, which is what lets morsel workers run at memory bandwidth
+   (see E18 / BENCH_parallel_eval.json). The join order and each step's
+   probe column come from {!Join_plan}. *)
 
 open Tgd_logic
 
-(* A check against one column of the step's block. The column array is
+(* A check against one column of a segment. The column array is
    captured directly so the inner loop does one load, not two. *)
 type check =
   | Check_const of int array * int (* column codes, required code *)
   | Check_slot of int array * int (* column codes, frame slot *)
   | Bind of int array * int (* column codes, frame slot to set *)
 
-type probe =
-  | Scan
-  | Probe_const of int (* column index, constant code *) * int
-  | Probe_slot of int * int (* column index, frame slot *)
-
-type step = {
-  plan : Join_plan.step;
-  block : Columnar.t;
-  probe : probe;
-  checks : check array;
-}
-
 type out_arg =
   | Out_slot of int
   | Out_code of int
+
+(* One source of a step's rows: its block, or the pending tail up to
+   [nrows], its length at compile time. [probe ~col code] is [(ids,
+   start, len)]: the matching row ids are [ids.(start) ..]. *)
+type seg = {
+  checks : check array;
+  nrows : int;
+  probe : col:int -> int -> int array * int * int;
+}
+
+(* A step reads its segments in order, the block's rows before the
+   tail's. [probe] is the probed column ([-1]: a scan) and [key] the code
+   it must hold. *)
+type step = {
+  plan : Join_plan.step;
+  probe : int;
+  key : out_arg;
+  segs : seg array;
+}
 
 type t = {
   steps : step array;
   nslots : int;
   out : out_arg array;
 }
-
-type compiled =
-  | Compiled of t
-  | Empty (* a body atom can never match: the disjunct has no answers *)
 
 let out_arity t = Array.length t.out
 
@@ -164,104 +163,137 @@ let decode_row (a : int array) ~stride ~row =
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 
-exception No_match
-
 let const_code c = Value.code (Value.Const c)
 
-let block_of inst (a : Atom.t) =
-  match Instance.relation inst a.Atom.pred with
-  | None -> raise No_match
-  | Some rel ->
-    if Relation.arity rel <> Atom.arity a then raise No_match
-    else (
-      match Relation.columnar rel with
-      | Some block -> block
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Col_eval.compile: relation %s is not sealed"
-             (Symbol.name a.Atom.pred)))
+(* A step's rows: a relation's block and tail, or rows alone (a forced
+   delta, or none for a relation that is missing or of another arity). *)
+type source =
+  | Rel of Relation.t
+  | Rows of Columnar.t
 
-let compile inst (q : Cq.t) =
-  try
-    let blocks = Array.of_list (List.map (block_of inst) q.Cq.body) in
-    let plan = Join_plan.make ~sizes:(Array.map Columnar.nrows blocks) q.Cq.body in
-    let slots = Symbol.Table.create 16 in
-    let step (s : Join_plan.step) =
-      let block = blocks.(s.Join_plan.index) in
-      let probed = Option.value s.Join_plan.probe ~default:(-1) in
-      let probe =
-        match s.Join_plan.probe with
-        | None -> Scan
-        | Some j -> (
-          match s.Join_plan.args.(j) with
-          | Join_plan.Const c -> Probe_const (j, const_code c)
-          | Join_plan.Check v | Join_plan.Bind v -> Probe_slot (j, Symbol.Table.find slots v))
-      in
-      (* One op per column, left to right, except the probed column: it
-         holds the probe value on every candidate row. *)
-      let check k =
-        let j = if probed >= 0 && k >= probed then k + 1 else k in
-        let col = Columnar.col block j in
-        match s.Join_plan.args.(j) with
-        | Join_plan.Const c -> Check_const (col, const_code c)
-        | Join_plan.Check v -> Check_slot (col, Symbol.Table.find slots v)
-        | Join_plan.Bind v ->
-          let slot = Symbol.Table.length slots in
-          Symbol.Table.add slots v slot;
-          Bind (col, slot)
-      in
-      let nchecks = Array.length s.Join_plan.args - if probed >= 0 then 1 else 0 in
-      { plan = s; block; probe; checks = Array.init nchecks check }
-    in
-    let steps = Array.map step plan in
-    let out =
-      List.map
-        (function
-          | Term.Const c -> Out_code (const_code c)
-          | Term.Var v -> (
-            match Symbol.Table.find_opt slots v with
-            | Some s -> Out_slot s
-            | None -> invalid_arg "Col_eval.compile: unbound answer variable"))
-        q.Cq.answer
-    in
-    Compiled { steps; nslots = Symbol.Table.length slots; out = Array.of_list out }
-  with No_match -> Empty
+let source_of inst ~forced i (a : Atom.t) =
+  let arity = Atom.arity a in
+  match (forced, Instance.relation inst a.Atom.pred) with
+  | Some (f, rows), _ when f = i ->
+    let rows = List.filter (fun t -> Array.length t = arity) rows in
+    let nrows = List.length rows in
+    let cols = Array.init arity (fun _ -> Array.make nrows 0) in
+    List.iteri (fun r t -> Array.iteri (fun j v -> cols.(j).(r) <- Value.code v) t) rows;
+    Rows (Result.get_ok (Columnar.of_columns ~arity ~nrows cols))
+  | _, Some rel when Relation.arity rel = arity -> Rel rel
+  | _ -> Rows (Columnar.empty ~arity)
 
+let block_seg checks b = { checks = checks (Columnar.col b); nrows = Columnar.nrows b; probe = Columnar.probe b }
+
+(* The tail's ids are ascending, and rows inserted since the compile come
+   last: the visible ones are a prefix. *)
+let tail_seg checks tail nrows =
+  let probe ~col code =
+    let ids, n = Relation.tail_probe tail ~col code in
+    let n = ref n in
+    while !n > 0 && ids.(!n - 1) >= nrows do
+      decr n
+    done;
+    (ids, 0, !n)
+  in
+  { checks = checks (Relation.tail_col tail); nrows; probe }
+
+let compile ?(bound = []) ?forced inst (q : Cq.t) =
+  let sources = Array.of_list (List.mapi (source_of inst ~forced) q.Cq.body) in
+  let plan =
+    Join_plan.make
+      ~init:(fun v -> List.exists (Symbol.equal v) bound)
+      ?forced:(Option.map fst forced)
+      ~sizes:(Array.map (function Rel r -> Relation.cardinality r | Rows b -> Columnar.nrows b) sources)
+      q.Cq.body
+  in
+  let slots = Symbol.Table.create 8 in
+  List.iter (fun v -> Symbol.Table.replace slots v (Symbol.Table.length slots)) bound;
+  let step (s : Join_plan.step) =
+    let source = sources.(s.Join_plan.index) in
+    (* Rows alone are a forced delta's few: scanned, every column checked. *)
+    let probe =
+      match (source, s.Join_plan.probe) with Rel _, Some j -> j | Rel _, None | Rows _, _ -> -1
+    in
+    let key =
+      if probe < 0 then Out_code 0
+      else
+        match s.Join_plan.args.(probe) with
+        | Join_plan.Const c -> Out_code (const_code c)
+        | Join_plan.Check v | Join_plan.Bind v -> Out_slot (Symbol.Table.find slots v)
+    in
+    (* One op per column, left to right, except the probed column: it
+       holds the probe value on every candidate row. *)
+    let op k =
+      let j = if probe >= 0 && k >= probe then k + 1 else k in
+      match s.Join_plan.args.(j) with
+      | Join_plan.Const c ->
+        let code = const_code c in
+        fun col -> Check_const (col j, code)
+      | Join_plan.Check v ->
+        let slot = Symbol.Table.find slots v in
+        fun col -> Check_slot (col j, slot)
+      | Join_plan.Bind v ->
+        let slot = Symbol.Table.length slots in
+        Symbol.Table.add slots v slot;
+        fun col -> Bind (col j, slot)
+    in
+    let ops = Array.init (Array.length s.Join_plan.args - if probe >= 0 then 1 else 0) op in
+    let checks col = Array.map (fun op -> op col) ops in
+    let segs =
+      match source with
+      | Rows b -> [| block_seg checks b |]
+      | Rel rel ->
+        let tails = List.filter (fun t -> Relation.tail_len t > 0) (Relation.tails rel) in
+        Array.of_list
+          (block_seg checks (Relation.block rel)
+          :: List.map (fun t -> tail_seg checks t (Relation.tail_len t)) tails)
+    in
+    { plan = s; probe; key; segs }
+  in
+  let steps = Array.map step plan in
+  let out =
+    List.map
+      (function
+        | Term.Const c -> Out_code (const_code c)
+        | Term.Var v -> (
+          match Symbol.Table.find_opt slots v with
+          | Some s -> Out_slot s
+          | None -> invalid_arg "Col_eval.compile: unbound answer variable"))
+      q.Cq.answer
+  in
+  { steps; nslots = Symbol.Table.length slots; out = Array.of_list out }
+
+let rows s = Array.fold_left (fun n seg -> n + seg.nrows) 0 s.segs
+let can_match t = Array.for_all (fun s -> rows s > 0) t.steps
 let steps t = Array.map (fun s -> s.plan) t.steps
 
 let pp ppf t =
   Array.iteri
     (fun k s ->
-      let access =
-        match s.plan.Join_plan.probe with
-        | None -> "scan"
-        | Some j -> Printf.sprintf "index probe on c%d" (j + 1)
-      in
+      let access = if s.probe < 0 then "scan" else Printf.sprintf "index probe on c%d" (s.probe + 1) in
       Format.fprintf ppf "%d. %a  via %s (%d rows)@." (k + 1) Atom.pp s.plan.Join_plan.atom access
-        (Columnar.nrows s.block))
+        (rows s))
     t.steps
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-(* Candidate rows of a step under the current frame: [(rows, start, len)]
-   where the row ids are [rows.(start) ..] when [rows] is [Some _] and the
-   identity range [start ..] otherwise (full scan). *)
-let candidates (s : step) (frame : int array) =
-  match s.probe with
-  | Scan -> (None, 0, Columnar.nrows s.block)
-  | Probe_const (col, code) ->
-    let rows, start, len = Columnar.probe s.block ~col code in
-    (Some rows, start, len)
-  | Probe_slot (col, slot) ->
-    let rows, start, len = Columnar.probe s.block ~col frame.(slot) in
+(* Candidate rows of a step's segment under the current frame:
+   [(rows, start, len)], the row ids [rows.(start) ..] when [rows] is
+   [Some _] and the identity range [start ..] otherwise (full scan). *)
+let candidates (s : step) seg (frame : int array) =
+  if s.probe < 0 then (None, 0, seg.nrows)
+  else
+    let code = match s.key with Out_slot slot -> frame.(slot) | Out_code c -> c in
+    let rows, start, len = seg.probe ~col:s.probe code in
     (Some rows, start, len)
 
 let lead_len t =
   if Array.length t.steps = 0 then 0
   else
-    let _, _, len = candidates t.steps.(0) [||] in
-    len
+    let s = t.steps.(0) in
+    Array.fold_left (fun n seg -> let _, _, len = candidates s seg [||] in n + len) 0 s.segs
 
 exception Stopped
 
@@ -271,26 +303,15 @@ exception Stopped
    stop is seen within a few thousand nodes. *)
 let stride = 256
 
-let run ?gov t ~lo ~hi ~emit =
+(* The join search. [node ()] is called once per matched candidate and
+   says whether to search below it; it may raise [Stopped]. The leading
+   step reads its candidates [lo .. hi - 1]: the block's first, then the
+   tail's. *)
+let exec ~node ?(bound = [||]) t ~lo ~hi ~emit =
   let frame = Array.make (max t.nslots 1) 0 in
+  Array.blit bound 0 frame 0 (Array.length bound);
   let steps = t.steps in
   let nsteps = Array.length steps in
-  let nodes = ref 0 in
-  let tick, flush =
-    match gov with
-    | None -> ((fun () -> ()), fun () -> ())
-    | Some g ->
-      let meter = Tgd_exec.Governor.meter g Tgd_exec.Budget.key_eval_steps in
-      ( (fun () ->
-          incr nodes;
-          if !nodes land (stride - 1) = 0 then begin
-            Tgd_exec.Governor.tick ~n:stride meter;
-            if not (Tgd_exec.Governor.live g) then raise Stopped
-          end),
-        fun () ->
-          let rem = !nodes land (stride - 1) in
-          if rem > 0 then Tgd_exec.Governor.tick ~n:rem meter )
-  in
   let nout = Array.length t.out in
   (* One scratch answer, refilled per match: the emit callback must copy
      what it keeps. Copying into a flat partition bucket is exactly what
@@ -316,56 +337,63 @@ let run ?gov t ~lo ~hi ~emit =
       Array.unsafe_set frame slot (Array.unsafe_get col r);
       checks_from cs n r (i + 1)
   in
-  let matches (s : step) r =
-    let cs = s.checks in
-    checks_from cs (Array.length cs) r 0
-  in
-  let rec at depth =
-    if depth = nsteps then emit_current ()
-    else begin
-      let s = Array.unsafe_get steps depth in
-      let rows, start, len = candidates s frame in
-      let stop = start + len in
-      match rows with
+  let rec visit depth ~lo ~hi =
+    let s = Array.unsafe_get steps depth in
+    let next = depth + 1 in
+    let off = ref 0 in
+    for g = 0 to Array.length s.segs - 1 do
+      let seg = Array.unsafe_get s.segs g in
+      let rows, start, len = candidates s seg frame in
+      let a = start + max 0 (lo - !off) and b = start + min len (hi - !off) in
+      (match rows with
       | None ->
-        for r = start to stop - 1 do
-          if matches s r then begin
-            tick ();
-            at (depth + 1)
-          end
+        for r = a to b - 1 do
+          try_row seg.checks r next
         done
       | Some rows ->
-        for k = start to stop - 1 do
-          let r = Array.unsafe_get rows k in
-          if matches s r then begin
-            tick ();
-            at (depth + 1)
-          end
-        done
-    end
+        for k = a to b - 1 do
+          try_row seg.checks (Array.unsafe_get rows k) next
+        done);
+      off := !off + len
+    done
+  and try_row cs r next = if checks_from cs (Array.length cs) r 0 && node () then at next
+  and at depth = if depth = nsteps then emit_current () else visit depth ~lo:0 ~hi:max_int in
+  if nsteps = 0 then emit_current () else visit 0 ~lo ~hi
+
+let run ?gov t ~lo ~hi ~emit =
+  match gov with
+  | None -> exec ~node:(fun () -> true) t ~lo ~hi ~emit
+  | Some g ->
+    let meter = Tgd_exec.Governor.meter g Tgd_exec.Budget.key_eval_steps in
+    let nodes = ref 0 in
+    let node () =
+      incr nodes;
+      if !nodes land (stride - 1) = 0 then begin
+        Tgd_exec.Governor.tick ~n:stride meter;
+        if not (Tgd_exec.Governor.live g) then raise Stopped
+      end;
+      true
+    in
+    (try exec ~node t ~lo ~hi ~emit with Stopped -> ());
+    let rem = !nodes land (stride - 1) in
+    if rem > 0 then Tgd_exec.Governor.tick ~n:rem meter
+
+let iter ?gov ?bound t emit =
+  let node =
+    match gov with
+    | None -> fun () -> true
+    | Some g ->
+      let meter = Tgd_exec.Governor.meter g Tgd_exec.Budget.key_eval_steps in
+      fun () ->
+        Tgd_exec.Governor.tick meter;
+        Tgd_exec.Governor.live g
   in
-  (try
-     if nsteps = 0 then emit_current ()
-     else begin
-       let s = Array.unsafe_get steps 0 in
-       let rows, start, _ = candidates s frame in
-       let lo = start + lo and hi = start + hi in
-       match rows with
-       | None ->
-         for r = lo to hi - 1 do
-           if matches s r then begin
-             tick ();
-             at 1
-           end
-         done
-       | Some rows ->
-         for k = lo to hi - 1 do
-           let r = Array.unsafe_get rows k in
-           if matches s r then begin
-             tick ();
-             at 1
-           end
-         done
-     end
-   with Stopped -> ());
-  flush ()
+  (* The root is a node too. *)
+  if node () then exec ~node ?bound t ~lo:0 ~hi:max_int ~emit
+
+let cq ?gov inst q =
+  let acc = Tuple.Table.create 64 in
+  iter ?gov (compile inst q) (fun codes ->
+      let t = Array.map Value.decode codes in
+      if not (Tuple.Table.mem acc t) then Tuple.Table.add acc t ());
+  Tuple.Table.fold (fun t () l -> t :: l) acc [] |> List.sort Tuple.compare

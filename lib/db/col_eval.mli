@@ -1,37 +1,38 @@
-(** Compiled conjunctive-query evaluation over {!Columnar} blocks.
+(** Compiled conjunctive-query evaluation: the library's one CQ evaluator,
+    run by UCQ answering ({!Par_eval}), the chase's searches, Datalog goals
+    and mapping materialization.
 
-    {!compile} turns a CQ body into a fixed array of join steps against the
-    sealed relations' columnar blocks: variables become numbered slots in
-    one mutable [int array] binding frame, constants become pre-computed
-    {!Value.code}s, and each step either probes a CSR column index or scans
-    a contiguous column. The interpreter allocates nothing per candidate
-    tuple, which removes the [Symbol.Map]/boxed-tuple churn that made the
-    boxed engine minor-heap-bound under multiple domains.
+    {!compile} turns a CQ body into a fixed array of join steps against
+    each relation's coded rows — its {!Columnar} block, then its pending
+    tail: variables become numbered slots in one [int array] binding
+    frame, constants become {!Value.code}s, and each step probes a column
+    index or scans. The interpreter allocates nothing per candidate.
 
     Answers stay coded integers end to end: {!run} refills one scratch row
     per match, {!Par_eval} copies it into flat fixed-stride partition
     buckets, and because {!Value.code} is order-preserving the
     sort/dedup/merge pipeline ({!sort_rows}, {!uniq_rows},
     {!compare_rows}) works on those flat ints and decodes
-    ({!decode_row}) only the final, already-sorted answer set — yielding
-    byte-identical results to {!Eval.ucq}. *)
+    ({!decode_row}) only the final, already-sorted answer set. *)
 
 open Tgd_logic
 
 type t
 
-type compiled =
-  | Compiled of t
-  | Empty
-      (** A body atom can never match (unknown predicate or arity
-          mismatch): the disjunct has no answers. *)
+val compile :
+  ?bound:Symbol.t list -> ?forced:int * Tuple.t list -> Instance.t -> Cq.t -> t
+(** Order one disjunct with {!Join_plan.make} and translate it into slots,
+    codes and captured columns. Each step reads its relation's block, then
+    its pending tail up to the length it has now: rows inserted later are
+    not read by this plan. An atom whose predicate has no relation, or one
+    of another arity, reads no rows. [bound] names variables bound before
+    the search (the restricted check's frontier); {!iter} takes their
+    codes in this order. With [~forced:(i, rows)] the [i]-th body atom
+    (0-based) goes first and ranges over [rows] instead of its relation —
+    the semi-naive delta. *)
 
-val compile : Instance.t -> Cq.t -> compiled
-(** Order one disjunct with {!Join_plan.make} (the plan {!Eval.bindings}
-    interprets) and translate it into slots, codes and captured columns
-    against a sealed instance. Raises [Invalid_argument] when a body
-    relation has no current block — it was never sealed, or rows were
-    inserted since its last seal ({!Instance.seal} first). *)
+val can_match : t -> bool
+(** [false] when some step reads no rows: the plan has no answers. *)
 
 val out_arity : t -> int
 
@@ -40,27 +41,31 @@ val steps : t -> Join_plan.step array
 
 val pp : Format.formatter -> t -> unit
 (** One numbered line per step: its atom, its access path (index probe or
-    scan) and its block's row count. *)
+    scan) and its row count. *)
 
 val lead_len : t -> int
 (** Number of candidate rows of the leading step — the scan that
     {!Par_eval} splits into morsels. *)
 
-val run :
-  ?gov:Tgd_exec.Governor.t ->
-  t ->
-  lo:int ->
-  hi:int ->
-  emit:(int array -> unit) ->
-  unit
+val run : ?gov:Tgd_exec.Governor.t -> t -> lo:int -> hi:int -> emit:(int array -> unit) -> unit
 (** Evaluate the compiled plan over the leading step's candidate rows
     [lo .. hi - 1] (a morsel; [0 .. lead_len] covers the disjunct),
-    calling [emit] with the coded answer per match. The emitted array is a
-    single scratch buffer refilled between matches — callers must copy
-    what they keep (duplicates included: deduplication is the caller's
-    partition-owned business). A governed run charges [eval.steps] per
-    join node in batches and stops emitting once the governor trips, like
-    {!Eval}. *)
+    calling [emit] with the coded answer per match, duplicates included,
+    in one scratch buffer refilled between matches: copy what you keep. A
+    governed run charges [eval.steps] per join node in batches (many
+    domains share one governor) and stops emitting once it trips. *)
+
+val iter : ?gov:Tgd_exec.Governor.t -> ?bound:int array -> t -> (int array -> unit) -> unit
+(** Evaluate a whole plan on the calling domain, calling [emit] with the
+    coded answer (a scratch buffer, as in {!run}) per match; [emit] may
+    insert into the instance. A governed search charges [eval.steps]
+    exactly, once at its root and once per join node, checking the
+    governor at each: a node reached after it trips is counted but not
+    searched below. *)
+
+val cq : ?gov:Tgd_exec.Governor.t -> Instance.t -> Cq.t -> Tuple.t list
+(** All answers of one CQ by {!iter}, decoded, deduplicated and sorted by
+    [Tuple.compare]; a satisfiable boolean query answers [[ [||] ]]. *)
 
 val hash_codes : int array -> int
 (** Hash of a coded answer — {!Par_eval}'s partition router. Equal

@@ -9,8 +9,10 @@
    imaged (a chase model, a recovered relation nobody queries) never pays
    for one. *)
 
+module Itbl = Hashtbl.Make (Int)
+
 type index = {
-  groups : (int, int) Hashtbl.t; (* value code -> group id *)
+  groups : int Itbl.t; (* value code -> group id *)
   starts : int array; (* group id -> offset into [rows]; length ngroups+1 *)
   rows : int array; (* row ids, grouped by the column's value code, ascending *)
 }
@@ -31,49 +33,7 @@ let arity t = t.arity
 let nrows t = t.nrows
 let unindexed arity = Array.init arity (fun _ -> Atomic.make None)
 
-let build_index (col : int array) =
-  let n = Array.length col in
-  let groups = Hashtbl.create (max 16 (n / 4)) in
-  let counts = ref (Array.make 16 0) in
-  let ngroups = ref 0 in
-  for i = 0 to n - 1 do
-    let c = Array.unsafe_get col i in
-    match Hashtbl.find_opt groups c with
-    | Some g -> !counts.(g) <- !counts.(g) + 1
-    | None ->
-      let g = !ngroups in
-      if g = Array.length !counts then begin
-        let bigger = Array.make (2 * g) 0 in
-        Array.blit !counts 0 bigger 0 g;
-        counts := bigger
-      end;
-      !counts.(g) <- 1;
-      Hashtbl.add groups c g;
-      incr ngroups
-  done;
-  let starts = Array.make (!ngroups + 1) 0 in
-  for g = 0 to !ngroups - 1 do
-    starts.(g + 1) <- starts.(g) + !counts.(g)
-  done;
-  let fill = Array.init !ngroups (fun g -> starts.(g)) in
-  let rows = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let g = Hashtbl.find groups (Array.unsafe_get col i) in
-    rows.(fill.(g)) <- i;
-    fill.(g) <- fill.(g) + 1
-  done;
-  { groups; starts; rows }
-
-let build ~arity (tuples : Tuple.t array) =
-  let nrows = Array.length tuples in
-  let cols = Array.init arity (fun _ -> Array.make nrows 0) in
-  for i = 0 to nrows - 1 do
-    let t = tuples.(i) in
-    for j = 0 to arity - 1 do
-      cols.(j).(i) <- Value.code t.(j)
-    done
-  done;
-  { arity; nrows; cols; indexes = unindexed arity }
+let empty ~arity = { arity; nrows = 0; cols = Array.make arity [||]; indexes = unindexed arity }
 
 let of_columns ~arity ~nrows cols =
   if Array.length cols <> arity then Error "column count does not match arity"
@@ -86,18 +46,18 @@ let of_columns ~arity ~nrows cols =
    segment (blitted) followed by the appended row ids. *)
 let extend_index idx (col : int array) ~old_n =
   let n = Array.length col in
-  let groups = Hashtbl.copy idx.groups in
+  let groups = Itbl.copy idx.groups in
   let old_ngroups = Array.length idx.starts - 1 in
   let counts = ref (Array.make (old_ngroups + 16) 0) in
   let ngroups = ref old_ngroups in
   for i = old_n to n - 1 do
     let c = Array.unsafe_get col i in
     let g =
-      match Hashtbl.find_opt groups c with
+      match Itbl.find_opt groups c with
       | Some g -> g
       | None ->
         let g = !ngroups in
-        Hashtbl.add groups c g;
+        Itbl.add groups c g;
         incr ngroups;
         g
     in
@@ -126,30 +86,24 @@ let extend_index idx (col : int array) ~old_n =
     else fill.(g) <- pos
   done;
   for i = old_n to n - 1 do
-    let g = Hashtbl.find groups (Array.unsafe_get col i) in
+    let g = Itbl.find groups (Array.unsafe_get col i) in
     rows.(fill.(g)) <- i;
     fill.(g) <- fill.(g) + 1
   done;
   { groups; starts; rows }
 
-let extend t (tuples : Tuple.t array) =
-  let added = Array.length tuples in
-  if added = 0 then t
+let extend t (tail : int array array) ~len =
+  if len = 0 then t
   else begin
     let old_n = t.nrows in
-    let nrows = old_n + added in
+    let nrows = old_n + len in
     let cols =
       Array.init t.arity (fun j ->
           let c = Array.make nrows 0 in
           Array.blit t.cols.(j) 0 c 0 old_n;
+          Array.blit tail.(j) 0 c old_n len;
           c)
     in
-    for i = 0 to added - 1 do
-      let tup = tuples.(i) in
-      for j = 0 to t.arity - 1 do
-        cols.(j).(old_n + i) <- Value.code tup.(j)
-      done
-    done;
     (* Only the indexes some probe already built are carried forward. *)
     let indexes =
       Array.init t.arity (fun j ->
@@ -158,6 +112,11 @@ let extend t (tuples : Tuple.t array) =
     in
     { arity = t.arity; nrows; cols; indexes }
   end
+
+(* The index of a whole column: the extension of an empty index. *)
+let build_index (col : int array) =
+  let groups = Itbl.create (max 16 (Array.length col / 4)) in
+  extend_index { groups; starts = [| 0 |]; rows = [||] } col ~old_n:0
 
 let col t j = t.cols.(j)
 let indexed t ~col = Option.is_some (Atomic.get t.indexes.(col))
@@ -172,7 +131,7 @@ let index_of t col =
 
 let probe t ~col code =
   let idx = index_of t col in
-  match Hashtbl.find_opt idx.groups code with
+  match Itbl.find_opt idx.groups code with
   | None -> (idx.rows, 0, 0)
   | Some g -> (idx.rows, idx.starts.(g), idx.starts.(g + 1) - idx.starts.(g))
 

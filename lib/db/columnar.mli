@@ -2,8 +2,8 @@
 
     A block holds the relation's tuples as one flat [int array] per
     attribute, each entry the order-preserving {!Value.code} of the value.
-    Blocks are immutable: {!Relation.seal} builds one, and after later
-    inserts the next seal {!extend}s it. Morsel-driven evaluation
+    Blocks are immutable: every {!Relation.seal} {!extend}s the last one
+    by the coded rows inserted since. Morsel-driven evaluation
     ({!Par_eval}) scans row ranges of these contiguous arrays instead of
     boxed tuple lists.
 
@@ -15,9 +15,11 @@
 
 type t
 
-val build : arity:int -> Tuple.t array -> t
-(** Encode a tuple snapshot. Every value has a code ({!Value.code}, which
-    raises [Invalid_argument] on one out of range). No index is built. *)
+module Itbl : Hashtbl.S with type key = int
+(** Tables keyed by value code. *)
+
+val empty : arity:int -> t
+(** The block of no rows: a relation's block before its first seal. *)
 
 val of_columns : arity:int -> nrows:int -> int array array -> (t, string) result
 (** Adopt already coded columns (a decoded snapshot's) as a block, without
@@ -25,13 +27,13 @@ val of_columns : arity:int -> nrows:int -> int array array -> (t, string) result
     codes each. The codes must be valid {!Value.code}s; the caller checks
     them. No index is built. *)
 
-val extend : t -> Tuple.t array -> t
-(** [extend t appended] is a new block holding [t]'s rows followed by
-    [appended], without re-encoding the sealed prefix: old columns are
-    blitted and only the appended tuples are coded. Each index [t] has
-    already built grows by its group's new row ids; an unbuilt one stays
-    unbuilt. The input block is untouched (blocks stay immutable —
-    in-flight readers of [t] are unaffected). *)
+val extend : t -> int array array -> len:int -> t
+(** [extend t tail ~len] is a new block holding [t]'s rows followed by the
+    first [len] coded rows of [tail] (one code column per attribute, each
+    at least [len] long): old columns are blitted, nothing is re-coded.
+    Each index [t] has already built grows by its group's new row ids; an
+    unbuilt one stays unbuilt. The input block is untouched (blocks stay
+    immutable — in-flight readers of [t] are unaffected). *)
 
 val arity : t -> int
 

@@ -114,16 +114,15 @@ let max_null inst =
   !best
 
 let seal inst =
-  (* Only a relation without a current block is written; a shared one is
-     owned first, outside the iteration. A sealed instance is only read. *)
-  let stale =
+  (* Only a relation with a pending tail is written; a shared one is owned
+     first, outside the iteration. A sealed instance is only read. *)
+  let pending =
     Symbol.Table.fold
       (fun pred rel acc ->
-        if Relation.shared rel && Option.is_none (Relation.columnar rel) then (pred, rel) :: acc
-        else acc)
+        if Relation.shared rel && Relation.pending rel > 0 then (pred, rel) :: acc else acc)
       inst.relations []
   in
-  List.iter (fun (pred, rel) -> ignore (own inst pred rel)) stale;
+  List.iter (fun (pred, rel) -> ignore (own inst pred rel)) pending;
   Symbol.Table.iter (fun _ rel -> Relation.seal rel) inst.relations
 
 let pp ppf inst =

@@ -13,8 +13,8 @@ val copy : t -> t
     {!Relation.t} with the original and marks them {!Relation.shared}, so
     neither side mutates them again. The first {!add_fact} into a
     relation, a {!substitute} that hits it, or a {!seal} that must write
-    it gives the writing instance a private {!Relation.copy} (row set and
-    indexes duplicated, columnar block and pending tail shared); the
+    it gives the writing instance a private {!Relation.copy} (row set, indexes and
+    pending tail duplicated, columnar block shared); the
     relations it never writes cost nothing. So mutating the copy —
     chasing it, appending a delta — never disturbs the original, and
     sealing the copy after an append extends the shared block instead of
@@ -64,10 +64,9 @@ val max_null : t -> int
     null space monotonically. *)
 
 val seal : t -> unit
-(** {!Relation.seal} every relation: encode or extend its columnar block,
-    which {!Col_eval} and {!Par_eval} scan. Afterwards every relation has a
-    current block; a shared relation that needs a write is first replaced
-    by a private copy. Sealing an instance with no insert since its last
+(** {!Relation.seal} every relation: fold its pending tail into its
+    columnar block. Afterwards every relation's tail is empty; a shared
+    relation that needs a write is first replaced by a private copy. Sealing an instance with no insert since its last
     seal only reads it, so any number of domains may seal (and then
     evaluate on) a shared sealed instance concurrently. *)
 

@@ -10,8 +10,8 @@
    anywhere on the answer path.
 
    The engine polls the one shared governor, so budgets and truncation
-   semantics survive parallelism, and returns answers byte-identical to
-   the boxed evaluator's (same deduplication, same final order). *)
+   semantics survive parallelism, and returns answers deduplicated and
+   sorted by [Tuple.compare]. *)
 
 let default_min_tuples = 512
 
@@ -53,19 +53,14 @@ let empty_part = { strides = [||]; flats = [||]; counts = [||]; tuples = [||] }
 let default_partitions ~workers = max 1 (workers * 4)
 
 let columnar_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions inst disjuncts =
-  (* One [eval.steps] charge per disjunct mirrors the boxed evaluator's
-     join-search root charge, so a 1-step budget trips either evaluator. *)
+  (* One [eval.steps] charge per disjunct mirrors [Col_eval.iter]'s
+     join-search root charge, so a 1-step budget trips either entry. *)
   (match gov with
   | Some g when disjuncts <> [] ->
     Tgd_exec.Governor.charge ~n:(List.length disjuncts) g Tgd_exec.Budget.key_eval_steps
   | Some _ | None -> ());
   let compiled =
-    List.filter_map
-      (fun q ->
-        match Col_eval.compile inst q with
-        | Col_eval.Compiled t -> Some t
-        | Col_eval.Empty -> None)
-      disjuncts
+    List.filter Col_eval.can_match (List.map (Col_eval.compile inst) disjuncts)
   in
   (* Answer arities present, ascending — [Tuple.compare]'s leading key,
      so phase 2 can emit each partition's arity groups in this order and

@@ -12,8 +12,8 @@
     k-way concatenation-merge of disjoint sorted runs. No mutex is taken
     and no per-answer heap block is allocated on the answer path.
 
-    Results are byte-identical to {!Eval.ucq}'s (same deduplication, same
-    final sort order).
+    Results are deduplicated and sorted by [Tuple.compare], byte-identical
+    to {!Col_eval.cq}'s union over the disjuncts.
 
     Governance survives parallelism: all workers poll the one shared
     governor (the columnar engine charges [eval.steps] in batches, so the
@@ -41,8 +41,8 @@ val ucq :
   Instance.t ->
   Cq.ucq ->
   Tuple.t list
-(** Union of the answers of the disjuncts, deduplicated and sorted — the
-    parallel counterpart of {!Eval.ucq}. Seals [inst] first. Worker count is [workers] if
+(** Union of the answers of the disjuncts, deduplicated and sorted. Seals
+    [inst] first. Worker count is [workers] if
     given, else the [pool]'s size, else {!Tgd_exec.Pool.default_workers}.
     [partitions] is the answer-partition count P of the columnar merge
     (default [4 × workers]; raises [Invalid_argument] when [< 1]); more

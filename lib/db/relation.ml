@@ -5,6 +5,25 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+(* A code's row ids in a tail, ascending: a growable int array. *)
+type ids = {
+  mutable ids : int array;
+  mutable n : int;
+}
+
+(* The rows inserted since the last seal, coded at insert: a growable code
+   column per attribute and, per column, a code -> row-ids index built on
+   the column's first probe and extended by later inserts. Only the owner
+   of an unshared relation appends; readers on other domains only probe,
+   so the lazy index is published through an [Atomic] (racing builders
+   publish identical ones, as in [Columnar]). A seal replaces the record,
+   so a plan compiled against it keeps reading its rows undisturbed. *)
+type tail = {
+  tcols : int array array;
+  mutable len : int;
+  tindex : ids Columnar.Itbl.t option Atomic.t array;
+}
+
 type t = {
   arity : int;
   mutable rows : unit Tuple.Table.t;
@@ -12,26 +31,25 @@ type t = {
      table (see [ensure_rows]); mutated in place only by the owner of an
      unshared relation. *)
   indexes : Tuple.t list Vtbl.t option array; (* one optional index per column *)
-  mutable columnar : Columnar.t option;
-  (* The last sealed block. [Some _] with an empty [pending] means the block
-     mirrors [rows] exactly; with a non-empty [pending] the block covers a
-     prefix and the next seal extends it ({!Columnar.extend}) instead of
-     re-encoding everything. *)
-  mutable pending : Tuple.t list;
-  (* Tuples inserted since the block was built, newest first. Only grows
-     while [columnar] is [Some _]. *)
+  mutable block : Columnar.t; (* the rows up to the last seal *)
+  mutable tails : tail list;
+  (* The rows since, newest tail first: the head takes inserts, the rest
+     are shared with the relations copied, and never grow. *)
   unboxed : Columnar.t option Atomic.t;
   (* [Some block]: the relation was adopted from a snapshot block and the
-     row hashtable has not been materialized yet ([rows] is empty, [pending]
-     too, [columnar = Some block]). Pure columnar readers never pay for the
-     boxing; the first boxed-side consumer triggers it via [ensure_rows].
-     Atomic because a shared relation is read from several domains: it is
-     cleared only after the built table is published in [rows]. *)
+     row hashtable has not been materialized yet ([rows] and the tail are
+     empty). Pure columnar readers never pay for the boxing; the first
+     boxed-side consumer triggers it via [ensure_rows]. Atomic because a
+     shared relation is read from several domains: it is cleared only
+     after the built table is published in [rows]. *)
   mutable shared : bool;
   (* Reachable from more than one instance ({!Instance.copy}): no instance
      may mutate it any more, only copy it ({!copy}) and mutate the copy.
      Never reset — the other holders keep their reference. *)
 }
+
+let new_tail arity =
+  { tcols = Array.make arity [||]; len = 0; tindex = Array.init arity (fun _ -> Atomic.make None) }
 
 let create ~arity =
   if arity < 0 then invalid_arg "Relation.create: negative arity";
@@ -39,31 +57,48 @@ let create ~arity =
     arity;
     rows = Tuple.Table.create 64;
     indexes = Array.make (max arity 1) None;
-    columnar = None;
-    pending = [];
+    block = Columnar.empty ~arity;
+    tails = [ new_tail arity ];
     unboxed = Atomic.make None;
-    shared = false;
-  }
-
-(* A private duplicate of a possibly shared relation: the hashtable and the
-   built index tables are duplicated (cheap structural copies — keys and
-   the tuples themselves are shared and never mutated), while the frozen
-   snapshots (columnar block, pending tail) are shared outright. A row set
-   still deferred in a snapshot block stays deferred in the copy. *)
-let copy r =
-  let unboxed = Atomic.get r.unboxed in
-  {
-    arity = r.arity;
-    rows = (match unboxed with Some _ -> Tuple.Table.create 64 | None -> Tuple.Table.copy r.rows);
-    indexes = Array.map (Option.map Vtbl.copy) r.indexes;
-    columnar = r.columnar;
-    pending = r.pending;
-    unboxed = Atomic.make unboxed;
     shared = false;
   }
 
 (* Written once: copies racing on other domains then only read the flag. *)
 let share r = if not r.shared then r.shared <- true
+
+(* The block with the given tails folded in: nothing is re-coded, and only
+   the indexes some probe already built are grown. *)
+let fold block tails =
+  let len = List.fold_left (fun n t -> n + t.len) 0 tails in
+  let col j =
+    let c = Array.make len 0 in
+    ignore (List.fold_left (fun off t -> Array.blit t.tcols.(j) 0 c off t.len; off + t.len) 0 tails);
+    c
+  in
+  Columnar.extend block (Array.init (Columnar.arity block) col) ~len
+
+(* A private duplicate of a relation, which is frozen for good: the
+   hashtable and the built index tables are duplicated (cheap structural
+   copies — keys and the tuples themselves are shared and never mutated),
+   while the block and the original's tails, which no longer grow, are
+   shared with their built indexes; past eight (a probe visits each), they
+   are folded into a new block. A row set still deferred in a snapshot
+   block stays deferred in the copy. *)
+let copy r =
+  share r;
+  let unboxed = Atomic.get r.unboxed in
+  let tails = List.filter (fun t -> t.len > 0) r.tails in
+  let fold_now = List.length tails > 8 in
+  {
+    arity = r.arity;
+    rows = (match unboxed with Some _ -> Tuple.Table.create 64 | None -> Tuple.Table.copy r.rows);
+    indexes = Array.map (Option.map Vtbl.copy) r.indexes;
+    block = (if fold_now then fold r.block (List.rev tails) else r.block);
+    tails = new_tail r.arity :: (if fold_now then [] else tails);
+    unboxed = Atomic.make unboxed;
+    shared = false;
+  }
+
 let shared r = r.shared
 
 let owned r what =
@@ -87,10 +122,8 @@ let ensure_rows r =
     r.rows <- rows;
     Atomic.set r.unboxed None
 
-let cardinality r =
-  match Atomic.get r.unboxed with
-  | Some block -> Columnar.nrows block
-  | None -> Tuple.Table.length r.rows
+let pending r = List.fold_left (fun n t -> n + t.len) 0 r.tails
+let cardinality r = Columnar.nrows r.block + pending r
 
 let mem r t =
   ensure_rows r;
@@ -101,19 +134,52 @@ let index_insert idx t pos =
   let existing = Option.value ~default:[] (Vtbl.find_opt idx key) in
   Vtbl.replace idx key (t :: existing)
 
+(* [a], or a copy twice as long when index [n] is past its end. *)
+let room a n =
+  if n < Array.length a then a
+  else
+    let b = Array.make (max 4 (2 * n)) 0 in
+    Array.blit a 0 b 0 n;
+    b
+
+let tail_index_add idx code row =
+  let g =
+    match Columnar.Itbl.find_opt idx code with
+    | Some g -> g
+    | None ->
+      let g = { ids = [| row |]; n = 0 } in
+      Columnar.Itbl.add idx code g;
+      g
+  in
+  g.ids <- room g.ids g.n;
+  g.ids.(g.n) <- row;
+  g.n <- g.n + 1
+
+let tail_push tail codes =
+  let row = tail.len in
+  Array.iteri
+    (fun j col ->
+      let col = room col row in
+      tail.tcols.(j) <- col;
+      col.(row) <- codes.(j);
+      Option.iter (fun idx -> tail_index_add idx codes.(j) row) (Atomic.get tail.tindex.(j)))
+    tail.tcols;
+  tail.len <- row + 1
+
 let insert r t =
   if Array.length t <> r.arity then invalid_arg "Relation.insert: arity mismatch";
   owned r "insert";
   ensure_rows r;
   if Tuple.Table.mem r.rows t then false
   else begin
+    (* Coded before anything is written: an uncodable value raises here
+       and leaves the relation as it was. *)
+    let codes = Array.map Value.code t in
     Tuple.Table.add r.rows t ();
     Array.iteri
       (fun pos idx -> match idx with None -> () | Some idx -> index_insert idx t pos)
       r.indexes;
-    (* The columnar block is kept alongside a pending tail so the next
-       seal can extend it in place of a full re-encode. *)
-    if Option.is_some r.columnar then r.pending <- t :: r.pending;
+    tail_push (List.hd r.tails) codes;
     true
   end
 
@@ -121,10 +187,9 @@ let iter f r =
   ensure_rows r;
   Tuple.Table.iter (fun t () -> f t) r.rows
 
-let fold f r init =
+let to_list r =
   ensure_rows r;
-  Tuple.Table.fold (fun t () acc -> f t acc) r.rows init
-let to_list r = fold (fun t acc -> t :: acc) r []
+  Tuple.Table.fold (fun t () acc -> t :: acc) r.rows []
 
 (* Built privately, then published with one field write. A shared
    relation may be probed from several domains at once: racing builders
@@ -142,44 +207,38 @@ let lookup r ~pos v =
   Option.value ~default:[] (Vtbl.find_opt idx v)
 
 let seal r =
-  (* With a block covering every row, scans and joins run columnar and the
-     boxed per-column indexes stay lazy (built on the first boxed lookup)
-     — this is what makes adopting a snapshot block a bulk load. *)
-  match r.columnar with
-  | Some block when r.pending <> [] ->
+  if pending r > 0 then begin
     owned r "seal";
-    (* Sealed-instance append path: code only the tail, blit the rest. *)
-    r.columnar <- Some (Columnar.extend block (Array.of_list (List.rev r.pending)));
-    r.pending <- []
-  | Some _ -> ()
-  | None ->
-    owned r "seal";
-    let tuples = Array.make (cardinality r) [||] in
-    let i = ref 0 in
-    iter
-      (fun t ->
-        tuples.(!i) <- t;
-        incr i)
-      r;
-    r.columnar <- Some (Columnar.build ~arity:r.arity tuples)
+    r.block <- fold r.block (List.rev r.tails);
+    r.tails <- [ new_tail r.arity ]
+  end
 
-let columnar r =
-  (* A block with a pending tail is stale: readers get [None] until the
-     next seal extends it. *)
-  match r.pending with [] -> r.columnar | _ :: _ -> None
+let block r = r.block
+let tails r = List.rev r.tails
+let tail_len tail = tail.len
+let tail_col tail j = tail.tcols.(j)
 
-(* The no-block rows come in [iter] order, the order a seal codes them. *)
-let sealed_parts r =
-  match r.columnar with
-  | Some _ as block -> (block, List.rev r.pending)
-  | None -> (None, List.rev (to_list r))
+let tail_probe tail ~col code =
+  let idx =
+    match Atomic.get tail.tindex.(col) with
+    | Some idx -> idx
+    | None ->
+      let idx = Columnar.Itbl.create (max 16 tail.len) in
+      let c = tail.tcols.(col) in
+      for row = 0 to tail.len - 1 do
+        tail_index_add idx c.(row) row
+      done;
+      Atomic.set tail.tindex.(col) (Some idx);
+      idx
+  in
+  match Columnar.Itbl.find_opt idx code with None -> ([||], 0) | Some g -> (g.ids, g.n)
 
 let of_columnar block =
   let r = create ~arity:(Columnar.arity block) in
   (* Adopt the block outright: no value re-coding, and even the row
      hashtable stays deferred ([ensure_rows]) until a boxed
      consumer — membership, insert, iteration — actually needs it. *)
-  r.columnar <- Some block;
+  r.block <- block;
   Atomic.set r.unboxed (Some block);
   r
 
@@ -230,9 +289,10 @@ let substitute r ~from_ ~to_ =
           fresh := nw :: !fresh
         end)
       affected;
-    (* Substitution rewrites sealed rows, so the extend path is invalid:
-       drop every frozen snapshot. *)
-    r.columnar <- None;
-    r.pending <- [];
+    (* Rewriting sealed rows is no append: re-code every row. *)
+    r.block <- Columnar.empty ~arity:r.arity;
+    let tail = new_tail r.arity in
+    r.tails <- [ tail ];
+    iter (fun t -> tail_push tail (Array.map Value.code t)) r;
     !fresh
   end

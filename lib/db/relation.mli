@@ -1,7 +1,8 @@
-(** A mutable extensional relation: a set of tuples of a fixed arity with
-    per-column hash indexes (built lazily, maintained incrementally) and,
-    once sealed, a {!Columnar} block — the scan unit of compiled and
-    morsel-parallel evaluation ({!Col_eval}, {!Par_eval}). *)
+(** A mutable extensional relation: a set of tuples of a fixed arity, held
+    twice. The boxed side is a row set with per-column hash indexes (built
+    lazily, maintained incrementally). The coded side, which compiled
+    evaluation ({!Col_eval}) reads, is a {!Columnar} block of the rows up
+    to the last {!seal}, then pending tails of the rows since. *)
 
 type t
 
@@ -10,12 +11,12 @@ val arity : t -> int
 val cardinality : t -> int
 
 val copy : t -> t
-(** A private, unshared duplicate: the row set and the built indexes are
-    structurally copied (the tuples themselves are shared — they are never
-    mutated), and the frozen seal artifacts (columnar block, pending
-    append tail) are shared outright. Inserting into either side leaves
-    the other unchanged. {!Instance} calls it on the first write into a
-    relation that an {!Instance.copy} made shared. *)
+(** A private, unshared duplicate; the original is {!share}d by it. The
+    row set and the built indexes are copied (the tuples themselves are
+    shared — they are never mutated); the block and the original's tails,
+    which can no longer grow, are shared (folded into a new block once
+    there are more than a few). {!Instance} calls it on the first write
+    into a relation that an {!Instance.copy} made shared. *)
 
 val share : t -> unit
 (** Mark the relation as reachable from more than one instance. From then
@@ -27,7 +28,8 @@ val shared : t -> bool
 
 val insert : t -> Tuple.t -> bool
 (** [true] iff the tuple was not already present. Raises [Invalid_argument]
-    on an arity mismatch or a {!shared} relation. *)
+    on an arity mismatch, a {!shared} relation, or a value with no code
+    ({!Value.code}), and then leaves the relation unchanged. *)
 
 val mem : t -> Tuple.t -> bool
 val iter : (Tuple.t -> unit) -> t -> unit
@@ -41,35 +43,42 @@ val lookup : t -> pos:int -> Value.t -> Tuple.t list
     then published whole, so racing readers at worst build it twice. *)
 
 val seal : t -> unit
-(** Encode the {!Columnar} block, so that every sealed relation has one.
-    Idempotent: sealing a relation with no insert since its last seal only
-    reads it, even when it is {!shared}. The block survives inserts as a
-    stale prefix plus a pending tail, and the next seal {e extends} it
-    ({!Columnar.extend}) — only the appended tuples are coded, and only
-    the indexes some probe already built are grown. Raises
-    [Invalid_argument] if it would write a shared relation. *)
+(** Fold the pending tails into the block ({!Columnar.extend}): nothing is
+    re-coded, and only the indexes some probe already built are grown.
+    Sealing a relation with no pending row only reads it, even when it is
+    {!shared}. Raises [Invalid_argument] if it would write a shared one. *)
 
-val columnar : t -> Columnar.t option
-(** The columnar block built by the last {!seal}, if it still mirrors the
-    rows exactly: [None] when the relation was never sealed, or has
-    pending rows or a substitution since. *)
+val block : t -> Columnar.t
+(** The rows up to the last {!seal} (an empty block before the first). *)
 
-val sealed_parts : t -> Columnar.t option * Tuple.t list
-(** The last sealed block (even when stale) and the pending tail inserted
-    since it was built, in insertion order. [(None, rows)] when the
-    relation holds no block, in the order a {!seal} would code them.
-    Together the block and the tail always cover exactly the current rows,
-    and the block's columns followed by the coded tail are the columns one
-    seal would give — which is how the snapshot codec writes a relation
-    without sealing it. *)
+type tail
+(** Coded rows. An insert appends to its relation's last tail. *)
+
+val tails : t -> tail list
+(** {!block} and these hold exactly the current rows, in the order a
+    {!seal} folds them. All but the last are shared with the relations
+    this one was {!copy}'d from, and never grow. *)
+
+val pending : t -> int
+(** The number of rows in the tails. *)
+
+val tail_len : tail -> int
+
+val tail_col : tail -> int -> int array
+(** An attribute's codes; the first {!tail_len} are rows. Do not mutate. *)
+
+val tail_probe : tail -> col:int -> int -> int array * int
+(** [(ids, n)]: the tail rows whose column [col] holds the code are
+    [ids.(0) .. ids.(n - 1)], ascending. The first probe of a column
+    builds its index (racing domains each build the same one), and later
+    inserts extend it. Do not mutate [ids]. *)
 
 val of_columnar : Columnar.t -> t
 (** Rebuild a relation from a decoded snapshot block
-    ({!Columnar.of_columns}): the block is adopted as the sealed columnar
-    representation (no re-encode; the relation is sealed as it stands; its
-    indexes are built by the first probe of each column), and the boxed
-    row set is populated by decoding each row once, on the first boxed
-    read or insert. *)
+    ({!Columnar.of_columns}): the block is adopted as the relation's block
+    (no re-encode; the tail is empty; its indexes are built by the first
+    probe of each column), and the boxed row set is populated by decoding
+    each row once, on the first boxed read or insert. *)
 
 val mentions : t -> Value.t -> bool
 (** Some row holds the value (through the per-column indexes). *)
@@ -78,8 +87,7 @@ val substitute : t -> from_:Value.t -> to_:Value.t -> Tuple.t list
 (** Rewrite, in place, every row containing [from_] (located through the
     per-column indexes) by replacing [from_] with [to_]. Returns the
     rewritten rows that are new to the relation (a rewrite may collide
-    with an existing row). Discards every frozen seal artifact — rewriting
-    sealed rows cannot be expressed as an append. Raises
-    [Invalid_argument] on a {!shared} relation that holds [from_]. The
+    with an existing row). Every row is then re-coded into a new tail behind
+    an empty block. Raises [Invalid_argument] on a {!shared} relation that holds [from_]. The
     chase's EGD merges ({!Tgd_chase.Chase.run}) use this to rewrite only
     the touched equivalence class. *)

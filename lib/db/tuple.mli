@@ -14,9 +14,6 @@ val compare : t -> t -> int
 (** Lexicographic by {!Value.compare}, shorter tuples first — the total
     order used to sort answer sets deterministically. *)
 
-val hash : t -> int
-(** Combines {!Value.hash} over the components; agrees with {!equal}. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints [(v1,v2,...)]; the empty (boolean) tuple prints [()]. *)
 
@@ -26,4 +23,4 @@ val has_null : t -> bool
 
 module Table : Hashtbl.S with type key = t
 (** Hash tables keyed by tuple value (not physical identity): the
-    deduplication workhorse of {!Eval}'s answer merging. *)
+    deduplication workhorse of {!Col_eval.cq}'s answer merging. *)

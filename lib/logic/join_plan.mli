@@ -1,7 +1,8 @@
 (** The join order of a conjunctive body: the one planner behind all three
-    backtracking searches over atoms, the two evaluators ([Tgd_db.Eval] over
-    boxed relations, [Tgd_db.Col_eval] over columnar blocks) and the
-    homomorphism search of CQ containment ({!Homomorphism}).
+    backtracking searches over atoms: the compiled evaluator
+    ([Tgd_db.Col_eval]), its boxed conformance oracle
+    ([Tgd_conformance.Eval]) and the homomorphism search of CQ containment
+    ({!Homomorphism}).
 
     Which variables are bound before a step depends only on the atoms
     placed before it, never on the values they matched, so the order is

@@ -43,8 +43,9 @@ let check ?config ?(unfold = Fun.id) program constraints inst =
         | Tgd_rewrite.Rewrite.Truncated _ -> complete := false);
         List.filter_map
           (fun disjunct ->
-            if Eval.cq_exists inst disjunct then Some { constraint_ = nc; witness = disjunct }
-            else None)
+            match Col_eval.iter (Col_eval.compile inst disjunct) (fun _ -> raise Exit) with
+            | () -> None
+            | exception Exit -> Some { constraint_ = nc; witness = disjunct })
           (unfold r.Tgd_rewrite.Rewrite.ucq))
       constraints
   in

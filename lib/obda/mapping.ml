@@ -34,19 +34,9 @@ let materialize mappings source_db =
   let abox = Instance.create () in
   List.iter
     (fun m ->
-      Eval.bindings source_db m.source (fun env ->
-          let t =
-            Array.map
-              (fun term ->
-                match term with
-                | Term.Const c -> Value.Const c
-                | Term.Var v -> (
-                  match Symbol.Map.find_opt v env with
-                  | Some value -> value
-                  | None -> assert false (* safety checked at make *)))
-              m.target.Atom.args
-          in
-          ignore (Instance.add_fact abox m.target.Atom.pred t)))
+      let q = Cq.make ~name:m.name ~answer:(Array.to_list m.target.Atom.args) ~body:m.source in
+      Col_eval.iter (Col_eval.compile source_db q) (fun codes ->
+          ignore (Instance.add_fact abox m.target.Atom.pred (Array.map Value.decode codes))))
     mappings;
   abox
 

@@ -24,7 +24,7 @@ let unfold_if_mapped sys ucq =
 let answer ?config sys ~source q =
   let r = Tgd_rewrite.Rewrite.ucq ?config sys.ontology q in
   let source_ucq = unfold_if_mapped sys r.Tgd_rewrite.Rewrite.ucq in
-  let tuples = null_free (Eval.ucq source source_ucq) in
+  let tuples = null_free (Par_eval.ucq ~workers:1 source source_ucq) in
   let sql = match source_ucq with [] -> None | ucq -> Some (Sql.of_ucq ucq) in
   {
     tuples;
@@ -43,7 +43,7 @@ let answer_materialized ?max_rounds ?max_facts sys ~source q =
     | mappings -> Mapping.materialize mappings source
   in
   let stats = Tgd_chase.Chase.run ?max_rounds ?max_facts sys.ontology abox in
-  let answers = null_free (Eval.cq abox q) in
+  let answers = null_free (Par_eval.ucq ~workers:1 abox [ q ]) in
   (answers, stats.Tgd_chase.Chase.outcome = Tgd_chase.Chase.Terminated)
 
 let consistent ?config sys ~source =

@@ -62,7 +62,7 @@ let null_free = List.filter (fun t -> not (Tuple.has_null t))
 let saturated_answers ?gov program inst goal =
   let work = Instance.copy inst in
   ignore (Tgd_chase.Chase.run ?gov ~keys:Tgd_chase.Chase.Datalog_keys program work);
-  null_free (Eval.cq ?gov work goal)
+  null_free (Col_eval.cq ?gov work goal)
 
 (* Every Datalog artifact spells its intensional predicates the same way
    ([__dlr#1 ...], [__dlr#goal]), so an instance may hold a relation under

@@ -117,7 +117,7 @@ val intensional : Symbol.t -> bool
 
 val goal_query : result -> Cq.t
 (** The trivial query [goal(V0, ..., Vn-1)] reading the goal relation of a
-    saturated instance back out through {!Tgd_db.Eval.cq} — deduplicated,
+    saturated instance back out through {!Tgd_db.Col_eval.cq} — deduplicated,
     sorted, boolean-aware. *)
 
 val pp : Format.formatter -> result -> unit

@@ -64,10 +64,9 @@ let install t name program instance =
    put, because a rewriting depends only on the TGDs; the delta epoch bumps
    once per applied batch. *)
 (* Only the instance is sealed: readers evaluate on it. The model is the
-   chase's boxed working set — chased, counted and imaged, never
-   evaluated — so its touched relations keep a stale block plus a pending
-   tail, which the next chase extends and a snapshot writes as the
-   block's columns followed by the coded tail. *)
+   chase's working set — chased, counted and imaged, never queried — so
+   its touched relations keep a pending tail, which the next chase reads
+   after the block and a snapshot writes after the block's columns. *)
 let install_delta t (prev : entry) ~batches instance materialization =
   Tgd_db.Instance.seal instance;
   Mutex.protect t.lock (fun () ->
@@ -173,8 +172,8 @@ let add_batches t ~name batches =
        writes it, so a run pays only for the relations it touches. The one
        seal at install extends the touched blocks instead of re-encoding.
        Skipping the seals between batches changes nothing a batch chase
-       reads: the chase reads rows and boxed indexes only, and a seal
-       touches neither. *)
+       finds: it reads each relation's block and then its pending tail,
+       and a seal only moves rows from one to the other. *)
     let instance = Tgd_db.Instance.copy entry.instance in
     let materialization =
       ref

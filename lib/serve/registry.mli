@@ -31,11 +31,11 @@ open Tgd_logic
     unchanged. *)
 type materialization = Tgd_store.Snapshot.materialization = {
   model : Tgd_db.Instance.t;
-      (** universal model of the entry: the chase's boxed working set. It
-          is sealed by {!materialize} and {!restore}, but a write leaves
-          its touched relations with a stale block plus a pending tail —
-          nothing evaluates over it; the snapshot codec writes such a
-          relation as one current block. Never mutated once installed. *)
+      (** universal model of the entry: the chase's working set. It is
+          sealed by {!materialize} and {!restore}; a write leaves its
+          touched relations with a pending tail, which the next chase reads
+          after the block and the snapshot codec writes after the block's
+          columns. Never mutated once installed. *)
   floor : int;  (** null floor for the next delta application *)
   complete : bool;  (** chase reached its fixpoint within budget *)
 }

@@ -1,8 +1,8 @@
 (* Snapshot codec: a sealed instance is written as its coded columns.
 
    Each relation is written as the columns one seal would give it: the
-   block's codes followed by the coded pending tail, or the coded rows of a
-   relation with no block. Nothing is sealed or extended to write it, and
+   block's codes followed by the pending tail's. Nothing is sealed or
+   extended to write it, and
    no index is written — an index is an access path, rebuilt by the first
    probe after a load (Columnar.probe). What cannot be verbatim is the
    symbol space: Value.code maps constants to process-local intern ids, so
@@ -43,24 +43,22 @@ type t = {
 (* Encoding                                                            *)
 
 (* A relation's columns as one seal would give them: per column, the
-   block's codes and the tail's codes, written back to back. *)
+   block's codes and the tails' codes, written back to back. *)
 type coded = {
   pred : Symbol.t;
   nrows : int;
-  cols : (int array * int array) array;
+  cols : int array list array;
 }
 
 let coded_relation pred rel =
-  let block, tail = Db.Relation.sealed_parts rel in
-  let tail = Array.of_list tail in
-  let block_col j = match block with Some b -> Db.Columnar.col b j | None -> [||] in
-  let block_rows = match block with Some b -> Db.Columnar.nrows b | None -> 0 in
+  let block = Db.Relation.block rel and tails = Db.Relation.tails rel in
   {
     pred;
-    nrows = block_rows + Array.length tail;
+    nrows = Db.Relation.cardinality rel;
     cols =
       Array.init (Db.Relation.arity rel) (fun j ->
-          (block_col j, Array.map (fun tup -> Db.Value.code tup.(j)) tail));
+          Db.Columnar.col block j
+          :: List.map (fun t -> Array.sub (Db.Relation.tail_col t j) 0 (Db.Relation.tail_len t)) tails);
   }
 
 let coded_instance inst =
@@ -76,10 +74,9 @@ let w_relation buf c =
   Codec.w_u32 buf (Array.length c.cols);
   Codec.w_u32 buf c.nrows;
   Array.iter
-    (fun (block, tail) ->
+    (fun segs ->
       Codec.w_u32 buf c.nrows;
-      Array.iter (Codec.w_int buf) block;
-      Array.iter (Codec.w_int buf) tail)
+      List.iter (Array.iter (Codec.w_int buf)) segs)
     c.cols
 
 let w_instance buf coded =
@@ -96,11 +93,7 @@ let used_symbols coded used =
   List.iter
     (fun c ->
       see_id (Symbol.hash c.pred);
-      Array.iter
-        (fun (block, tail) ->
-          see_codes block;
-          see_codes tail)
-        c.cols)
+      Array.iter (List.iter see_codes) c.cols)
     coded;
   used
 

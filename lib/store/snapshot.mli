@@ -5,8 +5,7 @@
     chase materialization (if any). Each relation is written as its coded
     columns ({!Tgd_db.Value.code}) — predicate, arity and row count, then
     per column the codes a seal would give: the {!Tgd_db.Columnar} block's
-    codes followed by the coded pending tail, or the coded rows of a
-    relation with no block ({!Tgd_db.Relation.sealed_parts}). Writing seals
+    codes followed by the pending tail's ({!Tgd_db.Relation.tail}). Writing seals
     and extends nothing, and the image does not depend on whether the
     instance was sealed. Indexes are not written: a loaded block builds
     each column's index on its first probe. The image carries the symbol

@@ -5,6 +5,7 @@
 
 open Tgd_logic
 open Tgd_db
+module Eval = Tgd_conformance.Eval
 open Tgd_rewrite
 
 let v = Term.var

@@ -257,7 +257,7 @@ let prop_par_unsealed_fallback =
       QCheck.assume (Program.predicates p <> []);
       let inst = base_instance rng p in
       let ucq = List.init (1 + Rng.int rng 2) (fun _ -> random_cq rng p) in
-      let seq = Tgd_db.Eval.ucq inst ucq in
+      let seq = Tgd_conformance.Eval.ucq inst ucq in
       let workers = 2 + Rng.int rng 2 in
       let partitions = 1 + Rng.int rng 7 in
       (* The instance was never sealed, so the engine seals it itself
@@ -283,7 +283,7 @@ let prop_par_pending_fallback =
         (fun (pred, t) -> ignore (Tgd_db.Instance.add_fact inst pred t))
         (random_batch rng p ~size:(1 + Rng.int rng 5));
       let ucq = List.init (1 + Rng.int rng 2) (fun _ -> random_cq rng p) in
-      let seq = Tgd_db.Eval.ucq inst ucq in
+      let seq = Tgd_conformance.Eval.ucq inst ucq in
       let par = Tgd_db.Par_eval.ucq ~workers:3 ~min_tuples:1 ~partitions:5 inst ucq in
       tuples_equal seq par)
 

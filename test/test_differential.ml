@@ -13,6 +13,7 @@
 
 open Tgd_logic
 open Tgd_db
+module Eval = Tgd_conformance.Eval
 
 let seed =
   match Sys.getenv_opt "TGDLIB_DIFF_SEED" with Some s -> int_of_string s | None -> 20140614

@@ -366,11 +366,11 @@ let test_governed_eval_subset () =
     Cq.make ~name:"q" ~answer:[ v "X"; v "Z" ]
       ~body:[ atom "e" [ v "X"; v "Y" ]; atom "e" [ v "Y"; v "Z" ] ]
   in
-  let full = Tgd_db.Eval.cq inst q in
+  let full = Tgd_conformance.Eval.cq inst q in
   Alcotest.(check int) "full join size" 20 (List.length full);
   let b = { Budget.unlimited with Budget.eval_steps = Some 10 } in
   let g = Governor.create ~budget:b () in
-  let partial = Tgd_db.Eval.cq ~gov:g inst q in
+  let partial = Tgd_conformance.Eval.cq ~gov:g inst q in
   Alcotest.(check bool) "eval stopped" true (Governor.stopped g <> None);
   Alcotest.(check bool) "partial is smaller" true (List.length partial < List.length full);
   Alcotest.(check bool) "partial subset of full" true

@@ -5,6 +5,7 @@
 
 open Tgd_logic
 open Tgd_db
+module Eval = Tgd_conformance.Eval
 
 let v = Term.var
 let atom p args = Atom.of_strings p args

@@ -3,6 +3,7 @@
 
 open Tgd_logic
 open Tgd_db
+module Eval = Tgd_conformance.Eval
 open Tgd_obda
 
 let v = Term.var

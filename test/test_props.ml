@@ -231,7 +231,7 @@ let prop_eval_matches_homomorphisms =
     (QCheck.make QCheck.Gen.(pair gen_cq gen_instance_atoms))
     (fun (q, facts) ->
       let inst = Tgd_db.Instance.of_atoms facts in
-      let via_eval = Tgd_db.Eval.cq inst q in
+      let via_eval = Tgd_conformance.Eval.cq inst q in
       (* Independent implementation: enumerate homomorphisms over the atom
          list and build answer tuples. *)
       let target = Homomorphism.target_of_atoms facts in
@@ -256,6 +256,117 @@ let prop_eval_matches_homomorphisms =
       let via_hom = TT.fold (fun t () l -> t :: l) acc [] |> List.sort Tgd_db.Tuple.compare in
       List.length via_eval = List.length via_hom
       && List.for_all2 Tgd_db.Tuple.equal via_eval via_hom)
+
+(* ------------------------------------------------------------------ *)
+(* Compiled evaluation against the boxed oracle *)
+
+(* An instance is built by a random sequence of writes: inserts (values
+   include nulls), seals, copy-on-write copies (the copy's first write
+   freezes the original's tail) and EGD-style substitutions. A random
+   query then runs compiled — optionally with some variables bound and
+   one atom forced over given rows — and more rows are inserted between
+   its compile and its run. It must report exactly the matches, with
+   multiplicity, that the oracle [Eval.bindings] finds on the instance as
+   it was at the compile. *)
+type write =
+  | Ins of Symbol.t * Tgd_db.Tuple.t
+  | Seal
+  | Copy
+  | Subst of int * Tgd_db.Value.t
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Tgd_db.Value.const (Printf.sprintf "c%d" i)) (int_bound 3));
+        (1, map (fun n -> Tgd_db.Value.Null (n + 1)) (int_bound 2));
+      ])
+
+let gen_fact =
+  QCheck.Gen.(
+    gen_pred >>= fun (name, arity) ->
+    map (fun vs -> (Symbol.intern name, Array.of_list vs)) (list_repeat arity gen_value))
+
+let gen_write =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map (fun (p, t) -> Ins (p, t)) gen_fact);
+        (1, return Seal);
+        (1, return Copy);
+        (1, map2 (fun n v -> Subst (n + 1, v)) (int_bound 2) gen_value);
+      ])
+
+let show_write = function
+  | Ins (p, t) -> Format.asprintf "+%s%a" (Symbol.name p) Tgd_db.Tuple.pp t
+  | Seal -> "seal"
+  | Copy -> "copy"
+  | Subst (n, v) -> Printf.sprintf "_n%d:=%s" n (Tgd_db.Value.to_string v)
+
+let apply_write inst = function
+  | Ins (p, t) -> ignore (Tgd_db.Instance.add_fact inst p t); inst
+  | Seal -> Tgd_db.Instance.seal inst; inst
+  | Copy -> Tgd_db.Instance.copy inst
+  | Subst (n, v) ->
+    ignore (Tgd_db.Instance.substitute inst ~from_:(Tgd_db.Value.Null n) ~to_:v);
+    inst
+
+let gen_compiled_case =
+  QCheck.Gen.(
+    list_size (int_range 0 40) gen_write >>= fun writes ->
+    gen_cq >>= fun q ->
+    let vars = Symbol.Set.elements (Cq.vars q) in
+    list_repeat (List.length vars) (opt ~ratio:0.3 gen_value) >>= fun bound ->
+    let bound = List.filter_map (fun (x, v) -> Option.map (fun v -> (x, v)) v) (List.combine vars bound) in
+    opt ~ratio:0.4
+      (int_bound (List.length q.Cq.body - 1) >>= fun i ->
+       let a = List.nth q.Cq.body i in
+       map
+         (fun ts -> (i, List.map (fun (_, t) -> t) ts))
+         (list_size (int_bound 5)
+            (oneof [ map (fun vs -> (a.Atom.pred, Array.of_list vs)) (list_repeat (Atom.arity a) gen_value); gen_fact ])))
+    >>= fun forced ->
+    list_size (int_bound 8) (map (fun (p, t) -> Ins (p, t)) gen_fact) >>= fun later ->
+    return (writes, q, bound, forced, later))
+
+let print_compiled_case (writes, q, bound, forced, later) =
+  Printf.sprintf "writes [%s]; query %s; bound [%s]; forced %s; later [%s]"
+    (String.concat "; " (List.map show_write writes))
+    (Cq.to_string q)
+    (String.concat "; "
+       (List.map (fun (x, v) -> Symbol.name x ^ "=" ^ Tgd_db.Value.to_string v) bound))
+    (match forced with
+    | None -> "none"
+    | Some (i, ts) ->
+      Printf.sprintf "atom %d over [%s]" i
+        (String.concat "; " (List.map (Format.asprintf "%a" Tgd_db.Tuple.pp) ts)))
+    (String.concat "; " (List.map show_write later))
+
+let prop_compiled_matches_oracle =
+  QCheck.Test.make ~name:"compiled evaluation reports the oracle's matches" ~count:500
+    (QCheck.make ~print:print_compiled_case gen_compiled_case)
+    (fun (writes, q, bound, forced, later) ->
+      let inst = List.fold_left apply_write (Tgd_db.Instance.create ()) writes in
+      let answer lookup =
+        Array.of_list
+          (List.map
+             (function Term.Const k -> Tgd_db.Value.Const k | Term.Var x -> lookup x)
+             q.Cq.answer)
+      in
+      let expected = ref [] in
+      let init = List.fold_left (fun m (x, v) -> Symbol.Map.add x v m) Symbol.Map.empty bound in
+      Tgd_conformance.Eval.bindings ~init ?forced inst q.Cq.body (fun env ->
+          expected := answer (fun x -> Symbol.Map.find x env) :: !expected);
+      let plan = Tgd_db.Col_eval.compile ~bound:(List.map fst bound) ?forced inst q in
+      let inst = List.fold_left apply_write inst later in
+      ignore inst;
+      let got = ref [] in
+      Tgd_db.Col_eval.iter
+        ~bound:(Array.of_list (List.map (fun (_, v) -> Tgd_db.Value.code v) bound))
+        plan
+        (fun codes -> got := Array.map Tgd_db.Value.decode codes :: !got);
+      let sort = List.sort Tgd_db.Tuple.compare in
+      List.equal Tgd_db.Tuple.equal (sort !expected) (sort !got))
 
 (* ------------------------------------------------------------------ *)
 (* Chase vs Datalog on existential-free programs *)
@@ -454,8 +565,8 @@ let prop_unfold_equals_materialize =
       in
       List.for_all
         (fun q ->
-          let via_unfold = Tgd_db.Eval.ucq source_db (Tgd_obda.Unfold.cq mappings q) in
-          let via_abox = Tgd_db.Eval.cq abox q in
+          let via_unfold = Tgd_conformance.Eval.ucq source_db (Tgd_obda.Unfold.cq mappings q) in
+          let via_abox = Tgd_conformance.Eval.cq abox q in
           List.length via_unfold = List.length via_abox
           && List.for_all2 Tgd_db.Tuple.equal via_unfold via_abox)
         queries)
@@ -529,7 +640,8 @@ let () =
       ( "rewrite-determinism",
         [ Alcotest.test_case "domains=1 vs domains=4" `Quick test_rewrite_domain_determinism ] );
       ("planner", List.map to_alcotest [ prop_join_plan_matches_reference ]);
-      ("evaluation", List.map to_alcotest [ prop_eval_matches_homomorphisms ]);
+      ( "evaluation",
+        List.map to_alcotest [ prop_eval_matches_homomorphisms; prop_compiled_matches_oracle ] );
       ("chase", List.map to_alcotest [ prop_chase_equals_datalog ]);
       ( "graphs",
         List.map to_alcotest [ prop_scc_is_mutual_reachability; prop_simple_cycles_within_scc ] );

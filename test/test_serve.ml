@@ -39,6 +39,93 @@ let test_json_errors () =
       | Error _ -> ())
     bad
 
+(* Generated trees: every float is a quarter of a small integer, so the
+   12-digit rendering is exact; strings mix ASCII, the characters the
+   printer escapes, control bytes and multi-byte UTF-8. *)
+let gen_json_string =
+  QCheck.Gen.(
+    map String.concat (return "")
+    <*> list_size (int_bound 6)
+          (oneof
+             [
+               map (String.make 1) (char_range 'a' 'z');
+               oneofl [ "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012"; "\001"; "\031"; " " ];
+               oneofl [ "\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "\xf0\x9f\x90\xab"; "\xce\xbb" ];
+             ]))
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun i -> Json.Float (float_of_int i /. 4.)) (int_range (-1_000_000) 1_000_000);
+                 map (fun s -> Json.String s) gen_json_string;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 2))));
+                 ( 1,
+                   map (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair gen_json_string (self (n / 2)))) );
+               ]))
+
+let arb_json = QCheck.make ~print:Json.to_string gen_json
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse inverts print" ~count:500 arb_json (fun j ->
+      Json.parse (Json.to_string j) = Ok j)
+
+(* A document is an array or an object: no strict prefix of one parses. *)
+let prop_json_prefixes =
+  QCheck.Test.make ~name:"every strict prefix of a document is rejected" ~count:200
+    (QCheck.make ~print:Json.to_string
+       QCheck.Gen.(map (fun j -> Json.List [ j ]) gen_json))
+    (fun j ->
+      let s = Json.to_string j in
+      List.for_all
+        (fun k -> Result.is_error (Json.parse (String.sub s 0 k)))
+        (List.init (String.length s) Fun.id)
+      && List.for_all (fun tail -> Result.is_error (Json.parse (s ^ tail))) [ "]"; ","; "x"; "{}" ])
+
+(* 64 nested arrays or objects parse; one more is a typed error, and so is
+   a line a hundred thousand levels deep — no stack overflow. *)
+let test_json_nesting_bound () =
+  let nest depth (opener, closer) =
+    String.concat "" (List.init depth (fun _ -> opener))
+    ^ "0"
+    ^ String.concat "" (List.init depth (fun _ -> closer))
+  in
+  List.iter
+    (fun brackets ->
+      let label = fst brackets in
+      Alcotest.(check bool) (label ^ " at the bound parses") true (Result.is_ok (Json.parse (nest 64 brackets)));
+      List.iter
+        (fun depth ->
+          match Json.parse (nest depth brackets) with
+          | Ok _ -> Alcotest.failf "%s nested %d deep parsed" label depth
+          | Error msg ->
+            Alcotest.(check bool) (label ^ ": names the bound") true
+              (String.ends_with ~suffix:"nesting deeper than 64" msg))
+        [ 65; 100_000 ])
+    [ ("[", "]"); ({|{"k":|}, "}") ];
+  (* A mix of both kinds counts every level. *)
+  let mixed depth =
+    String.concat "" (List.init depth (fun i -> if i mod 2 = 0 then "[" else {|{"k":|}))
+    ^ "0"
+    ^ String.concat "" (List.init depth (fun i -> if (depth - 1 - i) mod 2 = 0 then "]" else "}"))
+  in
+  Alcotest.(check bool) "mixed at the bound parses" true (Result.is_ok (Json.parse (mixed 64)));
+  Alcotest.(check bool) "mixed past the bound fails" true (Result.is_error (Json.parse (mixed 65)))
+
 (* ------------------------------------------------------------------ *)
 (* Canonical forms: deterministic cases *)
 
@@ -717,8 +804,7 @@ let test_image_of_unsealed_model () =
   let stale =
     List.exists
       (fun (pred, _) ->
-        Tgd_db.Relation.columnar (Option.get (Tgd_db.Instance.relation m.Registry.model pred))
-        = None)
+        Tgd_db.Relation.pending (Option.get (Tgd_db.Instance.relation m.Registry.model pred)) > 0)
       (Tgd_db.Instance.predicates m.Registry.model)
   in
   Alcotest.(check bool) "the model has pending tails" true stale;
@@ -739,13 +825,14 @@ let test_image_of_unsealed_model () =
   Alcotest.(check bool) "encoding left the model unsealed" true
     (List.exists
        (fun (pred, _) ->
-         Tgd_db.Relation.columnar (Option.get (Tgd_db.Instance.relation m.Registry.model pred))
-         = None)
+         Tgd_db.Relation.pending (Option.get (Tgd_db.Instance.relation m.Registry.model pred)) > 0)
        (Tgd_db.Instance.predicates m.Registry.model))
 
 let blocks inst =
   List.filter_map
-    (fun (pred, _) -> fst (Tgd_db.Relation.sealed_parts (Option.get (Tgd_db.Instance.relation inst pred))))
+    (fun (pred, _) ->
+      let block = Tgd_db.Relation.block (Option.get (Tgd_db.Instance.relation inst pred)) in
+      if Tgd_db.Columnar.nrows block > 0 then Some block else None)
     (Tgd_db.Instance.predicates inst)
 
 let index_built block =
@@ -761,37 +848,42 @@ let image_of (e : Registry.entry) =
       materialization = e.Registry.materialization;
     }
 
-(* Nothing probes a model: the chase reads it boxed and a checkpoint writes
-   its columns. So the blocks of a materialized model, and of a model
-   restored from an image, build no index across writes, queries on the
-   instance and checkpoints — while the instance those queries run on
-   does. A model block that is also an instance block (a relation the
+(* The chase runs compiled, so it indexes the model's blocks on the columns
+   its joins and restricted checks probe. Nothing else probes a model:
+   queries run on the instance and a checkpoint writes the model's
+   columns. So across writes, queries on the instance and checkpoints,
+   the queries index the instance while no query or checkpoint indexes a
+   model block — on a materialized model and on one restored from an
+   image. A model block that is also an instance block (a relation the
    chase never wrote is shared with the instance it was copied from) is
    the instance's to index. *)
-let test_model_builds_no_index () =
+let test_queries_build_no_model_index () =
   let program = Tgd_gen.University.ontology in
   let ucqs =
     List.map (fun q -> (Tgd_rewrite.Rewrite.ucq program q).Tgd_rewrite.Rewrite.ucq)
       Tgd_gen.University.queries
   in
+  let indexed block = List.init (Tgd_db.Columnar.arity block) (fun col -> Tgd_db.Columnar.indexed block ~col) in
   let exercise reg tag =
     let instance_blocks = ref (blocks (entry_of reg "uni").Registry.instance) in
+    let model_only e =
+      instance_blocks := blocks e.Registry.instance @ !instance_blocks;
+      List.filter (fun b -> not (List.memq b !instance_blocks)) (blocks (model_of e))
+    in
+    let image = ref "" in
     for k = 1 to 3 do
       ignore (add_one reg (twelve_facts (Printf.sprintf "%s%d" tag k)));
       let e = entry_of reg "uni" in
-      instance_blocks := blocks e.Registry.instance @ !instance_blocks;
-      List.iter (fun u -> ignore (Tgd_db.Par_eval.ucq ~workers:1 e.Registry.instance u)) ucqs
+      let before = List.map (fun b -> (b, indexed b)) (model_only e) in
+      Alcotest.(check bool) (tag ^ ": the model has blocks of its own") true (before <> []);
+      List.iter (fun u -> ignore (Tgd_db.Par_eval.ucq ~workers:1 e.Registry.instance u)) ucqs;
+      image := image_of e;
+      Alcotest.(check bool) (tag ^ ": no query or checkpoint indexed a model block") true
+        (List.for_all (fun (b, flags) -> indexed b = flags) before)
     done;
-    let e = entry_of reg "uni" in
-    let image = image_of e in
     Alcotest.(check bool) (tag ^ ": the queries indexed the instance") true
-      (List.exists index_built (blocks e.Registry.instance));
-    let model_only =
-      List.filter (fun b -> not (List.memq b !instance_blocks)) (blocks (model_of e))
-    in
-    Alcotest.(check bool) (tag ^ ": the model has blocks of its own") true (model_only <> []);
-    Alcotest.(check bool) (tag ^ ": none built an index") false (List.exists index_built model_only);
-    image
+      (List.exists index_built (blocks (entry_of reg "uni").Registry.instance));
+    !image
   in
   let reg = materialized_university () in
   let image = exercise reg "mat" in
@@ -831,7 +923,7 @@ let test_parallel_eval_on_restored_entry () =
       Tgd_gen.University.queries
   in
   let answer_all ~workers inst = List.map (Tgd_db.Par_eval.ucq ~workers ~min_tuples:16 inst) ucqs in
-  let sequential = List.map (Tgd_db.Eval.ucq (restored ())) ucqs in
+  let sequential = List.map (Tgd_conformance.Eval.ucq (restored ())) ucqs in
   Alcotest.(check bool) "some query has answers" true (List.exists (fun a -> a <> []) sequential);
   for round = 1 to 3 do
     let inst = restored () in
@@ -1137,7 +1229,9 @@ let () =
       ("json", [
         Alcotest.test_case "round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "malformed inputs" `Quick test_json_errors;
+        Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
       ]);
+      qsuite "json-props" [ prop_json_roundtrip; prop_json_prefixes ];
       ("canon", [
         Alcotest.test_case "alpha-equivalent queries share a key" `Quick test_canon_alpha_equal;
         Alcotest.test_case "inequivalent queries are distinguished" `Quick test_canon_distinguishes;
@@ -1173,8 +1267,8 @@ let () =
           test_write_shares_untouched_relations;
         Alcotest.test_case "concurrent Datalog answers on a restored entry" `Quick
           test_concurrent_datalog_on_restored_entry;
-        Alcotest.test_case "a model builds no index across writes and checkpoints" `Quick
-          test_model_builds_no_index;
+        Alcotest.test_case "queries and checkpoints build no model index" `Quick
+          test_queries_build_no_model_index;
         Alcotest.test_case "parallel eval on a freshly restored entry" `Quick
           test_parallel_eval_on_restored_entry;
         Alcotest.test_case "image of an unsealed model equals the sealed one" `Quick
