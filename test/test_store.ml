@@ -562,17 +562,33 @@ let test_v1_image_recovers () =
       let model srv = (Option.get (entry srv).Tgd_serve.Registry.materialization).Tgd_serve.Registry.model in
       Alcotest.(check bool) "instance facts" true
         (facts_equal (entry live).Tgd_serve.Registry.instance (entry recovered).Tgd_serve.Registry.instance);
-      Alcotest.(check bool) "model facts, nulls included" true
-        (facts_equal (model live) (model recovered));
+      (* The image's model was chased with the boxed evaluator, which
+         found triggers in hash-table order; the compiled chase finds
+         them in row order, so the two models label their nulls
+         differently. They are one model up to that renaming: equally
+         large, homomorphically equivalent, with the same null-free facts. *)
+      let m_live = model live and m_rec = model recovered in
+      let maps_into i1 i2 =
+        Tgd_logic.Homomorphism.exists (Tgd_db.Instance.to_atoms i1)
+          (Tgd_logic.Homomorphism.target_of_atoms (Tgd_db.Instance.to_atoms i2))
+      in
+      let null_free i = List.filter (fun (_, t) -> not (Tgd_db.Tuple.has_null t)) (norm_facts i) in
+      Alcotest.(check int) "model size" (Tgd_db.Instance.cardinality m_live)
+        (Tgd_db.Instance.cardinality m_rec);
+      Alcotest.(check bool) "models homomorphically equivalent" true
+        (maps_into m_live m_rec && maps_into m_rec m_live);
+      Alcotest.(check bool) "model null-free facts" true
+        (List.equal (fun a b -> fact_compare a b = 0) (null_free m_live) (null_free m_rec));
       Alcotest.(check bool) "the model holds nulls" true
         (List.exists (fun (_, t) -> Tgd_db.Tuple.has_null t) (Tgd_db.Instance.facts (model recovered)));
       List.iter
         (fun (query, expected) ->
-          let fields =
-            ok recovered (P.Execute { ontology = "v1"; query; budget = None; target = None })
-          in
-          Alcotest.(check string) query expected
-            (Tgd_serve.Json.to_string (Option.get (List.assoc_opt "answers" fields))))
+          List.iter
+            (fun srv ->
+              let fields = ok srv (P.Execute { ontology = "v1"; query; budget = None; target = None }) in
+              Alcotest.(check string) query expected
+                (Tgd_serve.Json.to_string (Option.get (List.assoc_opt "answers" fields))))
+            [ recovered; live ])
         [
           ("q(X) :- person(X).", {|[["ada"],["turing"],["hopper"],["liskov"],["bob"]]|});
           ("q(X,Y) :- teaches(X,Y), course(Y).", {|[["turing","logic"],["liskov","types"]]|});
