@@ -139,8 +139,7 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     end;
     added
   in
-  (* A rule without existential variables is searched for its head
-     atoms' arguments, back to back: each match codes its head facts. *)
+  (* A full rule's search answers its head atoms' arguments, back to back. *)
   let fire_full ~delta_out (r : Tgd.t) codes =
     if Governor.live gov then begin
       let _, added =
@@ -157,13 +156,12 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     end
     else skipped_work := true
   in
-  let apply_trigger ~delta_out tr =
-    (* Two triggers of one rule with one frontier row fire the same head
-       (up to null naming): the oblivious chase fires one of them. *)
+  let apply_trigger ~delta_out (tr, satisfied) =
+    (* Triggers of one rule and frontier row fire one head (up to nulls). *)
     let k = (tr.Trigger.rule.Tgd.name, tr.Trigger.frontier) in
     if not (Key_table.mem fired k) then begin
       Key_table.add fired k ();
-      if variant = Oblivious || not (Trigger.is_satisfied ?gov:eval_gov tr inst) then begin
+      if variant = Oblivious || not (satisfied ?gov:eval_gov inst tr.Trigger.frontier) then begin
         incr triggers_fired;
         charge_fired ();
         List.iter
@@ -176,18 +174,19 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     List.map
       (fun (r : Tgd.t) ->
         if Symbol.Set.is_empty (Tgd.existential_head_vars r) then
-          (r, true, List.concat_map (fun (a : Atom.t) -> Array.to_list a.Atom.args) r.Tgd.head)
-        else (r, false, List.map (fun v -> Term.Var v) (Trigger.frontier_vars r)))
+          (r, None, List.concat_map (fun (a : Atom.t) -> Array.to_list a.Atom.args) r.Tgd.head)
+        else (r, Some (Trigger.satisfied r), List.map (fun v -> Term.Var v) (Trigger.frontier_vars r)))
       (Tgd_logic.Program.tgds program)
   in
   let tgd_round frontier =
     let delta_out : Tuple.t list Symbol.Table.t = Symbol.Table.create 16 in
     let triggers = ref [] in
     List.iter
-      (fun ((r : Tgd.t), full, answer) ->
+      (fun ((r : Tgd.t), satisfied, answer) ->
         let found =
-          if full then fire_full ~delta_out r
-          else fun codes -> triggers := { Trigger.rule = r; frontier = Array.copy codes } :: !triggers
+          match satisfied with
+          | None -> fire_full ~delta_out r
+          | Some s -> fun codes -> triggers := ({ Trigger.rule = r; frontier = Array.copy codes }, s) :: !triggers
         in
         Trigger.bindings ?gov:eval_gov inst r.Tgd.body ~answer ~delta:frontier found)
       rules;

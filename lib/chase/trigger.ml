@@ -8,12 +8,12 @@ type t = {
 
 let frontier_vars r = Symbol.Set.elements (Tgd.frontier r)
 
-let is_satisfied ?gov tr inst =
-  let head = Cq.make ~name:tr.rule.Tgd.name ~answer:[] ~body:tr.rule.Tgd.head in
-  let plan = Col_eval.compile ~bound:(frontier_vars tr.rule) inst head in
-  match Col_eval.iter ?gov ~bound:tr.frontier plan (fun _ -> raise Exit) with
-  | () -> false
-  | exception Exit -> true
+let satisfied r =
+  let head = Cq.make ~name:r.Tgd.name ~answer:[] ~body:r.Tgd.head and bound = frontier_vars r in
+  fun ?gov inst frontier ->
+    match Col_eval.iter ?gov ~bound:frontier (Col_eval.compile ~bound inst head) (fun _ -> raise Exit) with
+    | () -> false
+    | exception Exit -> true
 
 let head_facts tr gen =
   let env =

@@ -12,12 +12,12 @@ type t = {
 val frontier_vars : Tgd.t -> Symbol.t list
 (** The body variables the head uses, sorted. *)
 
-val is_satisfied : ?gov:Tgd_exec.Governor.t -> t -> Instance.t -> bool
-(** Restricted-chase activity test: [true] iff the head is already satisfied,
-    i.e. the frontier assignment extends to a homomorphism of the head into
-    the instance, as it is when the test runs. A tripped governor cuts the
-    search short (reporting unsatisfied, which errs on the side of firing —
-    sound for the chase). *)
+val satisfied : Tgd.t -> ?gov:Tgd_exec.Governor.t -> Instance.t -> int array -> bool
+(** Restricted-chase activity test: [satisfied r inst frontier] iff the
+    frontier row of a trigger of [r] extends to a homomorphism of the head
+    into the instance as it is now; [satisfied r] does the per-rule work
+    once. A tripped governor cuts the search short, reporting unsatisfied
+    (erring on the side of firing is sound for the chase). *)
 
 val head_facts : t -> Null_gen.t -> (Symbol.t * Tuple.t) list
 (** Instantiate the head: frontier variables from the decoded frontier row,

@@ -207,8 +207,9 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
       ~sizes:(Array.map (function Rel r -> Relation.cardinality r | Rows b -> Columnar.nrows b) sources)
       q.Cq.body
   in
-  let slots = Symbol.Table.create 8 in
-  List.iter (fun v -> Symbol.Table.replace slots v (Symbol.Table.length slots)) bound;
+  (* Variable -> frame slot; bodies are small. *)
+  let slots = ref (List.mapi (fun i v -> (v, i)) bound) in
+  let slot v = List.find_map (fun (w, s) -> if Symbol.equal v w then Some s else None) !slots in
   let step (s : Join_plan.step) =
     let source = sources.(s.Join_plan.index) in
     (* Rows alone are a forced delta's few: scanned, every column checked. *)
@@ -220,7 +221,7 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
       else
         match s.Join_plan.args.(probe) with
         | Join_plan.Const c -> Out_code (const_code c)
-        | Join_plan.Check v | Join_plan.Bind v -> Out_slot (Symbol.Table.find slots v)
+        | Join_plan.Check v | Join_plan.Bind v -> Out_slot (Option.get (slot v))
     in
     (* One op per column, left to right, except the probed column: it
        holds the probe value on every candidate row. *)
@@ -231,11 +232,11 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
         let code = const_code c in
         fun col -> Check_const (col j, code)
       | Join_plan.Check v ->
-        let slot = Symbol.Table.find slots v in
+        let slot = Option.get (slot v) in
         fun col -> Check_slot (col j, slot)
       | Join_plan.Bind v ->
-        let slot = Symbol.Table.length slots in
-        Symbol.Table.add slots v slot;
+        let slot = List.length !slots in
+        slots := (v, slot) :: !slots;
         fun col -> Bind (col j, slot)
     in
     let ops = Array.init (Array.length s.Join_plan.args - if probe >= 0 then 1 else 0) op in
@@ -257,12 +258,12 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
       (function
         | Term.Const c -> Out_code (const_code c)
         | Term.Var v -> (
-          match Symbol.Table.find_opt slots v with
+          match slot v with
           | Some s -> Out_slot s
           | None -> invalid_arg "Col_eval.compile: unbound answer variable"))
       q.Cq.answer
   in
-  { steps; nslots = Symbol.Table.length slots; out = Array.of_list out }
+  { steps; nslots = List.length !slots; out = Array.of_list out }
 
 let rows s = Array.fold_left (fun n seg -> n + seg.nrows) 0 s.segs
 let can_match t = Array.for_all (fun s -> rows s > 0) t.steps

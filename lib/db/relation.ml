@@ -11,13 +11,11 @@ type ids = {
   mutable n : int;
 }
 
-(* The rows inserted since the last seal, coded at insert: a growable code
-   column per attribute and, per column, a code -> row-ids index built on
-   the column's first probe and extended by later inserts. Only the owner
-   of an unshared relation appends; readers on other domains only probe,
-   so the lazy index is published through an [Atomic] (racing builders
-   publish identical ones, as in [Columnar]). A seal replaces the record,
-   so a plan compiled against it keeps reading its rows undisturbed. *)
+(* Rows coded at insert: a growable code column per attribute and, per
+   column, a code -> row-ids index built on its first probe and extended
+   by later inserts. Only the owner of an unshared relation appends, so
+   the lazy index is published through an [Atomic] for readers on other
+   domains (racing builders publish identical ones, as in [Columnar]). *)
 type tail = {
   tcols : int array array;
   mutable len : int;
@@ -77,13 +75,11 @@ let fold block tails =
   in
   Columnar.extend block (Array.init (Columnar.arity block) col) ~len
 
-(* A private duplicate of a relation, which is frozen for good: the
-   hashtable and the built index tables are duplicated (cheap structural
-   copies — keys and the tuples themselves are shared and never mutated),
-   while the block and the original's tails, which no longer grow, are
-   shared with their built indexes; past eight (a probe visits each), they
-   are folded into a new block. A row set still deferred in a snapshot
-   block stays deferred in the copy. *)
+(* A private duplicate of a relation, which is frozen for good: the row
+   table and the built index tables are structurally copied, while the
+   block and the original's tails, which no longer grow, are shared with
+   their built indexes; past eight (a probe visits each), they are folded
+   into a new block. A deferred row set stays deferred in the copy. *)
 let copy r =
   share r;
   let unboxed = Atomic.get r.unboxed in
@@ -155,15 +151,20 @@ let tail_index_add idx code row =
   g.ids.(g.n) <- row;
   g.n <- g.n + 1
 
-let tail_push tail codes =
+(* Code a row into the slot past the tail's rows: no row changes, so an
+   uncodable value raises before anything is written. *)
+let tail_code tail t =
+  for j = 0 to Array.length t - 1 do
+    let col = room tail.tcols.(j) tail.len in
+    tail.tcols.(j) <- col;
+    col.(tail.len) <- Value.code t.(j)
+  done
+
+let tail_commit tail =
   let row = tail.len in
-  Array.iteri
-    (fun j col ->
-      let col = room col row in
-      tail.tcols.(j) <- col;
-      col.(row) <- codes.(j);
-      Option.iter (fun idx -> tail_index_add idx codes.(j) row) (Atomic.get tail.tindex.(j)))
-    tail.tcols;
+  for j = 0 to Array.length tail.tcols - 1 do
+    Option.iter (fun idx -> tail_index_add idx tail.tcols.(j).(row) row) (Atomic.get tail.tindex.(j))
+  done;
   tail.len <- row + 1
 
 let insert r t =
@@ -172,14 +173,13 @@ let insert r t =
   ensure_rows r;
   if Tuple.Table.mem r.rows t then false
   else begin
-    (* Coded before anything is written: an uncodable value raises here
-       and leaves the relation as it was. *)
-    let codes = Array.map Value.code t in
+    let tail = List.hd r.tails in
+    tail_code tail t;
     Tuple.Table.add r.rows t ();
     Array.iteri
       (fun pos idx -> match idx with None -> () | Some idx -> index_insert idx t pos)
       r.indexes;
-    tail_push (List.hd r.tails) codes;
+    tail_commit tail;
     true
   end
 
@@ -293,6 +293,6 @@ let substitute r ~from_ ~to_ =
     r.block <- Columnar.empty ~arity:r.arity;
     let tail = new_tail r.arity in
     r.tails <- [ tail ];
-    iter (fun t -> tail_push tail (Array.map Value.code t)) r;
+    iter (fun t -> tail_code tail t; tail_commit tail) r;
     !fresh
   end

@@ -49,7 +49,7 @@ let test_trigger_satisfaction () =
     List.find (fun tr -> tr.Trigger.rule.Tgd.name = "has_member") triggers
   in
   Alcotest.(check bool) "head already satisfied" true
-    (Trigger.is_satisfied has_member_trigger inst)
+    (Trigger.satisfied has_member_trigger.Trigger.rule inst has_member_trigger.Trigger.frontier)
 
 let test_trigger_head_facts_share_nulls () =
   let r =
@@ -139,7 +139,7 @@ let test_chase_models_program () =
   let _ = Chase.run person_project inst in
   let triggers = find_triggers person_project inst ~delta:None in
   List.iter
-    (fun tr -> Alcotest.(check bool) "trigger satisfied" true (Trigger.is_satisfied tr inst))
+    (fun tr -> Alcotest.(check bool) "trigger satisfied" true (Trigger.satisfied tr.Trigger.rule inst tr.Trigger.frontier))
     triggers
 
 let test_chase_multi_head () =
