@@ -392,9 +392,14 @@ let iter ?gov ?bound t emit =
   (* The root is a node too. *)
   if node () then exec ~node ?bound t ~lo:0 ~hi:max_int ~emit
 
+(* Coded answers are sorted and compacted in one flat buffer: code order
+   is [Tuple.compare]'s, so only distinct answers are decoded. *)
 let cq ?gov inst q =
-  let acc = Tuple.Table.create 64 in
-  iter ?gov (compile inst q) (fun codes ->
-      let t = Array.map Value.decode codes in
-      if not (Tuple.Table.mem acc t) then Tuple.Table.add acc t ());
-  Tuple.Table.fold (fun t () l -> t :: l) acc [] |> List.sort Tuple.compare
+  let t = compile inst q in
+  let stride = out_arity t and buf = ref [||] and rows = ref 0 in
+  iter ?gov t (fun codes ->
+      buf := Columnar.room !buf (((!rows + 1) * stride) - 1);
+      Array.blit codes 0 !buf (!rows * stride) stride;
+      incr rows);
+  sort_rows !buf ~stride ~rows:!rows;
+  List.init (uniq_rows !buf ~stride ~rows:!rows) (fun row -> decode_row !buf ~stride ~row)

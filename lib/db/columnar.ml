@@ -41,6 +41,13 @@ let of_columns ~arity ~nrows cols =
     Error "column length mismatch"
   else Ok { arity; nrows; cols; indexes = unindexed arity }
 
+let room a n =
+  if n < Array.length a then a
+  else
+    let b = Array.make (max 4 (2 * n)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
 (* Extend a CSR index with rows [old_n ..] of the (already extended)
    column, without rehashing the sealed prefix: each group keeps its old
    segment (blitted) followed by the appended row ids. *)
@@ -61,11 +68,7 @@ let extend_index idx (col : int array) ~old_n =
         incr ngroups;
         g
     in
-    if g >= Array.length !counts then begin
-      let bigger = Array.make (2 * Array.length !counts) 0 in
-      Array.blit !counts 0 bigger 0 (Array.length !counts);
-      counts := bigger
-    end;
+    counts := room !counts g;
     !counts.(g) <- !counts.(g) + 1
   done;
   let starts = Array.make (!ngroups + 1) 0 in

@@ -58,5 +58,9 @@ val indexed : t -> col:int -> bool
 val decode_row : t -> int -> Tuple.t
 (** Rebuild the boxed tuple stored at a row id. *)
 
+val room : int array -> int -> int array
+(** [room a n] is [a] when [n] indexes it, else a copy of [a] at least
+    [2n] long: the growth step of every append-only code array. *)
+
 val iter_rows : (Tuple.t -> unit) -> t -> unit
 (** Decode every row in row-id order (testing and round-trip checks). *)

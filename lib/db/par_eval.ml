@@ -28,12 +28,7 @@ type bucket = {
 let bucket_create () = { data = [||]; rows = 0 }
 
 let bucket_push b (src : int array) stride =
-  let need = (b.rows + 1) * stride in
-  if need > Array.length b.data then begin
-    let bigger = Array.make (max 1024 (2 * need)) 0 in
-    Array.blit b.data 0 bigger 0 (b.rows * stride);
-    b.data <- bigger
-  end;
+  b.data <- Columnar.room b.data (((b.rows + 1) * stride) - 1);
   Array.blit src 0 b.data (b.rows * stride) stride;
   b.rows <- b.rows + 1
 

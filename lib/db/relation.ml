@@ -130,14 +130,6 @@ let index_insert idx t pos =
   let existing = Option.value ~default:[] (Vtbl.find_opt idx key) in
   Vtbl.replace idx key (t :: existing)
 
-(* [a], or a copy twice as long when index [n] is past its end. *)
-let room a n =
-  if n < Array.length a then a
-  else
-    let b = Array.make (max 4 (2 * n)) 0 in
-    Array.blit a 0 b 0 n;
-    b
-
 let tail_index_add idx code row =
   let g =
     match Columnar.Itbl.find_opt idx code with
@@ -147,7 +139,7 @@ let tail_index_add idx code row =
       Columnar.Itbl.add idx code g;
       g
   in
-  g.ids <- room g.ids g.n;
+  g.ids <- Columnar.room g.ids g.n;
   g.ids.(g.n) <- row;
   g.n <- g.n + 1
 
@@ -155,7 +147,7 @@ let tail_index_add idx code row =
    uncodable value raises before anything is written. *)
 let tail_code tail t =
   for j = 0 to Array.length t - 1 do
-    let col = room tail.tcols.(j) tail.len in
+    let col = Columnar.room tail.tcols.(j) tail.len in
     tail.tcols.(j) <- col;
     col.(tail.len) <- Value.code t.(j)
   done
@@ -163,7 +155,7 @@ let tail_code tail t =
 let tail_commit tail =
   let row = tail.len in
   for j = 0 to Array.length tail.tcols - 1 do
-    Option.iter (fun idx -> tail_index_add idx tail.tcols.(j).(row) row) (Atomic.get tail.tindex.(j))
+    match Atomic.get tail.tindex.(j) with None -> () | Some idx -> tail_index_add idx tail.tcols.(j).(row) row
   done;
   tail.len <- row + 1
 
@@ -176,9 +168,9 @@ let insert r t =
     let tail = List.hd r.tails in
     tail_code tail t;
     Tuple.Table.add r.rows t ();
-    Array.iteri
-      (fun pos idx -> match idx with None -> () | Some idx -> index_insert idx t pos)
-      r.indexes;
+    for pos = 0 to r.arity - 1 do
+      match r.indexes.(pos) with None -> () | Some idx -> index_insert idx t pos
+    done;
     tail_commit tail;
     true
   end
