@@ -90,56 +90,70 @@ let swap_rows (a : int array) stride i j =
     Array.unsafe_set a (oj + k) t
   done
 
-(* Direct-call quicksort (median-of-three to the front, Hoare partition,
-   swap-based insertion below 16 rows) over the rows of a flat bucket.
-   [Array.sort] would need one heap block per row plus a closure call per
-   comparison — at n log n comparisons per partition that indirection is
-   the sort. [piv] is a caller-provided stride-sized scratch row: the
-   pivot must be copied out because partition swaps move it. Bounds are
-   row indices, [hi] inclusive. *)
-let rec qsort_rows (a : int array) stride (piv : int array) lo hi =
-  if hi - lo < 16 then
-    for i = lo + 1 to hi do
-      let j = ref i in
-      while
-        !j > lo && row_cmp_from a (!j * stride) a ((!j - 1) * stride) stride 0 < 0
-      do
-        swap_rows a stride !j (!j - 1);
-        decr j
-      done
+(* Insertion sort for a handful of rows, where the radix sort's digit
+   counts would cost more than the comparisons. *)
+let insertion_sort_rows (a : int array) stride rows =
+  for i = 1 to rows - 1 do
+    let j = ref i in
+    while !j > 0 && row_cmp_from a (!j * stride) a ((!j - 1) * stride) stride 0 < 0 do
+      swap_rows a stride !j (!j - 1);
+      decr j
     done
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    (* Sort rows lo/mid/hi among themselves, then move the median to [lo]
-       where the Hoare scan expects its pivot. *)
-    if row_cmp_from a (mid * stride) a (lo * stride) stride 0 < 0 then
-      swap_rows a stride mid lo;
-    if row_cmp_from a (hi * stride) a (mid * stride) stride 0 < 0 then begin
-      swap_rows a stride hi mid;
-      if row_cmp_from a (mid * stride) a (lo * stride) stride 0 < 0 then
-        swap_rows a stride mid lo
-    end;
-    swap_rows a stride lo mid;
-    Array.blit a (lo * stride) piv 0 stride;
-    let i = ref (lo - 1) and j = ref (hi + 1) in
-    let cut = ref (-1) in
-    while !cut < 0 do
-      incr i;
-      while row_cmp_from a (!i * stride) piv 0 stride 0 < 0 do
-        incr i
-      done;
-      decr j;
-      while row_cmp_from piv 0 a (!j * stride) stride 0 < 0 do
-        decr j
-      done;
-      if !i >= !j then cut := !j else swap_rows a stride !i !j
-    done;
-    qsort_rows a stride piv lo !cut;
-    qsort_rows a stride piv (!cut + 1) hi
-  end
+  done
 
+let radix_bits = 11
+let radix_mask = (1 lsl radix_bits) - 1
+
+(* Stable LSD radix sort of the rows of a flat bucket: one counting pass
+   per [radix_bits]-bit digit of [code - lo], columns from the last to the
+   first, and per column only the digits its code range [hi - lo] needs (a
+   column of constants takes one or two passes; one mixing in null codes,
+   [>= Value.null_base], up to five). Each pass is stable, so the order
+   the later columns set survives as the tie-break: the rows end in
+   lexicographic code order, which is [Tuple.compare]'s. Passes scatter
+   whole rows between [a] and one scratch buffer; only the first
+   [rows * stride] ints of [a] are read or written. *)
 let sort_rows (a : int array) ~stride ~rows =
-  if stride > 0 && rows > 1 then qsort_rows a stride (Array.make stride 0) 0 (rows - 1)
+  if stride > 0 && rows > 1 then
+    if rows <= 64 then insertion_sort_rows a stride rows
+    else begin
+      let len = rows * stride in
+      let src = ref a and dst = ref (Array.make len 0) in
+      let count = Array.make (radix_mask + 2) 0 in
+      for k = stride - 1 downto 0 do
+        let lo = ref max_int and hi = ref min_int and s = !src in
+        for r = 0 to rows - 1 do
+          let c = Array.unsafe_get s ((r * stride) + k) in
+          if c < !lo then lo := c;
+          if c > !hi then hi := c
+        done;
+        let shift = ref 0 in
+        while (!hi - !lo) lsr !shift > 0 do
+          let s = !src and d = !dst and lo = !lo and sh = !shift in
+          Array.fill count 0 (radix_mask + 2) 0;
+          for r = 0 to rows - 1 do
+            let g = 1 + (((Array.unsafe_get s ((r * stride) + k) - lo) lsr sh) land radix_mask) in
+            Array.unsafe_set count g (Array.unsafe_get count g + 1)
+          done;
+          for g = 1 to radix_mask do
+            count.(g) <- count.(g) + count.(g - 1)
+          done;
+          for r = 0 to rows - 1 do
+            let o = r * stride in
+            let g = ((Array.unsafe_get s (o + k) - lo) lsr sh) land radix_mask in
+            let w = Array.unsafe_get count g in
+            Array.unsafe_set count g (w + 1);
+            for i = 0 to stride - 1 do
+              Array.unsafe_set d ((w * stride) + i) (Array.unsafe_get s (o + i))
+            done
+          done;
+          src := d;
+          dst := s;
+          shift := sh + radix_bits
+        done
+      done;
+      if !src != a then Array.blit !src 0 a 0 len
+    end
 
 (* Compact duplicate (adjacent, post-sort) rows in place; returns the
    unique count. Stride 0 (boolean answers) collapses to one row. *)
@@ -148,8 +162,11 @@ let uniq_rows (a : int array) ~stride ~rows =
   else begin
     let w = ref 1 in
     for r = 1 to rows - 1 do
-      if row_cmp_from a (r * stride) a ((!w - 1) * stride) stride 0 <> 0 then begin
-        if r <> !w then Array.blit a (r * stride) a (!w * stride) stride;
+      let o = r * stride and ow = !w * stride in
+      if row_cmp_from a o a (ow - stride) stride 0 <> 0 then begin
+        for i = 0 to stride - 1 do
+          Array.unsafe_set a (ow + i) (Array.unsafe_get a (o + i))
+        done;
         incr w
       end
     done;
@@ -157,8 +174,15 @@ let uniq_rows (a : int array) ~stride ~rows =
   end
 
 let decode_row (a : int array) ~stride ~row =
-  let off = row * stride in
-  Array.init stride (fun i -> Value.decode a.(off + i))
+  let off = row * stride and t = Array.make stride (Value.Null 0) in
+  for i = 0 to stride - 1 do
+    t.(i) <- Value.decode a.(off + i)
+  done;
+  t
+
+let rec decode_rows a ~stride ~rows acc =
+  if rows = 0 then acc
+  else decode_rows a ~stride ~rows:(rows - 1) (decode_row a ~stride ~row:(rows - 1) :: acc)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -402,4 +426,4 @@ let cq ?gov inst q =
       Array.blit codes 0 !buf (!rows * stride) stride;
       incr rows);
   sort_rows !buf ~stride ~rows:!rows;
-  List.init (uniq_rows !buf ~stride ~rows:!rows) (fun row -> decode_row !buf ~stride ~row)
+  decode_rows !buf ~stride ~rows:(uniq_rows !buf ~stride ~rows:!rows) []

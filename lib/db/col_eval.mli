@@ -9,11 +9,11 @@
     index or scans. The interpreter allocates nothing per candidate.
 
     Answers stay coded integers end to end: {!run} refills one scratch row
-    per match, {!Par_eval} copies it into flat fixed-stride partition
-    buckets, and because {!Value.code} is order-preserving the
-    sort/dedup/merge pipeline ({!sort_rows}, {!uniq_rows},
-    {!compare_rows}) works on those flat ints and decodes
-    ({!decode_row}) only the final, already-sorted answer set. *)
+    per match, {!Par_eval} copies it into flat fixed-stride buffers, and
+    because {!Value.code} is order-preserving the radix sort, dedup and
+    merge ({!sort_rows}, {!uniq_rows}, {!compare_rows}) work on those
+    flat ints and decode ({!decode_rows}) only the final, already-sorted
+    answer set. *)
 
 open Tgd_logic
 
@@ -79,10 +79,12 @@ val compare_rows : int array -> int -> int array -> int -> stride:int -> int
     equals [Tuple.compare] on the decoded tuples. *)
 
 val sort_rows : int array -> stride:int -> rows:int -> unit
-(** Sort the [rows] fixed-[stride] rows of a flat bucket in place — a
-    direct-call quicksort; at n log n comparisons per answer partition
-    [Array.sort]'s per-row boxing and closure indirection would be the
-    sort. *)
+(** Sort the first [rows] fixed-[stride] rows of a flat buffer in place,
+    into {!compare_rows} order, leaving the rest of the array untouched:
+    a stable LSD radix sort, one 11-bit digit pass at a time from the
+    last column to the first, each column taking only the passes its
+    code range needs — linear in [rows] (an insertion sort for a handful
+    of rows). *)
 
 val uniq_rows : int array -> stride:int -> rows:int -> int
 (** Compact duplicate adjacent rows (i.e. all duplicates, post
@@ -91,3 +93,7 @@ val uniq_rows : int array -> stride:int -> rows:int -> int
 val decode_row : int array -> stride:int -> row:int -> Tuple.t
 (** Decode one bucket row back to a boxed tuple, in {!Value.code}'s
     order-preserving inverse. *)
+
+val decode_rows : int array -> stride:int -> rows:int -> Tuple.t list -> Tuple.t list
+(** [decode_rows a ~stride ~rows acc] is rows [0 .. rows - 1] of [a],
+    decoded in order, in front of [acc]. *)

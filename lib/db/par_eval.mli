@@ -8,9 +8,12 @@
     [arity] ints per emitted match — duplicates included, bounded by the
     governor's [eval.steps] budget when one is given), a second parallel
     phase gives each of the P partitions to one worker for lock-free
-    sorting, deduplication and decoding, and the sequential tail is a pure
-    k-way concatenation-merge of disjoint sorted runs. No mutex is taken
-    and no per-answer heap block is allocated on the answer path.
+    radix sorting ({!Col_eval.sort_rows}), deduplication and decoding, and
+    the sequential tail is a k-way merge of disjoint sorted runs. With one
+    worker there is one partition: answers go straight into one flat
+    buffer per arity, sorted and compacted in place and decoded into the
+    result, with no hash, copy or merge. No mutex is taken and no
+    per-answer heap block is allocated on the answer path.
 
     Results are deduplicated and sorted by [Tuple.compare], byte-identical
     to {!Col_eval.cq}'s union over the disjuncts.
@@ -45,7 +48,8 @@ val ucq :
     [inst] first. Worker count is [workers] if
     given, else the [pool]'s size, else {!Tgd_exec.Pool.default_workers}.
     [partitions] is the answer-partition count P of the columnar merge
-    (default [4 × workers]; raises [Invalid_argument] when [< 1]); more
+    (default [4 × workers], unused with one worker; raises
+    [Invalid_argument] when [< 1]); more
     partitions balance skewed answer distributions, fewer amortize the
     per-partition setup. A disjunct whose leading scan has fewer than
     [min_tuples] rows (default 512) runs on the calling domain, still

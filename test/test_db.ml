@@ -664,6 +664,68 @@ let prop_columnar_roundtrip =
       let by_codes = Array.to_list (Array.map (Array.map Value.decode) rows) in
       List.for_all2 Tuple.equal by_codes got)
 
+(* [Col_eval.sort_rows] + [uniq_rows] on flat coded rows against boxed
+   tuples sorted with [Tuple.compare]. Each column draws its codes from
+   one of three pools: four constants (heavy duplication), 5,000
+   constants (a code range past one radix digit) or constants mixed with
+   nulls (codes at and above [Value.null_base], up to five digits). Half
+   the rows repeat an earlier row, and the [slack] ints past
+   [rows * stride] must come back untouched. *)
+let sort_syms = Array.init 5_000 (fun i -> Value.code (vc (Printf.sprintf "sort%d" i)))
+
+let gen_sort_case st =
+  let stride = Random.State.int st 5 in
+  let rows = Random.State.int st (if Random.State.bool st then 65 else 3_001) in
+  let pools = Array.init stride (fun _ -> Random.State.int st 3) in
+  let code pool =
+    match pool with
+    | 0 -> sort_syms.(Random.State.int st 4)
+    | 1 -> sort_syms.(Random.State.int st 5_000)
+    | _ ->
+      if Random.State.bool st then sort_syms.(Random.State.int st 5_000)
+      else Value.null_base + Random.State.full_int st Value.null_base
+  in
+  let table = Array.make rows [||] in
+  for r = 0 to rows - 1 do
+    table.(r) <-
+      (if r > 0 && Random.State.bool st then table.(Random.State.int st r)
+       else Array.map code pools)
+  done;
+  (stride, table, Random.State.int st 8)
+
+let arb_sort_case =
+  QCheck.make
+    ~print:(fun (stride, table, slack) ->
+      Printf.sprintf "stride %d, %d rows, slack %d, first rows: %s" stride (Array.length table) slack
+        (String.concat " "
+           (List.filteri
+              (fun i _ -> i < 16)
+              (List.map
+                 (fun r -> "(" ^ String.concat "," (List.map string_of_int (Array.to_list r)) ^ ")")
+                 (Array.to_list table)))))
+    gen_sort_case
+
+let prop_sort_rows_is_tuple_order =
+  QCheck.Test.make ~name:"sort_rows + uniq_rows equal sorting boxed tuples" ~count:300
+    arb_sort_case (fun (stride, table, slack) ->
+      let rows = Array.length table in
+      let buf = Array.make ((rows * stride) + slack) (-7) in
+      Array.iteri (fun r t -> Array.blit t 0 buf (r * stride) stride) table;
+      let boxed = List.map (Array.map Value.decode) (Array.to_list table) in
+      let decoded n = List.init n (fun row -> Col_eval.decode_row buf ~stride ~row) in
+      let same a b = List.length a = List.length b && List.for_all2 Tuple.equal a b in
+      let untouched () =
+        let ok = ref true in
+        for i = rows * stride to Array.length buf - 1 do
+          if buf.(i) <> -7 then ok := false
+        done;
+        !ok
+      in
+      Col_eval.sort_rows buf ~stride ~rows;
+      let sorted_ok = same (decoded rows) (List.sort Tuple.compare boxed) && untouched () in
+      let uniq = Col_eval.uniq_rows buf ~stride ~rows in
+      sorted_ok && same (decoded uniq) (List.sort_uniq Tuple.compare boxed) && untouched ())
+
 let prop_columnar_codes_stable_under_reseal =
   QCheck.Test.make ~name:"columnar codes are stable under re-seal" ~count:100 arb_col_tuples
     (fun (arity, tuples) ->
@@ -854,5 +916,9 @@ let () =
              test_adopted_block_indexes_probed_columns
         :: Alcotest.test_case "compile reads a pending tail" `Quick test_compile_reads_pending_tail
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_columnar_roundtrip; prop_columnar_codes_stable_under_reseal ] );
+             [
+               prop_columnar_roundtrip;
+               prop_columnar_codes_stable_under_reseal;
+               prop_sort_rows_is_tuple_order;
+             ] );
     ]

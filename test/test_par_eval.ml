@@ -249,6 +249,52 @@ let test_par_eval_truncation_flag () =
   Alcotest.(check bool) "ungoverned answers equal sequential" true
     (List.length par = List.length reference && List.for_all2 Tuple.equal par reference)
 
+(* The eight University queries' UCQ rewritings on generated data: the
+   compiled answers equal the boxed oracle's, in order and without
+   duplicates, at one worker (a single flat buffer, no merge) and at
+   three (hash partitions and a k-way merge). A Datalog goal, read by
+   [Col_eval.cq] from a saturated copy, is checked the same way. *)
+let university = lazy (Tgd_gen.University.generate_data (Tgd_gen.Rng.create 20140614) ~scale:300)
+
+let strictly_sorted l =
+  let rec go = function
+    | a :: (b :: _ as rest) -> Tuple.compare a b < 0 && go rest
+    | [ _ ] | [] -> true
+  in
+  go l
+
+let check_answers name reference got =
+  Alcotest.(check bool) (name ^ ": oracle's answers, strictly ascending") true
+    (List.length got = List.length reference
+    && List.for_all2 Tuple.equal got reference
+    && strictly_sorted got)
+
+let test_university_differential () =
+  let inst = Lazy.force university in
+  let ontology = Tgd_gen.University.ontology in
+  List.iter
+    (fun q ->
+      let ucq = (Tgd_rewrite.Rewrite.ucq ontology q).Tgd_rewrite.Rewrite.ucq in
+      let reference = Eval.ucq inst ucq in
+      List.iter
+        (fun (workers, partitions) ->
+          check_answers
+            (Printf.sprintf "%s workers=%d partitions=%d" q.Cq.name workers partitions)
+            reference
+            (Par_eval.ucq ~workers ~min_tuples:64 ~partitions inst ucq))
+        [ (1, 1); (1, 4); (1, 7); (3, 1); (3, 4); (3, 7) ])
+    Tgd_gen.University.queries
+
+let test_university_datalog_goal () =
+  let q = List.nth Tgd_gen.University.queries 4 in
+  let dl = Tgd_rewrite.Datalog_rw.rewrite Tgd_gen.University.ontology q in
+  let work = Instance.copy (Lazy.force university) in
+  ignore (Tgd_chase.Chase.run ~keys:Tgd_chase.Chase.Datalog_keys dl.Tgd_rewrite.Datalog_rw.program work);
+  let goal = Tgd_rewrite.Datalog_rw.goal_query dl in
+  let got = Col_eval.cq work goal in
+  Alcotest.(check bool) "the goal has answers" true (List.length got > 1_000);
+  check_answers q.Cq.name (Eval.cq work goal) got
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: parallel == sequential over random instances, queries,
    worker counts and partition counts *)
@@ -353,6 +399,10 @@ let () =
           Alcotest.test_case "shared pool reuse" `Quick test_par_eval_shared_pool;
           Alcotest.test_case "truncation flag" `Quick test_par_eval_truncation_flag;
           Alcotest.test_case "pending rows sealed in" `Quick test_par_eval_seals_pending_rows;
+          Alcotest.test_case "University queries against the oracle" `Quick
+            test_university_differential;
+          Alcotest.test_case "University Datalog goal against the oracle" `Quick
+            test_university_datalog_goal;
         ] );
       ( "properties",
         List.map to_alcotest [ prop_par_eval_equals_seq; prop_par_eval_truncates_like_seq ] );
