@@ -49,11 +49,45 @@ let default_governor ~max_rounds ~max_facts () =
       }
     ()
 
-(* A frontier: per predicate, the tuples the next search joins through.
-   [None] stands for the whole instance. *)
-let push frontier pred t =
-  let existing = Option.value ~default:[] (Symbol.Table.find_opt frontier pred) in
-  Symbol.Table.replace frontier pred (t :: existing)
+(* A frontier: per predicate, a coded block of the rows the next search
+   joins through. [None] stands for the whole instance. A round gathers
+   the rows per predicate back to back, in arrival order, and [freeze]
+   builds each block once, newest row first. Without EGDs, a predicate
+   no rule body reads keeps an empty block: its facts still keep the loop
+   going one more round, as a fixpoint needs no new fact at all. (EGD
+   merges filter a frontier by which rows are still present, so then
+   every row is kept.) *)
+type rows = {
+  arity : int;
+  keep : bool;
+  mutable buf : int array;
+  mutable n : int;
+}
+
+let push ~keep out pred (codes : int array) =
+  let b =
+    match Symbol.Table.find_opt out pred with
+    | Some b -> b
+    | None ->
+      let b = { arity = Array.length codes; keep = keep pred; buf = [||]; n = 0 } in
+      Symbol.Table.add out pred b;
+      b
+  in
+  if b.keep then begin
+    b.buf <- Columnar.room b.buf (((b.n + 1) * b.arity) - 1);
+    Array.blit codes 0 b.buf (b.n * b.arity) b.arity;
+    b.n <- b.n + 1
+  end
+
+let freeze out =
+  let f = Symbol.Table.create 16 in
+  Symbol.Table.iter
+    (fun pred { arity; buf; n; _ } ->
+      let col j = Array.init n (fun r -> buf.(((n - 1 - r) * arity) + j)) in
+      Symbol.Table.replace f pred
+        (Result.get_ok (Columnar.of_columns ~arity ~nrows:n (Array.init arity col))))
+    out;
+  f
 
 let is_empty = function None -> false | Some f -> Symbol.Table.length f = 0
 
@@ -131,25 +165,35 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
           Governor.gauge gov Budget.key_chase_delta_facts (!inserted + !derived);
           Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst) )
   in
-  let add_fact ~delta_out pred t =
-    let added = Instance.add_fact inst pred t in
+  let push =
+    let reads =
+      List.fold_left
+        (fun acc (r : Tgd.t) ->
+          List.fold_left (fun acc (a : Atom.t) -> Symbol.Set.add a.Atom.pred acc) acc r.Tgd.body)
+        Symbol.Set.empty (Tgd_logic.Program.tgds program)
+    in
+    push ~keep:(fun pred -> egds <> [] || Symbol.Set.mem pred reads)
+  in
+  let add_fact ~delta_out pred codes =
+    let added = Instance.add_codes inst pred codes in
     if added then begin
       incr derived;
-      push delta_out pred t
+      push delta_out pred codes
     end;
     added
   in
-  (* A full rule's search answers its head atoms' arguments, back to back. *)
-  let fire_full ~delta_out (r : Tgd.t) codes =
+  (* A full rule's search answers its head atoms' arguments, back to back:
+     each is copied into its atom's scratch row and inserted coded. *)
+  let fire_full ~delta_out heads codes =
     if Governor.live gov then begin
-      let _, added =
-        List.fold_left
-          (fun (off, added) (a : Atom.t) ->
-            let t = Array.init (Atom.arity a) (fun j -> Value.decode codes.(off + j)) in
-            (off + Atom.arity a, add_fact ~delta_out a.Atom.pred t || added))
-          (0, false) r.Tgd.head
+      let rec fire off added = function
+        | [] -> added
+        | (pred, row) :: rest ->
+          Array.blit codes off row 0 (Array.length row);
+          let fresh = add_fact ~delta_out pred row in
+          fire (off + Array.length row) (fresh || added) rest
       in
-      if added then begin
+      if fire 0 false heads then begin
         incr triggers_fired;
         charge_fired ()
       end
@@ -174,19 +218,21 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     List.map
       (fun (r : Tgd.t) ->
         if Symbol.Set.is_empty (Tgd.existential_head_vars r) then
-          (r, None, List.concat_map (fun (a : Atom.t) -> Array.to_list a.Atom.args) r.Tgd.head)
-        else (r, Some (Trigger.satisfied r), List.map (fun v -> Term.Var v) (Trigger.frontier_vars r)))
+          let heads = List.map (fun (a : Atom.t) -> (a.Atom.pred, Array.make (Atom.arity a) 0)) r.Tgd.head in
+          (r, Either.Left heads, List.concat_map (fun (a : Atom.t) -> Array.to_list a.Atom.args) r.Tgd.head)
+        else
+          (r, Either.Right (Trigger.satisfied r), List.map (fun v -> Term.Var v) (Trigger.frontier_vars r)))
       (Tgd_logic.Program.tgds program)
   in
   let tgd_round frontier =
-    let delta_out : Tuple.t list Symbol.Table.t = Symbol.Table.create 16 in
+    let delta_out = Symbol.Table.create 16 in
     let triggers = ref [] in
     List.iter
-      (fun ((r : Tgd.t), satisfied, answer) ->
+      (fun ((r : Tgd.t), kind, answer) ->
         let found =
-          match satisfied with
-          | None -> fire_full ~delta_out r
-          | Some s -> fun codes -> triggers := ({ Trigger.rule = r; frontier = Array.copy codes }, s) :: !triggers
+          match kind with
+          | Either.Left heads -> fire_full ~delta_out heads
+          | Either.Right s -> fun codes -> triggers := ({ Trigger.rule = r; frontier = Array.copy codes }, s) :: !triggers
         in
         Trigger.bindings ?gov:eval_gov inst r.Tgd.body ~answer ~delta:frontier found)
       rules;
@@ -201,27 +247,25 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
       (List.rev !triggers);
     incr rounds;
     end_round ();
-    delta_out
+    freeze delta_out
   in
-  (* EGD merges rewrite rows in place, so a frontier can go stale; keep only
-     the tuples the instance still contains. *)
-  let fact_mem pred t =
-    match Instance.relation inst pred with None -> false | Some rel -> Relation.mem rel t
-  in
-  let filter_live tbl =
-    let out = Symbol.Table.create 16 in
-    Symbol.Table.iter
-      (fun pred tuples ->
-        match List.filter (fact_mem pred) tuples with
-        | [] -> ()
-        | live -> Symbol.Table.replace out pred live)
-      tbl;
-    out
+  (* EGD merges rewrite rows in place, so a frontier can go stale: keep only
+     the rows the instance still contains, with the given facts in front,
+     newest first. *)
+  let fact_mem pred codes =
+    match Instance.relation inst pred with None -> false | Some rel -> Relation.mem_codes rel codes
   in
   let with_facts tbl facts =
-    let out = filter_live tbl in
-    List.iter (fun (pred, t) -> if fact_mem pred t then push out pred t) facts;
-    out
+    let out = Symbol.Table.create 16 in
+    let keep pred codes = if fact_mem pred codes then push out pred codes in
+    Symbol.Table.iter
+      (fun pred block ->
+        for r = Columnar.nrows block - 1 downto 0 do
+          keep pred (Array.init (Columnar.arity block) (fun j -> (Columnar.col block j).(r)))
+        done)
+      tbl;
+    List.iter (fun (pred, codes) -> keep pred codes) facts;
+    freeze out
   in
   (* Merge until stable, searching from the frontier, and hand back the
      frontier of the next TGD round: its surviving facts plus every fact
@@ -258,13 +302,14 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
       let delta0 = Symbol.Table.create 16 in
       List.iter
         (fun (pred, t) ->
-          if Instance.add_fact inst pred t then begin
+          let codes = Array.map Value.code t in
+          if Instance.add_codes inst pred codes then begin
             incr inserted;
-            push delta0 pred t
+            push delta0 pred codes
           end)
         facts;
       if keys = Chase_keys then Governor.gauge gov Budget.key_chase_delta_facts !inserted;
-      Some delta0
+      Some (freeze delta0)
   in
   let frontier = ref (egd_pass first) in
   while Governor.live gov && !violation = None && not (is_empty !frontier) do

@@ -18,16 +18,16 @@ let satisfied r =
 let head_facts tr gen =
   let env =
     Symbol.Set.fold
-      (fun v acc -> Symbol.Map.add v (Null_gen.next gen) acc)
+      (fun v acc -> Symbol.Map.add v (Value.code (Null_gen.next gen)) acc)
       (Tgd.existential_head_vars tr.rule) Symbol.Map.empty
   in
   let env =
     List.fold_left2
-      (fun env v code -> Symbol.Map.add v (Value.decode code) env)
+      (fun env v code -> Symbol.Map.add v code env)
       env (frontier_vars tr.rule) (Array.to_list tr.frontier)
   in
-  let value = function Term.Const c -> Value.Const c | Term.Var v -> Symbol.Map.find v env in
-  List.map (fun (a : Atom.t) -> (a.Atom.pred, Array.map value a.Atom.args)) tr.rule.Tgd.head
+  let code = function Term.Const c -> Value.code (Value.Const c) | Term.Var v -> Symbol.Map.find v env in
+  List.map (fun (a : Atom.t) -> (a.Atom.pred, Array.map code a.Atom.args)) tr.rule.Tgd.head
 
 let bindings ?gov inst body ~answer ~delta k =
   let q = lazy (Cq.make ~name:"body" ~answer ~body) in
@@ -37,6 +37,6 @@ let bindings ?gov inst body ~answer ~delta k =
     List.iteri
       (fun i (a : Atom.t) ->
         match Symbol.Table.find_opt delta a.Atom.pred with
-        | None | Some [] -> ()
-        | Some rows -> Col_eval.iter ?gov (Col_eval.compile ~forced:(i, rows) inst (Lazy.force q)) k)
+        | Some rows when Columnar.nrows rows > 0 -> Col_eval.iter ?gov (Col_eval.compile ~forced:(i, rows) inst (Lazy.force q)) k
+        | Some _ | None -> ())
       body

@@ -19,8 +19,8 @@ val satisfied : Tgd.t -> ?gov:Tgd_exec.Governor.t -> Instance.t -> int array -> 
     once. A tripped governor cuts the search short, reporting unsatisfied
     (erring on the side of firing is sound for the chase). *)
 
-val head_facts : t -> Null_gen.t -> (Symbol.t * Tuple.t) list
-(** Instantiate the head: frontier variables from the decoded frontier row,
+val head_facts : t -> Null_gen.t -> (Symbol.t * int array) list
+(** Instantiate the head, coded: frontier variables from the frontier row,
     existential head variables by fresh nulls (one per variable, shared
     across the head atoms). *)
 
@@ -29,13 +29,13 @@ val bindings :
   Instance.t ->
   Atom.t list ->
   answer:Term.t list ->
-  delta:Tuple.t list Symbol.Table.t option ->
+  delta:Columnar.t Symbol.Table.t option ->
   (int array -> unit) ->
   unit
 (** [bindings inst body ~answer ~delta k] calls [k] on the coded [answer]
     terms of every match of [body] (a scratch buffer, as {!Col_eval.iter}'s);
     with [delta], only on matches that use a delta fact: one compiled join
-    per body atom forced through its predicate's delta, so a match using
+    per body atom forced through its predicate's coded delta block, so a match using
     several delta facts is reported once per such atom. The governor bounds
     the search ([eval.steps]): a recursive rule with a self-join can
     enumerate O(|inst|^2) candidates per round, work no round cap sees. *)

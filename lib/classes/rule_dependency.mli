@@ -12,7 +12,10 @@
 open Tgd_logic
 
 val depends : on:Tgd.t -> Tgd.t -> bool
-(** [depends ~on:r1 r2]: can firing [r1] enable a new application of [r2]? *)
+(** [depends ~on:r1 r2]: can firing [r1] enable a new application of [r2]?
+    Splitting a multi-head [r1] interns a fresh auxiliary predicate per
+    call; {!acyclic} reads the program's rewriting view instead, so a
+    repeat check of one program interns nothing. *)
 
 val acyclic : Program.t -> bool
 (** [acyclic p] holds when {!graph} has no cycle (conservatively, given

@@ -29,8 +29,9 @@ type result = {
   complete : bool;
 }
 
-(* Concrete variable names for canonical node variables; rules are renamed
-   apart before unification, so these fixed names cannot be captured. *)
+(* Concrete variable names for canonical node variables; the rules come
+   from the program's rewriting view, whose variables are all in the
+   reserved pool ([#v0], ...), so these fixed names cannot be captured. *)
 let z_var = Term.var "_z"
 
 let concrete_term = function
@@ -107,8 +108,7 @@ let isolated_flag (r : Tgd.t) (beta : Atom.t) =
 
 (* All edges produced by applying [r] (single-head) to node [u]. Returns
    (label, target node) pairs. *)
-let apply_rule u (r0 : Tgd.t) =
-  let r = Tgd.rename_apart r0 in
+let apply_rule u (r : Tgd.t) =
   let alpha = match r.Tgd.head with [ a ] -> a | _ -> assert false in
   let sigma_c = concrete_atom u.P_node.atom in
   let ctx_c = List.map concrete_atom u.P_node.context in
@@ -163,8 +163,7 @@ let apply_rule u (r0 : Tgd.t) =
     end
 
 let build ?(max_nodes = 50_000) p =
-  let p = Program.single_head_normalize p in
-  let rules = Program.tgds p in
+  let rules = (Program.rewriting p).Program.rules in
   let g = G.create () in
   let pending = Queue.create () in
   let discovered = P_node.Tbl.create 256 in

@@ -198,12 +198,7 @@ type source =
 let source_of inst ~forced i (a : Atom.t) =
   let arity = Atom.arity a in
   match (forced, Instance.relation inst a.Atom.pred) with
-  | Some (f, rows), _ when f = i ->
-    let rows = List.filter (fun t -> Array.length t = arity) rows in
-    let nrows = List.length rows in
-    let cols = Array.init arity (fun _ -> Array.make nrows 0) in
-    List.iteri (fun r t -> Array.iteri (fun j v -> cols.(j).(r) <- Value.code v) t) rows;
-    Rows (Result.get_ok (Columnar.of_columns ~arity ~nrows cols))
+  | Some (f, rows), _ when f = i -> Rows (if Columnar.arity rows = arity then rows else Columnar.empty ~arity)
   | _, Some rel when Relation.arity rel = arity -> Rel rel
   | _ -> Rows (Columnar.empty ~arity)
 

@@ -20,7 +20,7 @@ open Tgd_logic
 type t
 
 val compile :
-  ?bound:Symbol.t list -> ?forced:int * Tuple.t list -> Instance.t -> Cq.t -> t
+  ?bound:Symbol.t list -> ?forced:int * Columnar.t -> Instance.t -> Cq.t -> t
 (** Order one disjunct with {!Join_plan.make} and translate it into slots,
     codes and captured columns. Each step reads its relation's block, then
     its pending tail up to the length it has now: rows inserted later are
@@ -28,8 +28,9 @@ val compile :
     of another arity, reads no rows. [bound] names variables bound before
     the search (the restricted check's frontier); {!iter} takes their
     codes in this order. With [~forced:(i, rows)] the [i]-th body atom
-    (0-based) goes first and ranges over [rows] instead of its relation —
-    the semi-naive delta. *)
+    (0-based) goes first and scans the coded block [rows] instead of its
+    relation — the semi-naive delta; a block of another arity reads no
+    rows. *)
 
 val can_match : t -> bool
 (** [false] when some step reads no rows: the plan has no answers. *)

@@ -17,6 +17,14 @@ type index = {
   rows : int array; (* row ids, grouped by the column's value code, ascending *)
 }
 
+(* An open-addressing set of row ids, hashed and compared by the rows'
+   codes: a slot holds [id + 1], or [0] when empty, and at most half the
+   slots are full (linear probing). *)
+type rowset = {
+  mutable slots : int array;
+  mutable count : int;
+}
+
 type t = {
   arity : int;
   nrows : int;
@@ -27,19 +35,21 @@ type t = {
      index privately and the last publish wins — benign duplicate work
      instead of [Lazy.Undefined]. The atomic publish orders the build's
      writes before any reader that sees the index. *)
+  rows : rowset option Atomic.t; (* built on the first [mem], published likewise *)
 }
 
 let arity t = t.arity
 let nrows t = t.nrows
 let unindexed arity = Array.init arity (fun _ -> Atomic.make None)
 
-let empty ~arity = { arity; nrows = 0; cols = Array.make arity [||]; indexes = unindexed arity }
+let empty ~arity =
+  { arity; nrows = 0; cols = Array.make arity [||]; indexes = unindexed arity; rows = Atomic.make None }
 
 let of_columns ~arity ~nrows cols =
   if Array.length cols <> arity then Error "column count does not match arity"
   else if Array.exists (fun col -> Array.length col <> nrows) cols then
     Error "column length mismatch"
-  else Ok { arity; nrows; cols; indexes = unindexed arity }
+  else Ok { arity; nrows; cols; indexes = unindexed arity; rows = Atomic.make None }
 
 let room a n =
   if n < Array.length a then a
@@ -47,6 +57,79 @@ let room a n =
     let b = Array.make (max 4 (2 * n)) 0 in
     Array.blit a 0 b 0 (Array.length a);
     b
+
+(* ------------------------------------------------------------------ *)
+(* Row sets                                                            *)
+
+(* The hashes mix every code through a multiply and fold the high bits
+   down, so the masked slot depends on the whole row: no column's skew
+   clusters the probes. Top-level recursions, so a probe allocates no
+   closure. *)
+let mix h c = (h lxor c) * 0x2545F4914F6CDD1D
+let finish h = h lxor (h lsr 29)
+
+let rec hash_row (cols : int array array) r j h =
+  if j = Array.length cols then finish h
+  else hash_row cols r (j + 1) (mix h (Array.unsafe_get (Array.unsafe_get cols j) r))
+
+let rec hash_codes (codes : int array) j h =
+  if j = Array.length codes then finish h else hash_codes codes (j + 1) (mix h (Array.unsafe_get codes j))
+
+let rec row_is (cols : int array array) r (codes : int array) j =
+  j = Array.length cols
+  || (Array.unsafe_get (Array.unsafe_get cols j) r = Array.unsafe_get codes j && row_is cols r codes (j + 1))
+
+let rowset_create () = { slots = [||]; count = 0 }
+
+let rec find_slot slots mask cols codes i =
+  let s = Array.unsafe_get slots i in
+  s <> 0 && (row_is cols (s - 1) codes 0 || find_slot slots mask cols codes ((i + 1) land mask))
+
+let rowset_mem set cols codes =
+  let slots = set.slots in
+  let n = Array.length slots in
+  n > 0 && find_slot slots (n - 1) cols codes (hash_codes codes 0 0 land (n - 1))
+
+let rec place slots mask i id =
+  if Array.unsafe_get slots i = 0 then Array.unsafe_set slots i (id + 1)
+  else place slots mask ((i + 1) land mask) id
+
+let rowset_add set cols id =
+  if 2 * (set.count + 1) > Array.length set.slots then begin
+    let old = set.slots in
+    let slots = Array.make (max 8 (2 * Array.length old)) 0 in
+    let mask = Array.length slots - 1 in
+    Array.iter (fun s -> if s <> 0 then place slots mask (hash_row cols (s - 1) 0 0 land mask) (s - 1)) old;
+    set.slots <- slots
+  end;
+  let mask = Array.length set.slots - 1 in
+  place set.slots mask (hash_row cols id 0 0 land mask) id;
+  set.count <- set.count + 1
+
+(* The set of rows [0 .. n - 1], sized once. *)
+let rowset_of cols n =
+  let size = ref 8 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let set = { slots = Array.make !size 0; count = 0 } in
+  for id = 0 to n - 1 do
+    rowset_add set cols id
+  done;
+  set
+
+let mem t codes =
+  t.nrows > 0
+  &&
+  let set =
+    match Atomic.get t.rows with
+    | Some set -> set
+    | None ->
+      let set = rowset_of t.cols t.nrows in
+      Atomic.set t.rows (Some set);
+      set
+  in
+  rowset_mem set t.cols codes
 
 (* Extend a CSR index with rows [old_n ..] of the (already extended)
    column, without rehashing the sealed prefix: each group keeps its old
@@ -113,7 +196,15 @@ let extend t (tail : int array array) ~len =
           Atomic.make
             (Option.map (fun idx -> extend_index idx cols.(j) ~old_n) (Atomic.get t.indexes.(j))))
     in
-    { arity = t.arity; nrows; cols; indexes }
+    (* So is a built row set: the old slots are copied, the new rows added. *)
+    let grow set =
+      let set = { set with slots = Array.copy set.slots } in
+      for id = old_n to nrows - 1 do
+        rowset_add set cols id
+      done;
+      set
+    in
+    { arity = t.arity; nrows; cols; indexes; rows = Atomic.make (Option.map grow (Atomic.get t.rows)) }
   end
 
 (* The index of a whole column: the extension of an empty index. *)

@@ -11,7 +11,9 @@
     machinery ({!Col_eval}) reaches rows through a CSR index per column,
     mapping a code to a contiguous range of row ids; that index is an
     access path, built on the first {!probe} of its column and never
-    serialized. A block that is only scanned or imaged never builds one. *)
+    serialized. A block that is only scanned or imaged never builds one.
+    Membership ({!mem}) goes through a hash set of row ids, built the same
+    way on the first membership probe. *)
 
 type t
 
@@ -54,6 +56,26 @@ val probe : t -> col:int -> int -> int array * int * int
 val indexed : t -> col:int -> bool
 (** Whether the column's index has been built (by a {!probe}, or carried
     forward by {!extend}). *)
+
+val mem : t -> int array -> bool
+(** Whether some row holds exactly these codes (one per attribute). The
+    first call builds the block's row set (racing domains each build the
+    same one, as for {!probe}); a probe then takes expected O(1) time
+    whatever the skew of any column, and allocates nothing. *)
+
+type rowset
+(** A growable hash set of row ids, keyed by the codes the rows hold in a
+    set of columns that the caller passes to every call. *)
+
+val rowset_create : unit -> rowset
+
+val rowset_mem : rowset -> int array array -> int array -> bool
+(** [rowset_mem s cols codes]: some row id in [s] holds [codes] in
+    [cols]. *)
+
+val rowset_add : rowset -> int array array -> int -> unit
+(** Add a row id whose codes in [cols] are in no row of the set yet.
+    [cols] must hold every row of the set. *)
 
 val decode_row : t -> int -> Tuple.t
 (** Rebuild the boxed tuple stored at a row id. *)

@@ -42,10 +42,15 @@ let relation_for inst pred ~arity =
 
 (* A fact already present is no write: a shared relation is copied only
    for a fact it lacks (a chase re-derives present facts often). *)
+let add_codes inst pred codes =
+  let rel = relation_for inst pred ~arity:(Array.length codes) in
+  if Relation.shared rel then
+    (not (Relation.mem_codes rel codes)) && Relation.insert_codes (own inst pred rel) codes
+  else Relation.insert_codes rel codes
+
 let add_fact inst pred t =
-  let rel = relation_for inst pred ~arity:(Array.length t) in
-  if Relation.shared rel then (not (Relation.mem rel t)) && Relation.insert (own inst pred rel) t
-  else Relation.insert rel t
+  ignore (relation_for inst pred ~arity:(Array.length t));
+  add_codes inst pred (Array.map Value.code t)
 
 let install_relation inst pred rel =
   (match Symbol.Table.find_opt inst.relations pred with
@@ -104,14 +109,11 @@ let substitute inst ~from_ ~to_ =
     [] (List.rev hits)
 
 let max_null inst =
-  let best = ref 0 in
-  iter_facts
-    (fun (_, t) ->
-      Array.iter
-        (fun v -> match v with Value.Null n -> if n > !best then best := n | _ -> ())
-        t)
-    inst;
-  !best
+  let best = ref Value.null_base in
+  Symbol.Table.iter
+    (fun _ rel -> Relation.iter_codes (Array.iter (fun c -> if c > !best then best := c)) rel)
+    inst.relations;
+  !best - Value.null_base
 
 let seal inst =
   (* Only a relation with a pending tail is written; a shared one is owned

@@ -13,9 +13,9 @@ val copy : t -> t
     {!Relation.t} with the original and marks them {!Relation.shared}, so
     neither side mutates them again. The first {!add_fact} into a
     relation, a {!substitute} that hits it, or a {!seal} that must write
-    it gives the writing instance a private {!Relation.copy} (row set, indexes and
-    pending tail duplicated, columnar block shared); the
-    relations it never writes cost nothing. So mutating the copy —
+    it gives the writing instance a private {!Relation.copy}, which shares
+    the block and the tails and copies nothing proportional to the
+    relation; the relations it never writes cost nothing. So mutating the copy —
     chasing it, appending a delta — never disturbs the original, and
     sealing the copy after an append extends the shared block instead of
     re-encoding it. The copy iterates its relations in the original's
@@ -25,6 +25,10 @@ val add_fact : t -> Symbol.t -> Tuple.t -> bool
 (** [true] iff the fact is new. Creates the relation on first use; raises
     [Invalid_argument] if the predicate was already used with another
     arity. *)
+
+val add_codes : t -> Symbol.t -> int array -> bool
+(** {!add_fact} of a coded row (valid {!Value.code}s; the array is not
+    kept): the chase inserts what its searches find without decoding. *)
 
 val relation : t -> Symbol.t -> Relation.t option
 (** [None] when the predicate has no facts yet. The relation is for
@@ -52,11 +56,11 @@ val to_atoms : t -> Atom.t list
 
 val of_atoms : Atom.t list -> t
 
-val substitute : t -> from_:Value.t -> to_:Value.t -> fact list
+val substitute : t -> from_:Value.t -> to_:Value.t -> (Symbol.t * int array) list
 (** Rewrite every fact containing [from_] in place (see
     {!Relation.substitute}), replacing it with [to_]. Returns the rewritten
-    facts that are new to the instance — the touched frontier an EGD delta
-    replay feeds back into trigger discovery. *)
+    facts that are new to the instance, coded — the touched frontier an EGD
+    delta replay feeds back into trigger discovery. *)
 
 val max_null : t -> int
 (** The largest labeled-null id occurring in the instance ([0] when

@@ -1,8 +1,11 @@
 (** A mutable extensional relation: a set of tuples of a fixed arity, held
-    twice. The boxed side is a row set with per-column hash indexes (built
-    lazily, maintained incrementally). The coded side, which compiled
-    evaluation ({!Col_eval}) reads, is a {!Columnar} block of the rows up
-    to the last {!seal}, then pending tails of the rows since. *)
+    once, as {!Value.code}s: a {!Columnar} block of the rows up to the last
+    {!seal}, then pending tails of the rows since. Compiled evaluation
+    ({!Col_eval}) reads them directly. Membership goes through hash sets of
+    row ids: the block's, built on the first membership probe, and one per
+    tail, extended on insert. The row order is the block's rows, then the
+    tails', oldest first: the order of the inserts since the relation was
+    created or last {!substitute}d. *)
 
 type t
 
@@ -12,11 +15,11 @@ val cardinality : t -> int
 
 val copy : t -> t
 (** A private, unshared duplicate; the original is {!share}d by it. The
-    row set and the built indexes are copied (the tuples themselves are
-    shared — they are never mutated); the block and the original's tails,
-    which can no longer grow, are shared (folded into a new block once
-    there are more than a few). {!Instance} calls it on the first write
-    into a relation that an {!Instance.copy} made shared. *)
+    block and the original's tails, which can no longer grow, are shared
+    with their row sets and built indexes, and the copy takes inserts into
+    a new tail: nothing proportional to the relation is copied (past a
+    few tails, those are merged into one). {!Instance} calls it on the
+    first write into a relation that an {!Instance.copy} made shared. *)
 
 val share : t -> unit
 (** Mark the relation as reachable from more than one instance. From then
@@ -26,25 +29,48 @@ val share : t -> unit
 
 val shared : t -> bool
 
+val insert_codes : t -> int array -> bool
+(** Insert a coded row (one valid {!Value.code} per attribute; the array
+    is not kept): [true] iff it was not already present. Raises
+    [Invalid_argument] on an arity mismatch or a {!shared} relation. *)
+
+val mem_codes : t -> int array -> bool
+(** Whether a coded row is present: expected O(1) whatever the skew of any
+    column, and no allocation. The block's row set is built on the first
+    probe; on a {!shared} relation probed from several domains, racing
+    probes each build the same one. *)
+
 val insert : t -> Tuple.t -> bool
-(** [true] iff the tuple was not already present. Raises [Invalid_argument]
-    on an arity mismatch, a {!shared} relation, or a value with no code
+(** {!insert_codes} of the coded tuple. Raises [Invalid_argument] on an
+    arity mismatch, a {!shared} relation, or a value with no code
     ({!Value.code}), and then leaves the relation unchanged. *)
 
 val mem : t -> Tuple.t -> bool
+(** {!mem_codes} of the coded tuple; [false] for a tuple of another arity
+    or holding a value with no code. *)
+
+val iter_codes : (int array -> unit) -> t -> unit
+(** Every row, coded, in row order, in one scratch buffer refilled per
+    row: copy what you keep. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
+(** Every row, decoded, in row order. *)
+
 val to_list : t -> Tuple.t list
+(** The rows, decoded, in row order. *)
 
 val lookup : t -> pos:int -> Value.t -> Tuple.t list
-(** Tuples whose 0-based column [pos] holds the given value; backed by a
-    hash index built on first use for that column. Safe on a {!shared}
-    relation read from several domains at once: each lazy part (the index,
-    and the row set of a snapshot-adopted relation) is built privately and
-    then published whole, so racing readers at worst build it twice. *)
+(** Tuples whose 0-based column [pos] holds the given value, decoded, in
+    row order: through the block's index on that column, then each
+    tail's, each built by its first probe. Safe on a {!shared} relation
+    read from several domains at once: each lazy index is built privately
+    and then published whole, so racing readers at worst build it
+    twice. *)
 
 val seal : t -> unit
 (** Fold the pending tails into the block ({!Columnar.extend}): nothing is
-    re-coded, and only the indexes some probe already built are grown.
+    re-coded, and only the indexes and row set some probe already built
+    are grown.
     Sealing a relation with no pending row only reads it, even when it is
     {!shared}. Raises [Invalid_argument] if it would write a shared one. *)
 
@@ -76,18 +102,19 @@ val tail_probe : tail -> col:int -> int -> int array * int
 val of_columnar : Columnar.t -> t
 (** Rebuild a relation from a decoded snapshot block
     ({!Columnar.of_columns}): the block is adopted as the relation's block
-    (no re-encode; the tail is empty; its indexes are built by the first
-    probe of each column), and the boxed row set is populated by decoding
-    each row once, on the first boxed read or insert. *)
+    (no re-encode; the tail is empty; its row set and indexes are built by
+    the first probe that needs each). *)
 
 val mentions : t -> Value.t -> bool
 (** Some row holds the value (through the per-column indexes). *)
 
-val substitute : t -> from_:Value.t -> to_:Value.t -> Tuple.t list
+val substitute : t -> from_:Value.t -> to_:Value.t -> int array list
 (** Rewrite, in place, every row containing [from_] (located through the
     per-column indexes) by replacing [from_] with [to_]. Returns the
-    rewritten rows that are new to the relation (a rewrite may collide
-    with an existing row). Every row is then re-coded into a new tail behind
-    an empty block. Raises [Invalid_argument] on a {!shared} relation that holds [from_]. The
-    chase's EGD merges ({!Tgd_chase.Chase.run}) use this to rewrite only
-    the touched equivalence class. *)
+    rewritten rows that are new to the relation, coded, in row order (a
+    rewrite may collide with an existing row). Every row is then re-coded
+    into a new tail behind an empty block: the untouched rows in their
+    order, then those new rows. Raises [Invalid_argument] on a {!shared}
+    relation that holds [from_], or when [to_] has no code. The chase's
+    EGD merges ({!Tgd_chase.Chase.run}) use this to rewrite only the
+    touched equivalence class. *)

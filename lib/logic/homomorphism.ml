@@ -93,15 +93,17 @@ let rec lookup sizes = function
     if same_sizes w sizes (Array.length w - 1) then Some order else lookup sizes rest
 
 (* The source atoms in search order: {!Join_plan.order} with each atom's
-   size the number of target atoms of its predicate. *)
+   size the number of target atoms of its predicate, memoized by the sizes'
+   dense ranks, which choose the same order. *)
 let order_atoms source target =
   if Array.length source.src_atoms <= 1 then source.src_atoms
   else begin
     let sizes =
-      Array.map
-        (fun (a : Atom.t) ->
-          Option.value ~default:0 (Symbol.Table.find_opt target.by_pred_n a.Atom.pred))
-        source.src_atoms
+      Join_plan.ranks
+        (Array.map
+           (fun (a : Atom.t) ->
+             Option.value ~default:0 (Symbol.Table.find_opt target.by_pred_n a.Atom.pred))
+           source.src_atoms)
     in
     let memo = Atomic.get source.memo in
     match lookup sizes memo with

@@ -97,6 +97,16 @@ let preference o n step p first stop =
   let r = rank o n step p first stop 0 false in
   if r = 2 * (stop - first) then filters_first + r else r
 
+let ranks (sizes : int array) =
+  let sorted = Array.copy sizes in
+  Array.sort Int.compare sorted;
+  let below s =
+    let r = ref 0 in
+    Array.iteri (fun k x -> if x < s && (k = 0 || x <> sorted.(k - 1)) then incr r) sorted;
+    !r
+  in
+  Array.map below sizes
+
 let order ?(forced = -1) ~(sizes : int array) p =
   let n = Array.length p.atoms and codes = p.codes in
   let o = Array.make ((3 * n) + p.nvars) n in

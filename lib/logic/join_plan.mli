@@ -51,6 +51,12 @@ val order : ?forced:int -> sizes:int array -> prepared -> order
     atom that must go first (semi-naive evaluation ranges it over a
     delta). *)
 
+val ranks : int array -> int array
+(** Each size's dense rank (the number of distinct smaller sizes). {!order}
+    reads sizes only through [<], so [order ~sizes:(ranks s)] is
+    [order ~sizes:s]: a memo of orders keyed by ranks hits for every size
+    vector of the same shape. *)
+
 val atoms : prepared -> order -> Atom.t array
 (** The atoms of an {!order}, in its order. *)
 

@@ -370,6 +370,16 @@ let test_classifier_university () =
   Alcotest.(check bool) "university weakly acyclic" true r.Classifier.weakly_acyclic;
   Alcotest.(check bool) "not simple (multi-head rules)" false r.Classifier.simple
 
+(* The classifier reads each program's rewriting view, built once, so a
+   repeat classify of one program interns no symbol. *)
+let test_classifier_repeat_interns_nothing () =
+  let p = Tgd_gen.University.ontology in
+  ignore (Classifier.classify p);
+  let before = Symbol.count () in
+  ignore (Classifier.classify p);
+  ignore (Classifier.classify p);
+  Alcotest.(check int) "symbols interned by two more classifies" 0 (Symbol.count () - before)
+
 let () =
   Alcotest.run "core"
     [
@@ -431,5 +441,7 @@ let () =
           Alcotest.test_case "row shape" `Quick test_classifier_rows;
           Alcotest.test_case "incomparability witnesses" `Quick test_incomparability_witnesses;
           Alcotest.test_case "university" `Quick test_classifier_university;
+          Alcotest.test_case "repeat classify interns nothing" `Quick
+            test_classifier_repeat_interns_nothing;
         ] );
     ]

@@ -223,6 +223,20 @@ let prop_join_plan_matches_reference =
       if defers_a_check pc (shape reference) then not (defers_a_check pc (shape plan))
       else plan = reference)
 
+(* The homomorphism search memoizes orders by the sizes' dense ranks:
+   ranks must choose the order the raw sizes choose. *)
+let prop_ranked_sizes_same_order =
+  QCheck.Test.make ~name:"ranked sizes choose the raw sizes' order" ~count:2000
+    (QCheck.make ~print:print_plan_case
+       QCheck.Gen.(
+         gen_plan_case >>= fun pc ->
+         array_repeat (Array.length pc.sizes) (oneof [ int_bound 5; int_bound 1_000_000 ])
+         >>= fun sizes -> return { pc with sizes }))
+    (fun pc ->
+      let p = Join_plan.prepare ~init:(fun v -> List.exists (Symbol.equal v) pc.init) pc.body in
+      Join_plan.order ~forced:pc.forced ~sizes:pc.sizes p
+      = Join_plan.order ~forced:pc.forced ~sizes:(Join_plan.ranks pc.sizes) p)
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation vs homomorphism cross-validation *)
 
@@ -357,6 +371,19 @@ let prop_compiled_matches_oracle =
       let init = List.fold_left (fun m (x, v) -> Symbol.Map.add x v m) Symbol.Map.empty bound in
       Tgd_conformance.Eval.bindings ~init ?forced inst q.Cq.body (fun env ->
           expected := answer (fun x -> Symbol.Map.find x env) :: !expected);
+      (* The compiled side scans the forced rows as one coded block of the
+         atom's arity. *)
+      let forced =
+        Option.map
+          (fun (i, ts) ->
+            let arity = Atom.arity (List.nth q.Cq.body i) in
+            let ts = List.filter (fun t -> Array.length t = arity) ts in
+            let col j = Array.of_list (List.map (fun t -> Tgd_db.Value.code t.(j)) ts) in
+            ( i,
+              Result.get_ok
+                (Tgd_db.Columnar.of_columns ~arity ~nrows:(List.length ts) (Array.init arity col)) ))
+          forced
+      in
       let plan = Tgd_db.Col_eval.compile ~bound:(List.map fst bound) ?forced inst q in
       let inst = List.fold_left apply_write inst later in
       ignore inst;
@@ -367,6 +394,108 @@ let prop_compiled_matches_oracle =
         (fun codes -> got := Array.map Tgd_db.Value.decode codes :: !got);
       let sort = List.sort Tgd_db.Tuple.compare in
       List.equal Tgd_db.Tuple.equal (sort !expected) (sort !got))
+
+(* ------------------------------------------------------------------ *)
+(* Relation against a reference list of rows                           *)
+
+(* Two handles, [a] and [b], start as an empty relation and its copy;
+   later copies make [b] a {!Relation.copy} of [a]. A write to a shared handle first replaces it
+   by a private copy, as {!Instance} does. The reference is each side's
+   rows as a list in the order the relation must iterate them: inserts
+   append, a seal keeps the order, a substitution keeps the untouched
+   rows and appends the rewritten ones that are new. *)
+type rel_op =
+  | R_ins of bool * Tgd_db.Tuple.t (* [true]: side [b] *)
+  | R_mem of bool * Tgd_db.Tuple.t
+  | R_copy
+  | R_seal of bool
+  | R_subst of bool * int * Tgd_db.Value.t
+
+let show_rel_op = function
+  | R_ins (b, t) -> Format.asprintf "%s+%a" (if b then "b" else "a") Tgd_db.Tuple.pp t
+  | R_mem (b, t) -> Format.asprintf "%s?%a" (if b then "b" else "a") Tgd_db.Tuple.pp t
+  | R_copy -> "b:=copy a"
+  | R_seal b -> if b then "b seal" else "a seal"
+  | R_subst (b, n, v) ->
+    Printf.sprintf "%s _n%d:=%s" (if b then "b" else "a") n (Tgd_db.Value.to_string v)
+
+let gen_rel_op =
+  QCheck.Gen.(
+    let tuple = map (fun (x, y) -> [| x; y |]) (pair gen_value gen_value) in
+    frequency
+      [
+        (8, map2 (fun b t -> R_ins (b, t)) bool tuple);
+        (3, map2 (fun b t -> R_mem (b, t)) bool tuple);
+        (1, return R_copy);
+        (2, map (fun b -> R_seal b) bool);
+        (2, map3 (fun b n v -> R_subst (b, n + 1, v)) bool (int_bound 2) gen_value);
+      ])
+
+let prop_relation_matches_reference =
+  QCheck.Test.make ~name:"Relation = reference rows under copy-on-write" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_rel_op ops))
+       QCheck.Gen.(list_size (int_bound 40) gen_rel_op))
+    (fun ops ->
+      let module R = Tgd_db.Relation in
+      let first = R.create ~arity:2 in
+      let rel = [| first; R.copy first |] and model = [| []; [] |] in
+      let side b = if b then 1 else 0 in
+      let own i = if R.shared rel.(i) then rel.(i) <- R.copy rel.(i) in
+      let has i t = List.exists (Tgd_db.Tuple.equal t) model.(i) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (function
+          | R_ins (b, t) ->
+            let i = side b in
+            let fresh = not (has i t) in
+            if fresh then begin
+              own i;
+              model.(i) <- model.(i) @ [ t ]
+            end;
+            if fresh || not (R.shared rel.(i)) then expect (R.insert rel.(i) t = fresh)
+          | R_mem (b, t) -> expect (R.mem rel.(side b) t = has (side b) t)
+          | R_copy ->
+            rel.(1) <- R.copy rel.(0);
+            model.(1) <- model.(0)
+          | R_seal b ->
+            let i = side b in
+            if R.pending rel.(i) > 0 then own i;
+            R.seal rel.(i);
+            expect (R.pending rel.(i) = 0)
+          | R_subst (b, n, v) ->
+            let i = side b and from_ = Tgd_db.Value.Null n in
+            if R.mentions rel.(i) from_ then own i;
+            let touched, kept =
+              List.partition (Array.exists (Tgd_db.Value.equal from_)) model.(i)
+            in
+            let fresh =
+              List.fold_left
+                (fun acc t ->
+                  let t' = Array.map (fun x -> if Tgd_db.Value.equal x from_ then v else x) t in
+                  if List.exists (Tgd_db.Tuple.equal t') (kept @ acc) then acc else acc @ [ t' ])
+                [] touched
+            in
+            model.(i) <- kept @ fresh;
+            let got = R.substitute rel.(i) ~from_ ~to_:v in
+            expect (List.map (Array.map Tgd_db.Value.decode) got = fresh))
+        ops;
+      (* Each side iterates its rows exactly once, in row order, and its
+         probes agree. *)
+      Array.iteri
+        (fun i r ->
+          expect (R.to_list r = model.(i));
+          expect (R.cardinality r = List.length model.(i));
+          List.iter (fun t -> expect (R.mem r t)) model.(i);
+          List.iter
+            (fun v ->
+              expect
+                (R.lookup r ~pos:1 v
+                = List.filter (fun t -> Tgd_db.Value.equal t.(1) v) model.(i)))
+            [ Tgd_db.Value.const "c0"; Tgd_db.Value.Null 1 ])
+        rel;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Chase vs Datalog on existential-free programs *)
@@ -639,9 +768,11 @@ let () =
           ] );
       ( "rewrite-determinism",
         [ Alcotest.test_case "domains=1 vs domains=4" `Quick test_rewrite_domain_determinism ] );
-      ("planner", List.map to_alcotest [ prop_join_plan_matches_reference ]);
+      ( "planner",
+        List.map to_alcotest [ prop_join_plan_matches_reference; prop_ranked_sizes_same_order ] );
       ( "evaluation",
         List.map to_alcotest [ prop_eval_matches_homomorphisms; prop_compiled_matches_oracle ] );
+      ("relation", List.map to_alcotest [ prop_relation_matches_reference ]);
       ("chase", List.map to_alcotest [ prop_chase_equals_datalog ]);
       ( "graphs",
         List.map to_alcotest [ prop_scc_is_mutual_reachability; prop_simple_cycles_within_scc ] );
