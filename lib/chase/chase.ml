@@ -36,7 +36,7 @@ module Key_table = Hashtbl.Make (struct
   type t = string * int array
 
   let equal (n1, (t1 : int array)) (n2, t2) = String.equal n1 n2 && t1 = t2
-  let hash (n, t) = (Hashtbl.hash n * 31) + Col_eval.hash_codes t
+  let hash (n, t) = (Hashtbl.hash n * 31) + Columnar.hash_codes t
 end)
 
 let default_governor ~max_rounds ~max_facts () =
@@ -50,43 +50,18 @@ let default_governor ~max_rounds ~max_facts () =
     ()
 
 (* A frontier: per predicate, a coded block of the rows the next search
-   joins through. [None] stands for the whole instance. A round gathers
-   the rows per predicate back to back, in arrival order, and [freeze]
-   builds each block once, newest row first. Without EGDs, a predicate
-   no rule body reads keeps an empty block: its facts still keep the loop
-   going one more round, as a fixpoint needs no new fact at all. (EGD
-   merges filter a frontier by which rows are still present, so then
-   every row is kept.) *)
-type rows = {
-  arity : int;
-  keep : bool;
-  mutable buf : int array;
-  mutable n : int;
-}
-
+   joins through, newest first. [None] stands for the whole instance. A
+   round conses its new rows per predicate and [freeze] builds each block
+   once. Without EGDs, a predicate no rule body reads gets an empty block:
+   its facts still keep the loop going one more round. (EGD merges filter
+   a frontier by which rows are still present, so then all are kept.) *)
 let push ~keep out pred (codes : int array) =
-  let b =
-    match Symbol.Table.find_opt out pred with
-    | Some b -> b
-    | None ->
-      let b = { arity = Array.length codes; keep = keep pred; buf = [||]; n = 0 } in
-      Symbol.Table.add out pred b;
-      b
-  in
-  if b.keep then begin
-    b.buf <- Columnar.room b.buf (((b.n + 1) * b.arity) - 1);
-    Array.blit codes 0 b.buf (b.n * b.arity) b.arity;
-    b.n <- b.n + 1
-  end
+  let rows = Option.value ~default:[] (Symbol.Table.find_opt out pred) in
+  Symbol.Table.replace out pred (if keep pred then Array.copy codes :: rows else rows)
 
 let freeze out =
   let f = Symbol.Table.create 16 in
-  Symbol.Table.iter
-    (fun pred { arity; buf; n; _ } ->
-      let col j = Array.init n (fun r -> buf.(((n - 1 - r) * arity) + j)) in
-      Symbol.Table.replace f pred
-        (Result.get_ok (Columnar.of_columns ~arity ~nrows:n (Array.init arity col))))
-    out;
+  Symbol.Table.iter (fun pred rows -> Symbol.Table.replace f pred (Columnar.of_rows rows)) out;
   f
 
 let is_empty = function None -> false | Some f -> Symbol.Table.length f = 0
@@ -261,7 +236,7 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
     Symbol.Table.iter
       (fun pred block ->
         for r = Columnar.nrows block - 1 downto 0 do
-          keep pred (Array.init (Columnar.arity block) (fun j -> (Columnar.col block j).(r)))
+          keep pred (Columnar.row block r)
         done)
       tbl;
     List.iter (fun (pred, codes) -> keep pred codes) facts;

@@ -1,30 +1,23 @@
 (** The chase: saturate an instance with the TGDs, inventing labeled nulls
     for existential head variables, and with the EGDs, merging equated
-    nulls. This is the one fixpoint loop of the library: from-scratch
-    materialization, incremental maintenance of a materialized model under
-    an insert batch, and Datalog saturation for the rewriting target all
-    run {!run}.
+    nulls. This is the library's one fixpoint loop: materialization,
+    incremental maintenance under an insert batch, and Datalog saturation
+    for the rewriting target all run {!run}.
 
-    Both the oblivious chase (fire every trigger once) and the restricted
-    a.k.a. standard chase (fire only triggers whose head is not already
-    satisfied) are provided. The chase proceeds in breadth-first
-    semi-naive rounds, which makes it fair: every trigger is eventually
-    considered, so when the run terminates the result is a universal model
-    of [(P, D)] and certain answers coincide with the null-free answers
-    over it.
-
-    Under the Unique Name Assumption (Section 3 of the paper), an EGD that
-    equates two distinct constants is a hard failure — the data is
-    inconsistent with the dependencies. Equating a labeled null with
-    anything merges the two values across the instance.
+    The oblivious chase fires every trigger once; the restricted (standard)
+    chase only those whose head is not already satisfied. Rounds are
+    breadth-first and semi-naive, hence fair: a terminated run is a
+    universal model of [(P, D)], whose null-free answers are the certain
+    answers. Under the Unique Name Assumption (Section 3 of the paper), an
+    EGD equating two distinct constants is a hard failure; equating a
+    labeled null with anything merges the two values.
 
     The chase need not terminate outside the weakly-acyclic classes, so the
     loop is governed: a {!Tgd_exec.Governor} is polled at the round head
-    {e and} at every trigger application, and trigger/round/fact work is
-    charged against its budget. When the governor stops (budget, deadline,
-    or external cancellation) the run winds down cooperatively and reports
-    [Truncated] with the governor's diagnostics — a sound
-    under-approximation, never a hang, never an exception. *)
+    and at every trigger application, and work is charged against its
+    budget. When it stops (budget, deadline, cancellation) the run winds
+    down and reports [Truncated] — a sound under-approximation, never a
+    hang, never an exception. *)
 
 open Tgd_db
 open Tgd_exec
@@ -97,16 +90,16 @@ val run :
     EGD merges seeded by them, the facts a merge rewrote joining the next
     frontier.
 
-    Rules without existential head variables fire as their body matches
-    are found, without a trigger record or satisfaction check (adding a
-    fact is already idempotent); such a match counts as a fired trigger
-    when it adds a fact.
+    Rules without existential head variables insert their head codes as
+    their body matches are found, with no trigger record or satisfaction
+    check; such a match counts as a fired trigger when it adds a fact.
+    Each round's new facts are its frontier: one coded block per
+    predicate, newest row first.
 
     Every search runs compiled ({!Tgd_db.Col_eval}) over the rows as they
-    were when it began. A row a firing inserts meanwhile is in the round's
-    new facts, so the next round finds every match that uses it: no match
-    is lost. The restricted check compiles when it runs, so it sees every
-    fact inserted before it.
+    were when it began; a row inserted meanwhile is in the round's
+    frontier, so no match is lost. The restricted check compiles when it
+    runs, so it sees every fact inserted before it.
 
     Invented nulls are numbered above [null_floor] (default:
     {!Instance.max_null}[ inst], scanned on the first invention), so

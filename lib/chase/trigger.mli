@@ -34,8 +34,7 @@ val bindings :
   unit
 (** [bindings inst body ~answer ~delta k] calls [k] on the coded [answer]
     terms of every match of [body] (a scratch buffer, as {!Col_eval.iter}'s);
-    with [delta], only on matches that use a delta fact: one compiled join
-    per body atom forced through its predicate's coded delta block, so a match using
-    several delta facts is reported once per such atom. The governor bounds
-    the search ([eval.steps]): a recursive rule with a self-join can
-    enumerate O(|inst|^2) candidates per round, work no round cap sees. *)
+    with [delta], only on matches that use a delta row: one compiled join
+    per body atom forced through its predicate's coded block, so a match
+    using several delta rows is reported once per such atom. The governor
+    bounds the search ([eval.steps]). *)

@@ -1,14 +1,6 @@
-(* Compiled conjunctive-query evaluation over coded rows.
-
-   A CQ body is compiled once into an array of join steps against the
-   relations' coded rows (columnar block, then pending tail): variables
-   become numbered slots in a single mutable [int array] binding frame,
-   constants become pre-computed value codes, and each step is a probe or
-   scan followed by a flat array of per-column checks. The interpreter
-   allocates nothing per candidate tuple, and every scan walks contiguous
-   [int array]s, which is what lets morsel workers run at memory bandwidth
-   (see E18 / BENCH_parallel_eval.json). The join order and each step's
-   probe column come from {!Join_plan}. *)
+(* Compiled conjunctive-query evaluation over coded rows (see the
+   interface). The join order and each step's probe column come from
+   {!Join_plan}. *)
 
 open Tgd_logic
 
@@ -58,12 +50,6 @@ let out_arity t = Array.length t.out
    are written as top-level recursions with explicit arguments — an inner
    [let rec loop] capturing the arrays would allocate a closure block per
    call, which at sort time is several words *per comparison*. *)
-
-let rec hash_from (a : int array) n i h =
-  if i >= n then h land max_int
-  else hash_from a n (i + 1) ((h * 31) + Array.unsafe_get a i)
-
-let hash_codes (a : int array) = hash_from a (Array.length a) 0 17
 
 (* Flat fixed-stride rows. [Par_eval]'s partition buckets store coded
    answers back to back in one [int array] (row [r] of a stride-[s] bucket

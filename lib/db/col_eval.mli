@@ -3,17 +3,13 @@
     and mapping materialization.
 
     {!compile} turns a CQ body into a fixed array of join steps against
-    each relation's coded rows — its {!Columnar} block, then its pending
-    tail: variables become numbered slots in one [int array] binding
-    frame, constants become {!Value.code}s, and each step probes a column
-    index or scans. The interpreter allocates nothing per candidate.
-
-    Answers stay coded integers end to end: {!run} refills one scratch row
-    per match, {!Par_eval} copies it into flat fixed-stride buffers, and
-    because {!Value.code} is order-preserving the radix sort, dedup and
-    merge ({!sort_rows}, {!uniq_rows}, {!compare_rows}) work on those
-    flat ints and decode ({!decode_rows}) only the final, already-sorted
-    answer set. *)
+    each relation's coded rows (its {!Columnar} block, then its tails):
+    variables become slots of one [int array] frame, constants become
+    {!Value.code}s, and each step probes a column index or scans. Nothing
+    is allocated per candidate. Answers stay coded: as {!Value.code} is
+    order-preserving, the sort, dedup and merge ({!sort_rows},
+    {!uniq_rows}, {!compare_rows}) work on flat ints, and only the final
+    answer set is decoded ({!decode_rows}). *)
 
 open Tgd_logic
 
@@ -67,11 +63,6 @@ val iter : ?gov:Tgd_exec.Governor.t -> ?bound:int array -> t -> (int array -> un
 val cq : ?gov:Tgd_exec.Governor.t -> Instance.t -> Cq.t -> Tuple.t list
 (** All answers of one CQ by {!iter}, decoded, deduplicated and sorted by
     [Tuple.compare]; a satisfiable boolean query answers [[ [||] ]]. *)
-
-val hash_codes : int array -> int
-(** Hash of a coded answer — {!Par_eval}'s partition router. Equal
-    answers hash alike, so every duplicate lands in the same partition
-    and the per-partition sort puts it adjacent. *)
 
 val compare_rows : int array -> int -> int array -> int -> stride:int -> int
 (** [compare_rows a oa b ob ~stride] compares the [stride] codes at

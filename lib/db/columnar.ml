@@ -1,13 +1,7 @@
-(* Columnar sealed storage: one flat int column per attribute plus a CSR
-   index (code -> contiguous row-id range) per column. Morsel workers scan
-   contiguous [int array]s instead of chasing boxed tuples through a
-   hashtable, which is what makes parallel evaluation memory-bandwidth-bound
-   instead of minor-heap/cache-miss-bound.
-
-   A block is its columns: an index is an access path, built on the first
-   probe of its column and never stored. A block that is only scanned or
-   imaged (a chase model, a recovered relation nobody queries) never pays
-   for one. *)
+(* Columnar sealed storage: one flat int column per attribute. The CSR
+   index per column (code -> contiguous row-id range) and the row set are
+   access paths, built on first use and never stored: a block that is
+   only scanned or imaged never pays for them. *)
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -51,6 +45,16 @@ let of_columns ~arity ~nrows cols =
     Error "column length mismatch"
   else Ok { arity; nrows; cols; indexes = unindexed arity; rows = Atomic.make None }
 
+let of_rows = function
+  | [] -> empty ~arity:0
+  | r0 :: _ as rows ->
+    let arity = Array.length r0 and nrows = List.length rows in
+    let cols = Array.init arity (fun _ -> Array.make nrows 0) in
+    List.iteri (fun i row -> Array.iteri (fun j c -> cols.(j).(i) <- c) row) rows;
+    { arity; nrows; cols; indexes = unindexed arity; rows = Atomic.make None }
+
+let row t i = Array.init t.arity (fun j -> t.cols.(j).(i))
+
 let room a n =
   if n < Array.length a then a
   else
@@ -61,10 +65,9 @@ let room a n =
 (* ------------------------------------------------------------------ *)
 (* Row sets                                                            *)
 
-(* The hashes mix every code through a multiply and fold the high bits
-   down, so the masked slot depends on the whole row: no column's skew
-   clusters the probes. Top-level recursions, so a probe allocates no
-   closure. *)
+(* Every code goes through a multiply and the high bits are folded down,
+   so the masked slot depends on the whole row: no column's skew clusters
+   the probes. Top-level recursions, so a probe allocates no closure. *)
 let mix h c = (h lxor c) * 0x2545F4914F6CDD1D
 let finish h = h lxor (h lsr 29)
 
@@ -72,8 +75,10 @@ let rec hash_row (cols : int array array) r j h =
   if j = Array.length cols then finish h
   else hash_row cols r (j + 1) (mix h (Array.unsafe_get (Array.unsafe_get cols j) r))
 
-let rec hash_codes (codes : int array) j h =
-  if j = Array.length codes then finish h else hash_codes codes (j + 1) (mix h (Array.unsafe_get codes j))
+let rec hash_from (codes : int array) j h =
+  if j = Array.length codes then finish h else hash_from codes (j + 1) (mix h (Array.unsafe_get codes j))
+
+let hash_codes codes = hash_from codes 0 0 land max_int
 
 let rec row_is (cols : int array array) r (codes : int array) j =
   j = Array.length cols
@@ -86,37 +91,25 @@ let rec find_slot slots mask cols codes i =
   s <> 0 && (row_is cols (s - 1) codes 0 || find_slot slots mask cols codes ((i + 1) land mask))
 
 let rowset_mem set cols codes =
-  let slots = set.slots in
-  let n = Array.length slots in
-  n > 0 && find_slot slots (n - 1) cols codes (hash_codes codes 0 0 land (n - 1))
+  let n = Array.length set.slots in
+  n > 0 && find_slot set.slots (n - 1) cols codes (hash_from codes 0 0 land (n - 1))
 
-let rec place slots mask i id =
+let rec place slots mask cols id i =
   if Array.unsafe_get slots i = 0 then Array.unsafe_set slots i (id + 1)
-  else place slots mask ((i + 1) land mask) id
+  else place slots mask cols id ((i + 1) land mask)
+
+let place_row slots cols id =
+  let mask = Array.length slots - 1 in
+  place slots mask cols id (hash_row cols id 0 0 land mask)
 
 let rowset_add set cols id =
   if 2 * (set.count + 1) > Array.length set.slots then begin
     let old = set.slots in
-    let slots = Array.make (max 8 (2 * Array.length old)) 0 in
-    let mask = Array.length slots - 1 in
-    Array.iter (fun s -> if s <> 0 then place slots mask (hash_row cols (s - 1) 0 0 land mask) (s - 1)) old;
-    set.slots <- slots
+    set.slots <- Array.make (max 8 (2 * Array.length old)) 0;
+    Array.iter (fun s -> if s <> 0 then place_row set.slots cols (s - 1)) old
   end;
-  let mask = Array.length set.slots - 1 in
-  place set.slots mask (hash_row cols id 0 0 land mask) id;
+  place_row set.slots cols id;
   set.count <- set.count + 1
-
-(* The set of rows [0 .. n - 1], sized once. *)
-let rowset_of cols n =
-  let size = ref 8 in
-  while !size < 2 * n do
-    size := 2 * !size
-  done;
-  let set = { slots = Array.make !size 0; count = 0 } in
-  for id = 0 to n - 1 do
-    rowset_add set cols id
-  done;
-  set
 
 let mem t codes =
   t.nrows > 0
@@ -125,7 +118,10 @@ let mem t codes =
     match Atomic.get t.rows with
     | Some set -> set
     | None ->
-      let set = rowset_of t.cols t.nrows in
+      let set = rowset_create () in
+      for id = 0 to t.nrows - 1 do
+        rowset_add set t.cols id
+      done;
       Atomic.set t.rows (Some set);
       set
   in
@@ -229,9 +225,4 @@ let probe t ~col code =
   | None -> (idx.rows, 0, 0)
   | Some g -> (idx.rows, idx.starts.(g), idx.starts.(g + 1) - idx.starts.(g))
 
-let decode_row t i = Array.init t.arity (fun j -> Value.decode t.cols.(j).(i))
-
-let iter_rows f t =
-  for i = 0 to t.nrows - 1 do
-    f (decode_row t i)
-  done
+let decode_row t i = Array.map Value.decode (row t i)

@@ -3,17 +3,10 @@
     A block holds the relation's tuples as one flat [int array] per
     attribute, each entry the order-preserving {!Value.code} of the value.
     Blocks are immutable: every {!Relation.seal} {!extend}s the last one
-    by the coded rows inserted since. Morsel-driven evaluation
-    ({!Par_eval}) scans row ranges of these contiguous arrays instead of
-    boxed tuple lists.
-
-    The columns are the whole of a block's data. The compiled join
-    machinery ({!Col_eval}) reaches rows through a CSR index per column,
-    mapping a code to a contiguous range of row ids; that index is an
-    access path, built on the first {!probe} of its column and never
-    serialized. A block that is only scanned or imaged never builds one.
-    Membership ({!mem}) goes through a hash set of row ids, built the same
-    way on the first membership probe. *)
+    by the coded rows inserted since. The columns are the whole of a
+    block's data. Access paths are built on first use and never
+    serialized: a CSR index per column ({!probe}), mapping a code to a
+    contiguous range of row ids, and a hash set of row ids ({!mem}). *)
 
 type t
 
@@ -28,6 +21,10 @@ val of_columns : arity:int -> nrows:int -> int array array -> (t, string) result
     copying them: [Error] unless there are [arity] columns of [nrows]
     codes each. The codes must be valid {!Value.code}s; the caller checks
     them. No index is built. *)
+
+val of_rows : int array list -> t
+(** The block of these coded rows, in list order (all of one arity; the
+    empty list gives the empty block of arity 0). *)
 
 val extend : t -> int array array -> len:int -> t
 (** [extend t tail ~len] is a new block holding [t]'s rows followed by the
@@ -58,24 +55,30 @@ val indexed : t -> col:int -> bool
     forward by {!extend}). *)
 
 val mem : t -> int array -> bool
-(** Whether some row holds exactly these codes (one per attribute). The
-    first call builds the block's row set (racing domains each build the
-    same one, as for {!probe}); a probe then takes expected O(1) time
-    whatever the skew of any column, and allocates nothing. *)
+(** Some row holds exactly these codes. The first call builds the row set
+    (racing domains each build the same one, as for {!probe}); then a call
+    takes expected O(1) time whatever the skew of any column, and
+    allocates nothing. *)
+
+val hash_codes : int array -> int
+(** A non-negative hash of a coded row, mixing every code: the row sets'
+    and {!Par_eval}'s partition router. *)
 
 type rowset
-(** A growable hash set of row ids, keyed by the codes the rows hold in a
-    set of columns that the caller passes to every call. *)
+(** A growable hash set of row ids, keyed by the codes the rows hold in
+    columns the caller passes to every call. *)
 
 val rowset_create : unit -> rowset
 
 val rowset_mem : rowset -> int array array -> int array -> bool
-(** [rowset_mem s cols codes]: some row id in [s] holds [codes] in
-    [cols]. *)
+(** [rowset_mem s cols codes]: some row id in [s] holds [codes] in [cols]. *)
 
 val rowset_add : rowset -> int array array -> int -> unit
-(** Add a row id whose codes in [cols] are in no row of the set yet.
-    [cols] must hold every row of the set. *)
+(** Add a row id whose codes are in no row of the set yet; [cols] must
+    hold every row of the set. *)
+
+val row : t -> int -> int array
+(** A fresh copy of the codes at a row id. *)
 
 val decode_row : t -> int -> Tuple.t
 (** Rebuild the boxed tuple stored at a row id. *)
@@ -83,6 +86,3 @@ val decode_row : t -> int -> Tuple.t
 val room : int array -> int -> int array
 (** [room a n] is [a] when [n] indexes it, else a copy of [a] at least
     [2n] long: the growth step of every append-only code array. *)
-
-val iter_rows : (Tuple.t -> unit) -> t -> unit
-(** Decode every row in row-id order (testing and round-trip checks). *)

@@ -48,9 +48,7 @@ let add_codes inst pred codes =
     (not (Relation.mem_codes rel codes)) && Relation.insert_codes (own inst pred rel) codes
   else Relation.insert_codes rel codes
 
-let add_fact inst pred t =
-  ignore (relation_for inst pred ~arity:(Array.length t));
-  add_codes inst pred (Array.map Value.code t)
+let add_fact inst pred t = add_codes inst pred (Array.map Value.code t)
 
 let install_relation inst pred rel =
   (match Symbol.Table.find_opt inst.relations pred with

@@ -11,15 +11,12 @@ val create : unit -> t
 val copy : t -> t
 (** Copy-on-write copy at relation grain: the copy shares every
     {!Relation.t} with the original and marks them {!Relation.shared}, so
-    neither side mutates them again. The first {!add_fact} into a
-    relation, a {!substitute} that hits it, or a {!seal} that must write
-    it gives the writing instance a private {!Relation.copy}, which shares
-    the block and the tails and copies nothing proportional to the
-    relation; the relations it never writes cost nothing. So mutating the copy —
-    chasing it, appending a delta — never disturbs the original, and
-    sealing the copy after an append extends the shared block instead of
-    re-encoding it. The copy iterates its relations in the original's
-    order. *)
+    neither side mutates them again. The first write into a relation (an
+    insert, a {!substitute} that hits it, a {!seal} that must fold it)
+    gives the writer a private {!Relation.copy}, which copies nothing
+    proportional to the relation. So chasing the copy or appending a delta
+    never disturbs the original. The copy iterates its relations in the
+    original's order. *)
 
 val add_fact : t -> Symbol.t -> Tuple.t -> bool
 (** [true] iff the fact is new. Creates the relation on first use; raises
@@ -68,10 +65,9 @@ val max_null : t -> int
     null space monotonically. *)
 
 val seal : t -> unit
-(** {!Relation.seal} every relation: fold its pending tail into its
-    columnar block. Afterwards every relation's tail is empty; a shared
-    relation that needs a write is first replaced by a private copy. Sealing an instance with no insert since its last
-    seal only reads it, so any number of domains may seal (and then
-    evaluate on) a shared sealed instance concurrently. *)
+(** {!Relation.seal} every relation, replacing a shared one that needs a
+    write by a private copy first. Sealing an instance with no insert
+    since its last seal only reads it, so any number of domains may seal
+    (and then evaluate on) a shared sealed instance concurrently. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,18 +1,6 @@
-(* Morsel-driven parallel UCQ evaluation.
-
-   The instance is sealed and every disjunct is compiled with [Col_eval];
-   the leading scan is split into contiguous row-range morsels, and every
-   worker hashes its coded answers into task-private partition buckets.
-   The merge is then free of locks: a second parallel phase gives each of
-   the P answer partitions to one worker, which radix-sorts and
-   deduplicates its partition alone, and a final k-way merge joins the
-   (disjoint, sorted) partitions. One worker means one partition, and
-   then the answers are sorted and deduplicated in one flat buffer with
-   no merge at all. No mutex is taken anywhere on the answer path.
-
-   The engine polls the one shared governor, so budgets and truncation
-   semantics survive parallelism, and returns answers deduplicated and
-   sorted by [Tuple.compare]. *)
+(* Morsel-driven parallel UCQ evaluation: scan morsels into task-private
+   partition buckets, then sort, dedup and merge partition-owned runs
+   (see the interface). No mutex is taken anywhere on the answer path. *)
 
 let default_min_tuples = 512
 
@@ -111,7 +99,7 @@ let parallel_ucq ?gov ~run_batch ~workers ~min_tuples ~partitions compiled strid
     let stride = Col_eval.out_arity plan in
     let locals = Array.init parts_n (fun _ -> bucket_create ()) in
     Col_eval.run ?gov plan ~lo ~hi ~emit:(fun a ->
-        bucket_push locals.(Col_eval.hash_codes a mod parts_n) a stride);
+        bucket_push locals.(Columnar.hash_codes a mod parts_n) a stride);
     buckets.(ti) <- locals
   in
   if ntasks > 0 then begin

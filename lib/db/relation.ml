@@ -5,11 +5,9 @@ type ids = {
 }
 
 (* Rows coded at insert: a growable code column per attribute, the set of
-   its row ids (extended on insert) and, per column, a code -> row-ids
-   index built on its first probe and extended by later inserts. Only the
-   owner of an unshared relation appends, so the lazy index is published
-   through an [Atomic] for readers on other domains (racing builders
-   publish identical ones, as in [Columnar]). *)
+   its row ids and, per column, a code -> row-ids index built on its first
+   probe (published through an [Atomic], as in [Columnar]); inserts, by
+   the owner of an unshared relation only, extend both. *)
 type tail = {
   tcols : int array array;
   mutable len : int;
@@ -23,10 +21,7 @@ type t = {
   mutable tails : tail list;
   (* The rows since, newest tail first: the head takes inserts, the rest
      are shared with the relations copied, and never grow. *)
-  mutable shared : bool;
-  (* Reachable from more than one instance ({!Instance.copy}): no instance
-     may mutate it any more, only copy it ({!copy}) and mutate the copy.
-     Never reset — the other holders keep their reference. *)
+  mutable shared : bool; (* for good: see [share] in the interface *)
 }
 
 let new_tail arity =
@@ -89,9 +84,7 @@ let insert_codes r codes =
   (not (mem_codes r codes)) && (tail_append (List.hd r.tails) codes; true)
 
 (* Coding raises on a value with no code, before anything is written. *)
-let insert r t =
-  if Array.length t <> r.arity then invalid_arg "Relation.insert: arity mismatch";
-  insert_codes r (Array.map Value.code t)
+let insert r t = insert_codes r (Array.map Value.code t)
 
 (* A value with no code is in no row. *)
 let code_opt v = match Value.code v with c -> Some c | exception Invalid_argument _ -> None
@@ -102,19 +95,21 @@ let mem r t =
      | codes -> mem_codes r codes
      | exception Invalid_argument _ -> false
 
-(* Every row in row order, into one scratch buffer. *)
+(* The rows' code columns and counts, in row order: the block, then the
+   tails, oldest first. *)
+let segments r =
+  (Array.init r.arity (Columnar.col r.block), Columnar.nrows r.block)
+  :: List.rev_map (fun t -> (t.tcols, t.len)) r.tails
+
 let iter_codes f r =
   let buf = Array.make r.arity 0 in
-  let rows cols n =
-    for i = 0 to n - 1 do
-      for j = 0 to r.arity - 1 do
-        buf.(j) <- cols.(j).(i)
-      done;
-      f buf
-    done
-  in
-  rows (Array.init r.arity (Columnar.col r.block)) (Columnar.nrows r.block);
-  List.iter (fun t -> rows t.tcols t.len) (List.rev r.tails)
+  List.iter
+    (fun (cols, n) ->
+      for i = 0 to n - 1 do
+        Array.iteri (fun j col -> buf.(j) <- col.(i)) cols;
+        f buf
+      done)
+    (segments r)
 
 let iter f r = iter_codes (fun codes -> f (Array.map Value.decode codes)) r
 
@@ -131,42 +126,28 @@ let tail_probe tail ~col code =
     | Some idx -> idx
     | None ->
       let idx = Columnar.Itbl.create (max 16 tail.len) in
-      let c = tail.tcols.(col) in
       for row = 0 to tail.len - 1 do
-        tail_index_add idx c.(row) row
+        tail_index_add idx tail.tcols.(col).(row) row
       done;
       Atomic.set tail.tindex.(col) (Some idx);
       idx
   in
   match Columnar.Itbl.find_opt idx code with None -> ([||], 0) | Some g -> (g.ids, g.n)
 
-(* [f cols i k] on each row whose column [pos] holds [code], in row
-   order: [i] is its id in [cols], [k] its place among all the rows. The
-   block's come through its CSR index, then each tail's. *)
-let probe_rows r ~pos code f =
-  let ids, start, len = Columnar.probe r.block ~col:pos code in
-  let cols = Array.init r.arity (Columnar.col r.block) in
-  for k = start to start + len - 1 do
-    f cols ids.(k) ids.(k)
-  done;
-  ignore
-    (List.fold_left
-       (fun off t ->
-         let ids, n = tail_probe t ~col:pos code in
-         for k = 0 to n - 1 do
-           f t.tcols ids.(k) (off + ids.(k))
-         done;
-         off + t.len)
-       (Columnar.nrows r.block) (List.rev r.tails))
-
 let lookup r ~pos v =
   if pos < 0 || pos >= r.arity then invalid_arg "Relation.lookup: position out of range";
   match code_opt v with
   | None -> []
   | Some code ->
-    let acc = ref [] in
-    probe_rows r ~pos code (fun cols i _ -> acc := Array.map (fun c -> Value.decode c.(i)) cols :: !acc);
-    List.rev !acc
+    let decode cols i = Array.map (fun col -> Value.decode col.(i)) cols in
+    let ids, start, len = Columnar.probe r.block ~col:pos code in
+    let cols = Array.init r.arity (Columnar.col r.block) in
+    List.init len (fun k -> decode cols ids.(start + k))
+    @ List.concat_map
+        (fun t ->
+          let ids, n = tail_probe t ~col:pos code in
+          List.init n (fun k -> decode t.tcols ids.(k)))
+        (List.rev r.tails)
 
 (* The block with the given tails folded in: nothing is re-coded, and only
    the indexes some probe already built are grown. *)
@@ -188,26 +169,18 @@ let seal r =
 
 (* The block and the original's tails, which no longer grow, are shared
    with their sets and built indexes; past eight tails (a probe visits
-   each), they are merged into one new tail. *)
+   each), those are merged into one new tail. *)
 let copy r =
   share r;
   let tails = List.filter (fun t -> t.len > 0) r.tails in
   let tails =
     if List.length tails <= 8 then tails
-    else begin
+    else
       let merged = new_tail r.arity in
-      let row = Array.make r.arity 0 in
-      List.iter
-        (fun t ->
-          for i = 0 to t.len - 1 do
-            Array.iteri (fun j c -> row.(j) <- c.(i)) t.tcols;
-            tail_append merged row
-          done)
-        (List.rev tails);
+      iter_codes (tail_append merged) { r with block = Columnar.empty ~arity:r.arity; tails };
       [ merged ]
-    end
   in
-  { arity = r.arity; block = r.block; tails = new_tail r.arity :: tails; shared = false }
+  { r with tails = new_tail r.arity :: tails; shared = false }
 
 let block r = r.block
 let tails r = List.rev r.tails
@@ -225,49 +198,33 @@ let mentions r v =
   match code_opt v with
   | None -> false
   | Some code ->
-    let rec at pos =
-      pos < r.arity
-      && ((let _, _, len = Columnar.probe r.block ~col:pos code in
-           len > 0)
-         || List.exists (fun t -> snd (tail_probe t ~col:pos code) > 0) r.tails
-         || at (pos + 1))
-    in
-    at 0
+    List.exists
+      (fun pos ->
+        (let _, _, len = Columnar.probe r.block ~col:pos code in
+         len > 0)
+        || List.exists (fun t -> snd (tail_probe t ~col:pos code) > 0) r.tails)
+      (List.init r.arity Fun.id)
 
+(* Rewriting sealed rows is no append: every row is re-coded into a new
+   tail behind an empty block, the untouched rows first, then the
+   rewritten ones that collide with no row. *)
 let substitute r ~from_ ~to_ =
-  match code_opt from_ with
-  | None -> []
-  | Some f ->
-    let hit = Array.make (cardinality r) false in
-    let any = ref false in
-    for pos = 0 to r.arity - 1 do
-      probe_rows r ~pos f (fun _ _ k ->
-          any := true;
-          hit.(k) <- true)
-    done;
-    if not !any then []
-    else begin
-      owned r "substitute";
-      let t = Value.code to_ in
-      (* Rewriting sealed rows is no append: every row is re-coded into a
-         new tail behind an empty block, the untouched rows first, then the
-         rewritten ones that collide with no row. *)
-      let tail = new_tail r.arity in
-      let rewritten = ref [] in
-      let k = ref 0 in
-      iter_codes
-        (fun codes ->
-          if hit.(!k) then rewritten := Array.map (fun c -> if c = f then t else c) codes :: !rewritten
-          else tail_append tail codes;
-          incr k)
-        r;
-      let fresh =
-        List.filter
-          (fun codes ->
-            (not (Columnar.rowset_mem tail.trows tail.tcols codes)) && (tail_append tail codes; true))
-          (List.rev !rewritten)
-      in
-      r.block <- Columnar.empty ~arity:r.arity;
-      r.tails <- [ tail ];
-      fresh
-    end
+  if not (mentions r from_) then []
+  else begin
+    owned r "substitute";
+    let f = Value.code from_ and t = Value.code to_ in
+    let tail = new_tail r.arity and rewritten = ref [] in
+    iter_codes
+      (fun codes ->
+        if Array.mem f codes then rewritten := Array.map (fun c -> if c = f then t else c) codes :: !rewritten
+        else tail_append tail codes)
+      r;
+    let fresh =
+      List.filter
+        (fun codes -> (not (Columnar.rowset_mem tail.trows tail.tcols codes)) && (tail_append tail codes; true))
+        (List.rev !rewritten)
+    in
+    r.block <- Columnar.empty ~arity:r.arity;
+    r.tails <- [ tail ];
+    fresh
+  end

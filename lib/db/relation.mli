@@ -1,11 +1,8 @@
 (** A mutable extensional relation: a set of tuples of a fixed arity, held
     once, as {!Value.code}s: a {!Columnar} block of the rows up to the last
-    {!seal}, then pending tails of the rows since. Compiled evaluation
-    ({!Col_eval}) reads them directly. Membership goes through hash sets of
-    row ids: the block's, built on the first membership probe, and one per
-    tail, extended on insert. The row order is the block's rows, then the
-    tails', oldest first: the order of the inserts since the relation was
-    created or last {!substitute}d. *)
+    {!seal}, then pending tails of the rows since, which {!Col_eval} reads
+    directly. Row order is the block's, then the tails' oldest first: the
+    order of the inserts since creation or the last {!substitute}. *)
 
 type t
 
@@ -15,11 +12,11 @@ val cardinality : t -> int
 
 val copy : t -> t
 (** A private, unshared duplicate; the original is {!share}d by it. The
-    block and the original's tails, which can no longer grow, are shared
-    with their row sets and built indexes, and the copy takes inserts into
-    a new tail: nothing proportional to the relation is copied (past a
-    few tails, those are merged into one). {!Instance} calls it on the
-    first write into a relation that an {!Instance.copy} made shared. *)
+    block and the tails, which can no longer grow, are shared with their
+    row sets and indexes, and the copy inserts into a new tail: nothing
+    proportional to the relation is copied (past a few tails, those are
+    merged into one). {!Instance} calls it on the first write into a
+    relation that an {!Instance.copy} made shared. *)
 
 val share : t -> unit
 (** Mark the relation as reachable from more than one instance. From then
@@ -30,49 +27,41 @@ val share : t -> unit
 val shared : t -> bool
 
 val insert_codes : t -> int array -> bool
-(** Insert a coded row (one valid {!Value.code} per attribute; the array
-    is not kept): [true] iff it was not already present. Raises
-    [Invalid_argument] on an arity mismatch or a {!shared} relation. *)
+(** Insert a row of valid {!Value.code}s (the array is not kept): [true]
+    iff it was not present. Raises [Invalid_argument] on an arity mismatch
+    or a {!shared} relation. *)
 
 val mem_codes : t -> int array -> bool
-(** Whether a coded row is present: expected O(1) whatever the skew of any
-    column, and no allocation. The block's row set is built on the first
-    probe; on a {!shared} relation probed from several domains, racing
-    probes each build the same one. *)
+(** Through hash sets of row ids: the block's, built by the first probe
+    (racing domains each build the same one), and each tail's, extended on
+    insert. Expected O(1) whatever the skew of any column; no allocation. *)
 
 val insert : t -> Tuple.t -> bool
-(** {!insert_codes} of the coded tuple. Raises [Invalid_argument] on an
-    arity mismatch, a {!shared} relation, or a value with no code
-    ({!Value.code}), and then leaves the relation unchanged. *)
+(** {!insert_codes} of the coded tuple. Raises [Invalid_argument] as it
+    does, or on a value with no code, and then leaves the relation
+    unchanged. *)
 
 val mem : t -> Tuple.t -> bool
-(** {!mem_codes} of the coded tuple; [false] for a tuple of another arity
-    or holding a value with no code. *)
+(** [false] for a tuple of another arity or with a value with no code. *)
 
 val iter_codes : (int array -> unit) -> t -> unit
-(** Every row, coded, in row order, in one scratch buffer refilled per
-    row: copy what you keep. *)
+(** Every row in row order, in one scratch buffer: copy what you keep. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Every row, decoded, in row order. *)
-
 val to_list : t -> Tuple.t list
-(** The rows, decoded, in row order. *)
 
 val lookup : t -> pos:int -> Value.t -> Tuple.t list
-(** Tuples whose 0-based column [pos] holds the given value, decoded, in
-    row order: through the block's index on that column, then each
-    tail's, each built by its first probe. Safe on a {!shared} relation
-    read from several domains at once: each lazy index is built privately
-    and then published whole, so racing readers at worst build it
-    twice. *)
+(** The rows whose 0-based column [pos] holds the value, in row order,
+    through the block's and the tails' indexes on that column, each built
+    by its first probe and published whole: safe on a {!shared} relation
+    read from several domains. *)
 
 val seal : t -> unit
 (** Fold the pending tails into the block ({!Columnar.extend}): nothing is
     re-coded, and only the indexes and row set some probe already built
-    are grown.
-    Sealing a relation with no pending row only reads it, even when it is
-    {!shared}. Raises [Invalid_argument] if it would write a shared one. *)
+    are grown. Sealing a relation with no pending row only reads it, even
+    when it is {!shared}; raises [Invalid_argument] if it would write a
+    shared one. *)
 
 val block : t -> Columnar.t
 (** The rows up to the last {!seal} (an empty block before the first). *)
@@ -100,21 +89,17 @@ val tail_probe : tail -> col:int -> int -> int array * int
     inserts extend it. Do not mutate [ids]. *)
 
 val of_columnar : Columnar.t -> t
-(** Rebuild a relation from a decoded snapshot block
-    ({!Columnar.of_columns}): the block is adopted as the relation's block
-    (no re-encode; the tail is empty; its row set and indexes are built by
-    the first probe that needs each). *)
+(** Adopt a decoded snapshot block ({!Columnar.of_columns}) as the block,
+    without re-coding it. *)
 
 val mentions : t -> Value.t -> bool
 (** Some row holds the value (through the per-column indexes). *)
 
 val substitute : t -> from_:Value.t -> to_:Value.t -> int array list
-(** Rewrite, in place, every row containing [from_] (located through the
-    per-column indexes) by replacing [from_] with [to_]. Returns the
-    rewritten rows that are new to the relation, coded, in row order (a
-    rewrite may collide with an existing row). Every row is then re-coded
-    into a new tail behind an empty block: the untouched rows in their
-    order, then those new rows. Raises [Invalid_argument] on a {!shared}
-    relation that holds [from_], or when [to_] has no code. The chase's
-    EGD merges ({!Tgd_chase.Chase.run}) use this to rewrite only the
-    touched equivalence class. *)
+(** Replace [from_] by [to_] in every row, in place, when some row holds
+    [from_] ({!mentions}). The rows are re-coded into a new tail behind an
+    empty block: the untouched ones in their order, then the rewritten
+    ones that collide with no row, which are returned, coded. Raises
+    [Invalid_argument] on a {!shared} relation that holds [from_], or when
+    [to_] has no code. The chase's EGD merges use it to rewrite only the
+    relations a merged value touches. *)

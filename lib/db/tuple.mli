@@ -22,5 +22,4 @@ val has_null : t -> bool
     out of certain-answer sets (a null is not a certain constant). *)
 
 module Table : Hashtbl.S with type key = t
-(** Hash tables keyed by tuple value (not physical identity): a
-    {!Relation}'s row set. *)
+(** Hash tables keyed by tuple value (not physical identity). *)

@@ -97,15 +97,19 @@ let preference o n step p first stop =
   let r = rank o n step p first stop 0 false in
   if r = 2 * (stop - first) then filters_first + r else r
 
+(* Each size counts the distinct smaller sizes at their first occurrence:
+   quadratic, but bodies are short and this allocates only the result. *)
 let ranks (sizes : int array) =
-  let sorted = Array.copy sizes in
-  Array.sort Int.compare sorted;
-  let below s =
+  let n = Array.length sizes in
+  let rec first x k j = j >= k || (sizes.(j) <> x && first x k (j + 1)) in
+  let rank s =
     let r = ref 0 in
-    Array.iteri (fun k x -> if x < s && (k = 0 || x <> sorted.(k - 1)) then incr r) sorted;
+    for k = 0 to n - 1 do
+      if sizes.(k) < s && first sizes.(k) k 0 then incr r
+    done;
     !r
   in
-  Array.map below sizes
+  Array.map rank sizes
 
 let order ?(forced = -1) ~(sizes : int array) p =
   let n = Array.length p.atoms and codes = p.codes in

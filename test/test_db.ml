@@ -65,8 +65,8 @@ let test_relation_lookup () =
   Alcotest.(check int) "miss" 0 (List.length (Relation.lookup r ~pos:0 (vc "zz")))
 
 (* A row is coded before the relation changes: a value with no code
-   raises and leaves the row set, the indexes and the pending tail as they
-   were, with a built tail index too. *)
+   raises and leaves the row sets, the indexes and the pending tail as
+   they were, with a built tail index too. *)
 let test_insert_uncodable () =
   let r = Relation.create ~arity:2 in
   ignore (Relation.insert r (tuple [ "a"; "b" ]));
@@ -81,12 +81,32 @@ let test_insert_uncodable () =
   Alcotest.(check int) "cardinality" 2 (Relation.cardinality r);
   Alcotest.(check bool) "not a member" false (Relation.mem r bad);
   Alcotest.(check int) "pending tail" 1 (Relation.pending r);
-  Alcotest.(check int) "boxed index" 0 (List.length (Relation.lookup r ~pos:0 (vc "x")));
+  Alcotest.(check int) "lookup" 0 (List.length (Relation.lookup r ~pos:0 (vc "x")));
   Alcotest.(check int) "tail index" 0
     (snd (Relation.tail_probe (List.hd (Relation.tails r)) ~col:0 (Value.code (vc "x"))));
   Alcotest.(check bool) "the next insert still lands" true (Relation.insert r (tuple [ "x"; "y" ]));
   Relation.seal r;
   Alcotest.(check int) "and seals in" 3 (Columnar.nrows (Relation.block r))
+
+(* A chain of copies, each written once, keeps at most nine tails: past
+   eight, a copy merges the shared ones into one. Rows, order, membership
+   and lookups survive the merge, and the originals are untouched. *)
+let test_relation_copy_chain () =
+  let rows = List.init 12 (fun i -> tuple [ Printf.sprintf "a%d" i; "b" ]) in
+  let first = Relation.create ~arity:2 in
+  let last =
+    List.fold_left
+      (fun r t ->
+        let r = Relation.copy r in
+        ignore (Relation.insert r t);
+        r)
+      first rows
+  in
+  Alcotest.(check bool) "few tails" true (List.length (Relation.tails last) <= 9);
+  Alcotest.(check bool) "rows in order" true (List.equal Tuple.equal (Relation.to_list last) rows);
+  Alcotest.(check bool) "members" true (List.for_all (Relation.mem last) rows);
+  Alcotest.(check int) "lookup" 12 (List.length (Relation.lookup last ~pos:1 (vc "b")));
+  Alcotest.(check int) "original untouched" 0 (Relation.cardinality first)
 
 let test_relation_index_maintained () =
   (* Build the index, then insert more rows: lookups must see them. *)
@@ -598,7 +618,7 @@ let test_columnar_roundtrip_basic () =
   Alcotest.(check int) "arity" 2 (Columnar.arity block);
   Alcotest.(check int) "nrows" 3 (Columnar.nrows block);
   let decoded = ref [] in
-  Columnar.iter_rows (fun t -> decoded := t :: !decoded) block;
+  List.iter (fun t -> decoded := t :: !decoded) (Relation.to_list (Relation.of_columnar block));
   Alcotest.(check bool) "decoded rows are exactly the relation" true
     (List.length !decoded = 3 && List.for_all (Relation.mem r) !decoded);
   (* Probing column 0 for "a"'s code finds exactly the two "a"-rows. *)
@@ -640,7 +660,7 @@ let sealed_relation_of arity tuples =
 
 let sorted_tuples_of_block block =
   let acc = ref [] in
-  Columnar.iter_rows (fun t -> acc := t :: !acc) block;
+  List.iter (fun t -> acc := t :: !acc) (Relation.to_list (Relation.of_columnar block));
   List.sort Tuple.compare !acc
 
 let prop_columnar_roundtrip =
@@ -847,6 +867,7 @@ let () =
           Alcotest.test_case "insert" `Quick test_relation_insert;
           Alcotest.test_case "lookup" `Quick test_relation_lookup;
           Alcotest.test_case "index maintenance" `Quick test_relation_index_maintained;
+          Alcotest.test_case "copy chain merges tails" `Quick test_relation_copy_chain;
           Alcotest.test_case "insert of an uncodable value changes nothing" `Quick
             test_insert_uncodable;
         ] );

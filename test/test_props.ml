@@ -378,10 +378,7 @@ let prop_compiled_matches_oracle =
           (fun (i, ts) ->
             let arity = Atom.arity (List.nth q.Cq.body i) in
             let ts = List.filter (fun t -> Array.length t = arity) ts in
-            let col j = Array.of_list (List.map (fun t -> Tgd_db.Value.code t.(j)) ts) in
-            ( i,
-              Result.get_ok
-                (Tgd_db.Columnar.of_columns ~arity ~nrows:(List.length ts) (Array.init arity col)) ))
+            (i, Tgd_db.Columnar.of_rows (List.map (Array.map Tgd_db.Value.code) ts)))
           forced
       in
       let plan = Tgd_db.Col_eval.compile ~bound:(List.map fst bound) ?forced inst q in
