@@ -50,19 +50,41 @@ let default_governor ~max_rounds ~max_facts () =
     ()
 
 (* A frontier: per predicate, a coded block of the rows the next search
-   joins through, newest first. [None] stands for the whole instance. A
-   round conses its new rows per predicate and [freeze] builds each block
-   once. Without EGDs, a predicate no rule body reads gets an empty block:
-   its facts still keep the loop going one more round. (EGD merges filter
-   a frontier by which rows are still present, so then all are kept.) *)
+   joins through, newest first (trigger order and null labels follow it).
+   [None] is the whole instance. A round appends its new rows to code
+   columns per predicate; [freeze] builds each block, reversed. Without EGDs, a predicate no
+   rule body reads gets an empty block: its facts still keep the loop
+   going one more round. (EGD merges filter a frontier by which rows are
+   still present, so then all are kept.) *)
+type rows = {
+  cols : int array array;
+  mutable n : int;
+}
+
 let push ~keep out pred (codes : int array) =
-  let rows = Option.value ~default:[] (Symbol.Table.find_opt out pred) in
-  Symbol.Table.replace out pred (if keep pred then Array.copy codes :: rows else rows)
+  let rows =
+    match Symbol.Table.find out pred with
+    | rows -> rows
+    | exception Not_found ->
+      let rows = { cols = Array.make (Array.length codes) [||]; n = 0 } in
+      Symbol.Table.add out pred rows;
+      rows
+  in
+  if keep pred then begin
+    for j = 0 to Array.length codes - 1 do
+      let col = Columnar.room rows.cols.(j) rows.n in
+      rows.cols.(j) <- col;
+      col.(rows.n) <- codes.(j)
+    done;
+    rows.n <- rows.n + 1
+  end
 
 let freeze out =
-  let f = Symbol.Table.create 16 in
-  Symbol.Table.iter (fun pred rows -> Symbol.Table.replace f pred (Columnar.of_rows rows)) out;
-  f
+  let block { cols; n } =
+    let cols = Array.map (fun col -> Array.init n (fun i -> col.(n - 1 - i))) cols in
+    Result.get_ok (Columnar.of_columns ~arity:(Array.length cols) ~nrows:n cols)
+  in
+  Symbol.Table.of_seq (Seq.map (fun (pred, rows) -> (pred, block rows)) (Symbol.Table.to_seq out))
 
 let is_empty = function None -> false | Some f -> Symbol.Table.length f = 0
 
@@ -141,34 +163,25 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
           Governor.gauge gov Budget.key_chase_facts (Instance.cardinality inst) )
   in
   let push =
-    let reads =
-      List.fold_left
-        (fun acc (r : Tgd.t) ->
-          List.fold_left (fun acc (a : Atom.t) -> Symbol.Set.add a.Atom.pred acc) acc r.Tgd.body)
-        Symbol.Set.empty (Tgd_logic.Program.tgds program)
-    in
+    let body (r : Tgd.t) = List.map (fun (a : Atom.t) -> a.Atom.pred) r.Tgd.body in
+    let reads = Symbol.Set.of_list (List.concat_map body (Tgd_logic.Program.tgds program)) in
     push ~keep:(fun pred -> egds <> [] || Symbol.Set.mem pred reads)
   in
   let add_fact ~delta_out pred codes =
-    let added = Instance.add_codes inst pred codes in
-    if added then begin
-      incr derived;
-      push delta_out pred codes
-    end;
-    added
+    Instance.add_codes inst pred codes && (incr derived; push delta_out pred codes; true)
   in
   (* A full rule's search answers its head atoms' arguments, back to back:
      each is copied into its atom's scratch row and inserted coded. *)
+  let rec fire ~delta_out codes off added = function
+    | [] -> added
+    | (pred, row) :: rest ->
+      Array.blit codes off row 0 (Array.length row);
+      let fresh = add_fact ~delta_out pred row in
+      fire ~delta_out codes (off + Array.length row) (fresh || added) rest
+  in
   let fire_full ~delta_out heads codes =
     if Governor.live gov then begin
-      let rec fire off added = function
-        | [] -> added
-        | (pred, row) :: rest ->
-          Array.blit codes off row 0 (Array.length row);
-          let fresh = add_fact ~delta_out pred row in
-          fire (off + Array.length row) (fresh || added) rest
-      in
-      if fire 0 false heads then begin
+      if fire ~delta_out codes 0 false heads then begin
         incr triggers_fired;
         charge_fired ()
       end
@@ -227,16 +240,18 @@ let run ?(variant = Restricted) ?(max_rounds = 1_000) ?(max_facts = 1_000_000) ?
   (* EGD merges rewrite rows in place, so a frontier can go stale: keep only
      the rows the instance still contains, with the given facts in front,
      newest first. *)
-  let fact_mem pred codes =
-    match Instance.relation inst pred with None -> false | Some rel -> Relation.mem_codes rel codes
-  in
   let with_facts tbl facts =
     let out = Symbol.Table.create 16 in
-    let keep pred codes = if fact_mem pred codes then push out pred codes in
+    let keep pred codes =
+      match Instance.relation inst pred with
+      | Some rel when Relation.mem_codes rel codes -> push out pred codes
+      | Some _ | None -> ()
+    in
     Symbol.Table.iter
       (fun pred block ->
+        let cols = Array.init (Columnar.arity block) (Columnar.col block) in
         for r = Columnar.nrows block - 1 downto 0 do
-          keep pred (Columnar.row block r)
+          keep pred (Array.map (fun col -> col.(r)) cols)
         done)
       tbl;
     List.iter (fun (pred, codes) -> keep pred codes) facts;

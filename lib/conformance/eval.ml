@@ -100,11 +100,10 @@ let cq_exists ?gov inst q =
   with Found -> true
 
 let ucq ?gov inst disjuncts =
-  let acc = Tuple.Table.create 64 in
+  let acc = ref [] in
   List.iter
-    (fun (q : Cq.t) ->
-      bindings ?gov inst q.Cq.body (fun env -> Tuple.Table.replace acc (answer_tuple env q.Cq.answer) ()))
+    (fun (q : Cq.t) -> bindings ?gov inst q.Cq.body (fun env -> acc := answer_tuple env q.Cq.answer :: !acc))
     disjuncts;
-  Tuple.Table.fold (fun t () l -> t :: l) acc [] |> List.sort Tuple.compare
+  List.sort_uniq Tuple.compare !acc
 
 let cq ?gov inst q = ucq ?gov inst [ q ]

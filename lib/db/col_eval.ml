@@ -15,9 +15,7 @@ type out_arg =
   | Out_slot of int
   | Out_code of int
 
-(* One source of a step's rows: its block, or the pending tail up to
-   [nrows], its length at compile time. [probe ~col code] is [(ids,
-   start, len)]: the matching row ids are [ids.(start) ..]. *)
+(* A {!Relation.segment} of a step's rows, with the checks on its columns. *)
 type seg = {
   checks : check array;
   nrows : int;
@@ -25,7 +23,7 @@ type seg = {
 }
 
 (* A step reads its segments in order, the block's rows before the
-   tail's. [probe] is the probed column ([-1]: a scan) and [key] the code
+   tails'. [probe] is the probed column ([-1]: a scan) and [key] the code
    it must hold. *)
 type step = {
   plan : Join_plan.step;
@@ -45,11 +43,10 @@ let out_arity t = Array.length t.out
 (* ------------------------------------------------------------------ *)
 (* Coded answer tuples                                                 *)
 
-(* The comparison/hash helpers below are on the per-answer hot path
-   (hashtable dedup, partition sort: millions of calls per query), so they
-   are written as top-level recursions with explicit arguments — an inner
-   [let rec loop] capturing the arrays would allocate a closure block per
-   call, which at sort time is several words *per comparison*. *)
+(* The comparisons below are on the per-answer hot path (sort and dedup:
+   millions of calls per query), so they are top-level recursions with
+   explicit arguments — an inner [let rec loop] capturing the arrays would
+   allocate a closure block per call. *)
 
 (* Flat fixed-stride rows. [Par_eval]'s partition buckets store coded
    answers back to back in one [int array] (row [r] of a stride-[s] bucket
@@ -175,33 +172,17 @@ let rec decode_rows a ~stride ~rows acc =
 
 let const_code c = Value.code (Value.Const c)
 
-(* A step's rows: a relation's block and tail, or rows alone (a forced
-   delta, or none for a relation that is missing or of another arity). *)
-type source =
-  | Rel of Relation.t
-  | Rows of Columnar.t
-
+(* A step's rows, as segments: a forced delta's block, scanned with every
+   column checked ([true]), a relation's nonempty segments, or none (also
+   scanned) for a relation that is missing or of another arity. *)
 let source_of inst ~forced i (a : Atom.t) =
   let arity = Atom.arity a in
   match (forced, Instance.relation inst a.Atom.pred) with
-  | Some (f, rows), _ when f = i -> Rows (if Columnar.arity rows = arity then rows else Columnar.empty ~arity)
-  | _, Some rel when Relation.arity rel = arity -> Rel rel
-  | _ -> Rows (Columnar.empty ~arity)
-
-let block_seg checks b = { checks = checks (Columnar.col b); nrows = Columnar.nrows b; probe = Columnar.probe b }
-
-(* The tail's ids are ascending, and rows inserted since the compile come
-   last: the visible ones are a prefix. *)
-let tail_seg checks tail nrows =
-  let probe ~col code =
-    let ids, n = Relation.tail_probe tail ~col code in
-    let n = ref n in
-    while !n > 0 && ids.(!n - 1) >= nrows do
-      decr n
-    done;
-    (ids, 0, !n)
-  in
-  { checks = checks (Relation.tail_col tail); nrows; probe }
+  | Some (f, rows), _ when f = i ->
+    (true, if Columnar.arity rows = arity then [ Relation.block_segment rows ] else [])
+  | _, Some rel when Relation.arity rel = arity ->
+    (false, List.filter (fun (g : Relation.segment) -> g.nrows > 0) (Relation.segments rel))
+  | _ -> (true, [])
 
 let compile ?(bound = []) ?forced inst (q : Cq.t) =
   let sources = Array.of_list (List.mapi (source_of inst ~forced) q.Cq.body) in
@@ -209,18 +190,16 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
     Join_plan.make
       ~init:(fun v -> List.exists (Symbol.equal v) bound)
       ?forced:(Option.map fst forced)
-      ~sizes:(Array.map (function Rel r -> Relation.cardinality r | Rows b -> Columnar.nrows b) sources)
+      ~sizes:
+        (Array.map (fun (_, segs) -> List.fold_left (fun n (g : Relation.segment) -> n + g.nrows) 0 segs) sources)
       q.Cq.body
   in
   (* Variable -> frame slot; bodies are small. *)
   let slots = ref (List.mapi (fun i v -> (v, i)) bound) in
   let slot v = List.find_map (fun (w, s) -> if Symbol.equal v w then Some s else None) !slots in
   let step (s : Join_plan.step) =
-    let source = sources.(s.Join_plan.index) in
-    (* Rows alone are a forced delta's few: scanned, every column checked. *)
-    let probe =
-      match (source, s.Join_plan.probe) with Rel _, Some j -> j | Rel _, None | Rows _, _ -> -1
-    in
+    let scan, segs = sources.(s.Join_plan.index) in
+    let probe = match s.Join_plan.probe with Some j when not scan -> j | Some _ | None -> -1 in
     let key =
       if probe < 0 then Out_code 0
       else
@@ -246,16 +225,8 @@ let compile ?(bound = []) ?forced inst (q : Cq.t) =
     in
     let ops = Array.init (Array.length s.Join_plan.args - if probe >= 0 then 1 else 0) op in
     let checks col = Array.map (fun op -> op col) ops in
-    let segs =
-      match source with
-      | Rows b -> [| block_seg checks b |]
-      | Rel rel ->
-        let tails = List.filter (fun t -> Relation.tail_len t > 0) (Relation.tails rel) in
-        Array.of_list
-          (block_seg checks (Relation.block rel)
-          :: List.map (fun t -> tail_seg checks t (Relation.tail_len t)) tails)
-    in
-    { plan = s; probe; key; segs }
+    let seg (g : Relation.segment) = { checks = checks (Array.get g.cols); nrows = g.nrows; probe = g.probe } in
+    { plan = s; probe; key; segs = Array.of_list (List.map seg segs) }
   in
   let steps = Array.map step plan in
   let out =

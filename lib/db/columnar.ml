@@ -34,26 +34,17 @@ type t = {
 
 let arity t = t.arity
 let nrows t = t.nrows
-let unindexed arity = Array.init arity (fun _ -> Atomic.make None)
 
-let empty ~arity =
-  { arity; nrows = 0; cols = Array.make arity [||]; indexes = unindexed arity; rows = Atomic.make None }
+let make ~arity ~nrows cols =
+  { arity; nrows; cols; indexes = Array.init arity (fun _ -> Atomic.make None); rows = Atomic.make None }
+
+let empty ~arity = make ~arity ~nrows:0 (Array.make arity [||])
 
 let of_columns ~arity ~nrows cols =
   if Array.length cols <> arity then Error "column count does not match arity"
   else if Array.exists (fun col -> Array.length col <> nrows) cols then
     Error "column length mismatch"
-  else Ok { arity; nrows; cols; indexes = unindexed arity; rows = Atomic.make None }
-
-let of_rows = function
-  | [] -> empty ~arity:0
-  | r0 :: _ as rows ->
-    let arity = Array.length r0 and nrows = List.length rows in
-    let cols = Array.init arity (fun _ -> Array.make nrows 0) in
-    List.iteri (fun i row -> Array.iteri (fun j c -> cols.(j).(i) <- c) row) rows;
-    { arity; nrows; cols; indexes = unindexed arity; rows = Atomic.make None }
-
-let row t i = Array.init t.arity (fun j -> t.cols.(j).(i))
+  else Ok (make ~arity ~nrows cols)
 
 let room a n =
   if n < Array.length a then a
@@ -94,13 +85,13 @@ let rowset_mem set cols codes =
   let n = Array.length set.slots in
   n > 0 && find_slot set.slots (n - 1) cols codes (hash_from codes 0 0 land (n - 1))
 
-let rec place slots mask cols id i =
+let rec place slots mask id i =
   if Array.unsafe_get slots i = 0 then Array.unsafe_set slots i (id + 1)
-  else place slots mask cols id ((i + 1) land mask)
+  else place slots mask id ((i + 1) land mask)
 
 let place_row slots cols id =
   let mask = Array.length slots - 1 in
-  place slots mask cols id (hash_row cols id 0 0 land mask)
+  place slots mask id (hash_row cols id 0 0 land mask)
 
 let rowset_add set cols id =
   if 2 * (set.count + 1) > Array.length set.slots then begin
@@ -111,21 +102,22 @@ let rowset_add set cols id =
   place_row set.slots cols id;
   set.count <- set.count + 1
 
-let mem t codes =
-  t.nrows > 0
-  &&
-  let set =
-    match Atomic.get t.rows with
-    | Some set -> set
-    | None ->
-      let set = rowset_create () in
-      for id = 0 to t.nrows - 1 do
-        rowset_add set t.cols id
-      done;
-      Atomic.set t.rows (Some set);
-      set
-  in
-  rowset_mem set t.cols codes
+let published slot build a b =
+  match Atomic.get slot with
+  | Some x -> x
+  | None ->
+    let x = build a b in
+    Atomic.set slot (Some x);
+    x
+
+let rowset_of cols nrows =
+  let set = rowset_create () in
+  for id = 0 to nrows - 1 do
+    rowset_add set cols id
+  done;
+  set
+
+let mem t codes = t.nrows > 0 && rowset_mem (published t.rows rowset_of t.cols t.nrows) t.cols codes
 
 (* Extend a CSR index with rows [old_n ..] of the (already extended)
    column, without rehashing the sealed prefix: each group keeps its old
@@ -204,25 +196,16 @@ let extend t (tail : int array array) ~len =
   end
 
 (* The index of a whole column: the extension of an empty index. *)
-let build_index (col : int array) =
+let build_index t j =
+  let col = t.cols.(j) in
   let groups = Itbl.create (max 16 (Array.length col / 4)) in
   extend_index { groups; starts = [| 0 |]; rows = [||] } col ~old_n:0
 
 let col t j = t.cols.(j)
 let indexed t ~col = Option.is_some (Atomic.get t.indexes.(col))
 
-let index_of t col =
-  match Atomic.get t.indexes.(col) with
-  | Some idx -> idx
-  | None ->
-    let idx = build_index t.cols.(col) in
-    Atomic.set t.indexes.(col) (Some idx);
-    idx
-
 let probe t ~col code =
-  let idx = index_of t col in
+  let idx = published t.indexes.(col) build_index t col in
   match Itbl.find_opt idx.groups code with
   | None -> (idx.rows, 0, 0)
   | Some g -> (idx.rows, idx.starts.(g), idx.starts.(g + 1) - idx.starts.(g))
-
-let decode_row t i = Array.map Value.decode (row t i)

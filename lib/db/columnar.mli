@@ -22,10 +22,6 @@ val of_columns : arity:int -> nrows:int -> int array array -> (t, string) result
     codes each. The codes must be valid {!Value.code}s; the caller checks
     them. No index is built. *)
 
-val of_rows : int array list -> t
-(** The block of these coded rows, in list order (all of one arity; the
-    empty list gives the empty block of arity 0). *)
-
 val extend : t -> int array array -> len:int -> t
 (** [extend t tail ~len] is a new block holding [t]'s rows followed by the
     first [len] coded rows of [tail] (one code column per attribute, each
@@ -77,11 +73,11 @@ val rowset_add : rowset -> int array array -> int -> unit
 (** Add a row id whose codes are in no row of the set yet; [cols] must
     hold every row of the set. *)
 
-val row : t -> int -> int array
-(** A fresh copy of the codes at a row id. *)
-
-val decode_row : t -> int -> Tuple.t
-(** Rebuild the boxed tuple stored at a row id. *)
+val published : 'a option Atomic.t -> ('b -> 'c -> 'a) -> 'b -> 'c -> 'a
+(** [published slot build a b]: the slot's value, [build a b] published
+    with one atomic write by the first caller (racing domains each build
+    the same value; one is kept). A read of a built slot allocates
+    nothing. *)
 
 val room : int array -> int -> int array
 (** [room a n] is [a] when [n] indexes it, else a copy of [a] at least

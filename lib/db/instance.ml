@@ -44,9 +44,8 @@ let relation_for inst pred ~arity =
    for a fact it lacks (a chase re-derives present facts often). *)
 let add_codes inst pred codes =
   let rel = relation_for inst pred ~arity:(Array.length codes) in
-  if Relation.shared rel then
-    (not (Relation.mem_codes rel codes)) && Relation.insert_codes (own inst pred rel) codes
-  else Relation.insert_codes rel codes
+  (not (Relation.shared rel && Relation.mem_codes rel codes))
+  && Relation.insert_codes (own inst pred rel) codes
 
 let add_fact inst pred t = add_codes inst pred (Array.map Value.code t)
 
@@ -58,10 +57,6 @@ let install_relation inst pred rel =
          (Symbol.name pred) (Relation.arity existing) (Relation.arity rel))
   | Some _ | None -> ());
   Symbol.Table.replace inst.relations pred rel
-
-let add_ground_atom inst a =
-  let t = Array.map Value.of_term a.Atom.args in
-  add_fact inst a.Atom.pred t
 
 let predicates inst =
   Symbol.Table.fold (fun pred rel acc -> (pred, Relation.arity rel) :: acc) inst.relations []
@@ -87,7 +82,7 @@ let to_atoms inst =
 
 let of_atoms atoms =
   let inst = create () in
-  List.iter (fun a -> ignore (add_ground_atom inst a)) atoms;
+  List.iter (fun a -> ignore (add_fact inst a.Atom.pred (Array.map Value.of_term a.Atom.args))) atoms;
   inst
 
 let substitute inst ~from_ ~to_ =

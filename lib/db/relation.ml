@@ -95,18 +95,46 @@ let mem r t =
      | codes -> mem_codes r codes
      | exception Invalid_argument _ -> false
 
-(* The rows' code columns and counts, in row order: the block, then the
-   tails, oldest first. *)
-let segments r =
-  (Array.init r.arity (Columnar.col r.block), Columnar.nrows r.block)
-  :: List.rev_map (fun t -> (t.tcols, t.len)) r.tails
+type segment = {
+  cols : int array array;
+  nrows : int;
+  probe : col:int -> int -> int array * int * int;
+}
+
+(* A tail as it is now: its ids are ascending, so the rows inserted
+   later, which a probe also finds, are a suffix to cut. *)
+let tail_index tail col =
+  let idx = Columnar.Itbl.create (max 16 tail.len) in
+  for row = 0 to tail.len - 1 do
+    tail_index_add idx tail.tcols.(col).(row) row
+  done;
+  idx
+
+let tail_segment tail =
+  let len = tail.len in
+  let probe ~col code =
+    match Columnar.Itbl.find_opt (Columnar.published tail.tindex.(col) tail_index tail col) code with
+    | None -> ([||], 0, 0)
+    | Some g ->
+      let n = ref g.n in
+      while !n > 0 && g.ids.(!n - 1) >= len do
+        decr n
+      done;
+      (g.ids, 0, !n)
+  in
+  { cols = Array.copy tail.tcols; nrows = len; probe }
+
+let block_segment b =
+  { cols = Array.init (Columnar.arity b) (Columnar.col b); nrows = Columnar.nrows b; probe = Columnar.probe b }
+
+let segments r = block_segment r.block :: List.rev_map tail_segment r.tails
 
 let iter_codes f r =
   let buf = Array.make r.arity 0 in
   List.iter
-    (fun (cols, n) ->
-      for i = 0 to n - 1 do
-        Array.iteri (fun j col -> buf.(j) <- col.(i)) cols;
+    (fun s ->
+      for i = 0 to s.nrows - 1 do
+        Array.iteri (fun j col -> buf.(j) <- col.(i)) s.cols;
         f buf
       done)
     (segments r)
@@ -118,52 +146,28 @@ let to_list r =
   iter (fun t -> acc := t :: !acc) r;
   List.rev !acc
 
-(* Built privately, then published with one atomic write: racing domains
-   each build the same index, as in [Columnar]. *)
-let tail_probe tail ~col code =
-  let idx =
-    match Atomic.get tail.tindex.(col) with
-    | Some idx -> idx
-    | None ->
-      let idx = Columnar.Itbl.create (max 16 tail.len) in
-      for row = 0 to tail.len - 1 do
-        tail_index_add idx tail.tcols.(col).(row) row
-      done;
-      Atomic.set tail.tindex.(col) (Some idx);
-      idx
-  in
-  match Columnar.Itbl.find_opt idx code with None -> ([||], 0) | Some g -> (g.ids, g.n)
-
 let lookup r ~pos v =
   if pos < 0 || pos >= r.arity then invalid_arg "Relation.lookup: position out of range";
   match code_opt v with
   | None -> []
   | Some code ->
-    let decode cols i = Array.map (fun col -> Value.decode col.(i)) cols in
-    let ids, start, len = Columnar.probe r.block ~col:pos code in
-    let cols = Array.init r.arity (Columnar.col r.block) in
-    List.init len (fun k -> decode cols ids.(start + k))
-    @ List.concat_map
-        (fun t ->
-          let ids, n = tail_probe t ~col:pos code in
-          List.init n (fun k -> decode t.tcols ids.(k)))
-        (List.rev r.tails)
-
-(* The block with the given tails folded in: nothing is re-coded, and only
-   the indexes some probe already built are grown. *)
-let fold block tails =
-  let len = List.fold_left (fun n t -> n + t.len) 0 tails in
-  let col j =
-    let c = Array.make len 0 in
-    ignore (List.fold_left (fun off t -> Array.blit t.tcols.(j) 0 c off t.len; off + t.len) 0 tails);
-    c
-  in
-  Columnar.extend block (Array.init (Columnar.arity block) col) ~len
+    List.concat_map
+      (fun s ->
+        let ids, start, n = s.probe ~col:pos code in
+        List.init n (fun k -> Array.map (fun col -> Value.decode col.(ids.(start + k))) s.cols))
+      (segments r)
 
 let seal r =
-  if pending r > 0 then begin
+  let len = pending r in
+  if len > 0 then begin
     owned r "seal";
-    r.block <- fold r.block (List.rev r.tails);
+    let tails = List.tl (segments r) in
+    let col j =
+      let c = Array.make len 0 in
+      ignore (List.fold_left (fun off s -> Array.blit s.cols.(j) 0 c off s.nrows; off + s.nrows) 0 tails);
+      c
+    in
+    r.block <- Columnar.extend r.block (Array.init r.arity col) ~len;
     r.tails <- [ new_tail r.arity ]
   end
 
@@ -183,9 +187,6 @@ let copy r =
   { r with tails = new_tail r.arity :: tails; shared = false }
 
 let block r = r.block
-let tails r = List.rev r.tails
-let tail_len tail = tail.len
-let tail_col tail j = tail.tcols.(j)
 
 (* The block is adopted outright: nothing is re-coded, and its row set and
    indexes are built by the first probe that needs each. *)
@@ -198,12 +199,11 @@ let mentions r v =
   match code_opt v with
   | None -> false
   | Some code ->
-    List.exists
-      (fun pos ->
-        (let _, _, len = Columnar.probe r.block ~col:pos code in
-         len > 0)
-        || List.exists (fun t -> snd (tail_probe t ~col:pos code) > 0) r.tails)
-      (List.init r.arity Fun.id)
+    let holds s col =
+      let _, _, n = s.probe ~col code in
+      n > 0
+    in
+    List.exists (fun s -> List.exists (holds s) (List.init r.arity Fun.id)) (segments r)
 
 (* Rewriting sealed rows is no append: every row is re-coded into a new
    tail behind an empty block, the untouched rows first, then the

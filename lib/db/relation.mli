@@ -48,13 +48,14 @@ val iter_codes : (int array -> unit) -> t -> unit
 (** Every row in row order, in one scratch buffer: copy what you keep. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
+(** Every row, decoded into a fresh tuple, in row order. *)
+
 val to_list : t -> Tuple.t list
 
 val lookup : t -> pos:int -> Value.t -> Tuple.t list
 (** The rows whose 0-based column [pos] holds the value, in row order,
-    through the block's and the tails' indexes on that column, each built
-    by its first probe and published whole: safe on a {!shared} relation
-    read from several domains. *)
+    through the {!segments}' probes: safe on a {!shared} relation read
+    from several domains. *)
 
 val seal : t -> unit
 (** Fold the pending tails into the block ({!Columnar.extend}): nothing is
@@ -66,27 +67,26 @@ val seal : t -> unit
 val block : t -> Columnar.t
 (** The rows up to the last {!seal} (an empty block before the first). *)
 
-type tail
-(** Coded rows. An insert appends to its relation's last tail. *)
-
-val tails : t -> tail list
-(** {!block} and these hold exactly the current rows, in the order a
-    {!seal} folds them. All but the last are shared with the relations
-    this one was {!copy}'d from, and never grow. *)
-
 val pending : t -> int
-(** The number of rows in the tails. *)
+(** The number of rows inserted since the last {!seal}. *)
 
-val tail_len : tail -> int
+type segment = {
+  cols : int array array;  (** one code column per attribute; do not mutate *)
+  nrows : int;  (** the segment's rows are its columns' first [nrows] codes *)
+  probe : col:int -> int -> int array * int * int;
+      (** [(ids, start, n)]: the segment's rows whose column [col] holds
+          the code are [ids.(start) .. ids.(start + n - 1)], ascending.
+          The first probe of a column builds its index (racing domains
+          each build the same one). Do not mutate [ids]. *)
+}
 
-val tail_col : tail -> int -> int array
-(** An attribute's codes; the first {!tail_len} are rows. Do not mutate. *)
+val segments : t -> segment list
+(** The rows now, in row order: the {!block}'s, then each pending tail's,
+    oldest first, as a {!seal} folds them. A segment does not grow: rows
+    inserted later are in none of its probes. *)
 
-val tail_probe : tail -> col:int -> int -> int array * int
-(** [(ids, n)]: the tail rows whose column [col] holds the code are
-    [ids.(0) .. ids.(n - 1)], ascending. The first probe of a column
-    builds its index (racing domains each build the same one), and later
-    inserts extend it. Do not mutate [ids]. *)
+val block_segment : Columnar.t -> segment
+(** A block's rows as a segment; {!segments} starts with its {!block}'s. *)
 
 val of_columnar : Columnar.t -> t
 (** Adopt a decoded snapshot block ({!Columnar.of_columns}) as the block,

@@ -14,18 +14,9 @@ let compare t1 t2 =
     in
     loop 0
 
-let hash t = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t
-
 let pp ppf t =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Value.pp)
     (Array.to_list t)
 
 let has_null = Array.exists Value.is_null
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

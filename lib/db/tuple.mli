@@ -1,9 +1,7 @@
 (** Database tuples: fixed-arity rows of {!Value.t}.
 
-    A tuple is a bare value array — the representation is exposed so hot
-    evaluation loops can index without a projection — but callers must
-    treat tuples held by a {!Relation} as immutable: relations and their
-    indexes share the arrays. *)
+    A tuple is a bare value array, the boxed form of a row: a {!Relation}
+    holds {!Value.code}s and decodes its rows into fresh tuples. *)
 
 type t = Value.t array
 
@@ -20,6 +18,3 @@ val pp : Format.formatter -> t -> unit
 val has_null : t -> bool
 (** True iff some component is a labelled null — such tuples are filtered
     out of certain-answer sets (a null is not a certain constant). *)
-
-module Table : Hashtbl.S with type key = t
-(** Hash tables keyed by tuple value (not physical identity). *)

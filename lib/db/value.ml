@@ -21,10 +21,6 @@ let compare v1 v2 =
   | Const _, Null _ -> -1
   | Null _, Const _ -> 1
 
-let hash = function
-  | Const c -> 2 * Symbol.hash c
-  | Null n -> (2 * n) + 1
-
 let pp ppf = function
   | Const c -> Symbol.pp ppf c
   | Null n -> Format.fprintf ppf "_n%d" n

@@ -11,7 +11,6 @@ val const : string -> t
 val is_null : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -42,8 +42,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 
-(* A relation's columns as one seal would give them: per column, the
-   block's codes and the tails' codes, written back to back. *)
+(* A relation's columns as one seal would give them: per column, its
+   segments' codes, written back to back. *)
 type coded = {
   pred : Symbol.t;
   nrows : int;
@@ -51,15 +51,12 @@ type coded = {
 }
 
 let coded_relation pred rel =
-  let block = Db.Relation.block rel and tails = Db.Relation.tails rel in
-  {
-    pred;
-    nrows = Db.Relation.cardinality rel;
-    cols =
-      Array.init (Db.Relation.arity rel) (fun j ->
-          Db.Columnar.col block j
-          :: List.map (fun t -> Array.sub (Db.Relation.tail_col t j) 0 (Db.Relation.tail_len t)) tails);
-  }
+  let segs = Db.Relation.segments rel in
+  let prefix j (s : Db.Relation.segment) =
+    if Array.length s.cols.(j) = s.nrows then s.cols.(j) else Array.sub s.cols.(j) 0 s.nrows
+  in
+  let cols = Array.init (Db.Relation.arity rel) (fun j -> List.map (prefix j) segs) in
+  { pred; nrows = Db.Relation.cardinality rel; cols }
 
 let coded_instance inst =
   List.map

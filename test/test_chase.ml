@@ -81,7 +81,7 @@ let test_trigger_delta_restriction () =
   let inst = Instance.of_atoms [ atom "project" [ c "apollo" ]; atom "project" [ c "gemini" ] ] in
   let delta = Symbol.Table.create 4 in
   Symbol.Table.add delta (Symbol.intern "project")
-    (Columnar.of_rows [ [| Value.code (Value.const "apollo") |] ]);
+    (Result.get_ok (Columnar.of_columns ~arity:1 ~nrows:1 [| [| Value.code (Value.const "apollo") |] |]));
   let triggers = find_triggers person_project inst ~delta:(Some delta) in
   Alcotest.(check int) "only the delta project" 1 (List.length triggers)
 

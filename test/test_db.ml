@@ -72,7 +72,7 @@ let test_insert_uncodable () =
   ignore (Relation.insert r (tuple [ "a"; "b" ]));
   Relation.seal r;
   ignore (Relation.insert r (tuple [ "c"; "d" ]));
-  ignore (Relation.tail_probe (List.hd (Relation.tails r)) ~col:0 (Value.code (vc "c")));
+  (* Builds the block's and the tail's index on column 0. *)
   ignore (Relation.lookup r ~pos:0 (vc "c"));
   let bad = [| vc "x"; Value.Null Value.null_base |] in
   (match Relation.insert r bad with
@@ -82,13 +82,18 @@ let test_insert_uncodable () =
   Alcotest.(check bool) "not a member" false (Relation.mem r bad);
   Alcotest.(check int) "pending tail" 1 (Relation.pending r);
   Alcotest.(check int) "lookup" 0 (List.length (Relation.lookup r ~pos:0 (vc "x")));
-  Alcotest.(check int) "tail index" 0
-    (snd (Relation.tail_probe (List.hd (Relation.tails r)) ~col:0 (Value.code (vc "x"))));
+  Alcotest.(check int) "segment indexes" 0
+    (List.fold_left
+       (fun n (s : Relation.segment) ->
+         let _, _, k = s.probe ~col:0 (Value.code (vc "x")) in
+         n + k)
+       0 (Relation.segments r));
   Alcotest.(check bool) "the next insert still lands" true (Relation.insert r (tuple [ "x"; "y" ]));
   Relation.seal r;
   Alcotest.(check int) "and seals in" 3 (Columnar.nrows (Relation.block r))
 
-(* A chain of copies, each written once, keeps at most nine tails: past
+(* A chain of copies, each written once, keeps at most nine tails (ten
+   segments, with the block): past
    eight, a copy merges the shared ones into one. Rows, order, membership
    and lookups survive the merge, and the originals are untouched. *)
 let test_relation_copy_chain () =
@@ -102,7 +107,7 @@ let test_relation_copy_chain () =
         r)
       first rows
   in
-  Alcotest.(check bool) "few tails" true (List.length (Relation.tails last) <= 9);
+  Alcotest.(check bool) "few tails" true (List.length (Relation.segments last) <= 10);
   Alcotest.(check bool) "rows in order" true (List.equal Tuple.equal (Relation.to_list last) rows);
   Alcotest.(check bool) "members" true (List.for_all (Relation.mem last) rows);
   Alcotest.(check int) "lookup" 12 (List.length (Relation.lookup last ~pos:1 (vc "b")));
@@ -625,8 +630,8 @@ let test_columnar_roundtrip_basic () =
   let rows, start, len = Columnar.probe block ~col:0 (Value.code (vc "a")) in
   Alcotest.(check int) "probe hits" 2 len;
   for k = start to start + len - 1 do
-    let t = Columnar.decode_row block rows.(k) in
-    Alcotest.(check bool) "probed row has the key" true (Value.equal t.(0) (vc "a"))
+    let c = (Columnar.col block 0).(rows.(k)) in
+    Alcotest.(check bool) "probed row has the key" true (Value.equal (Value.decode c) (vc "a"))
   done;
   (* Nulls code distinctly from every constant and decode back. *)
   Alcotest.(check bool) "null decodes back" true
@@ -753,7 +758,7 @@ let prop_columnar_codes_stable_under_reseal =
       let codes_of block =
         let n = Columnar.nrows block in
         List.init n (fun i ->
-            ( Format.asprintf "%a" Tuple.pp (Columnar.decode_row block i),
+            ( Format.asprintf "%a" Tuple.pp (Array.init arity (fun j -> Value.decode (Columnar.col block j).(i))),
               Array.init arity (fun j -> (Columnar.col block j).(i)) ))
       in
       let before = codes_of (Relation.block r) in

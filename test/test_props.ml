@@ -249,8 +249,7 @@ let prop_eval_matches_homomorphisms =
       (* Independent implementation: enumerate homomorphisms over the atom
          list and build answer tuples. *)
       let target = Homomorphism.target_of_atoms facts in
-      let module TT = Tgd_db.Tuple.Table in
-      let acc = TT.create 16 in
+      let acc = ref [] in
       Homomorphism.iter
         (fun m ->
           let tuple =
@@ -265,9 +264,9 @@ let prop_eval_matches_homomorphisms =
                      | Some (Term.Var _) | None -> failwith "non-ground image"))
                  q.Cq.answer)
           in
-          if not (TT.mem acc tuple) then TT.add acc tuple ())
+          acc := tuple :: !acc)
         q.Cq.body target;
-      let via_hom = TT.fold (fun t () l -> t :: l) acc [] |> List.sort Tgd_db.Tuple.compare in
+      let via_hom = List.sort_uniq Tgd_db.Tuple.compare !acc in
       List.length via_eval = List.length via_hom
       && List.for_all2 Tgd_db.Tuple.equal via_eval via_hom)
 
@@ -378,7 +377,9 @@ let prop_compiled_matches_oracle =
           (fun (i, ts) ->
             let arity = Atom.arity (List.nth q.Cq.body i) in
             let ts = List.filter (fun t -> Array.length t = arity) ts in
-            (i, Tgd_db.Columnar.of_rows (List.map (Array.map Tgd_db.Value.code) ts)))
+            let col j = Array.of_list (List.map (fun t -> Tgd_db.Value.code t.(j)) ts) in
+            let cols = Array.init arity col in
+            (i, Result.get_ok (Tgd_db.Columnar.of_columns ~arity ~nrows:(List.length ts) cols)))
           forced
       in
       let plan = Tgd_db.Col_eval.compile ~bound:(List.map fst bound) ?forced inst q in
