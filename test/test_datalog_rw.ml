@@ -401,7 +401,7 @@ let () =
             (Printf.sprintf "%d random SWR cases: datalog = ucq (seed %d)" n_cases seed)
             `Slow test_differential_vs_ucq;
         ] );
-      ( "naive reference",
+      ( "naive",
         [
           Alcotest.test_case "random existential-free programs" `Quick test_random_vs_naive;
           Alcotest.test_case "example 2 rewriting (recursive)" `Quick test_example2_vs_naive;
