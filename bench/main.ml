@@ -922,8 +922,9 @@ let e18 () =
     host_domains;
   row "  %-10s %9s %9s %8s %11s %9s %9s %10s %11s\n" "facts" "answers" "engine" "workers"
     "t_eval" "speedup" "scaling" "identical" "minor_mw";
-  (* One pool for every multi-worker leg, made outside the timed calls: a
-     leg times evaluation, not spawning domains. *)
+  (* One pool for every multi-worker leg and the min_tuples sweep, made
+     outside the timed calls: a leg times evaluation, not spawning
+     domains. *)
   let pool = Tgd_exec.Pool.create ~workers:(List.fold_left max 1 workers_list) () in
   let results =
     List.map
@@ -978,7 +979,6 @@ let e18 () =
         (n, List.length reference, legs))
       [ 1_000; 10_000; 100_000; 1_000_000 ]
   in
-  Tgd_exec.Pool.shutdown pool;
   let all_identical =
     List.for_all (fun (_, _, legs) -> List.for_all (fun r -> r.identical) legs) results
   in
@@ -1037,7 +1037,7 @@ let e18 () =
         let answers = ref [] in
         let wall =
           time_median ~k:3 (fun () ->
-              answers := Tgd_db.Par_eval.ucq ~workers:4 ~min_tuples:mt sweep_inst [ q ])
+              answers := Tgd_db.Par_eval.ucq ~pool ~workers:4 ~min_tuples:mt sweep_inst [ q ])
         in
         let identical =
           List.length !answers = List.length sweep_reference
@@ -1048,6 +1048,7 @@ let e18 () =
         (mt, wall, identical))
       [ 1; 512; 4_096; 65_536; 1_000_000 ]
   in
+  Tgd_exec.Pool.shutdown pool;
   check "min_tuples sweep preserves identity at every threshold" ~expected:"yes"
     ~got:(if List.for_all (fun (_, _, id) -> id) sweep_legs then "yes" else "no");
   let oc = open_out "BENCH_parallel_eval.json" in

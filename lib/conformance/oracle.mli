@@ -21,7 +21,7 @@ type t = {
   eval_ucq_par :
     workers:int -> partitions:int -> Tgd_db.Instance.t -> Cq.ucq -> Tgd_db.Tuple.t list;
       (** the morsel-parallel evaluator: seals the instance, then evaluates
-          on [workers] domains merging into [partitions] answer partitions,
+          on [workers] domains merging [partitions] first-column code ranges,
           with the small-scan single-domain shortcut disabled — must agree
           byte-for-byte with {!eval_ucq} *)
   certain_cq :

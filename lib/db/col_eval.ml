@@ -43,17 +43,30 @@ let out_arity t = Array.length t.out
 (* ------------------------------------------------------------------ *)
 (* Coded answer tuples                                                 *)
 
+(* Flat fixed-stride rows. A bucket stores coded answers back to back in
+   one [int array] (row [r] of a stride-[s] bucket occupies offsets
+   [r*s .. r*s + s - 1]): per answer that is [s] machine words and zero
+   pointers, so sorting and deduplicating a million answers is sequential
+   memory traffic instead of a pointer chase through a million tiny heap
+   blocks. [rows] is kept apart so stride-0 (boolean) answers still
+   count. *)
+
+type bucket = {
+  mutable data : int array;
+  mutable rows : int;
+}
+
+let bucket_create () = { data = [||]; rows = 0 }
+
+let bucket_push b ~stride (src : int array) pos =
+  b.data <- Columnar.room b.data (((b.rows + 1) * stride) - 1);
+  Array.blit src pos b.data (b.rows * stride) stride;
+  b.rows <- b.rows + 1
+
 (* The comparisons below are on the per-answer hot path (sort and dedup:
    millions of calls per query), so they are top-level recursions with
    explicit arguments — an inner [let rec loop] capturing the arrays would
    allocate a closure block per call. *)
-
-(* Flat fixed-stride rows. [Par_eval]'s partition buckets store coded
-   answers back to back in one [int array] (row [r] of a stride-[s] bucket
-   occupies offsets [r*s .. r*s + s - 1]): per answer that is [s] machine
-   words and zero pointers, so sorting and deduplicating a
-   million-answer partition is sequential memory traffic instead of a
-   pointer chase through a million tiny heap blocks. *)
 
 let rec row_cmp_from (a : int array) oa (b : int array) ob stride i =
   if i >= stride then 0
@@ -62,8 +75,6 @@ let rec row_cmp_from (a : int array) oa (b : int array) ob stride i =
       Int.compare (Array.unsafe_get a (oa + i)) (Array.unsafe_get b (ob + i))
     in
     if c <> 0 then c else row_cmp_from a oa b ob stride (i + 1)
-
-let compare_rows a oa b ob ~stride = row_cmp_from a oa b ob stride 0
 
 let swap_rows (a : int array) stride i j =
   let oi = i * stride and oj = j * stride in
@@ -372,10 +383,7 @@ let iter ?gov ?bound t emit =
    is [Tuple.compare]'s, so only distinct answers are decoded. *)
 let cq ?gov inst q =
   let t = compile inst q in
-  let stride = out_arity t and buf = ref [||] and rows = ref 0 in
-  iter ?gov t (fun codes ->
-      buf := Columnar.room !buf (((!rows + 1) * stride) - 1);
-      Array.blit codes 0 !buf (!rows * stride) stride;
-      incr rows);
-  sort_rows !buf ~stride ~rows:!rows;
-  decode_rows !buf ~stride ~rows:(uniq_rows !buf ~stride ~rows:!rows) []
+  let stride = out_arity t and b = bucket_create () in
+  iter ?gov t (fun codes -> bucket_push b ~stride codes 0);
+  sort_rows b.data ~stride ~rows:b.rows;
+  decode_rows b.data ~stride ~rows:(uniq_rows b.data ~stride ~rows:b.rows) []

@@ -6,10 +6,10 @@
     each relation's coded rows (its {!Columnar} block, then its tails):
     variables become slots of one [int array] frame, constants become
     {!Value.code}s, and each step probes a column index or scans. Nothing
-    is allocated per candidate. Answers stay coded: as {!Value.code} is
-    order-preserving, the sort, dedup and merge ({!sort_rows},
-    {!uniq_rows}, {!compare_rows}) work on flat ints, and only the final
-    answer set is decoded ({!decode_rows}). *)
+    is allocated per candidate. Answers stay coded: they are pushed onto
+    flat {!bucket}s and, as {!Value.code} is order-preserving, sorted and
+    deduplicated as ints ({!sort_rows}, {!uniq_rows}); only the distinct
+    answers are decoded ({!decode_rows}). *)
 
 open Tgd_logic
 
@@ -64,15 +64,25 @@ val cq : ?gov:Tgd_exec.Governor.t -> Instance.t -> Cq.t -> Tuple.t list
 (** All answers of one CQ by {!iter}, decoded, deduplicated and sorted by
     [Tuple.compare]; a satisfiable boolean query answers [[ [||] ]]. *)
 
-val compare_rows : int array -> int -> int array -> int -> stride:int -> int
-(** [compare_rows a oa b ob ~stride] compares the [stride] codes at
-    offset [oa] of [a] against those at [ob] of [b] lexicographically.
-    Because {!Value.code} is order-preserving, on rows of one arity this
-    equals [Tuple.compare] on the decoded tuples. *)
+type bucket = {
+  mutable data : int array;
+  mutable rows : int;
+}
+(** A grow-only buffer of fixed-stride coded rows: row [r] of a
+    stride-[s] bucket is [data.(r*s) .. data.(r*s + s - 1)]. [rows] is
+    kept apart so stride-0 (boolean) answers still count. *)
+
+val bucket_create : unit -> bucket
+
+val bucket_push : bucket -> stride:int -> int array -> int -> unit
+(** [bucket_push b ~stride a pos] appends the [stride] codes of [a] from
+    offset [pos] on as one row. *)
 
 val sort_rows : int array -> stride:int -> rows:int -> unit
 (** Sort the first [rows] fixed-[stride] rows of a flat buffer in place,
-    into {!compare_rows} order, leaving the rest of the array untouched:
+    into lexicographic code order (on rows of one arity, [Tuple.compare]'s
+    order of the decoded tuples, as {!Value.code} is order-preserving),
+    leaving the rest of the array untouched:
     a stable LSD radix sort, one 11-bit digit pass at a time from the
     last column to the first, each column taking only the passes its
     code range needs — linear in [rows] (an insertion sort for a handful
@@ -81,10 +91,6 @@ val sort_rows : int array -> stride:int -> rows:int -> unit
 val uniq_rows : int array -> stride:int -> rows:int -> int
 (** Compact duplicate adjacent rows (i.e. all duplicates, post
     {!sort_rows}) to the front in place; returns the unique row count. *)
-
-val decode_row : int array -> stride:int -> row:int -> Tuple.t
-(** Decode one bucket row back to a boxed tuple, in {!Value.code}'s
-    order-preserving inverse. *)
 
 val decode_rows : int array -> stride:int -> rows:int -> Tuple.t list -> Tuple.t list
 (** [decode_rows a ~stride ~rows acc] is rows [0 .. rows - 1] of [a],

@@ -58,7 +58,7 @@ val mem : t -> int array -> bool
 
 val hash_codes : int array -> int
 (** A non-negative hash of a coded row, mixing every code: the row sets'
-    and {!Par_eval}'s partition router. *)
+    and the chase's trigger keys. *)
 
 type rowset
 (** A growable hash set of row ids, keyed by the codes the rows hold in

@@ -1,19 +1,20 @@
 (** Morsel-driven parallel evaluation of unions of conjunctive queries.
 
     The engine seals the instance ({!Instance.seal}) and runs compiled
-    columnar plans ({!Col_eval}): each disjunct's leading scan is split
-    into contiguous row-range morsels over the relation's {!Columnar}
-    block, and answers are {e partition-owned} — every task hashes its
-    coded answers into task-private flat partition buckets (one blit of
-    [arity] ints per emitted match — duplicates included, bounded by the
-    governor's [eval.steps] budget when one is given), a second parallel
-    phase gives each of the P partitions to one worker for lock-free
-    radix sorting ({!Col_eval.sort_rows}), deduplication and decoding, and
-    the sequential tail is a k-way merge of disjoint sorted runs. With one
-    worker there is one partition: answers go straight into one flat
-    buffer per arity, sorted and compacted in place and decoded into the
-    result, with no hash, copy or merge. No mutex is taken and no
-    per-answer heap block is allocated on the answer path.
+    columnar plans ({!Col_eval}) in two phases, one path for any worker
+    count. The scan splits each disjunct's leading scan into contiguous
+    row-range morsels over the relation's {!Columnar} block, and every
+    task pushes its coded answers onto its {e lane}'s flat bucket for
+    their arity ({!Col_eval.bucket}: one blit of [arity] ints per emitted
+    match — duplicates included, bounded by the governor's [eval.steps]
+    budget when one is given). A lane is a task when several workers run
+    and the calling domain when one does. The merge splits each arity's
+    first answer column into ordered, disjoint code ranges; each range
+    goes to one worker, which gathers its rows from every lane, radix
+    sorts ({!Col_eval.sort_rows}), deduplicates and decodes them, and the
+    ranges' lists are appended in order. With one worker and one range
+    the bucket is sorted and compacted in place. No mutex is taken and
+    no per-answer heap block is allocated on the answer path.
 
     Results are deduplicated and sorted by [Tuple.compare], byte-identical
     to {!Col_eval.cq}'s union over the disjuncts.
@@ -47,14 +48,14 @@ val ucq :
 (** Union of the answers of the disjuncts, deduplicated and sorted. Seals
     [inst] first. Worker count is [workers] if
     given, else the [pool]'s size, else {!Tgd_exec.Pool.default_workers}.
-    [partitions] is the answer-partition count P of the columnar merge
-    (default [4 × workers], unused with one worker; raises
-    [Invalid_argument] when [< 1]); more
-    partitions balance skewed answer distributions, fewer amortize the
-    per-partition setup. A disjunct whose leading scan has fewer than
-    [min_tuples] rows (default 512) runs on the calling domain, still
-    columnar. Morsels are dispatched through
+    [partitions] is the most first-column code ranges the merge splits
+    each answer arity into (default [workers]; raises [Invalid_argument]
+    when [< 1]). Ranges have equal code width, so a skewed first column
+    leaves some ranges with more rows than others; each range reads every
+    lane. A disjunct whose leading scan has fewer than
+    [min_tuples] rows (default 512) is not split: it is one morsel. Morsels are dispatched through
     {!Tgd_exec.Pool.run_morsels} (the caller participates) on [pool] when
     given; otherwise a parallel call spawns a transient pool of
-    [workers - 1] domains at its first batch and joins it before
-    returning. *)
+    [workers - 1] domains at its first batch of more than one item and
+    joins it before returning. A one-worker call runs on the calling
+    domain. *)

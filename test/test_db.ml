@@ -680,7 +680,7 @@ let prop_columnar_roundtrip =
       && List.for_all2 Tuple.equal got expect
       (* Code order ≡ value order: sorting coded rows lexicographically
          must equal sorting the decoded tuples with [Tuple.compare] —
-         the invariant the partition-owned merge's byte-identity rests
+         the invariant the range-owned merge's byte-identity rests
          on. *)
       &&
       let n = Columnar.nrows block in
@@ -737,7 +737,7 @@ let prop_sort_rows_is_tuple_order =
       let buf = Array.make ((rows * stride) + slack) (-7) in
       Array.iteri (fun r t -> Array.blit t 0 buf (r * stride) stride) table;
       let boxed = List.map (Array.map Value.decode) (Array.to_list table) in
-      let decoded n = List.init n (fun row -> Col_eval.decode_row buf ~stride ~row) in
+      let decoded rows = Col_eval.decode_rows buf ~stride ~rows [] in
       let same a b = List.length a = List.length b && List.for_all2 Tuple.equal a b in
       let untouched () =
         let ok = ref true in

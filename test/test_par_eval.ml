@@ -1,7 +1,7 @@
 (* The parallel evaluation engine: Pool unit tests and the qcheck
    equivalence property — morsel-parallel evaluation must agree with
    sequential evaluation (answers and truncation flag) across worker counts
-   (1, 2, 4 and the TGDLIB_DOMAINS-derived default), random answer-partition
+   (1, 2, 4 and the TGDLIB_DOMAINS-derived default), random code-range
    counts, and instances handed over sealed or unsealed: the engine seals
    an unsealed one itself and runs compiled either way. *)
 
@@ -251,9 +251,10 @@ let test_par_eval_truncation_flag () =
 
 (* The eight University queries' UCQ rewritings on generated data: the
    compiled answers equal the boxed oracle's, in order and without
-   duplicates, at one worker (a single flat buffer, no merge) and at
-   three (hash partitions and a k-way merge). A Datalog goal, read by
-   [Col_eval.cq] from a saturated copy, is checked the same way. *)
+   duplicates, at one worker (one bucket per arity) and at three (a
+   bucket per morsel), each merged as 1, 4 and 7 first-column code
+   ranges. A Datalog goal, read by [Col_eval.cq] from a saturated copy,
+   is checked the same way. *)
 let university = lazy (Tgd_gen.University.generate_data (Tgd_gen.Rng.create 20140614) ~scale:300)
 
 let strictly_sorted l =
@@ -285,6 +286,42 @@ let test_university_differential () =
         [ (1, 1); (1, 4); (1, 7); (3, 1); (3, 4); (3, 7) ])
     Tgd_gen.University.queries
 
+(* The edges of range partitioning, at three workers and 1, 4 and 7
+   code ranges: a first answer column mixing constant and labelled-null
+   codes (the ranges span [Value.null_base]), one first-column code
+   shared by every answer (lo = hi), and a union of a boolean (stride-0)
+   disjunct with a non-boolean one. *)
+let test_range_edges () =
+  let fact inst p args = ignore (Instance.add_fact inst (Symbol.intern p) args) in
+  let mixed = Instance.create () and one_key = Instance.create () in
+  for i = 0 to 2_999 do
+    let y = vc (Printf.sprintf "y%d" (i mod 50)) in
+    fact mixed "r" [| (if i mod 3 = 0 then Value.Null i else vc (Printf.sprintf "x%d" i)); y |];
+    fact mixed "r" [| vc (Printf.sprintf "x%d" i); y |];
+    fact one_key "r" [| vc "a"; vc (Printf.sprintf "y%d" i) |];
+    if i mod 7 = 0 then fact one_key "s" [| vc (Printf.sprintf "y%d" i) |]
+  done;
+  let pair = Cq.make ~name:"q" ~answer:[ v "X"; v "Y" ] ~body:[ atom "r" [ v "X"; v "Y" ] ] in
+  let boolean = Cq.make ~name:"q" ~answer:[] ~body:[ atom "s" [ v "Y" ] ] in
+  let cases =
+    [
+      ("constants and nulls", mixed, [ pair ]);
+      ("one first code", one_key, [ pair; join_query ]);
+      ("boolean and unary", one_key, [ boolean; join_query ]);
+    ]
+  in
+  List.iter
+    (fun (name, inst, ucq) ->
+      let reference = Eval.ucq inst ucq in
+      List.iter
+        (fun partitions ->
+          check_answers
+            (Printf.sprintf "%s partitions=%d" name partitions)
+            reference
+            (Par_eval.ucq ~workers:3 ~min_tuples:1 ~partitions inst ucq))
+        [ 1; 4; 7 ])
+    cases
+
 let test_university_datalog_goal () =
   let q = List.nth Tgd_gen.University.queries 4 in
   let dl = Tgd_rewrite.Datalog_rw.rewrite Tgd_gen.University.ontology q in
@@ -297,7 +334,7 @@ let test_university_datalog_goal () =
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: parallel == sequential over random instances, queries,
-   worker counts and partition counts *)
+   worker counts and code-range counts *)
 
 let signature = [ ("p", 2); ("q1", 1); ("r", 3) ]
 
@@ -324,9 +361,11 @@ let gen_cq =
       Symbol.Set.elements
         (List.fold_left (fun acc a -> Symbol.Set.union acc (Atom.vars a)) Symbol.Set.empty body)
     in
+    (* k = -1 makes a boolean disjunct, so a union can mix stride-0 and
+       non-boolean answers. *)
     (if vars = [] then return []
      else
-       int_bound (min 2 (List.length vars - 1)) >>= fun k ->
+       int_range (-1) (min 2 (List.length vars - 1)) >>= fun k ->
        return (List.filteri (fun i _ -> i <= k) vars))
     >>= fun answer ->
     return (Cq.make ~name:"q" ~answer:(List.map (fun x -> Term.Var x) answer) ~body))
@@ -403,6 +442,7 @@ let () =
             test_university_differential;
           Alcotest.test_case "University Datalog goal against the oracle" `Quick
             test_university_datalog_goal;
+          Alcotest.test_case "range partition edges" `Quick test_range_edges;
         ] );
       ( "properties",
         List.map to_alcotest [ prop_par_eval_equals_seq; prop_par_eval_truncates_like_seq ] );
